@@ -22,7 +22,7 @@ from .mubs import (Basis, MubFamily, MubReport, gen_mubs_prime,
                    mubs_from_json, mubs_to_json, verify_mubs)
 from .numerics import (COMPLEX, DEFAULT_TOL, REAL, Tolerance, gram_schmidt,
                        hs_inner, is_projection, matrix_from_json, matrix_rank,
-                       matrix_to_json, orthonormal_image_basis)
+                       matrix_to_json)
 from .packing import (Certificate, CertStatus, CoherenceReport, HypothesisRecord,
                       OrthoplexReport, Packing, Projection, build_mixed_packing,
                       build_orthoplex_packing, certificate_to_json, certify,

@@ -217,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="absolute tolerance for numeric comparisons")
     parser.add_argument("--eps-tight", type=float, default=1e-12,
                         help="tolerance for identities exact by construction")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (pipelines are deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a MUB family, design, or Hadamard matrix")

@@ -33,42 +33,30 @@ def embedding_dim(m: int, field: Field) -> int:
 
 @dataclass(frozen=True)
 class EmbeddingSpace:
-    """A fixed orthonormal basis of the traceless Hermitian m x m matrices.
+    """A fixed orthonormal basis of the traceless Hermitian m x m matrices,
+    held in closed form.
 
     Ordering: symmetric pair matrices (E_jk + E_kj)/sqrt(2) for j < k in
     lexicographic order, then (complex only) the antisymmetric pairs
     (-i E_jk + i E_kj)/sqrt(2), then the diagonal matrices
-    diag(1,...,1,-h,0,...,0)/sqrt(h(h+1)) for h = 1..m-1.
+    diag(1,...,1,-h,0,...,0)/sqrt(h(h+1)) for h = 1..m-1. Only the diagonal
+    parts are stored, as the (m-1) x m Helmert rows; pair coordinates are
+    read straight off the matrix entries.
     """
 
     m: int
     field: Field
     d: int
-    basis: np.ndarray  # shape (d, m, m)
+    helmert: np.ndarray  # shape (m - 1, m)
 
 
 def build_space(m: int, field: Field) -> EmbeddingSpace:
     d = embedding_dim(m, field)
-    mats = np.zeros((d, m, m), dtype=np.complex128)
-    idx = 0
-    s = 1.0 / np.sqrt(2.0)
-    for j in range(m):
-        for k in range(j + 1, m):
-            mats[idx, j, k] = s
-            mats[idx, k, j] = s
-            idx += 1
-    if field == COMPLEX:
-        for j in range(m):
-            for k in range(j + 1, m):
-                mats[idx, j, k] = -1j * s
-                mats[idx, k, j] = 1j * s
-                idx += 1
+    helmert = np.zeros((m - 1, m))
     for h in range(1, m):
-        mats[idx, range(h), range(h)] = 1.0 / np.sqrt(h * (h + 1))
-        mats[idx, h, h] = -h / np.sqrt(h * (h + 1))
-        idx += 1
-    assert idx == d
-    return EmbeddingSpace(m, field, d, lock(mats))
+        helmert[h - 1, :h] = 1.0 / np.sqrt(h * (h + 1))
+        helmert[h - 1, h] = -h / np.sqrt(h * (h + 1))
+    return EmbeddingSpace(m, field, d, lock(helmert))
 
 
 @dataclass(frozen=True)
@@ -98,7 +86,8 @@ def embed(p, space: EmbeddingSpace, source_index: int | None = None,
     """Unit vector in R^d representing the projection ``p``.
 
     Subtracts (l/m) I, divides by the sphere radius, and takes coordinates in
-    the space's basis. Rank 0 and rank m are rejected (zero radius).
+    the space's basis, read directly from the matrix entries. Rank 0 and
+    rank m are rejected (zero radius).
     """
     p = np.asarray(p, dtype=np.complex128)
     m = space.m
@@ -107,9 +96,15 @@ def embed(p, space: EmbeddingSpace, source_index: int | None = None,
     if space.field == REAL and np.any(p.imag != 0.0):
         raise ParameterError("cannot embed a non-real projection in a real space")
     rank = _checked_rank(p, m, tol)
-    traceless = p - (rank / m) * np.eye(m)
+    a = p - (rank / m) * np.eye(m)
+    j, k = np.triu_indices(m, 1)
+    s = 1.0 / np.sqrt(2.0)
+    parts = [(a[j, k] * s + a[k, j] * s).real]
+    if space.field == COMPLEX:
+        parts.append((a[j, k] * (1j * s) - a[k, j] * (1j * s)).real)
+    parts.append(np.einsum("i,ki->k", np.diagonal(a), space.helmert).real)
     radius = np.sqrt(sphere_radius_sq(m, rank))
-    coords = np.einsum("ij,kij->k", traceless, space.basis.conj()).real / radius
+    coords = np.concatenate(parts) / radius
     return EmbeddedVector(lock(coords), rank, source_index)
 
 

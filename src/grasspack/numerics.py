@@ -83,11 +83,14 @@ class ProjectionCheck(NamedTuple):
 def is_projection(p, tol: Tolerance = DEFAULT_TOL) -> ProjectionCheck:
     """Decide whether ``p`` is an orthogonal projection and infer its rank.
 
-    Accepts iff p is Hermitian and idempotent within ``eps_abs`` (max-entry
-    norm) and its trace is within ``eps_abs`` of an integer. Never raises on
-    bad data; the failure field names the first violated condition.
+    Accepts iff p has only finite entries, is Hermitian and idempotent within
+    ``eps_abs`` (max-entry norm) and its trace is within ``eps_abs`` of an
+    integer. Never raises on bad data; the failure field names the first
+    violated condition.
     """
     p = as_matrix(p)
+    if not np.isfinite(p).all():
+        return ProjectionCheck(False, 0, "non-finite entries")
     if p.shape[0] != p.shape[1]:
         return ProjectionCheck(False, 0, "not square")
     herm_dev = float(np.abs(p - p.conj().T).max()) if p.size else 0.0
@@ -144,36 +147,6 @@ def matrix_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
     r = scipy.linalg.qr(a, mode="r", pivoting=True)[0]
     diag = np.abs(np.diagonal(r))
     return int(np.count_nonzero(diag > tol.eps_abs * col_scale))
-
-
-def orthonormal_image_basis(p, rank: int | None = None,
-                            tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (as columns) of the column span of ``p``.
-
-    Gram-Schmidt over the columns, skipping dependent ones; used to turn
-    a projection matrix into an explicit subspace basis. ``rank``, when
-    given, is checked against the number of vectors found.
-    """
-    p = as_matrix(p)
-    m = p.shape[0]
-    scale = float(np.linalg.norm(p, axis=0).max())
-    if scale == 0.0:
-        if rank:
-            raise RankDeficiencyError(f"zero matrix has no rank-{rank} image")
-        return np.zeros((m, 0), dtype=np.complex128)
-    basis: list[np.ndarray] = []
-    for j in range(p.shape[1]):
-        v = p[:, j].copy()
-        for _ in range(2):
-            for u in basis:
-                v -= np.vdot(u, v) * u
-        nrm = np.linalg.norm(v)
-        if nrm > tol.eps_abs * scale:
-            basis.append(v / nrm)
-    if rank is not None and len(basis) != rank:
-        raise RankDeficiencyError(
-            f"image has dimension {len(basis)}, expected {rank}")
-    return np.column_stack(basis) if basis else np.zeros((m, 0), dtype=np.complex128)
 
 
 def matrix_to_json(a, field: Field = COMPLEX) -> dict:

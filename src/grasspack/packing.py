@@ -26,8 +26,7 @@ from .errors import (ConsistencyError, DegenerateRankError, DimensionMismatchErr
                      HypothesisError, ParameterError, StructuralError)
 from .mubs import Basis, MubFamily, mub_capacity
 from .numerics import (DEFAULT_TOL, Field, Tolerance, check_field, is_projection,
-                       lock, matrix_from_json, matrix_rank, matrix_to_json,
-                       orthonormal_image_basis)
+                       lock, matrix_from_json, matrix_rank, matrix_to_json)
 
 Provenance = "tuple[int, tuple[int, ...]] | str"  # (basis index, block) or "imported"
 IMPORTED = "imported"
@@ -457,23 +456,20 @@ def span_of_achievers(packing: Packing, report: CoherenceReport,
                       tol: Tolerance = DEFAULT_TOL) -> tuple[int, bool]:
     """Dimension of the span of all subspaces attaining the packing constant.
 
-    For an optimally spread packing with n >= m this span must be all of F^m;
-    on uncertified packings the result is informative only.
+    The achievers' projections sum to a positive semidefinite matrix whose
+    range is their span, so the dimension returned is the numerical rank of
+    that sum (``matrix_rank``: threshold ``eps_abs`` times its largest column
+    norm). For an optimally spread packing with n >= m this span must be all
+    of F^m; on uncertified packings the result is informative only.
     """
     if packing.n < packing.m:
         raise ParameterError(f"need n >= m, got n={packing.n} < m={packing.m}")
     if certificate is not None and certificate.status in (
             CertStatus.NOT_CERTIFIED,):
         raise ParameterError("packing is not certified as optimally spread")
-    cols = [
-        orthonormal_image_basis(packing.elements[i].matrix,
-                                rank=packing.elements[i].rank, tol=tol)
-        for i in report.achievers
-    ]
-    if not cols:
+    if not report.achievers:
         return 0, False
-    stacked = np.hstack(cols)
-    rank = matrix_rank(stacked, tol)
+    rank = matrix_rank(sum(packing.elements[i].matrix for i in report.achievers), tol)
     return rank, rank == packing.m
 
 

@@ -144,6 +144,17 @@ class TestBuildAndCertify:
         assert run("certify", path) == 2
         assert "element 0" in capsys.readouterr().err
 
+    def test_nan_packing_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({
+            "m": 2, "field": "C",
+            "elements": [{"rows": 2, "cols": 2, "re": [1, float("nan"), float("nan"), 0],
+                          "im": [0, 0, 0, 0]}],
+        }))
+        assert "NaN" in path.read_text()
+        assert run("certify", path) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_report_mirrors_json(self, tmp_path, mub7, fano, capsys):
         pack = tmp_path / "packing.json"
         run("build", "--mub", mub7, "--design", fano, "--mode", "mixed",

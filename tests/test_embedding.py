@@ -11,6 +11,31 @@ from grasspack.numerics import COMPLEX, REAL, hs_inner
 from conftest import random_projection
 
 
+def reference_basis(m, field):
+    """The documented basis as a dense (d, m, m) stack: symmetric pairs
+    (E_jk + E_kj)/sqrt(2) for j < k, then (complex only) antisymmetric pairs
+    (-i E_jk + i E_kj)/sqrt(2), then diag(1,...,1,-h,0,...,0)/sqrt(h(h+1))."""
+    s = 1.0 / np.sqrt(2.0)
+    pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
+    mats = []
+    for j, k in pairs:
+        b = np.zeros((m, m), dtype=np.complex128)
+        b[j, k] = b[k, j] = s
+        mats.append(b)
+    if field == COMPLEX:
+        for j, k in pairs:
+            b = np.zeros((m, m), dtype=np.complex128)
+            b[j, k] = -1j * s
+            b[k, j] = 1j * s
+            mats.append(b)
+    for h in range(1, m):
+        b = np.zeros((m, m), dtype=np.complex128)
+        b[range(h), range(h)] = 1.0 / np.sqrt(h * (h + 1))
+        b[h, h] = -h / np.sqrt(h * (h + 1))
+        mats.append(b)
+    return np.stack(mats)
+
+
 class TestSpace:
     def test_dimensions(self):
         assert embedding_dim(2, COMPLEX) == 3
@@ -20,38 +45,60 @@ class TestSpace:
         with pytest.raises(ParameterError):
             embedding_dim(1, COMPLEX)
 
+    def test_space_stores_only_helmert_rows(self):
+        space = build_space(5, COMPLEX)
+        assert space.helmert.shape == (4, 5)
+        assert not hasattr(space, "basis")
+
     def test_pauli_basis_for_m2(self):
-        space = build_space(2, COMPLEX)
+        basis = reference_basis(2, COMPLEX)
         s = 1 / np.sqrt(2)
-        assert np.allclose(space.basis[0], [[0, s], [s, 0]])          # sigma_x
-        assert np.allclose(space.basis[1], [[0, -1j * s], [1j * s, 0]])  # sigma_y
-        assert np.allclose(space.basis[2], [[s, 0], [0, -s]])          # sigma_z
+        assert np.allclose(basis[0], [[0, s], [s, 0]])          # sigma_x
+        assert np.allclose(basis[1], [[0, -1j * s], [1j * s, 0]])  # sigma_y
+        assert np.allclose(basis[2], [[s, 0], [0, -s]])          # sigma_z
+        # embed reads coordinates in that order: (I + sigma)/2 maps to a unit axis
+        space = build_space(2, COMPLEX)
+        for axis, b in enumerate(basis):
+            v = embed((np.eye(2) + np.sqrt(2) * b) / 2, space)
+            assert np.allclose(v.coords, np.eye(3)[axis], atol=1e-12)
 
     @pytest.mark.parametrize("m,field", [(2, COMPLEX), (3, COMPLEX), (4, COMPLEX),
                                           (3, REAL), (5, REAL)])
     def test_basis_orthonormal_traceless_hermitian(self, m, field):
-        space = build_space(m, field)
-        assert space.basis.shape == (space.d, m, m)
-        for i in range(space.d):
-            b = space.basis[i]
+        basis = reference_basis(m, field)
+        assert basis.shape == (build_space(m, field).d, m, m)
+        for i in range(len(basis)):
+            b = basis[i]
             assert abs(np.trace(b)) <= 1e-12
             assert np.allclose(b, b.conj().T)
-            for j in range(i, space.d):
+            for j in range(i, len(basis)):
                 want = 1.0 if i == j else 0.0
-                assert hs_inner(b, space.basis[j]).real == pytest.approx(want, abs=1e-12)
+                assert hs_inner(b, basis[j]).real == pytest.approx(want, abs=1e-12)
 
     def test_basis_completeness(self, rng):
         # any traceless Hermitian reconstructs from its coefficients
         for m, field in ((4, COMPLEX), (4, REAL)):
-            space = build_space(m, field)
+            basis = reference_basis(m, field)
             a = rng.standard_normal((m, m))
             if field == COMPLEX:
                 a = a + 1j * rng.standard_normal((m, m))
             a = a + a.conj().T
             a = a - (np.trace(a) / m) * np.eye(m)
-            coeff = np.einsum("ij,kij->k", a, space.basis.conj())
-            recon = np.tensordot(coeff, space.basis, axes=1)
+            coeff = np.einsum("ij,kij->k", a, basis.conj())
+            recon = np.tensordot(coeff, basis, axes=1)
             assert np.abs(recon - a).max() <= 1e-9
+
+    @pytest.mark.parametrize("field", [COMPLEX, REAL])
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_coords_bit_equal_to_reference_basis(self, rng, m, field):
+        space = build_space(m, field)
+        basis = reference_basis(m, field)
+        for rank in range(1, m):
+            p = random_projection(rng, m, rank, field)
+            traceless = p - (rank / m) * np.eye(m)
+            want = (np.einsum("ij,kij->k", traceless, basis.conj()).real
+                    / np.sqrt(sphere_radius_sq(m, rank)))
+            assert np.array_equal(embed(p, space).coords, want)
 
 
 class TestEmbed:
@@ -80,7 +127,8 @@ class TestEmbed:
         p = random_projection(rng, m, rank)
         v = embed(p, space)
         radius = np.sqrt(sphere_radius_sq(m, rank))
-        recon = np.tensordot(v.coords * radius, space.basis, axes=1) + (rank / m) * np.eye(m)
+        basis = reference_basis(m, COMPLEX)
+        recon = np.tensordot(v.coords * radius, basis, axes=1) + (rank / m) * np.eye(m)
         assert np.abs(recon - p).max() <= 1e-9
 
     def test_degenerate_ranks_rejected(self):
@@ -94,6 +142,13 @@ class TestEmbed:
         space = build_space(2, COMPLEX)
         with pytest.raises(ParameterError):
             embed(np.diag([1.0, 0.5]), space)
+
+    def test_non_finite_rejected(self):
+        space = build_space(3, COMPLEX)
+        p = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        p[0, 1] = p[1, 0] = np.nan
+        with pytest.raises(ParameterError, match="non-finite"):
+            embed(p, space)
 
     def test_real_space_rejects_complex_data(self, rng):
         space = build_space(3, REAL)

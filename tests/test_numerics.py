@@ -7,7 +7,7 @@ from grasspack.errors import (DimensionMismatchError, ParameterError,
                               RankDeficiencyError)
 from grasspack.numerics import (COMPLEX, REAL, Tolerance, gram_schmidt, hs_inner,
                                 is_projection, matrix_from_json, matrix_rank,
-                                matrix_to_json, orthonormal_image_basis)
+                                matrix_to_json)
 
 from conftest import random_orthonormal, random_projection
 
@@ -70,6 +70,16 @@ class TestIsProjection:
         ok, _, failure = is_projection(np.array([[1, 1], [0, 0]], dtype=complex))
         assert not ok and "Hermitian" in failure
 
+    @pytest.mark.parametrize("p", [
+        # nan > eps is False: without a finiteness check this passed as rank 1
+        [[1, np.nan, 0], [np.nan, 0, 0], [0, 0, 0]],
+        # without a finiteness check rounding the NaN trace raised ValueError
+        np.full((3, 3), np.nan),
+        np.diag([1.0, np.inf]),
+    ], ids=["off-diagonal-nan", "all-nan", "inf"])
+    def test_non_finite_rejected(self, p):
+        assert is_projection(p) == (False, 0, "non-finite entries")
+
     @pytest.mark.parametrize("m,rank", [(3, 1), (5, 2), (6, 5)])
     def test_accepts_exactly_vvstar(self, rng, m, rank):
         v = random_orthonormal(rng, m, rank)
@@ -112,9 +122,9 @@ class TestMatrixRank:
 
     def test_complementary_subspaces_fill_f4(self, rng):
         v = random_orthonormal(rng, 4, 2)
-        p = v @ v.conj().T
-        w = orthonormal_image_basis(np.eye(4) - p, rank=2)
-        assert matrix_rank(np.hstack([v, w])) == 4
+        q = np.eye(4) - v @ v.conj().T
+        assert matrix_rank(q) == 2
+        assert matrix_rank(np.hstack([v, q])) == 4
 
     def test_matches_column_count_of_vvstar(self, rng):
         for k in range(1, 5):
@@ -148,9 +158,3 @@ class TestToleranceAndJson:
     def test_real_tag_rejects_complex(self):
         with pytest.raises(ParameterError):
             matrix_to_json(np.array([[1j]]), REAL)
-
-    def test_orthonormal_image_basis_spans_projection(self, rng):
-        p = random_projection(rng, 6, 3)
-        v = orthonormal_image_basis(p, rank=3)
-        assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-10)
-        assert np.allclose(v @ v.conj().T, p, atol=1e-9)

@@ -72,6 +72,14 @@ class TestCoordinateProjection:
             coordinate_projection(mubs.bases[0], (), 0)
 
 
+class TestProjection:
+    def test_non_finite_rejected(self):
+        p = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        p[0, 1] = p[1, 0] = np.nan
+        with pytest.raises(ParameterError, match="non-finite"):
+            Projection(p)
+
+
 class TestBuildMixed:
     def test_fano_plus_complement(self):
         pk = fano_mixed_packing()
@@ -388,6 +396,18 @@ class TestSpanOfAchievers:
         dim, full = span_of_achievers(pk, rep)
         assert dim == 2 and full
 
+    def test_rank_deficient_span(self):
+        # three lines at 120 degrees inside span{e0, e1} of C^3: every pair
+        # attains the packing constant, yet together they span only a plane
+        els = []
+        for t in (0.0, 2 * np.pi / 3, 4 * np.pi / 3):
+            u = np.array([np.cos(t), np.sin(t), 0.0])
+            els.append(Projection(np.outer(u, u)))
+        pk = Packing(3, COMPLEX, tuple(els))
+        rep = coherence(pk)
+        assert rep.achievers == (0, 1, 2)
+        assert span_of_achievers(pk, rep) == (2, False)
+
     def test_not_certified_rejected_when_certificate_given(self, rng):
         els = tuple(Projection(random_projection(rng, 3, 1)) for _ in range(5))
         pk = Packing(3, COMPLEX, els)
@@ -452,6 +472,12 @@ class TestJson:
         obj["elements"][3]["re"][0] = 0.7  # break idempotency
         with pytest.raises(ParameterError, match="element 3"):
             packing_from_json(obj)
+
+    def test_nan_entry_rejected(self):
+        obj = packing_to_json(fano_mixed_packing())
+        obj["elements"][3]["re"][1] = float("nan")
+        with pytest.raises(ParameterError, match="element 3.*non-finite"):
+            packing_from_json(json.loads(json.dumps(obj)))
 
     def test_certificate_json(self):
         cert = certify(fano_mixed_packing())
