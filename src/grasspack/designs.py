@@ -5,6 +5,7 @@ normalized Hadamard matrices."""
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -14,6 +15,18 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError, StructuralError, UnsupportedError
 from .fields import is_prime
+
+
+def point_label(x) -> int:
+    """A point label as a Python int. Integers, NumPy integers included, are
+    accepted; bools, floats and strings raise ParameterError rather than be
+    truncated or parsed."""
+    if isinstance(x, bool):
+        raise ParameterError(f"point label {x!r} is a bool, not an integer")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ParameterError(f"point label {x!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -34,7 +47,7 @@ class BlockDesign:
                  declared_lambda: int | None = None):
         norm = []
         for blk in blocks:
-            b = tuple(sorted(int(i) for i in blk))
+            b = tuple(sorted(point_label(i) for i in blk))
             if not b:
                 raise ParameterError("empty block")
             if len(set(b)) != len(b):

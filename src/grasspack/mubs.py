@@ -34,6 +34,8 @@ class Basis:
         if mat.shape != (m, m):
             raise ParameterError(f"expected a {m}x{m} matrix, got {mat.shape}")
         check_field(field)
+        if not np.all(np.isfinite(mat)):
+            raise ParameterError("non-finite entries")
         if field == REAL and np.any(mat.imag != 0.0):
             raise ParameterError("real-tagged basis has nonzero imaginary parts")
         object.__setattr__(self, "m", m)

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
-from .designs import BlockDesign, HadamardMatrix, complementary_halves, is_cohesive
+from .designs import (BlockDesign, HadamardMatrix, complementary_halves, is_cohesive,
+                      point_label)
 from .embedding import EmbeddingSpace, build_space, embed, embedding_dim
 from .errors import (ConsistencyError, DegenerateRankError, DimensionMismatchError,
                      HypothesisError, ParameterError, StructuralError)
@@ -38,11 +39,21 @@ class Projection:
 
     ``provenance`` is ``(basis_index, block)`` for coordinate projections and
     the string ``"imported"`` otherwise.
+
+    ``basis`` and ``block`` are set only by ``coordinate_projection`` (they are
+    not ``__init__`` parameters), so when ``basis`` is not None the stored
+    matrix is exactly ``U[:, block] @ U[:, block]^*`` with ``U = basis.matrix``.
+    The trace Gram relies on this to read ``tr(P_i P_j)`` off the basis
+    overlaps. Every other projection, imported ones and spatial complements
+    included, has ``basis`` and ``block`` None.
     """
 
     matrix: np.ndarray
     rank: int
     provenance: Provenance = IMPORTED
+    basis: Basis | None = dataclass_field(default=None, repr=False, compare=False)
+    block: tuple[int, ...] | None = dataclass_field(default=None, repr=False,
+                                                    compare=False)
 
     def __init__(self, matrix, rank: int | None = None,
                  provenance: Provenance = IMPORTED, tol: Tolerance = DEFAULT_TOL):
@@ -109,8 +120,9 @@ class Packing:
 
 
 def coordinate_projection(basis: Basis, block, basis_index: int | None = None) -> Projection:
-    """Projection onto the span of the basis vectors indexed by ``block``."""
-    idx = tuple(sorted(int(j) for j in block))
+    """Projection onto the span of the basis vectors indexed by ``block``;
+    the result remembers ``basis`` and the sorted block."""
+    idx = tuple(sorted(point_label(j) for j in block))
     if not idx:
         raise ParameterError("empty block")
     if len(set(idx)) != len(idx) or idx[0] < 0 or idx[-1] >= basis.m:
@@ -118,7 +130,10 @@ def coordinate_projection(basis: Basis, block, basis_index: int | None = None) -
     cols = basis.matrix[:, list(idx)]
     mat = cols @ cols.conj().T
     prov = (basis_index, idx) if basis_index is not None else IMPORTED
-    return Projection(mat, rank=len(idx), provenance=prov)
+    proj = Projection(mat, rank=len(idx), provenance=prov)
+    object.__setattr__(proj, "basis", basis)
+    object.__setattr__(proj, "block", idx)
+    return proj
 
 
 def build_mixed_packing(mubs: MubFamily, designs: list[BlockDesign],
@@ -225,14 +240,73 @@ class CoherenceReport:
 
 
 def _trace_gram(packing: Packing) -> np.ndarray:
-    """G[i, j] = tr(P_i P_j), computed as a real Gram matrix of vectorized
-    Hermitian matrices."""
+    """G[i, j] = tr(P_i P_j).
+
+    When every element is a coordinate projection (``basis`` set, as for the
+    mixed and orthoplex builders), G is factored through the basis overlaps
+    by ``_basis_trace_gram``. Otherwise (imported packings, spatial
+    complements, hand-made projections) it is the real Gram matrix of the
+    vectorized Hermitian matrices, which never looks at a basis.
+    """
+    if all(p.basis is not None for p in packing.elements):
+        return _basis_trace_gram(packing.m, packing.elements)
     mats = np.stack([p.matrix for p in packing.elements])
     v = mats.reshape(packing.n, -1)
     return v.real @ v.real.T + v.imag @ v.imag.T
 
 
-def _embedded_gram(packing: Packing) -> np.ndarray:
+def _basis_trace_gram(m: int, elements: tuple[Projection, ...]) -> np.ndarray:
+    """G = C^T W C for coordinate projections P_i = U_a[:, J] U_a[:, J]^*.
+
+    With the k distinct bases (grouped by object identity) stacked as
+    U = [U_1 ... U_k], W = |U^* U|^2 entrywise and C is the 0/1 incidence of
+    element i's block in the rows of its basis, so
+    G[i, j] = 1_J^T |U_a^* U_b|^2 1_K. This is the identity
+    tr(P_i P_j) = ||U_a[:, J]^* U_b[:, K]||_F^2 and holds for any stored U; it
+    does not assume the bases are orthonormal or unbiased.
+
+    Elements are taken in basis-group order, so C is block diagonal. Only the
+    blocks W_ab with a <= b are formed, with W_aa halved, so that
+    G = H + H^T for H = C^T W_upper C; each loop runs once per basis and no
+    n x m^2 array is built.
+    """
+    n = len(elements)
+    first_seen = {id(p.basis): p.basis for p in elements}
+    slot = {key: a for a, key in enumerate(first_seen)}
+    group = np.array([slot[id(p.basis)] for p in elements])
+    bases = list(first_seen.values())
+    k = len(bases)
+    order = np.argsort(group, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=k))))
+    sizes = np.array([elements[i].rank for i in order])
+    points = np.fromiter(itertools.chain.from_iterable(elements[i].block for i in order),
+                         dtype=np.intp, count=int(sizes.sum()))
+    inc = np.zeros((m, n))  # inc[:, s_a:e_a] is group a's diagonal block of C
+    inc[points, np.repeat(np.arange(n), sizes)] = 1.0
+
+    u = np.concatenate([b.matrix for b in bases], axis=1)
+    uh = u.conj().T
+    x = np.zeros((n, k * m))  # C^T W_upper, with W_aa halved
+    for a in range(k):
+        s, e = starts[a], starts[a + 1]
+        z = uh[a * m:(a + 1) * m] @ u[:, a * m:]
+        w = z.real * z.real + z.imag * z.imag
+        w[:, :m] *= 0.5
+        x[s:e, a * m:] = inc[:, s:e].T @ w
+    gram = np.zeros((n, n))
+    for b in range(k):
+        s, e = starts[b], starts[b + 1]
+        h = x[:e, b * m:(b + 1) * m] @ inc[:, s:e]  # H[:e, s:e]; H is zero below
+        gram[:e, s:e] += h
+        gram[s:e, :e] += h.T
+    if np.any(order != np.arange(n)):
+        out = np.empty_like(gram)
+        out[np.ix_(order, order)] = gram
+        gram = out
+    return gram
+
+
+def _embedded_gram(packing: Packing) -> tuple[np.ndarray, np.ndarray]:
     m = packing.m
     ranks = packing.ranks
     if np.any(ranks == 0) or np.any(ranks == m):
@@ -279,7 +353,14 @@ def coherence(packing: Packing, space: EmbeddingSpace | None = None,
               tol: Tolerance = DEFAULT_TOL) -> CoherenceReport:
     """All n(n-1)/2 pairwise embedded inner products via the trace identity;
     reports the maximum, the elements attaining it (within eps_abs), and a
-    per-pair-class summary."""
+    per-pair-class summary.
+
+    The trace Gram of a packing whose elements all come from
+    ``coordinate_projection`` (the builders' output) is factored through the
+    basis overlaps; any other packing, such as one read by
+    ``packing_from_json`` or made by ``spatial_complement``, uses the dense
+    Gram of its matrices. ``certify`` shares the same Gram.
+    """
     _check_space(packing, space)
     if packing.n < 2:
         raise ParameterError("coherence needs at least 2 elements")

@@ -155,6 +155,18 @@ class TestBuildAndCertify:
         assert run("certify", path) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_non_finite_mub_exits_2(self, tmp_path, mub7, fano, capsys):
+        # basis 7 is outside the partition, so only the import can catch it
+        obj = json.loads(mub7.read_text())
+        obj["bases"][7]["im"][3] = float("nan")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code = run("build", "--mub", bad, "--design", fano, "--mode", "mixed",
+                   "--partition", "0,1,2,3", "--out", tmp_path / "x.json")
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_report_mirrors_json(self, tmp_path, mub7, fano, capsys):
         pack = tmp_path / "packing.json"
         run("build", "--mub", mub7, "--design", fano, "--mode", "mixed",

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,17 @@ class TestBlockDesign:
             BlockDesign(4, [(0, 1), (2,)])
         with pytest.raises(ParameterError):
             BlockDesign(4, [])
+
+    @pytest.mark.parametrize("label", [1.5, 1.0, "1", True])
+    def test_non_integral_label_rejected(self, label):
+        text = json.dumps({"m": 3, "blocks": [[0, label]]})
+        with pytest.raises(ParameterError, match="point label"):
+            design_from_json(json.loads(text))
+
+    def test_numpy_integer_labels_accepted(self):
+        d = BlockDesign(4, [np.array([2, 0]), (np.int64(1), np.int32(3))])
+        assert d.blocks == ((0, 2), (1, 3))
+        assert all(type(x) is int for blk in d.blocks for x in blk)
 
     def test_json_round_trip(self):
         d = BlockDesign(7, FANO.blocks, declared_t=2, declared_lambda=1)

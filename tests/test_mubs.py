@@ -144,6 +144,14 @@ class TestVerify:
         assert after.ok == before.ok
         assert abs(after.worst_dev - before.worst_dev) <= 1e-12
 
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entry_rejected_on_import(self, bad, part):
+        obj = mubs_to_json(gen_mubs_small(2, COMPLEX))
+        obj["bases"][1][part][2] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            mubs_from_json(json.loads(json.dumps(obj)))
+
     def test_imported_c8_family(self):
         fam = mubs_from_json(json.loads((DATA / "mubs_c8.json").read_text()))
         assert fam.m == 8 and fam.k == 9 == mub_capacity(8, COMPLEX)

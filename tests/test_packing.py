@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasspack.designs import (BlockDesign, complement_design, complementary_halves,
                                gen_hadamard, hadamard_to_3design, design_rebase)
@@ -11,9 +13,10 @@ from grasspack.embedding import build_space, embedding_dim
 from grasspack.errors import (DegenerateRankError, HypothesisError, ParameterError,
                               StructuralError)
 from grasspack.fields import enumerate_projective_plane
-from grasspack.mubs import gen_mubs_prime, gen_mubs_prime_power, gen_mubs_small, mubs_from_json
-from grasspack.numerics import COMPLEX, hs_inner
-from grasspack.packing import (CertStatus, Packing, Projection,
+from grasspack.mubs import (Basis, gen_mubs_prime, gen_mubs_prime_power, gen_mubs_small,
+                            mubs_from_json)
+from grasspack.numerics import COMPLEX, REAL, hs_inner
+from grasspack.packing import (CertStatus, Packing, Projection, _trace_gram,
                                build_mixed_packing, build_orthoplex_packing,
                                certificate_to_json, certify, check_tightness,
                                coherence, coordinate_projection, extract_hadamard,
@@ -21,7 +24,7 @@ from grasspack.packing import (CertStatus, Packing, Projection,
                                span_of_achievers, spatial_complement,
                                verify_orthoplex_geometry)
 
-from conftest import random_projection
+from conftest import random_orthonormal, random_projection
 
 DATA = Path(__file__).parent / "data"
 
@@ -63,6 +66,18 @@ class TestCoordinateProjection:
         p = coordinate_projection(standard, (0,), 0)
         q = coordinate_projection(fourier, (0, 2), 1)
         assert hs_inner(p.matrix, q.matrix).real == pytest.approx(2 / 3, abs=1e-12)
+
+    def test_remembers_basis_and_block(self):
+        basis = gen_mubs_prime(5).bases[1]
+        p = coordinate_projection(basis, (np.int64(3), 1))
+        assert p.basis is basis and p.block == (1, 3)
+        assert p.provenance == "imported"
+
+    @pytest.mark.parametrize("label", [1.0, 1.5, "1", True])
+    def test_non_integral_label_rejected(self, label):
+        basis = gen_mubs_prime(3).bases[0]
+        with pytest.raises(ParameterError, match="point label"):
+            coordinate_projection(basis, (0, label), 0)
 
     def test_out_of_range(self):
         mubs = gen_mubs_small(2, COMPLEX)
@@ -485,3 +500,110 @@ class TestJson:
         assert obj["status"] == "OptimalOrthoplexRegime"
         assert obj["n"] == 56 and obj["d"] == 48
         json.dumps(obj)  # serializable
+
+
+def paley19_packing():
+    residues = sorted({x * x % 19 for x in range(1, 19)})
+    paley = BlockDesign(19, [[(q + t) % 19 for q in residues] for t in range(19)])
+    return build_mixed_packing(gen_mubs_prime(19), [paley, complement_design(paley)],
+                               [list(range(0, 20, 2)), list(range(1, 20, 2))])
+
+
+def r4_orthoplex_packing():
+    halves = complementary_halves(hadamard_to_3design(gen_hadamard(4)))
+    return build_orthoplex_packing(gen_mubs_small(4, REAL), halves)
+
+
+def c8_orthoplex_packing():
+    mubs = mubs_from_json(json.loads((DATA / "mubs_c8.json").read_text()))
+    halves = complementary_halves(hadamard_to_3design(gen_hadamard(8)))
+    return build_orthoplex_packing(mubs, halves)
+
+
+BUILDER_FIXTURES = {
+    "c2-octahedron": lambda: build_orthoplex_packing(gen_mubs_small(2, COMPLEX),
+                                                     BlockDesign(2, [(0,)])),
+    "c4-hadamard": lambda: c4_orthoplex_packing()[0],
+    "c8-hadamard": c8_orthoplex_packing,
+    "fano-m7": fano_mixed_packing,
+    "rebased-fano-m9": lambda: build_orthoplex_packing(gen_mubs_prime_power(9),
+                                                       design_rebase(FANO)[1]),
+    "r4-orthoplex": r4_orthoplex_packing,
+    "paley-p19": paley19_packing,
+}
+
+
+@st.composite
+def coordinate_packings(draw):
+    """Coordinate projections over a few random orthonormal bases with
+    mixed-size blocks and interleaved basis assignments. Basis indices are
+    drawn from {0, 1}, so distinct Basis objects often share one."""
+    m = draw(st.integers(2, 6))
+    field = draw(st.sampled_from([COMPLEX, REAL]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 4))
+    bases = [Basis(m, field, random_orthonormal(rng, m, m, field)) for _ in range(k)]
+    labels = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    picks = draw(st.lists(
+        st.tuples(st.integers(0, k - 1),
+                  st.sets(st.integers(0, m - 1), min_size=1, max_size=m)),
+        min_size=2, max_size=14))
+    elements = tuple(coordinate_projection(bases[a], blk, labels[a]) for a, blk in picks)
+    return Packing(m, field, elements)
+
+
+def dense_copy(pk):
+    """The same matrices with no basis attached, so the Gram takes the dense path."""
+    return Packing(pk.m, pk.field, tuple(Projection(p.matrix) for p in pk.elements))
+
+
+class TestStructuredGram:
+    @settings(max_examples=60, deadline=None)
+    @given(coordinate_packings())
+    def test_matches_dense_gram(self, pk):
+        assert all(p.basis is not None for p in pk.elements)
+        ref = dense_copy(pk)
+        assert all(p.basis is None for p in ref.elements)
+        g = _trace_gram(pk)
+        assert np.array_equal(g, g.T)
+        assert np.abs(g - _trace_gram(ref)).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(BUILDER_FIXTURES))
+    def test_builders_agree_with_imported_copy(self, name):
+        pk = BUILDER_FIXTURES[name]()
+        assert all(p.basis is not None for p in pk.elements)
+        back = packing_from_json(packing_to_json(pk))
+        assert all(p.basis is None for p in back.elements)
+        cert, cert_back = certify(pk), certify(back)
+        assert cert.status is cert_back.status
+        assert cert.is_tight == cert_back.is_tight
+        assert cert.tight_constant == cert_back.tight_constant
+        assert cert.mu_embedded == pytest.approx(cert_back.mu_embedded, abs=1e-12)
+        rep, rep_back = coherence(pk), coherence(back)
+        assert rep.achievers == rep_back.achievers
+        assert ({k: v.count for k, v in rep.pair_classes.items()}
+                == {k: v.count for k, v in rep_back.pair_classes.items()})
+        assert rep.mu_embedded == pytest.approx(rep_back.mu_embedded, abs=1e-12)
+
+    def test_never_builds_the_dense_stack(self):
+        import tracemalloc
+        m = 31
+        bases = gen_mubs_prime(m).bases[:2]
+        blocks = [(j,) for j in range(m)] + [(j, (j + 1) % m) for j in range(m)]
+        pk = Packing(m, COMPLEX, tuple(coordinate_projection(b, blk, a)
+                                       for a, b in enumerate(bases) for blk in blocks))
+        stack_bytes = pk.n * m * m * 16  # the n x m^2 complex stack of the dense path
+        tracemalloc.start()
+        try:
+            _trace_gram(pk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes / 2
+
+    def test_complement_and_import_drop_the_basis(self):
+        pk = fano_mixed_packing()
+        flipped = spatial_complement(pk)
+        assert all(p.basis is None and p.block is None for p in flipped.elements)
+        back = packing_from_json(packing_to_json(pk))
+        assert all(p.basis is None and p.block is None for p in back.elements)
