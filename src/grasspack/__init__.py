@@ -17,7 +17,7 @@ from .errors import (ConsistencyError, DegenerateRankError,
 from .fields import (FieldTable, PrimePower, build_field,
                      enumerate_affine_hyperplanes, enumerate_projective_plane,
                      factor_prime_power, field_trace, is_prime)
-from .mubs import (Basis, MubFamily, MubReport, gen_mubs_prime,
+from .mubs import (Basis, MubFamily, MubReport, gen_mubs, gen_mubs_prime,
                    gen_mubs_prime_power, gen_mubs_small, mub_capacity,
                    mubs_from_json, mubs_to_json, verify_mubs)
 from .numerics import (COMPLEX, DEFAULT_TOL, REAL, Tolerance, gram_schmidt,

@@ -36,7 +36,7 @@ def _read_json(path: str) -> dict:
 
 
 def _tolerance(args) -> Tolerance:
-    return Tolerance(eps_abs=args.eps, eps_tight=args.eps_tight)
+    return Tolerance(eps_abs=args.eps)
 
 
 def _fail(message: str, code: int) -> int:
@@ -47,17 +47,8 @@ def _fail(message: str, code: int) -> int:
 def cmd_gen(args) -> int:
     tol = _tolerance(args)
     if args.kind == "mub":
-        field = args.field
         try:
-            if (args.m, field) in ((2, COMPLEX), (4, COMPLEX), (4, REAL)):
-                fam = M.gen_mubs_small(args.m, field)
-            elif field == REAL:
-                raise UnsupportedError(
-                    f"no built-in real family for m={args.m}; import required")
-            else:
-                from .fields import factor_prime_power
-                pp = factor_prime_power(args.m)
-                fam = M.gen_mubs_prime(args.m) if pp.n == 1 else M.gen_mubs_prime_power(pp)
+            fam = M.gen_mubs(args.m, args.field)
         except UnsupportedError as exc:
             return _fail(f"{exc} (import required)", EXIT_INPUT)
         report = M.verify_mubs(fam, tol)
@@ -65,7 +56,7 @@ def cmd_gen(args) -> int:
             return _fail(f"generated family failed verification: {report.failures}",
                          EXIT_NOT_CERTIFIED)
         _write_json(args.out, M.mubs_to_json(fam))
-        print(f"wrote {fam.k} mutually unbiased bases for {field}^{fam.m} to {args.out}")
+        print(f"wrote {fam.k} mutually unbiased bases for {fam.field}^{fam.m} to {args.out}")
         return EXIT_OK
 
     if args.kind == "design":
@@ -169,10 +160,9 @@ def cmd_certify(args) -> int:
             "max_offdiag_dev": geo.max_offdiag_dev,
         }
     if args.achievers:
-        rep = P.coherence(pk, tol=tol)
-        dim, full = P.span_of_achievers(pk, rep, tol=tol)
+        dim, full = P.span_of_achievers(pk, cert.coherence, tol=tol)
         obj["achievers"] = {
-            "indices": list(rep.achievers),
+            "indices": list(cert.coherence.achievers),
             "span_dim": dim,
             "span_is_full": full,
         }
@@ -215,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and certify optimally spread subspace packings.")
     parser.add_argument("--eps", type=float, default=1e-9,
                         help="absolute tolerance for numeric comparisons")
-    parser.add_argument("--eps-tight", type=float, default=1e-12,
-                        help="tolerance for identities exact by construction")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a MUB family, design, or Hadamard matrix")

@@ -5,7 +5,6 @@ normalized Hadamard matrices."""
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -15,18 +14,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError, StructuralError, UnsupportedError
 from .fields import is_prime
-
-
-def point_label(x) -> int:
-    """A point label as a Python int. Integers, NumPy integers included, are
-    accepted; bools, floats and strings raise ParameterError rather than be
-    truncated or parsed."""
-    if isinstance(x, bool):
-        raise ParameterError(f"point label {x!r} is a bool, not an integer")
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ParameterError(f"point label {x!r} is not an integer") from None
+from .numerics import as_int
 
 
 @dataclass(frozen=True)
@@ -45,9 +33,10 @@ class BlockDesign:
 
     def __init__(self, m: int, blocks, declared_t: int | None = None,
                  declared_lambda: int | None = None):
+        m = as_int(m, "m")
         norm = []
         for blk in blocks:
-            b = tuple(sorted(point_label(i) for i in blk))
+            b = tuple(sorted(as_int(i, "point label") for i in blk))
             if not b:
                 raise ParameterError("empty block")
             if len(set(b)) != len(b):
@@ -60,7 +49,7 @@ class BlockDesign:
         sizes = {len(b) for b in norm}
         if len(sizes) != 1:
             raise ParameterError(f"blocks must share one cardinality, got sizes {sorted(sizes)}")
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "blocks", tuple(norm))
         object.__setattr__(self, "declared_t", declared_t)
         object.__setattr__(self, "declared_lambda", declared_lambda)
@@ -387,12 +376,8 @@ def design_to_json(design: BlockDesign) -> dict:
 
 
 def design_from_json(obj: dict) -> BlockDesign:
-    return BlockDesign(
-        int(obj["m"]),
-        [tuple(b) for b in obj["blocks"]],
-        declared_t=obj.get("t"),
-        declared_lambda=obj.get("lambda"),
-    )
+    return BlockDesign(obj["m"], obj["blocks"], declared_t=obj.get("t"),
+                       declared_lambda=obj.get("lambda"))
 
 
 def hadamard_to_json(h: HadamardMatrix) -> dict:
@@ -401,6 +386,6 @@ def hadamard_to_json(h: HadamardMatrix) -> dict:
 
 def hadamard_from_json(obj: dict) -> HadamardMatrix:
     h = HadamardMatrix(obj["rows"])
-    if h.order != int(obj["order"]):
+    if h.order != as_int(obj["order"], "order"):
         raise ParameterError(f"declared order {obj['order']} != actual {h.order}")
     return h

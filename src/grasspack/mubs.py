@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError, UnsupportedError
 from .fields import PrimePower, build_field, factor_prime_power, is_prime
-from .numerics import (COMPLEX, DEFAULT_TOL, REAL, Field, Tolerance, check_field,
-                       lock, matrix_from_json, matrix_to_json)
+from .numerics import (COMPLEX, DEFAULT_TOL, REAL, Field, Tolerance, as_int,
+                       check_field, lock, matrix_from_json, matrix_to_json)
 
 _MAX_PRIME = 101
 _MAX_PRIME_POWER = 81
@@ -163,6 +163,19 @@ def gen_mubs_small(m: int, field: Field) -> MubFamily:
     return fam
 
 
+def gen_mubs(m: int, field: Field) -> MubFamily:
+    """The built-in maximal family: hardcoded for C^2, C^4 and R^4, quadratic
+    phases for odd prime (power) m over C. Other real m and even extension
+    dimensions raise UnsupportedError, non-prime-powers ParameterError."""
+    check_field(field)
+    if (m, field) in ((2, COMPLEX), (4, COMPLEX), (4, REAL)):
+        return gen_mubs_small(m, field)
+    if field == REAL:
+        raise UnsupportedError(f"no built-in real family for m={m}; import required")
+    pp = factor_prime_power(m)
+    return gen_mubs_prime(m) if pp.n == 1 else gen_mubs_prime_power(pp)
+
+
 @dataclass(frozen=True)
 class MubReport:
     ok: bool
@@ -222,7 +235,7 @@ def mubs_to_json(family: MubFamily) -> dict:
 
 
 def mubs_from_json(obj: dict) -> MubFamily:
-    m = int(obj["m"])
+    m = as_int(obj["m"], "m")
     field = check_field(obj["field"])
     bases = tuple(Basis(m, field, matrix_from_json(mj)) for mj in obj["bases"])
     if not bases:

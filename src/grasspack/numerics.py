@@ -4,6 +4,7 @@ orthonormalization, and the JSON matrix encoding."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
@@ -19,25 +20,28 @@ COMPLEX: Field = "C"
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Two-tier tolerance policy.
-
-    ``eps_abs`` governs generic numerical comparisons; ``eps_tight`` governs
-    identities that hold exactly by construction (e.g. antipodality of a
-    subspace and its complement) and so should only absorb rounding noise.
-    """
+    """The absolute tolerance ``eps_abs`` used by every approximate
+    comparison; it must lie strictly between 0 and 1."""
 
     eps_abs: float = 1e-9
-    eps_tight: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eps_tight <= self.eps_abs < 1.0):
-            raise ParameterError(
-                f"need 0 < eps_tight <= eps_abs < 1, got "
-                f"eps_tight={self.eps_tight}, eps_abs={self.eps_abs}"
-            )
+        if not (0.0 < self.eps_abs < 1.0):
+            raise ParameterError(f"need 0 < eps_abs < 1, got eps_abs={self.eps_abs}")
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def as_int(x, what: str) -> int:
+    """``x`` as a Python int: integers (NumPy's too) pass; bools, floats and
+    strings raise ParameterError naming ``what`` instead of being truncated."""
+    if isinstance(x, bool):
+        raise ParameterError(f"{what} {x!r} is a bool, not an integer")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ParameterError(f"{what} {x!r} is not an integer") from None
 
 
 def check_field(field: str) -> Field:
@@ -169,7 +173,7 @@ def matrix_to_json(a, field: Field = COMPLEX) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = as_int(obj["rows"], "rows"), as_int(obj["cols"], "cols")
     re = np.asarray(obj["re"], dtype=np.float64)
     if re.size != rows * cols:
         raise ParameterError(f"'re' has {re.size} entries, expected {rows * cols}")

@@ -20,14 +20,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .designs import (BlockDesign, HadamardMatrix, complementary_halves, is_cohesive,
-                      point_label)
+from .designs import BlockDesign, HadamardMatrix, complementary_halves, is_cohesive
 from .embedding import EmbeddingSpace, build_space, embed, embedding_dim
 from .errors import (ConsistencyError, DegenerateRankError, DimensionMismatchError,
                      HypothesisError, ParameterError, StructuralError)
 from .mubs import Basis, MubFamily, mub_capacity
-from .numerics import (DEFAULT_TOL, Field, Tolerance, check_field, is_projection,
-                       lock, matrix_from_json, matrix_rank, matrix_to_json)
+from .numerics import (DEFAULT_TOL, Field, Tolerance, as_int, check_field,
+                       is_projection, lock, matrix_from_json, matrix_rank,
+                       matrix_to_json)
 
 Provenance = "tuple[int, tuple[int, ...]] | str"  # (basis index, block) or "imported"
 IMPORTED = "imported"
@@ -122,7 +122,7 @@ class Packing:
 def coordinate_projection(basis: Basis, block, basis_index: int | None = None) -> Projection:
     """Projection onto the span of the basis vectors indexed by ``block``;
     the result remembers ``basis`` and the sorted block."""
-    idx = tuple(sorted(point_label(j) for j in block))
+    idx = tuple(sorted(as_int(j, "point label") for j in block))
     if not idx:
         raise ParameterError("empty block")
     if len(set(idx)) != len(idx) or idx[0] < 0 or idx[-1] >= basis.m:
@@ -150,7 +150,7 @@ def build_mixed_packing(mubs: MubFamily, designs: list[BlockDesign],
         raise ParameterError(f"{s} designs but {len(partition)} partition classes")
     if s > mubs.k:
         raise ParameterError(f"{s} designs exceed the {mubs.k} available bases")
-    classes = [tuple(sorted(int(k) for k in cls)) for cls in partition]
+    classes = [tuple(sorted(as_int(k, "basis index") for k in cls)) for cls in partition]
     used = [k for cls in classes for k in cls]
     if len(set(used)) != len(used):
         raise ParameterError("partition classes overlap")
@@ -307,30 +307,38 @@ def _basis_trace_gram(m: int, elements: tuple[Projection, ...]) -> np.ndarray:
 
 
 def _embedded_gram(packing: Packing) -> tuple[np.ndarray, np.ndarray]:
+    """(e, g): the embedded Gram c_i c_j (g_ij - r_i r_j / m), built in place,
+    and the trace Gram g."""
     m = packing.m
     ranks = packing.ranks
     if np.any(ranks == 0) or np.any(ranks == m):
         raise DegenerateRankError("rank-0 or full-rank element cannot be embedded")
     g = _trace_gram(packing)
     c = np.sqrt(m / (ranks * (m - ranks)))
-    return np.outer(c, c) * (g - np.outer(ranks, ranks) / m), g
+    e = np.outer(ranks.astype(np.float64), ranks)
+    e /= m
+    np.subtract(g, e, out=e)
+    e *= np.outer(c, c)
+    return e, g
 
 
 def _report_from_grams(packing: Packing, e: np.ndarray, g: np.ndarray,
                        tol: Tolerance) -> CoherenceReport:
+    """The report of the Grams from ``_embedded_gram``, whose diagonals it
+    sets to -inf in place instead of masking copies."""
     n = packing.n
-    off = ~np.eye(n, dtype=bool)
-    mu = float(e[off].max())
-    masked = np.where(off, e, -np.inf)
-    i, j = divmod(int(np.argmax(masked)), n)
+    np.fill_diagonal(e, -np.inf)
+    np.fill_diagonal(g, -np.inf)
+    i, j = divmod(int(np.argmax(e)), n)
+    mu = float(e[i, j])
     argmax_pair = (min(i, j), max(i, j))
-    attain = (masked >= mu - tol.eps_abs).any(axis=1)
+    attain = (e >= mu - tol.eps_abs).any(axis=1)
     achievers = tuple(int(x) for x in np.flatnonzero(attain))
 
     basis_ids = np.array(
         [-1 if p.basis_index is None else p.basis_index for p in packing.elements])
     ranks = packing.ranks
-    upper = np.triu(off)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
     known = (basis_ids[:, None] >= 0) & (basis_ids[None, :] >= 0)
     same_basis = basis_ids[:, None] == basis_ids[None, :]
     same_rank = ranks[:, None] == ranks[None, :]
@@ -345,12 +353,20 @@ def _report_from_grams(packing: Packing, e: np.ndarray, g: np.ndarray,
                 pair_classes[f"{bname}/{rname}"] = PairClassSummary(
                     count, float(e[mask].max()))
 
-    mu_raw = float(g[off].max()) if packing.mixture == 1 else None
+    mu_raw = float(g.max()) if packing.mixture == 1 else None
     return CoherenceReport(mu, argmax_pair, achievers, pair_classes, n, mu_raw)
 
 
-def coherence(packing: Packing, space: EmbeddingSpace | None = None,
-              tol: Tolerance = DEFAULT_TOL) -> CoherenceReport:
+def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, np.ndarray]:
+    """The only builder of a CoherenceReport, returned with the embedded Gram
+    (diagonal -inf) that the orthoplex check reads; no report stores it."""
+    if packing.n < 2:
+        raise ParameterError("coherence and certification need at least 2 elements")
+    e, g = _embedded_gram(packing)
+    return _report_from_grams(packing, e, g, tol), e
+
+
+def coherence(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> CoherenceReport:
     """All n(n-1)/2 pairwise embedded inner products via the trace identity;
     reports the maximum, the elements attaining it (within eps_abs), and a
     per-pair-class summary.
@@ -359,13 +375,10 @@ def coherence(packing: Packing, space: EmbeddingSpace | None = None,
     ``coordinate_projection`` (the builders' output) is factored through the
     basis overlaps; any other packing, such as one read by
     ``packing_from_json`` or made by ``spatial_complement``, uses the dense
-    Gram of its matrices. ``certify`` shares the same Gram.
+    Gram of its matrices. ``certify`` keeps the same report as
+    ``Certificate.coherence``.
     """
-    _check_space(packing, space)
-    if packing.n < 2:
-        raise ParameterError("coherence needs at least 2 elements")
-    e, g = _embedded_gram(packing)
-    return _report_from_grams(packing, e, g, tol)
+    return _coherence_pass(packing, tol)[0]
 
 
 class CertStatus(str, Enum):
@@ -384,6 +397,7 @@ class Certificate:
     is_tight: bool
     tight_constant: float
     details: dict
+    coherence: CoherenceReport = dataclass_field(compare=False, repr=False)
 
 
 def _orthoplex_pattern(e: np.ndarray, tol: Tolerance) -> tuple[bool, tuple[tuple[int, int], ...], float]:
@@ -404,15 +418,14 @@ def _orthoplex_pattern(e: np.ndarray, tol: Tolerance) -> tuple[bool, tuple[tuple
     return worst <= tol.eps_abs, pairs, worst
 
 
-def _check_space(packing: Packing, space: EmbeddingSpace | None) -> None:
-    if space is not None and (space.m != packing.m or space.field != packing.field):
+def _check_space(packing: Packing, space: EmbeddingSpace) -> None:
+    if space.m != packing.m or space.field != packing.field:
         raise DimensionMismatchError(
             f"space for (m={space.m}, {space.field}) does not match packing "
             f"(m={packing.m}, {packing.field})")
 
 
-def certify(packing: Packing, space: EmbeddingSpace | None = None,
-            tol: Tolerance = DEFAULT_TOL) -> Certificate:
+def certify(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     """Apply the certification ladder.
 
     With n > d+1 and maximum embedded inner product <= 0 (within eps_abs) the
@@ -421,17 +434,13 @@ def certify(packing: Packing, space: EmbeddingSpace | None = None,
     zeros elsewhere, the packing is a maximal orthoplectic fusion frame. With
     the maximum equal to -1/(n-1) the simplex bound is met. Anything else is
     reported NotCertified: the ladder only ever proves optimality, never
-    disproves it.
+    disproves it. The coherence report it reads is kept as ``.coherence``.
     """
-    _check_space(packing, space)
     if not packing.hypotheses.ok:
         raise HypothesisError(
             "packing is tagged with hypothesis failures: "
             + "; ".join(packing.hypotheses.failures))
-    if packing.n < 2:
-        raise ParameterError("certification needs at least 2 elements")
-    e, g = _embedded_gram(packing)
-    rep = _report_from_grams(packing, e, g, tol)
+    rep, e = _coherence_pass(packing, tol)
     n = packing.n
     d = embedding_dim(packing.m, packing.field)
     mu = rep.mu_embedded
@@ -457,7 +466,7 @@ def certify(packing: Packing, space: EmbeddingSpace | None = None,
     elif abs(mu + 1.0 / (n - 1)) <= tol.eps_abs:
         status = CertStatus.OPTIMAL_SIMPLEX
 
-    return Certificate(status, n, d, mu, tight, constant, details)
+    return Certificate(status, n, d, mu, tight, constant, details, rep)
 
 
 def check_tightness(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
@@ -545,8 +554,7 @@ def span_of_achievers(packing: Packing, report: CoherenceReport,
     """
     if packing.n < packing.m:
         raise ParameterError(f"need n >= m, got n={packing.n} < m={packing.m}")
-    if certificate is not None and certificate.status in (
-            CertStatus.NOT_CERTIFIED,):
+    if certificate is not None and certificate.status is CertStatus.NOT_CERTIFIED:
         raise ParameterError("packing is not certified as optimally spread")
     if not report.achievers:
         return 0, False
@@ -609,7 +617,7 @@ def packing_to_json(packing: Packing) -> dict:
 
 
 def packing_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Packing:
-    m = int(obj["m"])
+    m = as_int(obj["m"], "m")
     field = check_field(obj["field"])
     prov_list = obj.get("provenance") or [IMPORTED] * len(obj["elements"])
     if len(prov_list) != len(obj["elements"]):
@@ -617,7 +625,8 @@ def packing_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Packing:
     elements = []
     for idx, (mj, pv) in enumerate(zip(obj["elements"], prov_list)):
         mat = matrix_from_json(mj)
-        provenance = (int(pv["basis"]), tuple(pv["block"])) if isinstance(pv, dict) else IMPORTED
+        provenance = ((as_int(pv["basis"], "basis index"), tuple(pv["block"]))
+                      if isinstance(pv, dict) else IMPORTED)
         try:
             elements.append(Projection(mat, provenance=provenance, tol=tol))
         except ParameterError as exc:

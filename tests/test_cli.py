@@ -167,6 +167,39 @@ class TestBuildAndCertify:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    def test_non_integral_m_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "m": 2.5, "field": "C",
+            "elements": [{"rows": 2, "cols": 2, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]},
+                         {"rows": 2, "cols": 2, "re": [0, 0, 0, 1], "im": [0, 0, 0, 0]}],
+        }))
+        assert run("certify", path) == 2
+        assert "not an integer" in capsys.readouterr().err
+
+    def test_certify_achievers_computes_the_gram_once(self, tmp_path, mub7, fano,
+                                                      monkeypatch, capsys):
+        from grasspack import packing
+        comp = tmp_path / "fano_c.json"
+        pk = tmp_path / "pk.json"
+        assert run("gen", "design", "--complement-of", fano, "--out", comp) == 0
+        assert run("build", "--mub", mub7, "--design", fano, "--design", comp,
+                   "--mode", "mixed", "--partition", "0,1,2,3;4,5,6,7", "--out", pk) == 0
+        calls = []
+        trace_gram = packing._trace_gram
+
+        def counting(pk):
+            calls.append(pk.n)
+            return trace_gram(pk)
+
+        monkeypatch.setattr(packing, "_trace_gram", counting)
+        capsys.readouterr()
+        assert run("certify", pk, "--achievers") == 0
+        assert calls == [56]
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["achievers"]["indices"] == list(range(56))
+        assert obj["achievers"]["span_is_full"]
+
     def test_report_mirrors_json(self, tmp_path, mub7, fano, capsys):
         pack = tmp_path / "packing.json"
         run("build", "--mub", mub7, "--design", fano, "--mode", "mixed",

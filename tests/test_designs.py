@@ -46,6 +46,13 @@ class TestBlockDesign:
         with pytest.raises(ParameterError, match="point label"):
             design_from_json(json.loads(text))
 
+    @pytest.mark.parametrize("m", [3.9, 4.0, "4", True])
+    def test_non_integral_m_rejected(self, m):
+        with pytest.raises(ParameterError, match="m "):
+            design_from_json(json.loads(json.dumps({"m": m, "blocks": [[0, 1]]})))
+        with pytest.raises(ParameterError, match="m "):
+            BlockDesign(m, [(0, 1)])
+
     def test_numpy_integer_labels_accepted(self):
         d = BlockDesign(4, [np.array([2, 0]), (np.int64(1), np.int32(3))])
         assert d.blocks == ((0, 2), (1, 3))
@@ -235,6 +242,13 @@ class TestHadamard:
         h = gen_hadamard(12)
         back = hadamard_from_json(hadamard_to_json(h))
         assert np.array_equal(back.entries, h.entries)
+
+    @pytest.mark.parametrize("order", [4.0, 4.5, "4"])
+    def test_json_non_integral_order_rejected(self, order):
+        obj = hadamard_to_json(gen_hadamard(4))
+        obj["order"] = order
+        with pytest.raises(ParameterError, match="order"):
+            hadamard_from_json(obj)
 
 
 class TestHadamardThreeDesign:

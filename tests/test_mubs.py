@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from grasspack.errors import ParameterError, UnsupportedError
-from grasspack.mubs import (Basis, MubFamily, gen_mubs_prime, gen_mubs_prime_power,
-                            gen_mubs_small, mub_capacity, mubs_from_json,
-                            mubs_to_json, verify_mubs)
+from grasspack.mubs import (Basis, MubFamily, gen_mubs, gen_mubs_prime,
+                            gen_mubs_prime_power, gen_mubs_small, mub_capacity,
+                            mubs_from_json, mubs_to_json, verify_mubs)
 from grasspack.numerics import COMPLEX, REAL
 
 DATA = Path(__file__).parent / "data"
@@ -114,6 +114,36 @@ class TestSmall:
             gen_mubs_small(3, COMPLEX)
 
 
+def same_family(a, b):
+    return (a.m, a.field, a.k) == (b.m, b.field, b.k) and all(
+        np.array_equal(x.matrix, y.matrix) for x, y in zip(a.bases, b.bases))
+
+
+class TestGenMubs:
+    @pytest.mark.parametrize("m, field", [(2, COMPLEX), (4, COMPLEX), (4, REAL)])
+    def test_hardcoded(self, m, field):
+        assert same_family(gen_mubs(m, field), gen_mubs_small(m, field))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 31])
+    def test_odd_prime(self, p):
+        assert same_family(gen_mubs(p, COMPLEX), gen_mubs_prime(p))
+
+    @pytest.mark.parametrize("q", [9, 25, 27])
+    def test_odd_prime_power(self, q):
+        assert same_family(gen_mubs(q, COMPLEX), gen_mubs_prime_power(q))
+
+    @pytest.mark.parametrize("m, field", [(2, REAL), (3, REAL), (8, REAL), (16, REAL),
+                                          (8, COMPLEX)])
+    def test_unsupported(self, m, field):
+        with pytest.raises(UnsupportedError):
+            gen_mubs(m, field)
+
+    @pytest.mark.parametrize("m", [6, 12, 1])
+    def test_not_a_prime_power(self, m):
+        with pytest.raises(ParameterError):
+            gen_mubs(m, COMPLEX)
+
+
 class TestVerify:
     def test_gen5_worst_deviation(self):
         report = verify_mubs(gen_mubs_prime(5))
@@ -150,6 +180,13 @@ class TestVerify:
         obj = mubs_to_json(gen_mubs_small(2, COMPLEX))
         obj["bases"][1][part][2] = bad
         with pytest.raises(ParameterError, match="non-finite"):
+            mubs_from_json(json.loads(json.dumps(obj)))
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, "2"])
+    def test_non_integral_m_rejected_on_import(self, m):
+        obj = mubs_to_json(gen_mubs_small(2, COMPLEX))
+        obj["m"] = m
+        with pytest.raises(ParameterError, match="m "):
             mubs_from_json(json.loads(json.dumps(obj)))
 
     def test_imported_c8_family(self):

@@ -138,9 +138,17 @@ class TestMatrixRank:
 class TestToleranceAndJson:
     def test_tolerance_ordering_enforced(self):
         with pytest.raises(ParameterError):
-            Tolerance(eps_abs=1e-12, eps_tight=1e-9)
-        with pytest.raises(ParameterError):
             Tolerance(eps_abs=2.0)
+        with pytest.raises(ParameterError):
+            Tolerance(eps_abs=0.0)
+
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    @pytest.mark.parametrize("bad", [1.7, 1.0, "1", True])
+    def test_non_integral_shape_rejected(self, key, bad):
+        obj = json.loads(json.dumps(matrix_to_json(np.eye(1), REAL)))
+        obj[key] = bad
+        with pytest.raises(ParameterError, match=key):
+            matrix_from_json(obj)
 
     def test_complex_round_trip(self, rng):
         a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))

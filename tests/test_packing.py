@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -132,6 +133,11 @@ class TestBuildMixed:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             build_mixed_packing(gen_mubs_prime(5), [FANO], [[0]])
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", True])
+    def test_non_integral_basis_index_rejected(self, bad):
+        with pytest.raises(ParameterError, match="basis index"):
+            build_mixed_packing(gen_mubs_prime(7), [FANO, FANO_C], [[0, bad], [2, 3]])
 
     def test_non_cohesive_design_tagged_not_blocked(self):
         # blocks meeting in 2 > l^2/m = 9/7 points violate cohesion
@@ -494,11 +500,26 @@ class TestJson:
         with pytest.raises(ParameterError, match="element 3.*non-finite"):
             packing_from_json(json.loads(json.dumps(obj)))
 
+    @pytest.mark.parametrize("m", [7.5, 7.0, "7"])
+    def test_non_integral_m_rejected(self, m):
+        obj = packing_to_json(fano_mixed_packing())
+        obj["m"] = m
+        with pytest.raises(ParameterError, match="m "):
+            packing_from_json(json.loads(json.dumps(obj)))
+
+    @pytest.mark.parametrize("basis", [2.5, 2.0, "2"])
+    def test_non_integral_provenance_basis_rejected(self, basis):
+        obj = packing_to_json(fano_mixed_packing())
+        obj["provenance"][5]["basis"] = basis
+        with pytest.raises(ParameterError, match="basis index"):
+            packing_from_json(json.loads(json.dumps(obj)))
+
     def test_certificate_json(self):
         cert = certify(fano_mixed_packing())
         obj = certificate_to_json(cert)
         assert obj["status"] == "OptimalOrthoplexRegime"
         assert obj["n"] == 56 and obj["d"] == 48
+        assert "coherence" not in obj
         json.dumps(obj)  # serializable
 
 
@@ -607,3 +628,42 @@ class TestStructuredGram:
         assert all(p.basis is None and p.block is None for p in flipped.elements)
         back = packing_from_json(packing_to_json(pk))
         assert all(p.basis is None and p.block is None for p in back.elements)
+
+
+VARIANTS = {
+    "built": lambda pk: pk,
+    "imported": lambda pk: packing_from_json(packing_to_json(pk)),
+    "complement": spatial_complement,
+}
+
+
+class TestCertificateCoherence:
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("name", sorted(BUILDER_FIXTURES))
+    def test_certificate_keeps_the_coherence_report(self, name, variant):
+        pk = VARIANTS[variant](BUILDER_FIXTURES[name]())
+        rep, cert = coherence(pk), certify(pk)
+        kept = cert.coherence
+        assert kept.mu_embedded == rep.mu_embedded == cert.mu_embedded
+        assert kept.argmax_pair == rep.argmax_pair
+        assert kept.achievers == rep.achievers
+        assert kept.pair_classes == rep.pair_classes
+        assert kept.mu_raw == rep.mu_raw
+        assert kept.n == rep.n == pk.n
+
+    def test_report_ignored_by_equality_and_repr(self):
+        cert = certify(fano_mixed_packing())
+        assert "coherence" not in repr(cert)
+        assert cert == dataclasses.replace(cert, coherence=None)
+
+    def test_certify_allocation_peak(self):
+        import tracemalloc
+        pk = paley19_packing()
+        certify(pk)  # warm caches outside the traced call
+        tracemalloc.start()
+        try:
+            certify(pk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0 * 8 * pk.n ** 2
