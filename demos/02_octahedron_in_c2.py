@@ -23,7 +23,7 @@ for i, element in enumerate(packing.elements):
     coords = gp.embed(element.matrix, space).coords
     print(f"  v_{i} = [{coords[0]:+.4f} {coords[1]:+.4f} {coords[2]:+.4f}]")
 
-geometry = gp.verify_orthoplex_geometry(packing, space)
+geometry = gp.verify_orthoplex_geometry(packing)
 print("\northoplex geometry:", "pass" if geometry.passes else geometry.reason)
 print("antipodal pairs:", geometry.antipodal_pairs)
 

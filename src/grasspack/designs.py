@@ -17,6 +17,20 @@ from .fields import is_prime
 from .numerics import as_int
 
 
+def check_block(block, m: int) -> tuple[int, ...]:
+    """``block`` as a sorted tuple of integer point labels; raises
+    ParameterError unless it is non-empty, repeats no point and lies in
+    0..m-1."""
+    b = tuple(sorted(as_int(i, "point label") for i in block))
+    if not b:
+        raise ParameterError("empty block")
+    if len(set(b)) != len(b):
+        raise ParameterError(f"block {b} repeats a point")
+    if b[0] < 0 or b[-1] >= m:
+        raise ParameterError(f"block {b} has points outside 0..{m - 1}")
+    return b
+
+
 @dataclass(frozen=True)
 class BlockDesign:
     """An ordered multiset of equal-size blocks over the points 0..m-1.
@@ -34,16 +48,7 @@ class BlockDesign:
     def __init__(self, m: int, blocks, declared_t: int | None = None,
                  declared_lambda: int | None = None):
         m = as_int(m, "m")
-        norm = []
-        for blk in blocks:
-            b = tuple(sorted(as_int(i, "point label") for i in blk))
-            if not b:
-                raise ParameterError("empty block")
-            if len(set(b)) != len(b):
-                raise ParameterError(f"block {b} repeats a point")
-            if b[0] < 0 or b[-1] >= m:
-                raise ParameterError(f"block {b} has points outside 0..{m - 1}")
-            norm.append(b)
+        norm = [check_block(blk, m) for blk in blocks]
         if not norm:
             raise ParameterError("a design needs at least one block")
         sizes = {len(b) for b in norm}
@@ -51,8 +56,10 @@ class BlockDesign:
             raise ParameterError(f"blocks must share one cardinality, got sizes {sorted(sizes)}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "blocks", tuple(norm))
-        object.__setattr__(self, "declared_t", declared_t)
-        object.__setattr__(self, "declared_lambda", declared_lambda)
+        object.__setattr__(self, "declared_t",
+                           None if declared_t is None else as_int(declared_t, "t"))
+        object.__setattr__(self, "declared_lambda",
+                           None if declared_lambda is None else as_int(declared_lambda, "lambda"))
 
     @property
     def b(self) -> int:

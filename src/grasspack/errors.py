@@ -13,10 +13,6 @@ class ParameterError(GrasspackError):
     """An argument is outside the supported domain."""
 
 
-class RankDeficiencyError(GrasspackError):
-    """Input vectors are linearly dependent where independence is required."""
-
-
 class DegenerateRankError(GrasspackError):
     """A projection of rank 0 or full rank has no sphere image."""
 

@@ -1,6 +1,6 @@
 """Scalar and matrix foundation: one tolerance policy for every approximate
 comparison in the package, Hilbert-Schmidt inner products, projection checks,
-orthonormalization, and the JSON matrix encoding."""
+numerical rank, and the JSON matrix encoding."""
 
 from __future__ import annotations
 
@@ -9,9 +9,8 @@ from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DimensionMismatchError, ParameterError, RankDeficiencyError
+from .errors import DimensionMismatchError, ParameterError
 
 Field = Literal["R", "C"]
 REAL: Field = "R"
@@ -110,37 +109,8 @@ def is_projection(p, tol: Tolerance = DEFAULT_TOL) -> ProjectionCheck:
     return ProjectionCheck(True, rank, None)
 
 
-def gram_schmidt(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormalize ``vectors`` (columns of a matrix, or a sequence of 1-d
-    arrays) by modified Gram-Schmidt with one re-orthogonalization pass.
-
-    Raises ``RankDeficiencyError`` when a residual collapses below ``eps_abs``
-    relative to the largest input norm, i.e. the inputs are dependent.
-    """
-    cols = np.asarray(vectors, dtype=np.complex128)
-    if cols.ndim != 2:
-        raise DimensionMismatchError(f"expected vectors as a 2-d array, got {cols.shape}")
-    if not isinstance(vectors, np.ndarray):
-        cols = cols.T  # sequence of vectors -> columns
-    m, k = cols.shape
-    if k > m:
-        raise RankDeficiencyError(f"{k} vectors in dimension {m} cannot be independent")
-    scale = float(np.linalg.norm(cols, axis=0).max()) if k else 0.0
-    out = np.zeros((m, k), dtype=np.complex128)
-    for j in range(k):
-        v = cols[:, j].copy()
-        for _ in range(2):
-            for i in range(j):
-                v -= np.vdot(out[:, i], v) * out[:, i]
-        nrm = np.linalg.norm(v)
-        if nrm < tol.eps_abs * max(scale, 1.0):
-            raise RankDeficiencyError(f"vector {j} is dependent on its predecessors")
-        out[:, j] = v / nrm
-    return out
-
-
 def matrix_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Numerical rank by column-pivoted QR with threshold
+    """Numerical rank: the number of singular values above the threshold
     eps_abs * (largest column norm)."""
     a = as_matrix(a)
     if a.size == 0:
@@ -148,9 +118,7 @@ def matrix_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
     col_scale = float(np.linalg.norm(a, axis=0).max())
     if col_scale == 0.0:
         return 0
-    r = scipy.linalg.qr(a, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diagonal(r))
-    return int(np.count_nonzero(diag > tol.eps_abs * col_scale))
+    return int(np.linalg.matrix_rank(a, tol=tol.eps_abs * col_scale))
 
 
 def matrix_to_json(a, field: Field = COMPLEX) -> dict:
@@ -172,15 +140,20 @@ def matrix_to_json(a, field: Field = COMPLEX) -> dict:
     return obj
 
 
+def _json_entries(obj: dict, key: str, size: int) -> np.ndarray:
+    x = np.asarray(obj[key], dtype=np.float64)
+    if x.size != size:
+        raise ParameterError(f"{key!r} has {x.size} entries, expected {size}")
+    if not np.isfinite(x).all():
+        raise ParameterError("non-finite entries")
+    return x
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
+    """Decode ``matrix_to_json``'s encoding; raises ParameterError on a wrong
+    entry count or a NaN or inf entry."""
     rows, cols = as_int(obj["rows"], "rows"), as_int(obj["cols"], "cols")
-    re = np.asarray(obj["re"], dtype=np.float64)
-    if re.size != rows * cols:
-        raise ParameterError(f"'re' has {re.size} entries, expected {rows * cols}")
-    a = re.astype(np.complex128)
+    a = _json_entries(obj, "re", rows * cols).astype(np.complex128)
     if "im" in obj:
-        im = np.asarray(obj["im"], dtype=np.float64)
-        if im.size != rows * cols:
-            raise ParameterError(f"'im' has {im.size} entries, expected {rows * cols}")
-        a = a + 1j * im
+        a = a + 1j * _json_entries(obj, "im", rows * cols)
     return a.reshape(rows, cols)

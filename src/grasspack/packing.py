@@ -20,8 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .designs import BlockDesign, HadamardMatrix, complementary_halves, is_cohesive
-from .embedding import EmbeddingSpace, build_space, embed, embedding_dim
+from .designs import (BlockDesign, HadamardMatrix, check_block, complementary_halves,
+                      is_cohesive)
+from .embedding import build_space, embed, embedding_dim
 from .errors import (ConsistencyError, DegenerateRankError, DimensionMismatchError,
                      HypothesisError, ParameterError, StructuralError)
 from .mubs import Basis, MubFamily, mub_capacity
@@ -122,11 +123,7 @@ class Packing:
 def coordinate_projection(basis: Basis, block, basis_index: int | None = None) -> Projection:
     """Projection onto the span of the basis vectors indexed by ``block``;
     the result remembers ``basis`` and the sorted block."""
-    idx = tuple(sorted(as_int(j, "point label") for j in block))
-    if not idx:
-        raise ParameterError("empty block")
-    if len(set(idx)) != len(idx) or idx[0] < 0 or idx[-1] >= basis.m:
-        raise ParameterError(f"block {idx} is not a subset of 0..{basis.m - 1}")
+    idx = check_block(block, basis.m)
     cols = basis.matrix[:, list(idx)]
     mat = cols @ cols.conj().T
     prov = (basis_index, idx) if basis_index is not None else IMPORTED
@@ -418,13 +415,6 @@ def _orthoplex_pattern(e: np.ndarray, tol: Tolerance) -> tuple[bool, tuple[tuple
     return worst <= tol.eps_abs, pairs, worst
 
 
-def _check_space(packing: Packing, space: EmbeddingSpace) -> None:
-    if space.m != packing.m or space.field != packing.field:
-        raise DimensionMismatchError(
-            f"space for (m={space.m}, {space.field}) does not match packing "
-            f"(m={packing.m}, {packing.field})")
-
-
 def certify(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     """Apply the certification ladder.
 
@@ -512,14 +502,11 @@ class OrthoplexReport:
     max_offdiag_dev: float
 
 
-def verify_orthoplex_geometry(packing: Packing, space: EmbeddingSpace | None = None,
-                              tol: Tolerance = DEFAULT_TOL) -> OrthoplexReport:
+def verify_orthoplex_geometry(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> OrthoplexReport:
     """Materialize the embedded coordinates and verify the orthoplex pattern:
     n = 2d, a perfect antipodal pairing, zeros elsewhere, and each antipodal
     pair realized by complementary subspaces (trace 0, ranks summing to m)."""
-    if space is None:
-        space = build_space(packing.m, packing.field)
-    _check_space(packing, space)
+    space = build_space(packing.m, packing.field)
     d = space.d
     n = packing.n
     if n != 2 * d:
@@ -548,9 +535,10 @@ def span_of_achievers(packing: Packing, report: CoherenceReport,
 
     The achievers' projections sum to a positive semidefinite matrix whose
     range is their span, so the dimension returned is the numerical rank of
-    that sum (``matrix_rank``: threshold ``eps_abs`` times its largest column
-    norm). For an optimally spread packing with n >= m this span must be all
-    of F^m; on uncertified packings the result is informative only.
+    that sum (``matrix_rank``: the number of its singular values above
+    ``eps_abs`` times its largest column norm). For an optimally spread
+    packing with n >= m this span must be all of F^m; on uncertified packings
+    the result is informative only.
     """
     if packing.n < packing.m:
         raise ParameterError(f"need n >= m, got n={packing.n} < m={packing.m}")
@@ -624,11 +612,10 @@ def packing_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Packing:
         raise ParameterError("provenance list does not match element count")
     elements = []
     for idx, (mj, pv) in enumerate(zip(obj["elements"], prov_list)):
-        mat = matrix_from_json(mj)
-        provenance = ((as_int(pv["basis"], "basis index"), tuple(pv["block"]))
-                      if isinstance(pv, dict) else IMPORTED)
         try:
-            elements.append(Projection(mat, provenance=provenance, tol=tol))
+            provenance = ((as_int(pv["basis"], "basis index"), check_block(pv["block"], m))
+                          if isinstance(pv, dict) else IMPORTED)
+            elements.append(Projection(matrix_from_json(mj), provenance=provenance, tol=tol))
         except ParameterError as exc:
             raise ParameterError(f"element {idx}: {exc}") from exc
     hyp = obj.get("hypotheses", {})

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import grasspack
 from grasspack.cli import main
 
 from conftest import random_projection
@@ -177,6 +181,19 @@ class TestBuildAndCertify:
         assert run("certify", path) == 2
         assert "not an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block", [[0.5, "x"], [1.0], ["1"], [0, 0], [7], []])
+    def test_malformed_provenance_block_exits_2(self, tmp_path, mub7, fano, block,
+                                                capsys):
+        pk = tmp_path / "pk.json"
+        assert run("build", "--mub", mub7, "--design", fano, "--mode", "mixed",
+                   "--partition", "0,1,2,3,4,5,6,7", "--out", pk) == 0
+        obj = json.loads(pk.read_text())
+        obj["provenance"][4]["block"] = block
+        pk.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("certify", pk) == 2
+        assert "element 4" in capsys.readouterr().err
+
     def test_certify_achievers_computes_the_gram_once(self, tmp_path, mub7, fano,
                                                       monkeypatch, capsys):
         from grasspack import packing
@@ -240,3 +257,28 @@ class TestComplementAndEmbed:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run("certify", tmp_path / "nope.json") == 2
+
+
+# Registered first, so it runs after the command, even one that exits.
+_LIST_MODULES = ("import atexit, sys\n"
+                 "atexit.register(lambda: print('modules:', *sorted(sys.modules)))\n")
+
+
+@pytest.mark.parametrize("command", [
+    "import grasspack",
+    "import runpy, sys\n"
+    "sys.argv = ['grasspack', '--help']\n"
+    "runpy.run_module('grasspack.cli', run_name='__main__', alter_sys=True)",
+], ids=["import", "cli-help"])
+def test_fresh_process_loads_no_scipy(command):
+    src = os.path.dirname(os.path.dirname(grasspack.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", _LIST_MODULES + command], env=env,
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    modules = out.splitlines()[-1].split()
+    assert modules[0] == "modules:"
+    assert {"grasspack", "grasspack.numerics", "numpy"} <= set(modules)
+    assert [m for m in modules if m.partition(".")[0] == "scipy"] == []
+    if "--help" in command:
+        assert out.startswith("usage:")

@@ -63,6 +63,22 @@ class TestBlockDesign:
         back = design_from_json(design_to_json(d))
         assert back == d
 
+    @pytest.mark.parametrize("key", ["t", "lambda"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "1", True])
+    def test_non_integral_declared_parameter_rejected(self, key, bad):
+        obj = {"m": 7, "blocks": [list(b) for b in FANO.blocks], "t": 2, "lambda": 1}
+        obj[key] = bad
+        with pytest.raises(ParameterError, match=f"^{key} "):
+            design_from_json(json.loads(json.dumps(obj)))
+        with pytest.raises(ParameterError, match=f"^{key} "):
+            BlockDesign(7, FANO.blocks, **{f"declared_{key}": bad})
+
+    def test_numpy_integer_declared_parameters_accepted(self):
+        d = BlockDesign(7, FANO.blocks, declared_t=np.int64(2), declared_lambda=np.int32(1))
+        assert (d.declared_t, d.declared_lambda) == (2, 1)
+        assert type(d.declared_t) is int and type(d.declared_lambda) is int
+        assert json.dumps(design_to_json(d))
+
 
 class TestVerifyDesign:
     def test_fano(self):

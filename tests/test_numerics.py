@@ -3,11 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from grasspack.errors import (DimensionMismatchError, ParameterError,
-                              RankDeficiencyError)
-from grasspack.numerics import (COMPLEX, REAL, Tolerance, gram_schmidt, hs_inner,
-                                is_projection, matrix_from_json, matrix_rank,
-                                matrix_to_json)
+from grasspack.errors import DimensionMismatchError, ParameterError
+from grasspack.numerics import (COMPLEX, REAL, Tolerance, hs_inner, is_projection,
+                                matrix_from_json, matrix_rank, matrix_to_json)
 
 from conftest import random_orthonormal, random_projection
 
@@ -87,31 +85,6 @@ class TestIsProjection:
         assert ok and inferred == rank
 
 
-class TestGramSchmidt:
-    def test_standard_basis_fixed(self):
-        out = gram_schmidt(np.eye(3))
-        assert np.allclose(out, np.eye(3))
-
-    def test_two_vectors_hand_result(self):
-        # hand Gram-Schmidt of {(1,1), (1,0)}: {(1,1)/sqrt 2, (1,-1)/sqrt 2}
-        out = gram_schmidt([np.array([1.0, 1.0]), np.array([1.0, 0.0])])
-        s = 1 / np.sqrt(2)
-        assert np.allclose(out[:, 0], [s, s])
-        assert np.allclose(out[:, 1], [s, -s])
-
-    def test_collinear_raises(self):
-        with pytest.raises(RankDeficiencyError):
-            gram_schmidt([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
-
-    def test_output_is_orthonormal(self, rng):
-        cols = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-        out = gram_schmidt(cols)
-        assert np.allclose(out.conj().T @ out, np.eye(4), atol=1e-10)
-        # same span: originals reconstruct from the output
-        coeff = out.conj().T @ cols
-        assert np.allclose(out @ coeff, cols, atol=1e-10)
-
-
 class TestMatrixRank:
     def test_identity(self):
         assert matrix_rank(np.eye(4)) == 4
@@ -134,6 +107,15 @@ class TestMatrixRank:
     def test_zero(self):
         assert matrix_rank(np.zeros((3, 3))) == 0
 
+    def test_counts_singular_values_above_threshold(self, rng):
+        # singular values 1, 1e-8, 1e-10 behind random unitaries; the largest
+        # column norm lies in [1/sqrt(3), 1], so eps_abs=1e-9 keeps two
+        u = random_orthonormal(rng, 3, 3)
+        w = random_orthonormal(rng, 3, 3)
+        a = u @ np.diag([1.0, 1e-8, 1e-10]) @ w.conj().T
+        assert matrix_rank(a) == 2
+        assert matrix_rank(a, Tolerance(eps_abs=1e-7)) == 1
+
 
 class TestToleranceAndJson:
     def test_tolerance_ordering_enforced(self):
@@ -148,6 +130,14 @@ class TestToleranceAndJson:
         obj = json.loads(json.dumps(matrix_to_json(np.eye(1), REAL)))
         obj[key] = bad
         with pytest.raises(ParameterError, match=key):
+            matrix_from_json(obj)
+
+    @pytest.mark.parametrize("key", ["re", "im"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entry_rejected(self, key, bad):
+        obj = json.loads(json.dumps(matrix_to_json(np.eye(2), COMPLEX)))
+        obj[key][1] = bad
+        with pytest.raises(ParameterError, match="non-finite entries"):
             matrix_from_json(obj)
 
     def test_complex_round_trip(self, rng):

@@ -514,6 +514,16 @@ class TestJson:
         with pytest.raises(ParameterError, match="basis index"):
             packing_from_json(json.loads(json.dumps(obj)))
 
+    @pytest.mark.parametrize("block, match", [
+        ([0.5, "x"], "point label"), (["1", 2], "point label"), ([True], "point label"),
+        ([1, 1], "repeats a point"), ([3, 7], "outside 0..6"), ([], "empty block"),
+    ])
+    def test_malformed_provenance_block_rejected(self, block, match):
+        obj = packing_to_json(fano_mixed_packing())
+        obj["provenance"][5]["block"] = block
+        with pytest.raises(ParameterError, match=f"element 5: .*{match}"):
+            packing_from_json(json.loads(json.dumps(obj)))
+
     def test_certificate_json(self):
         cert = certify(fano_mixed_packing())
         obj = certificate_to_json(cert)
