@@ -16,7 +16,7 @@ from . import designs as D
 from . import embedding as E
 from . import mubs as M
 from . import packing as P
-from .errors import GrasspackError, HypothesisError, UnsupportedError
+from .errors import GrasspackError, HypothesisError, ParameterError, UnsupportedError
 from .fields import enumerate_affine_hyperplanes, enumerate_projective_plane
 from .numerics import COMPLEX, REAL, Tolerance
 
@@ -24,6 +24,8 @@ EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 1
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
+
+MAX_EPS = 1e-6
 
 
 def _write_json(path: str, obj) -> None:
@@ -36,6 +38,9 @@ def _read_json(path: str) -> dict:
 
 
 def _tolerance(args) -> Tolerance:
+    if args.eps > MAX_EPS:
+        raise ParameterError(f"--eps {args.eps} is above {MAX_EPS}; a tolerance that "
+                             "loose would certify packings that miss the bounds")
     return Tolerance(eps_abs=args.eps)
 
 
@@ -204,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="grasspack",
         description="Construct and certify optimally spread subspace packings.")
     parser.add_argument("--eps", type=float, default=1e-9,
-                        help="absolute tolerance for numeric comparisons")
+                        help="absolute tolerance for numeric comparisons "
+                             f"(at most {MAX_EPS})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a MUB family, design, or Hadamard matrix")

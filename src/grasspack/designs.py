@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError, StructuralError, UnsupportedError
 from .fields import is_prime
-from .numerics import as_int
+from .numerics import as_int, as_type
 
 
 def check_block(block, m: int) -> tuple[int, ...]:
@@ -383,7 +383,9 @@ def design_to_json(design: BlockDesign) -> dict:
 
 
 def design_from_json(obj: dict) -> BlockDesign:
-    return BlockDesign(obj["m"], obj["blocks"], declared_t=obj.get("t"),
+    as_type(obj, dict, "design")
+    blocks = [as_type(b, list, "block") for b in as_type(obj["blocks"], list, "blocks")]
+    return BlockDesign(obj["m"], blocks, declared_t=obj.get("t"),
                        declared_lambda=obj.get("lambda"))
 
 
@@ -392,6 +394,7 @@ def hadamard_to_json(h: HadamardMatrix) -> dict:
 
 
 def hadamard_from_json(obj: dict) -> HadamardMatrix:
+    as_type(obj, dict, "Hadamard matrix")
     h = HadamardMatrix(obj["rows"])
     if h.order != as_int(obj["order"], "order"):
         raise ParameterError(f"declared order {obj['order']} != actual {h.order}")

@@ -209,12 +209,6 @@ class FieldTable:
         out = (((da + db) % self.p) * self._places).sum(axis=-1)
         return int(out) if out.ndim == 0 else out
 
-    def neg(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        da = (a[..., None] // self._places) % self.p
-        out = (((-da) % self.p) * self._places).sum(axis=-1)
-        return int(out) if out.ndim == 0 else out
-
     def mul(self, a, b):
         """Product via log/antilog tables; accepts scalars or numpy arrays."""
         a = np.asarray(a, dtype=np.int64)
@@ -238,10 +232,6 @@ class FieldTable:
         x = np.asarray(x, dtype=np.int64)
         out = self._trace[x]
         return int(out) if out.ndim == 0 else out
-
-    @property
-    def elements(self) -> range:
-        return range(self.q)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FieldTable(GF({self.q}), modulus={self.modulus})"

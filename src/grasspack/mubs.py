@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError, UnsupportedError
 from .fields import PrimePower, build_field, factor_prime_power, is_prime
-from .numerics import (COMPLEX, DEFAULT_TOL, REAL, Field, Tolerance, as_int,
+from .numerics import (COMPLEX, DEFAULT_TOL, REAL, Field, Tolerance, as_int, as_type,
                        check_field, lock, matrix_from_json, matrix_to_json)
 
 _MAX_PRIME = 101
@@ -23,7 +23,12 @@ _MAX_PRIME_POWER = 81
 
 @dataclass(frozen=True)
 class Basis:
-    """An orthonormal basis of F^m; columns of ``matrix`` are the vectors."""
+    """An orthonormal basis of F^m; columns of ``matrix`` are the vectors.
+
+    Construction raises ParameterError when ``max|U^* U - I|`` exceeds
+    ``DEFAULT_TOL.eps_abs``, so each basis is checked once and the
+    coordinate projections built on it need no check of their own.
+    """
 
     m: int
     field: Field
@@ -38,6 +43,9 @@ class Basis:
             raise ParameterError("non-finite entries")
         if field == REAL and np.any(mat.imag != 0.0):
             raise ParameterError("real-tagged basis has nonzero imaginary parts")
+        dev = float(np.abs(mat.conj().T @ mat - np.eye(m)).max(initial=0.0))
+        if dev > DEFAULT_TOL.eps_abs:
+            raise ParameterError(f"basis is not orthonormal (max |U*U - I| = {dev:.3e})")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "matrix", lock(mat))
@@ -235,9 +243,11 @@ def mubs_to_json(family: MubFamily) -> dict:
 
 
 def mubs_from_json(obj: dict) -> MubFamily:
+    as_type(obj, dict, "MUB family")
     m = as_int(obj["m"], "m")
     field = check_field(obj["field"])
-    bases = tuple(Basis(m, field, matrix_from_json(mj)) for mj in obj["bases"])
+    bases = tuple(Basis(m, field, matrix_from_json(mj))
+                  for mj in as_type(obj["bases"], list, "bases"))
     if not bases:
         raise ParameterError("a MUB family needs at least one basis")
     return MubFamily(m, field, bases)

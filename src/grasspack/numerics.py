@@ -43,6 +43,17 @@ def as_int(x, what: str) -> int:
         raise ParameterError(f"{what} {x!r} is not an integer") from None
 
 
+def as_type(x, kind: type, what: str):
+    """``x`` itself when it is a ``kind``: ``dict`` for a JSON object, ``list``
+    for a JSON array. The JSON readers pass every structural value through
+    it, so a wrong one raises ParameterError naming ``what``, not a TypeError
+    further in."""
+    if not isinstance(x, kind):
+        expected = "an object" if kind is dict else "an array"
+        raise ParameterError(f"{what} must be {expected}, got {type(x).__name__}")
+    return x
+
+
 def check_field(field: str) -> Field:
     if field not in (REAL, COMPLEX):
         raise ParameterError(f"field must be 'R' or 'C', got {field!r}")
@@ -141,7 +152,11 @@ def matrix_to_json(a, field: Field = COMPLEX) -> dict:
 
 
 def _json_entries(obj: dict, key: str, size: int) -> np.ndarray:
-    x = np.asarray(obj[key], dtype=np.float64)
+    entries = as_type(obj[key], list, repr(key))
+    try:
+        x = np.asarray(entries, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{key!r} holds an entry that is not a number") from None
     if x.size != size:
         raise ParameterError(f"{key!r} has {x.size} entries, expected {size}")
     if not np.isfinite(x).all():
@@ -152,6 +167,7 @@ def _json_entries(obj: dict, key: str, size: int) -> np.ndarray:
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode ``matrix_to_json``'s encoding; raises ParameterError on a wrong
     entry count or a NaN or inf entry."""
+    as_type(obj, dict, "matrix")
     rows, cols = as_int(obj["rows"], "rows"), as_int(obj["cols"], "cols")
     a = _json_entries(obj, "re", rows * cols).astype(np.complex128)
     if "im" in obj:

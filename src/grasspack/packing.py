@@ -26,7 +26,7 @@ from .embedding import build_space, embed, embedding_dim
 from .errors import (ConsistencyError, DegenerateRankError, DimensionMismatchError,
                      HypothesisError, ParameterError, StructuralError)
 from .mubs import Basis, MubFamily, mub_capacity
-from .numerics import (DEFAULT_TOL, Field, Tolerance, as_int, check_field,
+from .numerics import (DEFAULT_TOL, Field, Tolerance, as_int, as_type, check_field,
                        is_projection, lock, matrix_from_json, matrix_rank,
                        matrix_to_json)
 
@@ -34,27 +34,27 @@ Provenance = "tuple[int, tuple[int, ...]] | str"  # (basis index, block) or "imp
 IMPORTED = "imported"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projection:
-    """A Hermitian idempotent with cached rank and source bookkeeping.
+    """A Hermitian idempotent with its rank and source bookkeeping.
 
     ``provenance`` is ``(basis_index, block)`` for coordinate projections and
     the string ``"imported"`` otherwise.
 
-    ``basis`` and ``block`` are set only by ``coordinate_projection`` (they are
-    not ``__init__`` parameters), so when ``basis`` is not None the stored
-    matrix is exactly ``U[:, block] @ U[:, block]^*`` with ``U = basis.matrix``.
-    The trace Gram relies on this to read ``tr(P_i P_j)`` off the basis
-    overlaps. Every other projection, imported ones and spatial complements
-    included, has ``basis`` and ``block`` None.
+    A coordinate projection (made only by ``coordinate_projection``) is
+    stored as its ``basis`` and sorted ``block`` alone: ``matrix`` is
+    ``U[:, block] @ U[:, block]^*`` with ``U = basis.matrix``, formed anew
+    and read-only on each read, and the trace Gram reads ``tr(P_i P_j)`` off
+    the basis overlaps instead. Every other projection, imported ones and
+    spatial complements included, has ``basis`` and ``block`` None and keeps
+    the dense matrix it was checked with. Equality is identity.
     """
 
-    matrix: np.ndarray
     rank: int
     provenance: Provenance = IMPORTED
-    basis: Basis | None = dataclass_field(default=None, repr=False, compare=False)
-    block: tuple[int, ...] | None = dataclass_field(default=None, repr=False,
-                                                    compare=False)
+    basis: Basis | None = dataclass_field(default=None, repr=False)
+    block: tuple[int, ...] | None = dataclass_field(default=None, repr=False)
+    _dense: np.ndarray | None = dataclass_field(default=None, repr=False)
 
     def __init__(self, matrix, rank: int | None = None,
                  provenance: Provenance = IMPORTED, tol: Tolerance = DEFAULT_TOL):
@@ -64,9 +64,26 @@ class Projection:
             raise ParameterError(f"not a projection: {check.failure}")
         if rank is not None and rank != check.rank:
             raise ParameterError(f"declared rank {rank} != inferred rank {check.rank}")
-        object.__setattr__(self, "matrix", lock(mat))
-        object.__setattr__(self, "rank", check.rank)
-        object.__setattr__(self, "provenance", provenance)
+        self._set(check.rank, provenance, None, None, lock(mat))
+
+    def _set(self, rank, provenance, basis, block, dense) -> None:
+        for name, value in (("rank", rank), ("provenance", provenance), ("basis", basis),
+                            ("block", block), ("_dense", dense)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def m(self) -> int:
+        """The dimension of the ambient space."""
+        return self.basis.m if self.basis is not None else self._dense.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self.basis is None:
+            return self._dense
+        cols = self.basis.matrix[:, list(self.block)]
+        mat = cols @ cols.conj().T
+        mat.setflags(write=False)
+        return mat
 
     @property
     def basis_index(self) -> int | None:
@@ -97,9 +114,8 @@ class Packing:
     def __post_init__(self) -> None:
         check_field(self.field)
         for p in self.elements:
-            if p.matrix.shape != (self.m, self.m):
-                raise DimensionMismatchError(
-                    f"element of shape {p.matrix.shape} in an m={self.m} packing")
+            if p.m != self.m:
+                raise DimensionMismatchError(f"element of size {p.m} in an m={self.m} packing")
 
     @property
     def n(self) -> int:
@@ -121,15 +137,13 @@ class Packing:
 
 
 def coordinate_projection(basis: Basis, block, basis_index: int | None = None) -> Projection:
-    """Projection onto the span of the basis vectors indexed by ``block``;
-    the result remembers ``basis`` and the sorted block."""
+    """Projection onto the span of the basis vectors indexed by ``block``,
+    stored as ``basis`` and the sorted block; its rank is the block size.
+    ``Basis`` checked the orthonormality, so the pair needs no further check."""
     idx = check_block(block, basis.m)
-    cols = basis.matrix[:, list(idx)]
-    mat = cols @ cols.conj().T
     prov = (basis_index, idx) if basis_index is not None else IMPORTED
-    proj = Projection(mat, rank=len(idx), provenance=prov)
-    object.__setattr__(proj, "basis", basis)
-    object.__setattr__(proj, "block", idx)
+    proj = object.__new__(Projection)
+    proj._set(len(idx), prov, basis, idx, None)
     return proj
 
 
@@ -605,23 +619,26 @@ def packing_to_json(packing: Packing) -> dict:
 
 
 def packing_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Packing:
+    as_type(obj, dict, "packing")
     m = as_int(obj["m"], "m")
     field = check_field(obj["field"])
-    prov_list = obj.get("provenance") or [IMPORTED] * len(obj["elements"])
-    if len(prov_list) != len(obj["elements"]):
+    mats = as_type(obj["elements"], list, "elements")
+    prov_list = as_type(obj.get("provenance") or [IMPORTED] * len(mats), list, "provenance")
+    if len(prov_list) != len(mats):
         raise ParameterError("provenance list does not match element count")
     elements = []
-    for idx, (mj, pv) in enumerate(zip(obj["elements"], prov_list)):
+    for idx, (mj, pv) in enumerate(zip(mats, prov_list)):
         try:
-            provenance = ((as_int(pv["basis"], "basis index"), check_block(pv["block"], m))
+            provenance = ((as_int(pv["basis"], "basis index"),
+                           check_block(as_type(pv["block"], list, "block"), m))
                           if isinstance(pv, dict) else IMPORTED)
             elements.append(Projection(matrix_from_json(mj), provenance=provenance, tol=tol))
         except ParameterError as exc:
             raise ParameterError(f"element {idx}: {exc}") from exc
-    hyp = obj.get("hypotheses", {})
+    hyp = as_type(obj.get("hypotheses", {}), dict, "hypotheses")
     record = HypothesisRecord(
         ok=bool(hyp.get("ok", True)),
-        failures=tuple(hyp.get("failures", ())),
+        failures=tuple(as_type(hyp.get("failures", []), list, "failures")),
         candidate_maximal=bool(hyp.get("candidate_maximal", False)),
     )
     return Packing(m, field, tuple(elements), record, mode=obj.get("mode", "imported"))

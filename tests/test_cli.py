@@ -181,7 +181,19 @@ class TestBuildAndCertify:
         assert run("certify", path) == 2
         assert "not an integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("block", [[0.5, "x"], [1.0], ["1"], [0, 0], [7], []])
+    def test_non_orthonormal_mub_exits_2(self, tmp_path, mub7, fano, capsys):
+        # basis 7 is outside the partition, so only the import can catch it
+        obj = json.loads(mub7.read_text())
+        obj["bases"][7]["re"][0] *= 1.001
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code = run("build", "--mub", bad, "--design", fano, "--mode", "mixed",
+                   "--partition", "0,1,2,3", "--out", tmp_path / "x.json")
+        assert code == 2
+        assert "not orthonormal" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("block", [[0.5, "x"], [1.0], ["1"], [0, 0], [7], [], 5])
     def test_malformed_provenance_block_exits_2(self, tmp_path, mub7, fano, block,
                                                 capsys):
         pk = tmp_path / "pk.json"
@@ -226,6 +238,59 @@ class TestBuildAndCertify:
         assert run("certify", pack, "--out", cert_path) == 0
         printed = capsys.readouterr().out
         assert json.loads(printed) == json.loads(cert_path.read_text())
+
+
+PAIR = [{"rows": 2, "cols": 2, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]},
+        {"rows": 2, "cols": 2, "re": [0, 0, 0, 1], "im": [0, 0, 0, 0]}]
+MALFORMED = {
+    "packing-list": ("certify", [{"m": 2, "field": "C", "elements": PAIR}]),
+    "elements-5": ("certify", {"m": 2, "field": "C", "elements": 5}),
+    "element-5": ("certify", {"m": 2, "field": "C", "elements": [5, PAIR[1]]}),
+    "re-object": ("certify", {"m": 2, "field": "C",
+                              "elements": [dict(PAIR[0], re={"a": 1}), PAIR[1]]}),
+    "hypotheses-5": ("certify", {"m": 2, "field": "C", "elements": PAIR,
+                                 "hypotheses": 5}),
+    "blocks-5": ("design", {"m": 7, "blocks": 5}),
+    "design-list": ("design", [[0, 1, 2]]),
+    "bases-5": ("mub", {"m": 7, "field": "C", "bases": 5}),
+    "mub-list": ("mub", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_exits_2(tmp_path, fano, case, capsys):
+    kind, content = MALFORMED[case]
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_text(json.dumps(content))
+    argv = {
+        "certify": ("certify", bad),
+        "design": ("gen", "design", "--complement-of", bad, "--out", out),
+        "mub": ("build", "--mub", bad, "--design", fano, "--mode", "mixed",
+                "--partition", "0", "--out", out),
+    }[kind]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eps_above_ceiling_exits_2(tmp_path, capsys):
+    """Five rank-1 projections on a great circle of the Bloch sphere have
+    mu = cos(2 pi / 5) = 0.309 > 0: not certified, unless --eps 0.5 lets
+    mu <= eps pass for the orthoplex bound."""
+    from grasspack.packing import Packing, Projection, packing_to_json
+    els = []
+    for k in range(5):
+        t = 2 * np.pi * k / 5
+        els.append(Projection(0.5 * np.array([[1 + np.cos(t), np.sin(t)],
+                                              [np.sin(t), 1 - np.cos(t)]])))
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(packing_to_json(Packing(2, "C", tuple(els)))))
+    assert run("certify", path) == 1
+    assert json.loads(capsys.readouterr().out)["mu_embedded"] == pytest.approx(
+        np.cos(2 * np.pi / 5))
+    assert run("--eps", 0.5, "certify", path) == 2
+    assert "--eps" in capsys.readouterr().err
 
 
 class TestComplementAndEmbed:

@@ -189,6 +189,14 @@ class TestVerify:
         with pytest.raises(ParameterError, match="m "):
             mubs_from_json(json.loads(json.dumps(obj)))
 
+    def test_non_orthonormal_basis_rejected(self):
+        with pytest.raises(ParameterError, match="not orthonormal"):
+            Basis(2, COMPLEX, [[1.0, 1.0], [0.0, 1.0]])
+        obj = mubs_to_json(gen_mubs_prime(5))
+        obj["bases"][2]["im"][7] += 1e-6
+        with pytest.raises(ParameterError, match="not orthonormal"):
+            mubs_from_json(json.loads(json.dumps(obj)))
+
     def test_imported_c8_family(self):
         fam = mubs_from_json(json.loads((DATA / "mubs_c8.json").read_text()))
         assert fam.m == 8 and fam.k == 9 == mub_capacity(8, COMPLEX)

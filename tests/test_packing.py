@@ -74,6 +74,13 @@ class TestCoordinateProjection:
         assert p.basis is basis and p.block == (1, 3)
         assert p.provenance == "imported"
 
+    def test_matrix_is_formed_read_only_on_read(self):
+        basis = gen_mubs_prime(5).bases[3]
+        p = coordinate_projection(basis, (4, 0, 2), 3)
+        u = basis.matrix[:, [0, 2, 4]]
+        assert not p.matrix.flags.writeable
+        assert np.array_equal(p.matrix, u @ u.conj().T)
+
     @pytest.mark.parametrize("label", [1.0, 1.5, "1", True])
     def test_non_integral_label_rejected(self, label):
         basis = gen_mubs_prime(3).bases[0]
@@ -94,6 +101,12 @@ class TestProjection:
         p[0, 1] = p[1, 0] = np.nan
         with pytest.raises(ParameterError, match="non-finite"):
             Projection(p)
+
+    def test_equality_is_identity(self):
+        p = Projection(np.diag([1.0, 0.0]))
+        q = Projection(np.diag([0.0, 1.0]))
+        assert p == p and p != q
+        assert (fano_mixed_packing() == fano_mixed_packing()) is False
 
 
 class TestBuildMixed:
@@ -133,6 +146,35 @@ class TestBuildMixed:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             build_mixed_packing(gen_mubs_prime(5), [FANO], [[0]])
+
+    def test_build_checks_no_element(self, monkeypatch):
+        from grasspack import packing
+        calls = []
+        check = packing.is_projection
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        mubs = gen_mubs_prime(7)
+        monkeypatch.setattr(packing, "is_projection", counting)
+        pk = build_mixed_packing(mubs, [FANO, FANO_C], [[0, 1, 2, 3], [4, 5, 6, 7]])
+        assert pk.n == 56 and not calls
+
+    def test_build_retains_no_dense_matrices(self):
+        import tracemalloc
+        m = 31
+        plane = BlockDesign(m, enumerate_projective_plane(5))
+        mubs = gen_mubs_prime(m)
+        tracemalloc.start()
+        try:
+            pk = build_mixed_packing(mubs, [plane, complement_design(plane)],
+                                     [list(range(0, 32, 2)), list(range(1, 32, 2))])
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert pk.n == 992
+        assert retained < pk.n * m * m * 16 / 10  # a tenth of the dense stack
 
     @pytest.mark.parametrize("bad", [1.5, 1.0, "1", True])
     def test_non_integral_basis_index_rejected(self, bad):
