@@ -43,14 +43,16 @@ def as_int(x, what: str) -> int:
         raise ParameterError(f"{what} {x!r} is not an integer") from None
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", bool: "a boolean", str: "a string"}
+
+
 def as_type(x, kind: type, what: str):
     """``x`` itself when it is a ``kind``: ``dict`` for a JSON object, ``list``
-    for a JSON array. The JSON readers pass every structural value through
-    it, so a wrong one raises ParameterError naming ``what``, not a TypeError
-    further in."""
+    for a JSON array, ``bool`` for a JSON boolean, ``str`` for a JSON string.
+    The JSON readers pass every structural value through it, so a wrong one
+    raises ParameterError naming ``what``, not a TypeError further in."""
     if not isinstance(x, kind):
-        expected = "an object" if kind is dict else "an array"
-        raise ParameterError(f"{what} must be {expected}, got {type(x).__name__}")
+        raise ParameterError(f"{what} must be {_JSON_KINDS[kind]}, got {type(x).__name__}")
     return x
 
 
@@ -153,10 +155,9 @@ def matrix_to_json(a, field: Field = COMPLEX) -> dict:
 
 def _json_entries(obj: dict, key: str, size: int) -> np.ndarray:
     entries = as_type(obj[key], list, repr(key))
-    try:
-        x = np.asarray(entries, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{key!r} holds an entry that is not a number") from None
+    if not set(map(type, entries)) <= {int, float}:  # JSON numbers; no bools or strings
+        raise ParameterError(f"{key!r} holds an entry that is not a number")
+    x = np.asarray(entries, dtype=np.float64)
     if x.size != size:
         raise ParameterError(f"{key!r} has {x.size} entries, expected {size}")
     if not np.isfinite(x).all():
@@ -165,8 +166,8 @@ def _json_entries(obj: dict, key: str, size: int) -> np.ndarray:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Decode ``matrix_to_json``'s encoding; raises ParameterError on a wrong
-    entry count or a NaN or inf entry."""
+    """Decode ``matrix_to_json``'s encoding; raises ParameterError on an entry
+    that is not a JSON number, a wrong entry count or a NaN or inf entry."""
     as_type(obj, dict, "matrix")
     rows, cols = as_int(obj["rows"], "rows"), as_int(obj["cols"], "cols")
     a = _json_entries(obj, "re", rows * cols).astype(np.complex128)

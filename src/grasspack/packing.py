@@ -13,7 +13,10 @@ family is equivalent to a normalized Hadamard matrix.
 from __future__ import annotations
 
 import itertools
+import math
+import os
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from fractions import Fraction
@@ -25,7 +28,7 @@ from .designs import (BlockDesign, HadamardMatrix, check_block, complementary_ha
 from .embedding import build_space, embed, embedding_dim
 from .errors import (ConsistencyError, DegenerateRankError, DimensionMismatchError,
                      HypothesisError, ParameterError, StructuralError)
-from .mubs import Basis, MubFamily, mub_capacity
+from .mubs import Basis, MubFamily, basis_overlaps, mub_capacity
 from .numerics import (DEFAULT_TOL, Field, Tolerance, as_int, as_type, check_field,
                        is_projection, lock, matrix_from_json, matrix_rank,
                        matrix_to_json)
@@ -240,7 +243,13 @@ class PairClassSummary:
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """Largest pairwise embedded inner product and where it is attained."""
+    """Largest pairwise embedded inner product and where it is attained.
+
+    ``method`` is ``"exact"`` when the values were read off block
+    intersections over a family of MUBs and ``"numeric"`` when they come from
+    a float trace Gram; ``mub_dev`` is the worst deviation of the packing's
+    bases from a MUB family (None unless every element has a basis).
+    """
 
     mu_embedded: float
     argmax_pair: tuple[int, int]
@@ -248,6 +257,8 @@ class CoherenceReport:
     pair_classes: dict[str, PairClassSummary]
     n: int
     mu_raw: float | None = None  # max tr(P_i P_j), constant-rank packings only
+    method: str = "numeric"
+    mub_dev: float | None = None
 
 
 def _trace_gram(packing: Packing) -> np.ndarray:
@@ -266,6 +277,41 @@ def _trace_gram(packing: Packing) -> np.ndarray:
     return v.real @ v.real.T + v.imag @ v.imag.T
 
 
+def _basis_groups(elements) -> tuple[list[Basis], np.ndarray]:
+    """The distinct bases of coordinate projections, grouped by object
+    identity in order of first use, and the group of each element."""
+    first_seen = {id(p.basis): p.basis for p in elements}
+    slot = {key: a for a, key in enumerate(first_seen)}
+    return list(first_seen.values()), np.array([slot[id(p.basis)] for p in elements],
+                                               dtype=np.intp)
+
+
+def _group_order(group: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The elements sorted by group (stably, so each group keeps increasing
+    indices) and the start of each group's run in that order."""
+    order = np.argsort(group, kind="stable")
+    return order, np.concatenate(([0], np.cumsum(np.bincount(group, minlength=k))))
+
+
+def _incidence(m: int, elements, order: np.ndarray) -> np.ndarray:
+    """The m x n 0/1 matrix whose column c marks the block of
+    ``elements[order[c]]``."""
+    sizes = np.array([elements[i].rank for i in order], dtype=np.intp)
+    points = np.fromiter(itertools.chain.from_iterable(elements[i].block for i in order),
+                         dtype=np.intp, count=int(sizes.sum()))
+    inc = np.zeros((m, len(order)))
+    inc[points, np.repeat(np.arange(len(order)), sizes)] = 1.0
+    return inc
+
+
+def _overlap_weights(bases: list[Basis]):
+    """Yield ``(a, W_a)``, ``W_a = |U_a^* [U_a ... U_{k-1}]|^2`` entrywise:
+    the blocks W_ab, a <= b, of W = |U^* U|^2 one basis at a time."""
+    for a, z in basis_overlaps(bases):
+        sq = np.square(z.view(np.float64))  # contiguous, unlike z.real and z.imag
+        yield a, sq[:, ::2] + sq[:, 1::2]
+
+
 def _basis_trace_gram(m: int, elements: tuple[Projection, ...]) -> np.ndarray:
     """G = C^T W C for coordinate projections P_i = U_a[:, J] U_a[:, J]^*.
 
@@ -282,26 +328,13 @@ def _basis_trace_gram(m: int, elements: tuple[Projection, ...]) -> np.ndarray:
     n x m^2 array is built.
     """
     n = len(elements)
-    first_seen = {id(p.basis): p.basis for p in elements}
-    slot = {key: a for a, key in enumerate(first_seen)}
-    group = np.array([slot[id(p.basis)] for p in elements])
-    bases = list(first_seen.values())
+    bases, group = _basis_groups(elements)
     k = len(bases)
-    order = np.argsort(group, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=k))))
-    sizes = np.array([elements[i].rank for i in order])
-    points = np.fromiter(itertools.chain.from_iterable(elements[i].block for i in order),
-                         dtype=np.intp, count=int(sizes.sum()))
-    inc = np.zeros((m, n))  # inc[:, s_a:e_a] is group a's diagonal block of C
-    inc[points, np.repeat(np.arange(n), sizes)] = 1.0
-
-    u = np.concatenate([b.matrix for b in bases], axis=1)
-    uh = u.conj().T
+    order, starts = _group_order(group, k)
+    inc = _incidence(m, elements, order)  # inc[:, s_a:e_a] is group a's block of C
     x = np.zeros((n, k * m))  # C^T W_upper, with W_aa halved
-    for a in range(k):
+    for a, w in _overlap_weights(bases):
         s, e = starts[a], starts[a + 1]
-        z = uh[a * m:(a + 1) * m] @ u[:, a * m:]
-        w = z.real * z.real + z.imag * z.imag
         w[:, :m] *= 0.5
         x[s:e, a * m:] = inc[:, s:e].T @ w
     gram = np.zeros((n, n))
@@ -317,13 +350,46 @@ def _basis_trace_gram(m: int, elements: tuple[Projection, ...]) -> np.ndarray:
     return gram
 
 
+def _mub_deviation(bases: list[Basis]) -> float:
+    """max |W_ab - E_ab| over the blocks of W = |U^* U|^2, with E_aa = I and
+    E_ab the constant 1/m for a != b: zero exactly when the bases are
+    orthonormal and pairwise unbiased."""
+    m = bases[0].m
+    eye, flat = np.eye(m), 1.0 / m
+    dev = 0.0
+    for _, w in _overlap_weights(bases):
+        cross = w[:, m:]
+        dev = max(dev, float(np.abs(w[:, :m] - eye).max()),
+                  float(cross.max(initial=flat)) - flat, flat - float(cross.min(initial=flat)))
+    return dev
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_gram_memory(packing: Packing) -> None:
+    """Raise ParameterError before the numeric pass allocates more than the
+    machine has: it holds at least the trace Gram, the embedded Gram and one
+    n x n temporary, and the dense Gram also stacks the n element matrices."""
+    n, m = packing.n, packing.m
+    need = 3 * 8 * n * n
+    if not all(p.basis is not None for p in packing.elements):
+        need += 16 * n * m * m
+    have = _physical_memory()
+    if need > have:
+        raise ParameterError(
+            f"the numeric coherence pass for n={n}, m={m} needs at least {need} bytes, "
+            f"more than the {have} bytes of physical memory")
+
+
 def _embedded_gram(packing: Packing) -> tuple[np.ndarray, np.ndarray]:
     """(e, g): the embedded Gram c_i c_j (g_ij - r_i r_j / m), built in place,
     and the trace Gram g."""
+    _check_gram_memory(packing)
     m = packing.m
     ranks = packing.ranks
-    if np.any(ranks == 0) or np.any(ranks == m):
-        raise DegenerateRankError("rank-0 or full-rank element cannot be embedded")
     g = _trace_gram(packing)
     c = np.sqrt(m / (ranks * (m - ranks)))
     e = np.outer(ranks.astype(np.float64), ranks)
@@ -334,7 +400,7 @@ def _embedded_gram(packing: Packing) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _report_from_grams(packing: Packing, e: np.ndarray, g: np.ndarray,
-                       tol: Tolerance) -> CoherenceReport:
+                       tol: Tolerance, mub_dev: float | None) -> CoherenceReport:
     """The report of the Grams from ``_embedded_gram``, whose diagonals it
     sets to -inf in place instead of masking copies."""
     n = packing.n
@@ -346,8 +412,7 @@ def _report_from_grams(packing: Packing, e: np.ndarray, g: np.ndarray,
     attain = (e >= mu - tol.eps_abs).any(axis=1)
     achievers = tuple(int(x) for x in np.flatnonzero(attain))
 
-    basis_ids = np.array(
-        [-1 if p.basis_index is None else p.basis_index for p in packing.elements])
+    basis_ids = _basis_labels(packing)
     ranks = packing.ranks
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     known = (basis_ids[:, None] >= 0) & (basis_ids[None, :] >= 0)
@@ -365,16 +430,158 @@ def _report_from_grams(packing: Packing, e: np.ndarray, g: np.ndarray,
                     count, float(e[mask].max()))
 
     mu_raw = float(g.max()) if packing.mixture == 1 else None
-    return CoherenceReport(mu, argmax_pair, achievers, pair_classes, n, mu_raw)
+    return CoherenceReport(mu, argmax_pair, achievers, pair_classes, n, mu_raw,
+                           "numeric", mub_dev)
 
 
-def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, np.ndarray]:
-    """The only builder of a CoherenceReport, returned with the embedded Gram
-    (diagonal -inf) that the orthoplex check reads; no report stores it."""
+def _basis_labels(packing: Packing) -> np.ndarray:
+    """Each element's provenance basis index, -1 where it has none."""
+    return np.array([-1 if p.basis_index is None else p.basis_index
+                     for p in packing.elements], dtype=np.int64)
+
+
+_PAIR_CLASSES = tuple(f"{b}/{r}" for b in ("same_basis", "cross_basis", "unknown_basis")
+                         for r in ("same_rank", "cross_rank"))
+
+
+def _pair_class(label_i, rank_i, label_j, rank_j) -> np.ndarray:
+    """Index into _PAIR_CLASSES of each pair (broadcast), as
+    ``_report_from_grams`` classifies it by provenance basis and rank."""
+    known = (label_i >= 0) & (label_j >= 0)
+    basis_class = np.where(known, np.where(label_i == label_j, 0, 1), 2)
+    return 2 * basis_class + (rank_i != rank_j)
+
+
+def _exact_pass(packing: Packing, bases: list[Basis], group: np.ndarray,
+                mub_dev: float, tol: Tolerance) -> tuple[CoherenceReport, Callable]:
+    """The report of a packing of coordinate projections over a family of
+    MUBs, from block intersections alone.
+
+    Over MUBs tr(P_i P_j) is |J & K| for two blocks of one basis and
+    |J||K|/m across bases, so every cross-basis embedded inner product is 0
+    and a same-basis pair has num / sqrt(den) with num = m|J & K| - |J||K|
+    and den = |J|(m-|J|)|K|(m-|K|). Values are ordered exactly by the
+    Fraction num|num|/den; only the reported numbers are rounded to floats.
+    Returns the report and the orthoplex check ``certify`` runs when n = 2d,
+    decided on blocks: each element has exactly one complementary block in
+    its basis (its antipode), and every other same-basis pair has num = 0.
+    """
+    m, n = packing.m, packing.n
+    k = len(bases)
+    ranks, labels = packing.ranks, _basis_labels(packing)
+    order, starts = _group_order(group, k)
+    inc = _incidence(m, packing.elements, order)
+    first, second, common = [], [], []  # the same-basis pairs i < j and |J & K|
+    for s, e in zip(starts[:-1], starts[1:]):
+        u, v = np.triu_indices(e - s, 1)
+        first.append(order[s + u])
+        second.append(order[s + v])
+        common.append((inc[:, s:e].T @ inc[:, s:e])[u, v])
+    first, second = np.concatenate(first), np.concatenate(second)
+    common = np.rint(np.concatenate(common)).astype(np.int64)
+    ri, rj = ranks[first], ranks[second]
+    num = m * common - ri * rj
+
+    # (|J|, |K|, |J & K|) fixes a value: one integer code per pair
+    codes, pair_id = np.unique((ri * (m + 1) + rj) * (m + 1) + common, return_inverse=True)
+    as_float = {Fraction(0): 0.0}  # exact value num|num|/den -> num / sqrt(den)
+    exact = []
+    for code in codes.tolist():
+        sizes, c = divmod(code, m + 1)
+        a, b = divmod(sizes, m + 1)
+        nu, den = m * c - a * b, a * (m - a) * b * (m - b)
+        exact.append(Fraction(nu * abs(nu), den))
+        as_float.setdefault(exact[-1], nu / math.sqrt(den))
+    ordered = sorted(as_float)
+    rank_of = {v: r for r, v in enumerate(ordered)}
+    floats = np.array([as_float[v] for v in ordered])
+    key = np.array([rank_of[v] for v in exact], dtype=np.int64)[pair_id.ravel()]
+    zero = rank_of[Fraction(0)] if k > 1 else -1  # cross-basis pairs, if any
+
+    best = np.full(n, zero)  # the largest value each element attains, as a rank
+    np.maximum.at(best, first, key)
+    np.maximum.at(best, second, key)
+    top = int(best.max())
+    mu = float(floats[top])
+    i = int(np.argmax(best == top))  # the first row of the Gram that attains mu
+    hit = key == top
+    partners = [*second[hit & (first == i)], *first[hit & (second == i)]]
+    if top == zero:
+        partners.append(np.flatnonzero(group != group[i])[0])
+    argmax_pair = (i, int(min(partners)))
+    achievers = tuple(int(x) for x in np.flatnonzero(floats[best] >= mu - tol.eps_abs))
+
+    classes = len(_PAIR_CLASSES)
+    cls = _pair_class(labels[first], ri, labels[second], rj)
+    same = np.bincount(cls, minlength=classes)
+    same_top = np.full(classes, -1)
+    np.maximum.at(same_top, cls, key)
+    # all pairs per class, counted over the cells of equal (label, rank)
+    cells, size = np.unique((labels + 1) * (m + 1) + ranks, return_counts=True)
+    cell_label, cell_rank = cells // (m + 1) - 1, cells % (m + 1)
+    ordered_pairs = np.outer(size, size)
+    np.fill_diagonal(ordered_pairs, size * (size - 1))
+    cls = _pair_class(cell_label[:, None], cell_rank[:, None], cell_label, cell_rank)
+    count = np.bincount(cls.ravel(), weights=ordered_pairs.ravel(),
+                        minlength=classes).astype(np.int64) // 2
+    pair_classes = {
+        name: PairClassSummary(int(count[c]), float(floats[
+            max(same_top[c], zero if count[c] > same[c] else -1)]))
+        for c, name in enumerate(_PAIR_CLASSES) if count[c]}
+
+    mu_raw = None
+    if packing.mixture == 1:  # tr is |J & K| within a basis and l^2/m across
+        traces = [Fraction(int(common.max()))] if common.size else []
+        mu_raw = float(max(traces + ([Fraction(int(ranks[0]) ** 2, m)] if k > 1 else [])))
+
+    def antipodal_pairs() -> int | None:
+        comp = (common == 0) & (ri + rj == m)
+        degree = np.bincount(first[comp], minlength=n) + np.bincount(second[comp], minlength=n)
+        return n // 2 if np.all(degree == 1) and not np.any(num[~comp]) else None
+
+    report = CoherenceReport(mu, argmax_pair, achievers, pair_classes, n, mu_raw,
+                             "exact", mub_dev)
+    return report, antipodal_pairs
+
+
+def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, Callable]:
+    """The only builder of a CoherenceReport, returned with the orthoplex
+    check ``certify`` runs when n = 2d: a callable giving the number of
+    antipodal pairs when the inner products form an orthoplex Gram (a
+    perfect antipodal matching, zeros elsewhere), and None otherwise.
+
+    A packing whose elements all come from ``coordinate_projection`` takes
+    the exact pass when its distinct bases are a MUB family to within what
+    cannot move any embedded inner product by more than ``eps_abs``. The
+    trace identity tr(P_i P_j) = 1_J^T W_ab 1_K reads W = |U^* U|^2, so with
+    ``dev = _mub_deviation`` each trace is within |J||K| dev of its MUB value
+    and each embedded inner product c_i c_j (tr - r_i r_j / m) within
+    m sqrt(r_i r_j / ((m - r_i)(m - r_j))) dev <= dev max_l m l / (m - l),
+    l over the ranks present; the exact pass runs when that bound is at most
+    ``eps_abs``. (With delta the largest entry of |U_a^* U_a - I|, the
+    diagonal blocks of W deviate from I by at most 2 delta + delta^2, which
+    is 3 delta or less.) Every other packing takes the numeric pass over the
+    float trace Gram.
+    """
     if packing.n < 2:
         raise ParameterError("coherence and certification need at least 2 elements")
+    m, ranks = packing.m, packing.ranks
+    if np.any(ranks == 0) or np.any(ranks == m):
+        raise DegenerateRankError("rank-0 or full-rank element cannot be embedded")
+    mub_dev = None
+    if all(p.basis is not None for p in packing.elements):
+        bases, group = _basis_groups(packing.elements)
+        mub_dev = _mub_deviation(bases)
+        top = int(ranks.max())
+        if mub_dev * m * top / (m - top) <= tol.eps_abs:
+            return _exact_pass(packing, bases, group, mub_dev, tol)
     e, g = _embedded_gram(packing)
-    return _report_from_grams(packing, e, g, tol), e
+
+    def antipodal_pairs() -> int | None:
+        ok, pairs, _ = _orthoplex_pattern(e, tol)
+        return len(pairs) if ok else None
+
+    return _report_from_grams(packing, e, g, tol, mub_dev), antipodal_pairs
 
 
 def coherence(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> CoherenceReport:
@@ -382,11 +589,13 @@ def coherence(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> CoherenceReport
     reports the maximum, the elements attaining it (within eps_abs), and a
     per-pair-class summary.
 
-    The trace Gram of a packing whose elements all come from
-    ``coordinate_projection`` (the builders' output) is factored through the
-    basis overlaps; any other packing, such as one read by
-    ``packing_from_json`` or made by ``spatial_complement``, uses the dense
-    Gram of its matrices. ``certify`` keeps the same report as
+    A packing whose elements all come from ``coordinate_projection`` (the
+    builders' output) over a family of MUBs is read exactly off its block
+    intersections (``report.method == "exact"``), with no n x n array. Other
+    coordinate packings get a trace Gram factored through the basis
+    overlaps, and any other packing, such as one read by
+    ``packing_from_json`` or made by ``spatial_complement``, the dense Gram
+    of its matrices (``"numeric"``). ``certify`` keeps the same report as
     ``Certificate.coherence``.
     """
     return _coherence_pass(packing, tol)[0]
@@ -438,13 +647,15 @@ def certify(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     zeros elsewhere, the packing is a maximal orthoplectic fusion frame. With
     the maximum equal to -1/(n-1) the simplex bound is met. Anything else is
     reported NotCertified: the ladder only ever proves optimality, never
-    disproves it. The coherence report it reads is kept as ``.coherence``.
+    disproves it. The coherence report it reads is kept as ``.coherence``;
+    on its exact path the antipodal pairs are complementary blocks of one
+    basis, found without any embedded inner product.
     """
     if not packing.hypotheses.ok:
         raise HypothesisError(
             "packing is tagged with hypothesis failures: "
             + "; ".join(packing.hypotheses.failures))
-    rep, e = _coherence_pass(packing, tol)
+    rep, antipodal_pairs = _coherence_pass(packing, tol)
     n = packing.n
     d = embedding_dim(packing.m, packing.field)
     mu = rep.mu_embedded
@@ -463,10 +674,10 @@ def certify(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> Certificate:
         status = CertStatus.OPTIMAL_ORTHOPLEX
         details["embedded_orthoplex_bound"] = 0.0
         if n == 2 * d:
-            ok, pairs, _ = _orthoplex_pattern(e, tol)
-            if ok:
+            pairs = antipodal_pairs()
+            if pairs is not None:
                 status = CertStatus.MAXIMAL_ORTHOPLEX
-                details["antipodal_pairs"] = len(pairs)
+                details["antipodal_pairs"] = pairs
     elif abs(mu + 1.0 / (n - 1)) <= tol.eps_abs:
         status = CertStatus.OPTIMAL_SIMPLEX
 
@@ -477,12 +688,36 @@ def check_tightness(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> tuple[boo
     """Whether the summed projections equal a multiple of the identity; the
     multiple tr(F)/m = (sum of ranks)/m is returned either way."""
     m = packing.m
-    f = np.zeros((m, m), dtype=np.complex128)
-    for p in packing.elements:
-        f = f + p.matrix
-    constant = float(np.trace(f).real) / m
+    constant = int(packing.ranks.sum()) / m
+    f = _summed_projections(packing, range(packing.n))
     dev = float(np.abs(f - constant * np.eye(m)).max())
     return dev <= tol.eps_abs, constant
+
+
+def _summed_projections(packing: Packing, indices) -> np.ndarray:
+    """The sum of the projections ``indices`` picks.
+
+    When each is a coordinate projection the sum is U_a diag(cov_a) U_a^*
+    summed over the distinct bases a, where cov_a[x] counts the picked
+    blocks of basis a that contain point x; no element matrix is formed and
+    no MUB property is assumed. Otherwise it is the plain sum of the
+    matrices.
+    """
+    els = [packing.elements[i] for i in indices]
+    if not all(p.basis is not None for p in els):
+        return sum(p.matrix for p in els)
+    m = packing.m
+    bases, group = _basis_groups(els)
+    sizes = [p.rank for p in els]
+    points = np.fromiter(itertools.chain.from_iterable(p.block for p in els),
+                         dtype=np.intp, count=sum(sizes))
+    cover = np.bincount(np.repeat(group, sizes) * m + points,
+                        minlength=len(bases) * m).reshape(len(bases), m)
+    f = np.zeros((m, m), dtype=np.complex128)
+    for basis, cov in zip(bases, cover):
+        u = basis.matrix
+        f += (u * cov) @ u.conj().T
+    return f
 
 
 def spatial_complement(packing: Packing) -> Packing:
@@ -560,7 +795,7 @@ def span_of_achievers(packing: Packing, report: CoherenceReport,
         raise ParameterError("packing is not certified as optimally spread")
     if not report.achievers:
         return 0, False
-    rank = matrix_rank(sum(packing.elements[i].matrix for i in report.achievers), tol)
+    rank = matrix_rank(_summed_projections(packing, report.achievers), tol)
     return rank, rank == packing.m
 
 
@@ -629,19 +864,27 @@ def packing_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Packing:
     elements = []
     for idx, (mj, pv) in enumerate(zip(mats, prov_list)):
         try:
-            provenance = ((as_int(pv["basis"], "basis index"),
-                           check_block(as_type(pv["block"], list, "block"), m))
-                          if isinstance(pv, dict) else IMPORTED)
+            if isinstance(pv, dict):
+                provenance = (as_int(pv["basis"], "basis index"),
+                              check_block(as_type(pv["block"], list, "block"), m))
+            elif pv == IMPORTED:
+                provenance = IMPORTED
+            else:
+                raise ParameterError(
+                    f"provenance {pv!r} is neither an object nor {IMPORTED!r}")
             elements.append(Projection(matrix_from_json(mj), provenance=provenance, tol=tol))
         except ParameterError as exc:
             raise ParameterError(f"element {idx}: {exc}") from exc
     hyp = as_type(obj.get("hypotheses", {}), dict, "hypotheses")
+    failures = as_type(hyp.get("failures", []), list, "failures")
     record = HypothesisRecord(
-        ok=bool(hyp.get("ok", True)),
-        failures=tuple(as_type(hyp.get("failures", []), list, "failures")),
-        candidate_maximal=bool(hyp.get("candidate_maximal", False)),
+        ok=as_type(hyp.get("ok", True), bool, "hypotheses.ok"),
+        failures=tuple(as_type(f, str, "a hypothesis failure") for f in failures),
+        candidate_maximal=as_type(hyp.get("candidate_maximal", False), bool,
+                                  "hypotheses.candidate_maximal"),
     )
-    return Packing(m, field, tuple(elements), record, mode=obj.get("mode", "imported"))
+    mode = as_type(obj.get("mode", "imported"), str, "mode")
+    return Packing(m, field, tuple(elements), record, mode=mode)
 
 
 def certificate_to_json(cert: Certificate) -> dict:

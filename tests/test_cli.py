@@ -250,6 +250,21 @@ MALFORMED = {
                               "elements": [dict(PAIR[0], re={"a": 1}), PAIR[1]]}),
     "hypotheses-5": ("certify", {"m": 2, "field": "C", "elements": PAIR,
                                  "hypotheses": 5}),
+    "re-strings": ("certify", {"m": 2, "field": "C",
+                               "elements": [dict(PAIR[0], re=["1", "0", "0", "0"]), PAIR[1]]}),
+    "re-bool": ("certify", {"m": 2, "field": "C",
+                            "elements": [dict(PAIR[0], re=[True, 0, 0, 0]), PAIR[1]]}),
+    "provenance-5": ("certify", {"m": 2, "field": "C", "elements": PAIR,
+                                 "provenance": [5, "imported"]}),
+    "provenance-whatever": ("certify", {"m": 2, "field": "C", "elements": PAIR,
+                                        "provenance": ["whatever", "imported"]}),
+    "failures-not-strings": ("certify", {"m": 2, "field": "C", "elements": PAIR,
+                                         "hypotheses": {"failures": [1, {"a": 2}]}}),
+    "ok-string": ("certify", {"m": 2, "field": "C", "elements": PAIR,
+                              "hypotheses": {"ok": "false"}}),
+    "candidate-maximal-string": ("certify", {"m": 2, "field": "C", "elements": PAIR,
+                                             "hypotheses": {"candidate_maximal": "false"}}),
+    "mode-5": ("certify", {"m": 2, "field": "C", "elements": PAIR, "mode": 5}),
     "blocks-5": ("design", {"m": 7, "blocks": 5}),
     "design-list": ("design", [[0, 1, 2]]),
     "bases-5": ("mub", {"m": 7, "field": "C", "bases": 5}),
@@ -272,6 +287,19 @@ def test_malformed_json_exits_2(tmp_path, fano, case, capsys):
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_numeric_pass_beyond_physical_memory_exits_2(tmp_path, monkeypatch, capsys):
+    """An imported packing takes the numeric pass, whose n x n arrays are
+    sized against physical memory (here pretended to be 100 bytes) before any is
+    allocated."""
+    from grasspack import packing
+    monkeypatch.setattr(packing, "_physical_memory", lambda: 100)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"m": 2, "field": "C", "elements": PAIR}))
+    assert run("certify", path) == 2
+    err = capsys.readouterr().err
+    assert "100 bytes of physical memory" in err
 
 
 def test_eps_above_ceiling_exits_2(tmp_path, capsys):

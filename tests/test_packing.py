@@ -14,11 +14,11 @@ from grasspack.embedding import build_space, embedding_dim
 from grasspack.errors import (DegenerateRankError, HypothesisError, ParameterError,
                               StructuralError)
 from grasspack.fields import enumerate_projective_plane
-from grasspack.mubs import (Basis, gen_mubs_prime, gen_mubs_prime_power, gen_mubs_small,
-                            mubs_from_json)
+from grasspack.mubs import (Basis, gen_mubs, gen_mubs_prime, gen_mubs_prime_power,
+                            gen_mubs_small, mubs_from_json)
 from grasspack.numerics import COMPLEX, REAL, hs_inner
-from grasspack.packing import (CertStatus, Packing, Projection, _trace_gram,
-                               build_mixed_packing, build_orthoplex_packing,
+from grasspack.packing import (CertStatus, Packing, Projection, _embedded_gram,
+                               _trace_gram, build_mixed_packing, build_orthoplex_packing,
                                certificate_to_json, certify, check_tightness,
                                coherence, coordinate_projection, extract_hadamard,
                                packing_from_json, packing_to_json,
@@ -575,11 +575,13 @@ class TestJson:
         json.dumps(obj)  # serializable
 
 
-def paley19_packing():
-    residues = sorted({x * x % 19 for x in range(1, 19)})
-    paley = BlockDesign(19, [[(q + t) % 19 for q in residues] for t in range(19)])
-    return build_mixed_packing(gen_mubs_prime(19), [paley, complement_design(paley)],
-                               [list(range(0, 20, 2)), list(range(1, 20, 2))])
+def paley_packing(p):
+    """The quadratic-residue design of a prime p = 3 mod 4 on the even bases
+    of C^p and its complement on the odd ones."""
+    residues = sorted({x * x % p for x in range(1, p)})
+    paley = BlockDesign(p, [[(q + t) % p for q in residues] for t in range(p)])
+    return build_mixed_packing(gen_mubs_prime(p), [paley, complement_design(paley)],
+                               [list(range(0, p + 1, 2)), list(range(1, p + 1, 2))])
 
 
 def r4_orthoplex_packing():
@@ -602,7 +604,7 @@ BUILDER_FIXTURES = {
     "rebased-fano-m9": lambda: build_orthoplex_packing(gen_mubs_prime_power(9),
                                                        design_rebase(FANO)[1]),
     "r4-orthoplex": r4_orthoplex_packing,
-    "paley-p19": paley19_packing,
+    "paley-p19": lambda: paley_packing(19),
 }
 
 
@@ -626,8 +628,10 @@ def coordinate_packings(draw):
 
 
 def dense_copy(pk):
-    """The same matrices with no basis attached, so the Gram takes the dense path."""
-    return Packing(pk.m, pk.field, tuple(Projection(p.matrix) for p in pk.elements))
+    """The same matrices and provenance with no basis attached, so the Gram
+    takes the dense path and coherence the numeric pass."""
+    return Packing(pk.m, pk.field, tuple(Projection(p.matrix, provenance=p.provenance)
+                                         for p in pk.elements))
 
 
 class TestStructuredGram:
@@ -710,7 +714,7 @@ class TestCertificateCoherence:
 
     def test_certify_allocation_peak(self):
         import tracemalloc
-        pk = paley19_packing()
+        pk = paley_packing(19)
         certify(pk)  # warm caches outside the traced call
         tracemalloc.start()
         try:
@@ -719,3 +723,154 @@ class TestCertificateCoherence:
         finally:
             tracemalloc.stop()
         assert peak < 4.0 * 8 * pk.n ** 2
+
+
+@st.composite
+def mub_packings(draw):
+    """Coordinate projections over a random subset of the maximal MUB family
+    of C^m, m in {2, 3, 4, 5, 7}, or of R^4, with blocks of mixed sizes
+    (never empty or full): either random blocks, or a random partition of
+    the points in each chosen basis, which makes a tight packing that the
+    orthoplex bounds can certify. Each element is labelled with its own
+    basis index, with index 0 or as imported, at random, so every pair class
+    occurs and one label can span several bases."""
+    m, field = draw(st.sampled_from([(2, COMPLEX), (3, COMPLEX), (4, COMPLEX), (4, REAL),
+                                     (5, COMPLEX), (7, COMPLEX)]))
+    family = gen_mubs(m, field)
+    chosen = draw(st.lists(st.integers(0, family.k - 1), min_size=1, max_size=family.k,
+                           unique=True))
+    if draw(st.booleans()):
+        picks = []
+        for a in chosen:
+            cuts = [0, *sorted(draw(st.sets(st.integers(1, m - 1), min_size=1))), m]
+            points = draw(st.permutations(range(m)))
+            picks += [(a, points[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    else:
+        picks = draw(st.lists(
+            st.tuples(st.sampled_from(chosen),
+                      st.sets(st.integers(0, m - 1), min_size=1, max_size=m - 1)),
+            min_size=2, max_size=16))
+    return Packing(m, field, tuple(
+        coordinate_projection(family.bases[a], blk, draw(st.sampled_from([a, 0, None])))
+        for a, blk in picks))
+
+
+def assert_exact_matches_numeric(pk):
+    """The exact pass on ``pk`` and the numeric pass on its dense copy give
+    the same certificate and report, up to 1e-12 in every float."""
+    ref = dense_copy(pk)
+    cert, cert_ref = certify(pk), certify(ref)
+    rep, rep_ref = cert.coherence, cert_ref.coherence
+    assert (rep.method, rep_ref.method) == ("exact", "numeric")
+    assert rep.mub_dev <= 1e-12 and rep_ref.mub_dev is None
+    assert cert.status is cert_ref.status
+    assert cert.is_tight == cert_ref.is_tight
+    assert cert.tight_constant == cert_ref.tight_constant
+    assert cert.details.keys() == cert_ref.details.keys()
+    assert cert.details.get("antipodal_pairs") == cert_ref.details.get("antipodal_pairs")
+    assert rep.achievers == rep_ref.achievers
+    assert rep.mu_embedded == pytest.approx(rep_ref.mu_embedded, abs=1e-12)
+    assert rep.pair_classes.keys() == rep_ref.pair_classes.keys()
+    for name, summary in rep.pair_classes.items():
+        assert summary.count == rep_ref.pair_classes[name].count
+        assert summary.max_inner == pytest.approx(rep_ref.pair_classes[name].max_inner,
+                                                  abs=1e-12)
+    if rep.mu_raw is None:
+        assert rep_ref.mu_raw is None
+    else:
+        assert rep.mu_raw == pytest.approx(rep_ref.mu_raw, abs=1e-12)
+    i, j = rep.argmax_pair
+    assert i < j
+    e, _ = _embedded_gram(ref)
+    assert e[i, j] == pytest.approx(rep.mu_embedded, abs=1e-12)
+    if pk.n >= pk.m:
+        assert span_of_achievers(pk, rep) == span_of_achievers(ref, rep_ref)
+
+
+class TestExactPass:
+    @settings(max_examples=80, deadline=None)
+    @given(mub_packings())
+    def test_matches_numeric_pass(self, pk):
+        assert_exact_matches_numeric(pk)
+
+    @pytest.mark.parametrize("p", [7, 19, 31])
+    def test_paley_matches_numeric_pass(self, p):
+        assert_exact_matches_numeric(paley_packing(p))
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("name", sorted(BUILDER_FIXTURES))
+    def test_only_built_packings_take_it(self, name, variant):
+        rep = coherence(VARIANTS[variant](BUILDER_FIXTURES[name]()))
+        assert rep.method == ("exact" if variant == "built" else "numeric")
+
+    def test_paley31_values_are_exact(self):
+        cert = certify(paley_packing(31))
+        assert cert.status is CertStatus.OPTIMAL_ORTHOPLEX
+        assert cert.mu_embedded == 0.0
+        assert cert.tight_constant == 992 * 31 / 2 / 31 == 496.0 and cert.is_tight
+        assert cert.coherence.achievers == tuple(range(992))
+
+    def test_certify_allocates_less_than_one_gram(self):
+        import tracemalloc
+        pk = paley_packing(31)
+        certify(pk)  # warm caches outside the traced call
+        tracemalloc.start()
+        try:
+            cert = certify(pk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.coherence.method == "exact"
+        assert peak < 8 * pk.n ** 2  # one n x n float64 array: 7.9 MB at n = 992
+
+    def test_duplicated_basis_falls_back(self):
+        basis = gen_mubs_prime(5).bases[1]
+        twin = Basis(5, COMPLEX, basis.matrix)
+        blocks = [(0,), (1, 2), (3, 4), (0, 2, 4)]
+        pk = Packing(5, COMPLEX, tuple(coordinate_projection(b, blk, a)
+                                       for a, b in enumerate((basis, twin)) for blk in blocks))
+        rep = coherence(pk)
+        assert rep.method == "numeric"
+        assert rep.mub_dev == pytest.approx(1 - 1 / 5, abs=1e-12)
+
+    def test_random_orthonormal_bases_fall_back(self, rng):
+        bases = [Basis(4, COMPLEX, random_orthonormal(rng, 4, 4)) for _ in range(3)]
+        pk = Packing(4, COMPLEX, tuple(coordinate_projection(b, blk, a)
+                                       for a, b in enumerate(bases)
+                                       for blk in [(0,), (1, 2), (0, 1, 3)]))
+        assert coherence(pk).method == "numeric"
+
+    def test_perturbed_mub_falls_back(self, rng):
+        family = gen_mubs_prime(5)
+        noise = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        q, r = np.linalg.qr(family.bases[2].matrix + 1e-7 * noise)
+        phases = np.diagonal(r) / np.abs(np.diagonal(r))
+        bent = Basis(5, COMPLEX, q * phases)
+        assert np.abs(bent.matrix - family.bases[2].matrix).max() < 1e-6
+        bases = (family.bases[0], family.bases[1], bent)
+        pk = Packing(5, COMPLEX, tuple(coordinate_projection(b, blk, a)
+                                       for a, b in enumerate(bases)
+                                       for blk in [(0,), (1, 2), (0, 3, 4)]))
+        rep = coherence(pk)
+        assert rep.method == "numeric"
+        assert 1e-9 < rep.mub_dev < 1e-5
+
+    def test_no_element_matrix_is_formed(self, monkeypatch):
+        pk = fano_mixed_packing()
+
+        def refuse(self):
+            raise AssertionError("an element matrix was formed")
+
+        monkeypatch.setattr(Projection, "matrix", property(refuse))
+        cert = certify(pk)
+        assert coherence(pk).method == cert.coherence.method == "exact"
+        assert check_tightness(pk) == (True, 28.0)
+        assert span_of_achievers(pk, cert.coherence, cert) == (7, True)
+
+    def test_numeric_pass_checks_memory_first(self, monkeypatch):
+        from grasspack import packing
+        monkeypatch.setattr(packing, "_physical_memory", lambda: 10**5)
+        pk = fano_mixed_packing()
+        with pytest.raises(ParameterError, match=r"\d+ bytes of physical memory"):
+            certify(dense_copy(pk))
+        assert certify(pk).coherence.method == "exact"  # allocates no n x n array
