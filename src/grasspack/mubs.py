@@ -199,30 +199,25 @@ class MubReport:
         return max(self.worst_orthonormality_dev, self.worst_unbiasedness_dev)
 
 
-def basis_overlaps(bases):
-    """Yield ``(a, Z_a)`` with ``Z_a = U_a^* [U_a U_{a+1} ... U_{k-1}]`` for
-    each of the k bases ``U_a`` in turn: every pairwise overlap ``U_a^* U_b``
-    with a <= b, one m x (k-a)m product per basis. ``verify_mubs`` and the
-    basis-overlap passes of ``packing`` all read the bases through it."""
-    if not bases:
-        return
-    m = bases[0].m
-    u = np.concatenate([b.matrix for b in bases], axis=1)
-    uh = u.conj().T
-    for a in range(len(bases)):
-        yield a, uh[a * m:(a + 1) * m] @ u[:, a * m:]
-
-
 def verify_mubs(family: MubFamily, tol: Tolerance = DEFAULT_TOL) -> MubReport:
     """Check orthonormality of every basis and unbiasedness of every pair;
-    report worst deviations and flag violations of the cardinality bound."""
+    report worst deviations and flag violations of the cardinality bound.
+
+    Basis i is read through one m x (k-i)m product U_i^* [U_i ... U_{k-1}]:
+    ``worst_orthonormality_dev`` is the largest entry of |U_i^* U_i - I| and
+    ``worst_unbiasedness_dev`` of ||U_i^* U_j|^2 - 1/m| over i < j. This is
+    the package's only MUB check; ``packing`` gates its exact pass on it.
+    """
     m = family.m
     on_failures: list[str] = []
     ub_failures: list[str] = []
     worst_on = 0.0
     worst_ub = 0.0
     eye = np.eye(m)
-    for i, z in basis_overlaps(family.bases):
+    u = np.concatenate([np.empty((m, 0)), *(b.matrix for b in family.bases)], axis=1)
+    uh = u.conj().T
+    for i in range(family.k):
+        z = uh[i * m:(i + 1) * m] @ u[:, i * m:]
         dev = float(np.abs(z[:, :m] - eye).max())
         worst_on = max(worst_on, dev)
         if dev > tol.eps_abs:

@@ -28,7 +28,7 @@ from .designs import (BlockDesign, HadamardMatrix, check_block, complementary_ha
 from .embedding import build_space, embed, embedding_dim
 from .errors import (ConsistencyError, DegenerateRankError, DimensionMismatchError,
                      HypothesisError, ParameterError, StructuralError)
-from .mubs import Basis, MubFamily, basis_overlaps, mub_capacity
+from .mubs import Basis, MubFamily, mub_capacity, verify_mubs
 from .numerics import (DEFAULT_TOL, Field, Tolerance, as_int, as_type, check_field,
                        is_projection, lock, matrix_from_json, matrix_rank,
                        matrix_to_json)
@@ -47,10 +47,11 @@ class Projection:
     A coordinate projection (made only by ``coordinate_projection``) is
     stored as its ``basis`` and sorted ``block`` alone: ``matrix`` is
     ``U[:, block] @ U[:, block]^*`` with ``U = basis.matrix``, formed anew
-    and read-only on each read, and the trace Gram reads ``tr(P_i P_j)`` off
-    the basis overlaps instead. Every other projection, imported ones and
-    spatial complements included, has ``basis`` and ``block`` None and keeps
-    the dense matrix it was checked with. Equality is identity.
+    and read-only on each read; the exact coherence pass, tightness and the
+    achiever span read the pair and never form it. Every other projection,
+    imported ones and spatial complements included, has ``basis`` and
+    ``block`` None and keeps the dense matrix it was checked with. Equality
+    is identity.
     """
 
     rank: int
@@ -247,8 +248,9 @@ class CoherenceReport:
 
     ``method`` is ``"exact"`` when the values were read off block
     intersections over a family of MUBs and ``"numeric"`` when they come from
-    a float trace Gram; ``mub_dev`` is the worst deviation of the packing's
-    bases from a MUB family (None unless every element has a basis).
+    a float trace Gram; ``mub_dev`` bounds the deviation of the packing's
+    bases from a MUB family, as read off ``verify_mubs`` (None unless every
+    element has a basis).
     """
 
     mu_embedded: float
@@ -262,16 +264,9 @@ class CoherenceReport:
 
 
 def _trace_gram(packing: Packing) -> np.ndarray:
-    """G[i, j] = tr(P_i P_j).
-
-    When every element is a coordinate projection (``basis`` set, as for the
-    mixed and orthoplex builders), G is factored through the basis overlaps
-    by ``_basis_trace_gram``. Otherwise (imported packings, spatial
-    complements, hand-made projections) it is the real Gram matrix of the
-    vectorized Hermitian matrices, which never looks at a basis.
-    """
-    if all(p.basis is not None for p in packing.elements):
-        return _basis_trace_gram(packing.m, packing.elements)
+    """G[i, j] = tr(P_i P_j): the real Gram matrix of the vectorized
+    Hermitian matrices, formed from the stacked n x m x m element matrices.
+    The numeric pass reads it, and the tests use it as the reference."""
     mats = np.stack([p.matrix for p in packing.elements])
     v = mats.reshape(packing.n, -1)
     return v.real @ v.real.T + v.imag @ v.imag.T
@@ -304,66 +299,6 @@ def _incidence(m: int, elements, order: np.ndarray) -> np.ndarray:
     return inc
 
 
-def _overlap_weights(bases: list[Basis]):
-    """Yield ``(a, W_a)``, ``W_a = |U_a^* [U_a ... U_{k-1}]|^2`` entrywise:
-    the blocks W_ab, a <= b, of W = |U^* U|^2 one basis at a time."""
-    for a, z in basis_overlaps(bases):
-        sq = np.square(z.view(np.float64))  # contiguous, unlike z.real and z.imag
-        yield a, sq[:, ::2] + sq[:, 1::2]
-
-
-def _basis_trace_gram(m: int, elements: tuple[Projection, ...]) -> np.ndarray:
-    """G = C^T W C for coordinate projections P_i = U_a[:, J] U_a[:, J]^*.
-
-    With the k distinct bases (grouped by object identity) stacked as
-    U = [U_1 ... U_k], W = |U^* U|^2 entrywise and C is the 0/1 incidence of
-    element i's block in the rows of its basis, so
-    G[i, j] = 1_J^T |U_a^* U_b|^2 1_K. This is the identity
-    tr(P_i P_j) = ||U_a[:, J]^* U_b[:, K]||_F^2 and holds for any stored U; it
-    does not assume the bases are orthonormal or unbiased.
-
-    Elements are taken in basis-group order, so C is block diagonal. Only the
-    blocks W_ab with a <= b are formed, with W_aa halved, so that
-    G = H + H^T for H = C^T W_upper C; each loop runs once per basis and no
-    n x m^2 array is built.
-    """
-    n = len(elements)
-    bases, group = _basis_groups(elements)
-    k = len(bases)
-    order, starts = _group_order(group, k)
-    inc = _incidence(m, elements, order)  # inc[:, s_a:e_a] is group a's block of C
-    x = np.zeros((n, k * m))  # C^T W_upper, with W_aa halved
-    for a, w in _overlap_weights(bases):
-        s, e = starts[a], starts[a + 1]
-        w[:, :m] *= 0.5
-        x[s:e, a * m:] = inc[:, s:e].T @ w
-    gram = np.zeros((n, n))
-    for b in range(k):
-        s, e = starts[b], starts[b + 1]
-        h = x[:e, b * m:(b + 1) * m] @ inc[:, s:e]  # H[:e, s:e]; H is zero below
-        gram[:e, s:e] += h
-        gram[s:e, :e] += h.T
-    if np.any(order != np.arange(n)):
-        out = np.empty_like(gram)
-        out[np.ix_(order, order)] = gram
-        gram = out
-    return gram
-
-
-def _mub_deviation(bases: list[Basis]) -> float:
-    """max |W_ab - E_ab| over the blocks of W = |U^* U|^2, with E_aa = I and
-    E_ab the constant 1/m for a != b: zero exactly when the bases are
-    orthonormal and pairwise unbiased."""
-    m = bases[0].m
-    eye, flat = np.eye(m), 1.0 / m
-    dev = 0.0
-    for _, w in _overlap_weights(bases):
-        cross = w[:, m:]
-        dev = max(dev, float(np.abs(w[:, :m] - eye).max()),
-                  float(cross.max(initial=flat)) - flat, flat - float(cross.min(initial=flat)))
-    return dev
-
-
 def _physical_memory() -> int:
     """Bytes of physical memory of the machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -372,11 +307,9 @@ def _physical_memory() -> int:
 def _check_gram_memory(packing: Packing) -> None:
     """Raise ParameterError before the numeric pass allocates more than the
     machine has: it holds at least the trace Gram, the embedded Gram and one
-    n x n temporary, and the dense Gram also stacks the n element matrices."""
+    n x n temporary, and the stack of the n complex m x m element matrices."""
     n, m = packing.n, packing.m
-    need = 3 * 8 * n * n
-    if not all(p.basis is not None for p in packing.elements):
-        need += 16 * n * m * m
+    need = 3 * 8 * n * n + 16 * n * m * m
     have = _physical_memory()
     if need > have:
         raise ParameterError(
@@ -412,22 +345,15 @@ def _report_from_grams(packing: Packing, e: np.ndarray, g: np.ndarray,
     attain = (e >= mu - tol.eps_abs).any(axis=1)
     achievers = tuple(int(x) for x in np.flatnonzero(attain))
 
-    basis_ids = _basis_labels(packing)
-    ranks = packing.ranks
+    labels, ranks = _basis_labels(packing), packing.ranks
+    cls = _pair_class(labels[:, None], ranks[:, None], labels, ranks)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    known = (basis_ids[:, None] >= 0) & (basis_ids[None, :] >= 0)
-    same_basis = basis_ids[:, None] == basis_ids[None, :]
-    same_rank = ranks[:, None] == ranks[None, :]
     pair_classes: dict[str, PairClassSummary] = {}
-    for bname, bmask in (("same_basis", known & same_basis),
-                         ("cross_basis", known & ~same_basis),
-                         ("unknown_basis", ~known)):
-        for rname, rmask in (("same_rank", same_rank), ("cross_rank", ~same_rank)):
-            mask = upper & bmask & rmask
-            count = int(mask.sum())
-            if count:
-                pair_classes[f"{bname}/{rname}"] = PairClassSummary(
-                    count, float(e[mask].max()))
+    for c, name in enumerate(_PAIR_CLASSES):
+        mask = upper & (cls == c)
+        count = int(mask.sum())
+        if count:
+            pair_classes[name] = PairClassSummary(count, float(e[mask].max()))
 
     mu_raw = float(g.max()) if packing.mixture == 1 else None
     return CoherenceReport(mu, argmax_pair, achievers, pair_classes, n, mu_raw,
@@ -445,10 +371,9 @@ _PAIR_CLASSES = tuple(f"{b}/{r}" for b in ("same_basis", "cross_basis", "unknown
 
 
 def _pair_class(label_i, rank_i, label_j, rank_j) -> np.ndarray:
-    """Index into _PAIR_CLASSES of each pair (broadcast), as
-    ``_report_from_grams`` classifies it by provenance basis and rank."""
-    known = (label_i >= 0) & (label_j >= 0)
-    basis_class = np.where(known, np.where(label_i == label_j, 0, 1), 2)
+    """Index into _PAIR_CLASSES of each pair (broadcast), by provenance basis
+    and rank, as int8 so that an n x n class array stays small."""
+    basis_class = np.where((label_i >= 0) & (label_j >= 0), label_i != label_j, np.int8(2))
     return 2 * basis_class + (rank_i != rank_j)
 
 
@@ -553,14 +478,16 @@ def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, 
     A packing whose elements all come from ``coordinate_projection`` takes
     the exact pass when its distinct bases are a MUB family to within what
     cannot move any embedded inner product by more than ``eps_abs``. The
-    trace identity tr(P_i P_j) = 1_J^T W_ab 1_K reads W = |U^* U|^2, so with
-    ``dev = _mub_deviation`` each trace is within |J||K| dev of its MUB value
+    trace identity tr(P_i P_j) = 1_J^T W_ab 1_K holds for W = |U^* U|^2
+    entrywise, whose MUB values are E_aa = I and E_ab = 1/m. ``verify_mubs``
+    gives the largest entry delta of |U_a^* U_a - I| and the largest of
+    |W_ab - 1/m| over a != b; the diagonal blocks satisfy |W_aa - I| <=
+    2 delta + delta^2, so ``mub_dev``, the larger of the two, bounds
+    max |W - E|. Each trace is then within |J||K| mub_dev of its MUB value
     and each embedded inner product c_i c_j (tr - r_i r_j / m) within
-    m sqrt(r_i r_j / ((m - r_i)(m - r_j))) dev <= dev max_l m l / (m - l),
+    m sqrt(r_i r_j / ((m - r_i)(m - r_j))) mub_dev <= mub_dev max_l m l / (m - l),
     l over the ranks present; the exact pass runs when that bound is at most
-    ``eps_abs``. (With delta the largest entry of |U_a^* U_a - I|, the
-    diagonal blocks of W deviate from I by at most 2 delta + delta^2, which
-    is 3 delta or less.) Every other packing takes the numeric pass over the
+    ``eps_abs``. Every other packing takes the numeric pass over the dense
     float trace Gram.
     """
     if packing.n < 2:
@@ -571,7 +498,9 @@ def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, 
     mub_dev = None
     if all(p.basis is not None for p in packing.elements):
         bases, group = _basis_groups(packing.elements)
-        mub_dev = _mub_deviation(bases)
+        check = verify_mubs(MubFamily(m, packing.field, tuple(bases)), tol)
+        delta = check.worst_orthonormality_dev
+        mub_dev = max(check.worst_unbiasedness_dev, 2 * delta + delta * delta)
         top = int(ranks.max())
         if mub_dev * m * top / (m - top) <= tol.eps_abs:
             return _exact_pass(packing, bases, group, mub_dev, tol)
@@ -591,12 +520,11 @@ def coherence(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> CoherenceReport
 
     A packing whose elements all come from ``coordinate_projection`` (the
     builders' output) over a family of MUBs is read exactly off its block
-    intersections (``report.method == "exact"``), with no n x n array. Other
-    coordinate packings get a trace Gram factored through the basis
-    overlaps, and any other packing, such as one read by
-    ``packing_from_json`` or made by ``spatial_complement``, the dense Gram
-    of its matrices (``"numeric"``). ``certify`` keeps the same report as
-    ``Certificate.coherence``.
+    intersections (``report.method == "exact"``), with no n x n array. Any
+    other packing, such as one read by ``packing_from_json``, made by
+    ``spatial_complement`` or built on bases that are not MUBs, takes the
+    dense Gram of its matrices (``"numeric"``). ``certify`` keeps the same
+    report as ``Certificate.coherence``.
     """
     return _coherence_pass(packing, tol)[0]
 
@@ -858,7 +786,8 @@ def packing_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Packing:
     m = as_int(obj["m"], "m")
     field = check_field(obj["field"])
     mats = as_type(obj["elements"], list, "elements")
-    prov_list = as_type(obj.get("provenance") or [IMPORTED] * len(mats), list, "provenance")
+    prov = obj.get("provenance")
+    prov_list = as_type([IMPORTED] * len(mats) if prov is None else prov, list, "provenance")
     if len(prov_list) != len(mats):
         raise ParameterError("provenance list does not match element count")
     elements = []

@@ -1,7 +1,9 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +260,13 @@ MALFORMED = {
                                  "provenance": [5, "imported"]}),
     "provenance-whatever": ("certify", {"m": 2, "field": "C", "elements": PAIR,
                                         "provenance": ["whatever", "imported"]}),
+    "provenance-0": ("certify", {"m": 2, "field": "C", "elements": PAIR, "provenance": 0}),
+    "provenance-false": ("certify", {"m": 2, "field": "C", "elements": PAIR,
+                                     "provenance": False}),
+    "provenance-string": ("certify", {"m": 2, "field": "C", "elements": PAIR,
+                                      "provenance": ""}),
+    "provenance-empty": ("certify", {"m": 2, "field": "C", "elements": PAIR,
+                                     "provenance": []}),
     "failures-not-strings": ("certify", {"m": 2, "field": "C", "elements": PAIR,
                                          "hypotheses": {"failures": [1, {"a": 2}]}}),
     "ok-string": ("certify", {"m": 2, "field": "C", "elements": PAIR,
@@ -350,6 +359,28 @@ class TestComplementAndEmbed:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run("certify", tmp_path / "nope.json") == 2
+
+
+def readme_commands():
+    """The ``grasspack`` lines of the README's "Command line" block, with
+    backslash continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("grasspack ")]
+
+
+def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == 0, argv
+        if argv[:2] == ["certify", "ortho.json"]:
+            printed = json.loads(capsys.readouterr().out)
+            assert printed["status"] == "MaximalOrthoplex"
+            assert printed["hadamard_order"] == 4
 
 
 # Registered first, so it runs after the command, even one that exits.

@@ -18,7 +18,7 @@ from grasspack.mubs import (Basis, gen_mubs, gen_mubs_prime, gen_mubs_prime_powe
                             gen_mubs_small, mubs_from_json)
 from grasspack.numerics import COMPLEX, REAL, hs_inner
 from grasspack.packing import (CertStatus, Packing, Projection, _embedded_gram,
-                               _trace_gram, build_mixed_packing, build_orthoplex_packing,
+                               build_mixed_packing, build_orthoplex_packing,
                                certificate_to_json, certify, check_tightness,
                                coherence, coordinate_projection, extract_hadamard,
                                packing_from_json, packing_to_json,
@@ -610,19 +610,22 @@ BUILDER_FIXTURES = {
 
 @st.composite
 def coordinate_packings(draw):
-    """Coordinate projections over a few random orthonormal bases with
-    mixed-size blocks and interleaved basis assignments. Basis indices are
-    drawn from {0, 1}, so distinct Basis objects often share one."""
+    """Coordinate projections over two to four random orthonormal bases (not
+    MUBs, so coherence takes the numeric pass) with mixed-size blocks, never
+    empty or full, and interleaved basis assignments; the first two elements
+    use the first two bases. Basis indices are drawn from {0, 1}, so
+    distinct Basis objects often share one."""
     m = draw(st.integers(2, 6))
     field = draw(st.sampled_from([COMPLEX, REAL]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 4))
     bases = [Basis(m, field, random_orthonormal(rng, m, m, field)) for _ in range(k)]
     labels = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
     picks = draw(st.lists(
         st.tuples(st.integers(0, k - 1),
-                  st.sets(st.integers(0, m - 1), min_size=1, max_size=m)),
+                  st.sets(st.integers(0, m - 1), min_size=1, max_size=m - 1)),
         min_size=2, max_size=14))
+    picks[:2] = [(0, picks[0][1]), (1, picks[1][1])]
     elements = tuple(coordinate_projection(bases[a], blk, labels[a]) for a, blk in picks)
     return Packing(m, field, elements)
 
@@ -634,16 +637,21 @@ def dense_copy(pk):
                                          for p in pk.elements))
 
 
-class TestStructuredGram:
+class TestCoordinatePackings:
     @settings(max_examples=60, deadline=None)
     @given(coordinate_packings())
-    def test_matches_dense_gram(self, pk):
-        assert all(p.basis is not None for p in pk.elements)
+    def test_numeric_pass_matches_dense_copy(self, pk):
+        """Over bases that are not MUBs the numeric pass reads the same dense
+        Gram with or without the bases attached, so the reports are equal."""
         ref = dense_copy(pk)
         assert all(p.basis is None for p in ref.elements)
-        g = _trace_gram(pk)
-        assert np.array_equal(g, g.T)
-        assert np.abs(g - _trace_gram(ref)).max() <= 1e-12
+        rep, rep_ref = coherence(pk), coherence(ref)
+        assert rep.method == rep_ref.method == "numeric"
+        assert rep.mu_embedded == rep_ref.mu_embedded
+        assert rep.argmax_pair == rep_ref.argmax_pair
+        assert rep.achievers == rep_ref.achievers
+        assert rep.pair_classes == rep_ref.pair_classes
+        assert rep.mu_raw == rep_ref.mu_raw
 
     @pytest.mark.parametrize("name", sorted(BUILDER_FIXTURES))
     def test_builders_agree_with_imported_copy(self, name):
@@ -661,22 +669,6 @@ class TestStructuredGram:
         assert ({k: v.count for k, v in rep.pair_classes.items()}
                 == {k: v.count for k, v in rep_back.pair_classes.items()})
         assert rep.mu_embedded == pytest.approx(rep_back.mu_embedded, abs=1e-12)
-
-    def test_never_builds_the_dense_stack(self):
-        import tracemalloc
-        m = 31
-        bases = gen_mubs_prime(m).bases[:2]
-        blocks = [(j,) for j in range(m)] + [(j, (j + 1) % m) for j in range(m)]
-        pk = Packing(m, COMPLEX, tuple(coordinate_projection(b, blk, a)
-                                       for a, b in enumerate(bases) for blk in blocks))
-        stack_bytes = pk.n * m * m * 16  # the n x m^2 complex stack of the dense path
-        tracemalloc.start()
-        try:
-            _trace_gram(pk)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < stack_bytes / 2
 
     def test_complement_and_import_drop_the_basis(self):
         pk = fano_mixed_packing()
@@ -854,6 +846,20 @@ class TestExactPass:
         rep = coherence(pk)
         assert rep.method == "numeric"
         assert 1e-9 < rep.mub_dev < 1e-5
+
+    def test_certify_checks_the_bases_once(self, monkeypatch):
+        from grasspack import packing
+        calls = []
+        check = packing.verify_mubs
+
+        def counting(family, tol):
+            calls.append(family.k)
+            return check(family, tol)
+
+        monkeypatch.setattr(packing, "verify_mubs", counting)
+        pk = fano_mixed_packing()
+        assert certify(pk).coherence.method == "exact"
+        assert calls == [8]
 
     def test_no_element_matrix_is_formed(self, monkeypatch):
         pk = fano_mixed_packing()
