@@ -9,6 +9,7 @@ supported through JSON import only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,13 +54,36 @@ class Basis:
 
 @dataclass(frozen=True)
 class MubFamily:
+    """Bases of F^m, unchecked until ``deviations`` measures them, once: the
+    family is frozen, ``bases`` a tuple and each matrix read-only."""
+
     m: int
     field: Field
     bases: tuple[Basis, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bases", tuple(self.bases))
+
     @property
     def k(self) -> int:
         return len(self.bases)
+
+    @cached_property
+    def deviations(self) -> np.ndarray:
+        """The k x k read-only array whose entry (i, i) is the largest entry
+        of |U_i^* U_i - I| and entry (i, j), i != j, the largest of
+        ||U_i^* U_j|^2 - 1/m|. Basis i is read through one m x (k-i)m product
+        U_i^* [U_i ... U_{k-1}]."""
+        m, k = self.m, self.k
+        dev = np.zeros((k, k))
+        u = np.concatenate([np.empty((m, 0)), *(b.matrix for b in self.bases)], axis=1)
+        uh = u.conj().T
+        for i in range(k):
+            z = uh[i * m:(i + 1) * m] @ u[:, i * m:]
+            dev[i, i] = np.abs(z[:, :m] - np.eye(m)).max()
+            dev[i, i + 1:] = dev[i + 1:, i] = np.abs(np.abs(z[:, m:]) ** 2 - 1.0 / m).reshape(
+                m, k - i - 1, m).max(axis=(0, 2))
+        return lock(dev)
 
 
 def mub_capacity(m: int, field: Field) -> int:
@@ -203,33 +227,19 @@ def verify_mubs(family: MubFamily, tol: Tolerance = DEFAULT_TOL) -> MubReport:
     """Check orthonormality of every basis and unbiasedness of every pair;
     report worst deviations and flag violations of the cardinality bound.
 
-    Basis i is read through one m x (k-i)m product U_i^* [U_i ... U_{k-1}]:
     ``worst_orthonormality_dev`` is the largest entry of |U_i^* U_i - I| and
-    ``worst_unbiasedness_dev`` of ||U_i^* U_j|^2 - 1/m| over i < j. This is
-    the package's only MUB check; ``packing`` gates its exact pass on it.
+    ``worst_unbiasedness_dev`` of ||U_i^* U_j|^2 - 1/m| over i < j, read off
+    ``family.deviations``, which is computed once per family. This is the
+    package's only MUB check; ``packing`` gates its exact pass on the same
+    deviations.
     """
-    m = family.m
-    on_failures: list[str] = []
-    ub_failures: list[str] = []
-    worst_on = 0.0
-    worst_ub = 0.0
-    eye = np.eye(m)
-    u = np.concatenate([np.empty((m, 0)), *(b.matrix for b in family.bases)], axis=1)
-    uh = u.conj().T
-    for i in range(family.k):
-        z = uh[i * m:(i + 1) * m] @ u[:, i * m:]
-        dev = float(np.abs(z[:, :m] - eye).max())
-        worst_on = max(worst_on, dev)
-        if dev > tol.eps_abs:
-            on_failures.append(f"basis {i} not orthonormal (dev {dev:.3e})")
-        later = family.k - i - 1
-        devs = np.abs(np.abs(z[:, m:]) ** 2 - 1.0 / m).reshape(m, later, m).max(axis=(0, 2))
-        for j, dev in enumerate(devs.tolist(), start=i + 1):
-            worst_ub = max(worst_ub, dev)
-            if dev > tol.eps_abs:
-                ub_failures.append(f"bases {i},{j} not unbiased (dev {dev:.3e})")
-    failures = on_failures + ub_failures
-    capacity = mub_capacity(m, family.field)
+    dev, (first, second) = family.deviations, np.triu_indices(family.k, 1)
+    on, ub = np.diagonal(dev).tolist(), dev[first, second].tolist()
+    failures = [f"basis {i} not orthonormal (dev {d:.3e})"
+                for i, d in enumerate(on) if d > tol.eps_abs]
+    failures += [f"bases {i},{j} not unbiased (dev {d:.3e})"
+                 for i, j, d in zip(first.tolist(), second.tolist(), ub) if d > tol.eps_abs]
+    capacity = mub_capacity(family.m, family.field)
     cardinality_ok = family.k <= capacity
     if not cardinality_ok:
         failures.append(f"{family.k} bases exceed the {family.field} capacity {capacity}")
@@ -238,8 +248,8 @@ def verify_mubs(family: MubFamily, tol: Tolerance = DEFAULT_TOL) -> MubReport:
         k=family.k,
         capacity=capacity,
         cardinality_ok=cardinality_ok,
-        worst_orthonormality_dev=worst_on,
-        worst_unbiasedness_dev=worst_ub,
+        worst_orthonormality_dev=max(on, default=0.0),
+        worst_unbiasedness_dev=max(ub, default=0.0),
         failures=tuple(failures),
     )
 

@@ -28,7 +28,7 @@ from .designs import (BlockDesign, HadamardMatrix, check_block, complementary_ha
 from .embedding import build_space, embed, embedding_dim
 from .errors import (ConsistencyError, DegenerateRankError, DimensionMismatchError,
                      HypothesisError, ParameterError, StructuralError)
-from .mubs import Basis, MubFamily, mub_capacity, verify_mubs
+from .mubs import Basis, MubFamily, mub_capacity
 from .numerics import (DEFAULT_TOL, Field, Tolerance, as_int, as_type, check_field,
                        is_projection, lock, matrix_from_json, matrix_rank,
                        matrix_to_json)
@@ -41,22 +41,20 @@ IMPORTED = "imported"
 class Projection:
     """A Hermitian idempotent with its rank and source bookkeeping.
 
-    ``provenance`` is ``(basis_index, block)`` for coordinate projections and
-    the string ``"imported"`` otherwise.
-
     A coordinate projection (made only by ``coordinate_projection``) is
-    stored as its ``basis`` and sorted ``block`` alone: ``matrix`` is
-    ``U[:, block] @ U[:, block]^*`` with ``U = basis.matrix``, formed anew
-    and read-only on each read; the exact coherence pass, tightness and the
-    achiever span read the pair and never form it. Every other projection,
-    imported ones and spatial complements included, has ``basis`` and
-    ``block`` None and keeps the dense matrix it was checked with. Equality
-    is identity.
+    stored as its MUB ``family``, ``basis_index`` and sorted ``block`` alone:
+    ``matrix`` is ``U[:, block] @ U[:, block]^*`` with ``U =
+    basis.matrix``, formed anew and read-only on each read; the exact
+    coherence pass, tightness and the achiever span read the triple and
+    never form it. Every other projection, imported ones included, has
+    ``family`` None and keeps the dense matrix it was checked with, with
+    the ``basis_index`` and ``block`` of its ``provenance`` argument (both
+    None for ``"imported"``). Equality is identity.
     """
 
     rank: int
-    provenance: Provenance = IMPORTED
-    basis: Basis | None = dataclass_field(default=None, repr=False)
+    family: MubFamily | None = dataclass_field(default=None, repr=False)
+    basis_index: int | None = None
     block: tuple[int, ...] | None = dataclass_field(default=None, repr=False)
     _dense: np.ndarray | None = dataclass_field(default=None, repr=False)
 
@@ -68,30 +66,37 @@ class Projection:
             raise ParameterError(f"not a projection: {check.failure}")
         if rank is not None and rank != check.rank:
             raise ParameterError(f"declared rank {rank} != inferred rank {check.rank}")
-        self._set(check.rank, provenance, None, None, lock(mat))
+        index, block = provenance if isinstance(provenance, tuple) else (None, None)
+        self._set(check.rank, None, index, block, lock(mat))
 
-    def _set(self, rank, provenance, basis, block, dense) -> None:
-        for name, value in (("rank", rank), ("provenance", provenance), ("basis", basis),
+    def _set(self, rank, family, basis_index, block, dense) -> None:
+        for name, value in (("rank", rank), ("family", family), ("basis_index", basis_index),
                             ("block", block), ("_dense", dense)):
             object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
         """The dimension of the ambient space."""
-        return self.basis.m if self.basis is not None else self._dense.shape[0]
+        return self.family.m if self.family is not None else self._dense.shape[0]
+
+    @property
+    def basis(self) -> Basis | None:
+        """The basis of a coordinate projection, None for any other."""
+        return self.family.bases[self.basis_index] if self.family is not None else None
+
+    @property
+    def provenance(self) -> Provenance:
+        """``(basis_index, block)``, or ``"imported"`` when there is no index."""
+        return IMPORTED if self.basis_index is None else (self.basis_index, self.block)
 
     @property
     def matrix(self) -> np.ndarray:
-        if self.basis is None:
+        if self.family is None:
             return self._dense
         cols = self.basis.matrix[:, list(self.block)]
         mat = cols @ cols.conj().T
         mat.setflags(write=False)
         return mat
-
-    @property
-    def basis_index(self) -> int | None:
-        return self.provenance[0] if isinstance(self.provenance, tuple) else None
 
 
 @dataclass(frozen=True)
@@ -140,14 +145,16 @@ class Packing:
         return len({p.rank for p in self.elements})
 
 
-def coordinate_projection(basis: Basis, block, basis_index: int | None = None) -> Projection:
-    """Projection onto the span of the basis vectors indexed by ``block``,
-    stored as ``basis`` and the sorted block; its rank is the block size.
-    ``Basis`` checked the orthonormality, so the pair needs no further check."""
-    idx = check_block(block, basis.m)
-    prov = (basis_index, idx) if basis_index is not None else IMPORTED
+def coordinate_projection(family: MubFamily, basis_index: int, block) -> Projection:
+    """Projection onto the vectors ``block`` of basis ``basis_index`` of
+    ``family``, stored as that triple (block sorted); its rank is the block
+    size. ``Basis`` checked the orthonormality, so it needs no check here."""
+    k = as_int(basis_index, "basis index")
+    if not 0 <= k < family.k:
+        raise ParameterError(f"basis index {k} outside 0..{family.k - 1}")
+    idx = check_block(block, family.m)
     proj = object.__new__(Projection)
-    proj._set(len(idx), prov, basis, idx, None)
+    proj._set(len(idx), family, k, idx, None)
     return proj
 
 
@@ -169,8 +176,6 @@ def build_mixed_packing(mubs: MubFamily, designs: list[BlockDesign],
     used = [k for cls in classes for k in cls]
     if len(set(used)) != len(used):
         raise ParameterError("partition classes overlap")
-    if used and (min(used) < 0 or max(used) >= mubs.k):
-        raise ParameterError(f"basis indices must lie in 0..{mubs.k - 1}")
     m = mubs.m
     for dsgn in designs:
         if dsgn.m != m:
@@ -180,7 +185,7 @@ def build_mixed_packing(mubs: MubFamily, designs: list[BlockDesign],
     for dsgn, cls in zip(designs, classes):
         for k in cls:
             for blk in dsgn.blocks:
-                elements.append(coordinate_projection(mubs.bases[k], blk, k))
+                elements.append(coordinate_projection(mubs, k, blk))
 
     failures: list[str] = []
     for i, dsgn in enumerate(designs):
@@ -221,7 +226,7 @@ def build_orthoplex_packing(mubs: MubFamily, halves: BlockDesign) -> Packing:
     all_blocks = list(halves.blocks) + [
         tuple(sorted(full_pts - set(b))) for b in halves.blocks]
     elements = [
-        coordinate_projection(mubs.bases[k], blk, k)
+        coordinate_projection(mubs, k, blk)
         for k in range(mubs.k)
         for blk in all_blocks
     ]
@@ -249,8 +254,8 @@ class CoherenceReport:
     ``method`` is ``"exact"`` when the values were read off block
     intersections over a family of MUBs and ``"numeric"`` when they come from
     a float trace Gram; ``mub_dev`` bounds the deviation of the packing's
-    bases from a MUB family, as read off ``verify_mubs`` (None unless every
-    element has a basis).
+    bases from a MUB family, as read off the family's ``deviations`` (None
+    unless every element is a coordinate projection of one family).
     """
 
     mu_embedded: float
@@ -272,30 +277,19 @@ def _trace_gram(packing: Packing) -> np.ndarray:
     return v.real @ v.real.T + v.imag @ v.imag.T
 
 
-def _basis_groups(elements) -> tuple[list[Basis], np.ndarray]:
-    """The distinct bases of coordinate projections, grouped by object
-    identity in order of first use, and the group of each element."""
-    first_seen = {id(p.basis): p.basis for p in elements}
-    slot = {key: a for a, key in enumerate(first_seen)}
-    return list(first_seen.values()), np.array([slot[id(p.basis)] for p in elements],
-                                               dtype=np.intp)
+def _family(elements) -> MubFamily | None:
+    """The one MUB family that all elements are coordinate projections of, or None."""
+    family = elements[0].family if elements else None
+    return family if family is not None and all(p.family is family for p in elements) else None
 
 
-def _group_order(group: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The elements sorted by group (stably, so each group keeps increasing
-    indices) and the start of each group's run in that order."""
-    order = np.argsort(group, kind="stable")
-    return order, np.concatenate(([0], np.cumsum(np.bincount(group, minlength=k))))
-
-
-def _incidence(m: int, elements, order: np.ndarray) -> np.ndarray:
-    """The m x n 0/1 matrix whose column c marks the block of
-    ``elements[order[c]]``."""
-    sizes = np.array([elements[i].rank for i in order], dtype=np.intp)
-    points = np.fromiter(itertools.chain.from_iterable(elements[i].block for i in order),
-                         dtype=np.intp, count=int(sizes.sum()))
-    inc = np.zeros((m, len(order)))
-    inc[points, np.repeat(np.arange(len(order)), sizes)] = 1.0
+def _incidence(m: int, elements) -> np.ndarray:
+    """The m x n 0/1 matrix whose column c marks the block of ``elements[c]``."""
+    sizes = [p.rank for p in elements]
+    points = np.fromiter(itertools.chain.from_iterable(p.block for p in elements),
+                         dtype=np.intp, count=sum(sizes))
+    inc = np.zeros((m, len(sizes)))
+    inc[points, np.repeat(np.arange(len(sizes)), sizes)] = 1.0
     return inc
 
 
@@ -345,7 +339,7 @@ def _report_from_grams(packing: Packing, e: np.ndarray, g: np.ndarray,
     attain = (e >= mu - tol.eps_abs).any(axis=1)
     achievers = tuple(int(x) for x in np.flatnonzero(attain))
 
-    labels, ranks = _basis_labels(packing), packing.ranks
+    labels, ranks = _basis_labels(packing.elements), packing.ranks
     cls = _pair_class(labels[:, None], ranks[:, None], labels, ranks)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     pair_classes: dict[str, PairClassSummary] = {}
@@ -360,10 +354,10 @@ def _report_from_grams(packing: Packing, e: np.ndarray, g: np.ndarray,
                            "numeric", mub_dev)
 
 
-def _basis_labels(packing: Packing) -> np.ndarray:
-    """Each element's provenance basis index, -1 where it has none."""
-    return np.array([-1 if p.basis_index is None else p.basis_index
-                     for p in packing.elements], dtype=np.int64)
+def _basis_labels(elements) -> np.ndarray:
+    """Each element's basis index, -1 where it has none."""
+    return np.array([-1 if p.basis_index is None else p.basis_index for p in elements],
+                    dtype=np.int64)
 
 
 _PAIR_CLASSES = tuple(f"{b}/{r}" for b in ("same_basis", "cross_basis", "unknown_basis")
@@ -377,8 +371,8 @@ def _pair_class(label_i, rank_i, label_j, rank_j) -> np.ndarray:
     return 2 * basis_class + (rank_i != rank_j)
 
 
-def _exact_pass(packing: Packing, bases: list[Basis], group: np.ndarray,
-                mub_dev: float, tol: Tolerance) -> tuple[CoherenceReport, Callable]:
+def _exact_pass(packing: Packing, mub_dev: float,
+                tol: Tolerance) -> tuple[CoherenceReport, Callable]:
     """The report of a packing of coordinate projections over a family of
     MUBs, from block intersections alone.
 
@@ -392,10 +386,12 @@ def _exact_pass(packing: Packing, bases: list[Basis], group: np.ndarray,
     its basis (its antipode), and every other same-basis pair has num = 0.
     """
     m, n = packing.m, packing.n
-    k = len(bases)
-    ranks, labels = packing.ranks, _basis_labels(packing)
-    order, starts = _group_order(group, k)
-    inc = _incidence(m, packing.elements, order)
+    ranks, labels = packing.ranks, _basis_labels(packing.elements)
+    crossed = bool(np.any(labels != labels[0]))  # some pair lies across two bases
+    # sorted by basis, stably so each keeps increasing indices; where each run starts
+    order = np.argsort(labels, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(labels))))
+    inc = _incidence(m, [packing.elements[i] for i in order])
     first, second, common = [], [], []  # the same-basis pairs i < j and |J & K|
     for s, e in zip(starts[:-1], starts[1:]):
         u, v = np.triu_indices(e - s, 1)
@@ -421,7 +417,7 @@ def _exact_pass(packing: Packing, bases: list[Basis], group: np.ndarray,
     rank_of = {v: r for r, v in enumerate(ordered)}
     floats = np.array([as_float[v] for v in ordered])
     key = np.array([rank_of[v] for v in exact], dtype=np.int64)[pair_id.ravel()]
-    zero = rank_of[Fraction(0)] if k > 1 else -1  # cross-basis pairs, if any
+    zero = rank_of[Fraction(0)] if crossed else -1  # cross-basis pairs, if any
 
     best = np.full(n, zero)  # the largest value each element attains, as a rank
     np.maximum.at(best, first, key)
@@ -432,7 +428,7 @@ def _exact_pass(packing: Packing, bases: list[Basis], group: np.ndarray,
     hit = key == top
     partners = [*second[hit & (first == i)], *first[hit & (second == i)]]
     if top == zero:
-        partners.append(np.flatnonzero(group != group[i])[0])
+        partners.append(np.flatnonzero(labels != labels[i])[0])
     argmax_pair = (i, int(min(partners)))
     achievers = tuple(int(x) for x in np.flatnonzero(floats[best] >= mu - tol.eps_abs))
 
@@ -457,7 +453,7 @@ def _exact_pass(packing: Packing, bases: list[Basis], group: np.ndarray,
     mu_raw = None
     if packing.mixture == 1:  # tr is |J & K| within a basis and l^2/m across
         traces = [Fraction(int(common.max()))] if common.size else []
-        mu_raw = float(max(traces + ([Fraction(int(ranks[0]) ** 2, m)] if k > 1 else [])))
+        mu_raw = float(max(traces + ([Fraction(int(ranks[0]) ** 2, m)] if crossed else [])))
 
     def antipodal_pairs() -> int | None:
         comp = (common == 0) & (ri + rj == m)
@@ -475,15 +471,15 @@ def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, 
     antipodal pairs when the inner products form an orthoplex Gram (a
     perfect antipodal matching, zeros elsewhere), and None otherwise.
 
-    A packing whose elements all come from ``coordinate_projection`` takes
-    the exact pass when its distinct bases are a MUB family to within what
-    cannot move any embedded inner product by more than ``eps_abs``. The
-    trace identity tr(P_i P_j) = 1_J^T W_ab 1_K holds for W = |U^* U|^2
-    entrywise, whose MUB values are E_aa = I and E_ab = 1/m. ``verify_mubs``
-    gives the largest entry delta of |U_a^* U_a - I| and the largest of
-    |W_ab - 1/m| over a != b; the diagonal blocks satisfy |W_aa - I| <=
-    2 delta + delta^2, so ``mub_dev``, the larger of the two, bounds
-    max |W - E|. Each trace is then within |J||K| mub_dev of its MUB value
+    A packing of coordinate projections of one ``MubFamily`` takes the exact
+    pass when the bases it uses are MUBs to within what cannot move any
+    embedded inner product by more than ``eps_abs``. The trace identity
+    tr(P_i P_j) = 1_J^T W_ab 1_K holds for W = |U^* U|^2 entrywise, whose MUB
+    values are E_aa = I and E_ab = 1/m. ``family.deviations`` (which
+    ``verify_mubs`` reports) over the bases used gives the largest entry
+    delta of |U_a^* U_a - I| and the largest of |W_ab - 1/m| over a != b;
+    |W_aa - I| <= 2 delta + delta^2, so ``mub_dev``, the larger of the two,
+    bounds max |W - E|. Each trace is then within |J||K| mub_dev of its MUB value
     and each embedded inner product c_i c_j (tr - r_i r_j / m) within
     m sqrt(r_i r_j / ((m - r_i)(m - r_j))) mub_dev <= mub_dev max_l m l / (m - l),
     l over the ranks present; the exact pass runs when that bound is at most
@@ -496,14 +492,15 @@ def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, 
     if np.any(ranks == 0) or np.any(ranks == m):
         raise DegenerateRankError("rank-0 or full-rank element cannot be embedded")
     mub_dev = None
-    if all(p.basis is not None for p in packing.elements):
-        bases, group = _basis_groups(packing.elements)
-        check = verify_mubs(MubFamily(m, packing.field, tuple(bases)), tol)
-        delta = check.worst_orthonormality_dev
-        mub_dev = max(check.worst_unbiasedness_dev, 2 * delta + delta * delta)
+    family = _family(packing.elements)
+    if family is not None:
+        used = np.unique(_basis_labels(packing.elements))
+        dev = family.deviations[np.ix_(used, used)]
+        delta = float(np.diagonal(dev).max())
+        mub_dev = max(float(dev.max()), 2 * delta + delta * delta)  # delta <= 2 delta + delta^2
         top = int(ranks.max())
         if mub_dev * m * top / (m - top) <= tol.eps_abs:
-            return _exact_pass(packing, bases, group, mub_dev, tol)
+            return _exact_pass(packing, mub_dev, tol)
     e, g = _embedded_gram(packing)
 
     def antipodal_pairs() -> int | None:
@@ -518,12 +515,12 @@ def coherence(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> CoherenceReport
     reports the maximum, the elements attaining it (within eps_abs), and a
     per-pair-class summary.
 
-    A packing whose elements all come from ``coordinate_projection`` (the
-    builders' output) over a family of MUBs is read exactly off its block
+    A packing of coordinate projections of one MUB family (the builders'
+    output and its spatial complement) is read exactly off its block
     intersections (``report.method == "exact"``), with no n x n array. Any
-    other packing, such as one read by ``packing_from_json``, made by
-    ``spatial_complement`` or built on bases that are not MUBs, takes the
-    dense Gram of its matrices (``"numeric"``). ``certify`` keeps the same
+    other packing, such as one read by ``packing_from_json`` or built on
+    bases that are not MUBs, takes the dense Gram of its matrices
+    (``"numeric"``). ``certify`` keeps the same
     report as ``Certificate.coherence``.
     """
     return _coherence_pass(packing, tol)[0]
@@ -625,26 +622,21 @@ def check_tightness(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> tuple[boo
 def _summed_projections(packing: Packing, indices) -> np.ndarray:
     """The sum of the projections ``indices`` picks.
 
-    When each is a coordinate projection the sum is U_a diag(cov_a) U_a^*
-    summed over the distinct bases a, where cov_a[x] counts the picked
-    blocks of basis a that contain point x; no element matrix is formed and
-    no MUB property is assumed. Otherwise it is the plain sum of the
-    matrices.
+    When each is a coordinate projection of one family the sum is
+    U_a diag(cov_a) U_a^* summed over the bases a in use, where cov_a[x]
+    counts the picked blocks of basis a that contain point x; no element
+    matrix is formed and no MUB property is assumed. Otherwise it is the
+    plain sum of the matrices.
     """
     els = [packing.elements[i] for i in indices]
-    if not all(p.basis is not None for p in els):
+    family = _family(els)
+    if family is None:
         return sum(p.matrix for p in els)
-    m = packing.m
-    bases, group = _basis_groups(els)
-    sizes = [p.rank for p in els]
-    points = np.fromiter(itertools.chain.from_iterable(p.block for p in els),
-                         dtype=np.intp, count=sum(sizes))
-    cover = np.bincount(np.repeat(group, sizes) * m + points,
-                        minlength=len(bases) * m).reshape(len(bases), m)
-    f = np.zeros((m, m), dtype=np.complex128)
-    for basis, cov in zip(bases, cover):
-        u = basis.matrix
-        f += (u * cov) @ u.conj().T
+    inc, labels = _incidence(packing.m, els), _basis_labels(els)
+    f = np.zeros((packing.m, packing.m), dtype=np.complex128)
+    for a in np.unique(labels):
+        u = family.bases[a].matrix
+        f += (u * inc[:, labels == a].sum(axis=1)) @ u.conj().T
     return f
 
 
@@ -652,20 +644,20 @@ def spatial_complement(packing: Packing) -> Packing:
     """The packing of complementary projections I - P, order preserved.
 
     Every embedded vector flips sign, so all pairwise embedded inner products
-    (and the packing constant) are preserved.
+    (and the packing constant) are preserved. A coordinate projection
+    (family, k, J) maps to (family, k, J^c), so complements keep the exact pass.
     """
     m = packing.m
-    eye = np.eye(m)
     out = []
     for p in packing.elements:
         if p.rank >= m:
             raise DegenerateRankError("full-rank element has an empty complement")
-        if isinstance(p.provenance, tuple):
-            k, blk = p.provenance
-            prov = (k, tuple(sorted(set(range(m)) - set(blk))))
+        rest = None if p.block is None else tuple(sorted(set(range(m)) - set(p.block)))
+        if p.family is not None:
+            out.append(coordinate_projection(p.family, p.basis_index, rest))
         else:
-            prov = p.provenance
-        out.append(Projection(eye - p.matrix, rank=m - p.rank, provenance=prov))
+            prov = IMPORTED if rest is None else (p.basis_index, rest)
+            out.append(Projection(np.eye(m) - p.matrix, rank=m - p.rank, provenance=prov))
     return Packing(m, packing.field, tuple(out), packing.hypotheses, mode="complement")
 
 
@@ -761,12 +753,8 @@ def extract_hadamard(packing: Packing, design: BlockDesign,
 
 
 def packing_to_json(packing: Packing) -> dict:
-    prov = []
-    for p in packing.elements:
-        if isinstance(p.provenance, tuple):
-            prov.append({"basis": p.provenance[0], "block": list(p.provenance[1])})
-        else:
-            prov.append(p.provenance)
+    prov = [IMPORTED if p.basis_index is None
+            else {"basis": p.basis_index, "block": list(p.block)} for p in packing.elements]
     return {
         "m": packing.m,
         "field": packing.field,
@@ -794,8 +782,10 @@ def packing_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Packing:
     for idx, (mj, pv) in enumerate(zip(mats, prov_list)):
         try:
             if isinstance(pv, dict):
-                provenance = (as_int(pv["basis"], "basis index"),
-                              check_block(as_type(pv["block"], list, "block"), m))
+                index = as_int(pv["basis"], "basis index")
+                if index < 0:
+                    raise ParameterError(f"basis index {index} is negative")
+                provenance = (index, check_block(as_type(pv["block"], list, "block"), m))
             elif pv == IMPORTED:
                 provenance = IMPORTED
             else:

@@ -267,6 +267,9 @@ MALFORMED = {
                                       "provenance": ""}),
     "provenance-empty": ("certify", {"m": 2, "field": "C", "elements": PAIR,
                                      "provenance": []}),
+    "provenance-negative-basis": ("certify", {"m": 2, "field": "C", "elements": PAIR,
+                                              "provenance": [{"basis": -3, "block": [0]},
+                                                             "imported"]}),
     "failures-not-strings": ("certify", {"m": 2, "field": "C", "elements": PAIR,
                                          "hypotheses": {"failures": [1, {"a": 2}]}}),
     "ok-string": ("certify", {"m": 2, "field": "C", "elements": PAIR,

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasspack.designs import (BlockDesign, HadamardMatrix, cohesion,
                                complement_design, complementary_halves,
@@ -188,6 +190,65 @@ class TestComplement:
     def test_full_blocks_rejected(self):
         with pytest.raises(ParameterError):
             complement_design(BlockDesign(2, [(0, 1)]))
+
+
+@st.composite
+def block_families(draw):
+    """Two to ten random blocks of one size l, 1 <= l < m, over m <= 9 points."""
+    m = draw(st.integers(2, 9))
+    l = draw(st.integers(1, m - 1))
+    blocks = draw(st.lists(st.permutations(range(m)).map(lambda pts: pts[:l]),
+                           min_size=2, max_size=10))
+    return BlockDesign(m, blocks)
+
+
+TWO_DESIGNS = {
+    "fano": FANO,
+    "pg23": BlockDesign(13, enumerate_projective_plane(3)),
+    "ag23": BlockDesign(9, enumerate_affine_hyperplanes(3, 2)),
+    "hadamard8": hadamard_to_3design(gen_hadamard(8)),
+}
+
+
+@st.composite
+def two_designs(draw):
+    """One to three relabelled copies of one 2-design, concatenated: all
+    l-subsets of m <= 6 points, or one of TWO_DESIGNS."""
+    name = draw(st.sampled_from(["complete", *sorted(TWO_DESIGNS)]))
+    if name == "complete":
+        m = draw(st.integers(2, 6))
+        source = BlockDesign(m, itertools.combinations(range(m), draw(st.integers(1, m - 1))))
+    else:
+        source = TWO_DESIGNS[name]
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        label = draw(st.permutations(range(source.m)))
+        blocks += [[label[x] for x in blk] for blk in source.blocks]
+    return BlockDesign(source.m, blocks)
+
+
+class TestComplementProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(block_families())
+    def test_involution(self, design):
+        assert complement_design(complement_design(design)).blocks == design.blocks
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_families())
+    def test_cohesion_shifts_by_m_minus_2l(self, design):
+        # |J^c & K^c| = m - 2l + |J & K| for blocks of size l
+        comp = complement_design(design)
+        assert cohesion(comp) == design.m - 2 * design.block_size + cohesion(design)
+
+    @settings(max_examples=40, deadline=None)
+    @given(two_designs())
+    def test_two_design_complement_lambda(self, design):
+        report = verify_design(design, 2)
+        assert report.is_t_design[2]
+        comp = verify_design(complement_design(design), 2)
+        assert comp.is_t_design[2]
+        assert comp.lambda_observed == (design.b - 2 * report.r_observed
+                                        + report.lambda_observed)
 
 
 class TestResolvability:

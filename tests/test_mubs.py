@@ -150,6 +150,16 @@ class TestVerify:
         assert report.ok
         assert report.worst_dev < 1e-12
 
+    def test_deviations_are_cached_read_only_and_symmetric(self):
+        fam = MubFamily(5, COMPLEX, list(gen_mubs_prime(5).bases))
+        assert isinstance(fam.bases, tuple)
+        dev = fam.deviations
+        assert fam.deviations is dev and not dev.flags.writeable
+        assert dev.shape == (6, 6) and np.array_equal(dev, dev.T)
+        report = verify_mubs(fam)
+        assert report.worst_orthonormality_dev == np.diagonal(dev).max()
+        assert report.worst_unbiasedness_dev == dev[~np.eye(6, dtype=bool)].max()
+
     def test_repeated_identity_fails(self):
         eye = Basis(3, COMPLEX, np.eye(3))
         report = verify_mubs(MubFamily(3, COMPLEX, (eye, eye)))

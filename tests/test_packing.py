@@ -14,8 +14,9 @@ from grasspack.embedding import build_space, embedding_dim
 from grasspack.errors import (DegenerateRankError, HypothesisError, ParameterError,
                               StructuralError)
 from grasspack.fields import enumerate_projective_plane
-from grasspack.mubs import (Basis, gen_mubs, gen_mubs_prime, gen_mubs_prime_power,
-                            gen_mubs_small, mubs_from_json)
+from grasspack.mubs import (Basis, MubFamily, gen_mubs, gen_mubs_prime,
+                            gen_mubs_prime_power, gen_mubs_small, mubs_from_json,
+                            verify_mubs)
 from grasspack.numerics import COMPLEX, REAL, hs_inner
 from grasspack.packing import (CertStatus, Packing, Projection, _embedded_gram,
                                build_mixed_packing, build_orthoplex_packing,
@@ -47,52 +48,55 @@ def c4_orthoplex_packing():
 class TestCoordinateProjection:
     def test_standard_basis_block(self):
         mubs = gen_mubs_small(4, COMPLEX)
-        p = coordinate_projection(mubs.bases[0], (0, 1), 0)
+        p = coordinate_projection(mubs, 0, (0, 1))
         assert np.allclose(p.matrix, np.diag([1, 1, 0, 0]))
         assert p.rank == 2
         assert p.provenance == (0, (0, 1))
 
     def test_same_basis_trace_is_intersection(self):
         mubs = gen_mubs_prime(5)
-        b = mubs.bases[2]
-        p = coordinate_projection(b, (0, 1), 2)
-        q = coordinate_projection(b, (1, 2), 2)
+        p = coordinate_projection(mubs, 2, (0, 1))
+        q = coordinate_projection(mubs, 2, (1, 2))
         assert hs_inner(p.matrix, q.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_fourier_vs_standard_c3(self):
         # |J| = 1, |J'| = 2 across unbiased bases: trace = 1*2/3
         mubs = gen_mubs_prime(3)
-        standard, fourier = mubs.bases[0], mubs.bases[1]
-        assert np.allclose(np.abs(fourier.matrix), 1 / np.sqrt(3))
-        p = coordinate_projection(standard, (0,), 0)
-        q = coordinate_projection(fourier, (0, 2), 1)
+        assert np.allclose(np.abs(mubs.bases[1].matrix), 1 / np.sqrt(3))
+        p = coordinate_projection(mubs, 0, (0,))
+        q = coordinate_projection(mubs, 1, (0, 2))
         assert hs_inner(p.matrix, q.matrix).real == pytest.approx(2 / 3, abs=1e-12)
 
-    def test_remembers_basis_and_block(self):
-        basis = gen_mubs_prime(5).bases[1]
-        p = coordinate_projection(basis, (np.int64(3), 1))
-        assert p.basis is basis and p.block == (1, 3)
-        assert p.provenance == "imported"
+    def test_remembers_family_index_and_block(self):
+        family = gen_mubs_prime(5)
+        p = coordinate_projection(family, np.int64(1), (np.int64(3), 1))
+        assert p.family is family and p.basis_index == 1 and p.block == (1, 3)
+        assert p.basis is family.bases[1]
+        assert p.provenance == (1, (1, 3))
+
+    @pytest.mark.parametrize("index", [-1, 6])
+    def test_basis_index_out_of_range(self, index):
+        with pytest.raises(ParameterError, match=f"basis index {index} outside 0..5"):
+            coordinate_projection(gen_mubs_prime(5), index, (0,))
 
     def test_matrix_is_formed_read_only_on_read(self):
-        basis = gen_mubs_prime(5).bases[3]
-        p = coordinate_projection(basis, (4, 0, 2), 3)
-        u = basis.matrix[:, [0, 2, 4]]
+        family = gen_mubs_prime(5)
+        p = coordinate_projection(family, 3, (4, 0, 2))
+        u = family.bases[3].matrix[:, [0, 2, 4]]
         assert not p.matrix.flags.writeable
         assert np.array_equal(p.matrix, u @ u.conj().T)
 
     @pytest.mark.parametrize("label", [1.0, 1.5, "1", True])
     def test_non_integral_label_rejected(self, label):
-        basis = gen_mubs_prime(3).bases[0]
         with pytest.raises(ParameterError, match="point label"):
-            coordinate_projection(basis, (0, label), 0)
+            coordinate_projection(gen_mubs_prime(3), 0, (0, label))
 
     def test_out_of_range(self):
         mubs = gen_mubs_small(2, COMPLEX)
         with pytest.raises(ParameterError):
-            coordinate_projection(mubs.bases[0], (0, 2), 0)
+            coordinate_projection(mubs, 0, (0, 2))
         with pytest.raises(ParameterError):
-            coordinate_projection(mubs.bases[0], (), 0)
+            coordinate_projection(mubs, 0, ())
 
 
 class TestProjection:
@@ -264,7 +268,7 @@ class TestCoherence:
     def test_orthonormal_basis_packing(self):
         m = 5
         mubs = gen_mubs_prime(5)
-        els = tuple(coordinate_projection(mubs.bases[0], (j,), 0) for j in range(m))
+        els = tuple(coordinate_projection(mubs, 0, (j,)) for j in range(m))
         rep = coherence(Packing(m, COMPLEX, els))
         assert rep.mu_embedded == pytest.approx(-1 / (m - 1), abs=1e-9)
 
@@ -320,7 +324,7 @@ class TestCertify:
 
     def test_orthonormal_basis_simplex(self):
         mubs = gen_mubs_prime(3)
-        els = tuple(coordinate_projection(mubs.bases[0], (j,), 0) for j in range(3))
+        els = tuple(coordinate_projection(mubs, 0, (j,)) for j in range(3))
         cert = certify(Packing(3, COMPLEX, els))
         assert cert.status is CertStatus.OPTIMAL_SIMPLEX
 
@@ -610,24 +614,22 @@ BUILDER_FIXTURES = {
 
 @st.composite
 def coordinate_packings(draw):
-    """Coordinate projections over two to four random orthonormal bases (not
-    MUBs, so coherence takes the numeric pass) with mixed-size blocks, never
-    empty or full, and interleaved basis assignments; the first two elements
-    use the first two bases. Basis indices are drawn from {0, 1}, so
-    distinct Basis objects often share one."""
+    """Coordinate projections of a family of two to four random orthonormal
+    bases (not MUBs, so coherence takes the numeric pass) with mixed-size
+    blocks, never empty or full, and interleaved basis assignments; the
+    first two elements use the first two bases."""
     m = draw(st.integers(2, 6))
     field = draw(st.sampled_from([COMPLEX, REAL]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = draw(st.integers(2, 4))
-    bases = [Basis(m, field, random_orthonormal(rng, m, m, field)) for _ in range(k)]
-    labels = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    family = MubFamily(m, field, [Basis(m, field, random_orthonormal(rng, m, m, field))
+                                  for _ in range(k)])
     picks = draw(st.lists(
         st.tuples(st.integers(0, k - 1),
                   st.sets(st.integers(0, m - 1), min_size=1, max_size=m - 1)),
         min_size=2, max_size=14))
     picks[:2] = [(0, picks[0][1]), (1, picks[1][1])]
-    elements = tuple(coordinate_projection(bases[a], blk, labels[a]) for a, blk in picks)
-    return Packing(m, field, elements)
+    return Packing(m, field, tuple(coordinate_projection(family, a, blk) for a, blk in picks))
 
 
 def dense_copy(pk):
@@ -670,12 +672,25 @@ class TestCoordinatePackings:
                 == {k: v.count for k, v in rep_back.pair_classes.items()})
         assert rep.mu_embedded == pytest.approx(rep_back.mu_embedded, abs=1e-12)
 
-    def test_complement_and_import_drop_the_basis(self):
+    def test_complement_keeps_the_family_and_import_drops_it(self):
         pk = fano_mixed_packing()
+        family = pk.elements[0].family
         flipped = spatial_complement(pk)
-        assert all(p.basis is None and p.block is None for p in flipped.elements)
+        for p, q in zip(pk.elements, flipped.elements):
+            assert q.family is family and q.basis_index == p.basis_index
+            assert q.block == tuple(sorted(set(range(7)) - set(p.block)))
         back = packing_from_json(packing_to_json(pk))
-        assert all(p.basis is None and p.block is None for p in back.elements)
+        assert all(p.family is None and p.basis is None for p in back.elements)
+        assert [p.provenance for p in back.elements] == [p.provenance for p in pk.elements]
+
+    def test_imported_elements_have_unknown_basis(self):
+        pk = fano_mixed_packing()
+        els = [Projection(p.matrix, provenance=p.provenance if i % 2 else "imported")
+               for i, p in enumerate(pk.elements)]
+        rep = coherence(Packing(7, COMPLEX, tuple(els)))
+        assert rep.method == "numeric"
+        assert {"unknown_basis/same_rank", "unknown_basis/cross_rank"} <= rep.pair_classes.keys()
+        assert sum(c.count for c in rep.pair_classes.values()) == 56 * 55 // 2
 
 
 VARIANTS = {
@@ -723,9 +738,7 @@ def mub_packings(draw):
     of C^m, m in {2, 3, 4, 5, 7}, or of R^4, with blocks of mixed sizes
     (never empty or full): either random blocks, or a random partition of
     the points in each chosen basis, which makes a tight packing that the
-    orthoplex bounds can certify. Each element is labelled with its own
-    basis index, with index 0 or as imported, at random, so every pair class
-    occurs and one label can span several bases."""
+    orthoplex bounds can certify."""
     m, field = draw(st.sampled_from([(2, COMPLEX), (3, COMPLEX), (4, COMPLEX), (4, REAL),
                                      (5, COMPLEX), (7, COMPLEX)]))
     family = gen_mubs(m, field)
@@ -742,9 +755,7 @@ def mub_packings(draw):
             st.tuples(st.sampled_from(chosen),
                       st.sets(st.integers(0, m - 1), min_size=1, max_size=m - 1)),
             min_size=2, max_size=16))
-    return Packing(m, field, tuple(
-        coordinate_projection(family.bases[a], blk, draw(st.sampled_from([a, 0, None])))
-        for a, blk in picks))
+    return Packing(m, field, tuple(coordinate_projection(family, a, blk) for a, blk in picks))
 
 
 def assert_exact_matches_numeric(pk):
@@ -793,7 +804,20 @@ class TestExactPass:
     @pytest.mark.parametrize("name", sorted(BUILDER_FIXTURES))
     def test_only_built_packings_take_it(self, name, variant):
         rep = coherence(VARIANTS[variant](BUILDER_FIXTURES[name]()))
-        assert rep.method == ("exact" if variant == "built" else "numeric")
+        assert rep.method == ("numeric" if variant == "imported" else "exact")
+
+    @settings(max_examples=60, deadline=None)
+    @given(mub_packings())
+    def test_complement_keeps_the_exact_report(self, pk):
+        """J -> J^c, K -> K^c keeps num = m|J & K| - |J||K| and den, so
+        every reported value but the raw traces is unchanged."""
+        flipped = spatial_complement(pk)
+        back = spatial_complement(flipped)
+        for p, q in zip(pk.elements, back.elements):
+            assert (q.family, q.basis_index, q.block) == (p.family, p.basis_index, p.block)
+        rep, rep_c = coherence(pk), coherence(flipped)
+        assert rep.method == rep_c.method == "exact"
+        assert dataclasses.replace(rep_c, mu_raw=rep.mu_raw) == rep
 
     def test_paley31_values_are_exact(self):
         cert = certify(paley_packing(31))
@@ -817,18 +841,18 @@ class TestExactPass:
 
     def test_duplicated_basis_falls_back(self):
         basis = gen_mubs_prime(5).bases[1]
-        twin = Basis(5, COMPLEX, basis.matrix)
+        family = MubFamily(5, COMPLEX, (basis, Basis(5, COMPLEX, basis.matrix)))
         blocks = [(0,), (1, 2), (3, 4), (0, 2, 4)]
-        pk = Packing(5, COMPLEX, tuple(coordinate_projection(b, blk, a)
-                                       for a, b in enumerate((basis, twin)) for blk in blocks))
+        pk = Packing(5, COMPLEX, tuple(coordinate_projection(family, a, blk)
+                                       for a in range(2) for blk in blocks))
         rep = coherence(pk)
         assert rep.method == "numeric"
         assert rep.mub_dev == pytest.approx(1 - 1 / 5, abs=1e-12)
 
     def test_random_orthonormal_bases_fall_back(self, rng):
-        bases = [Basis(4, COMPLEX, random_orthonormal(rng, 4, 4)) for _ in range(3)]
-        pk = Packing(4, COMPLEX, tuple(coordinate_projection(b, blk, a)
-                                       for a, b in enumerate(bases)
+        family = MubFamily(4, COMPLEX, [Basis(4, COMPLEX, random_orthonormal(rng, 4, 4))
+                                        for _ in range(3)])
+        pk = Packing(4, COMPLEX, tuple(coordinate_projection(family, a, blk) for a in range(3)
                                        for blk in [(0,), (1, 2), (0, 1, 3)]))
         assert coherence(pk).method == "numeric"
 
@@ -839,26 +863,29 @@ class TestExactPass:
         phases = np.diagonal(r) / np.abs(np.diagonal(r))
         bent = Basis(5, COMPLEX, q * phases)
         assert np.abs(bent.matrix - family.bases[2].matrix).max() < 1e-6
-        bases = (family.bases[0], family.bases[1], bent)
-        pk = Packing(5, COMPLEX, tuple(coordinate_projection(b, blk, a)
-                                       for a, b in enumerate(bases)
-                                       for blk in [(0,), (1, 2), (0, 3, 4)]))
+        bent_family = MubFamily(5, COMPLEX, (family.bases[0], family.bases[1], bent))
+        pk = Packing(5, COMPLEX, tuple(coordinate_projection(bent_family, a, blk)
+                                       for a in range(3) for blk in [(0,), (1, 2), (0, 3, 4)]))
         rep = coherence(pk)
         assert rep.method == "numeric"
         assert 1e-9 < rep.mub_dev < 1e-5
 
-    def test_certify_checks_the_bases_once(self, monkeypatch):
-        from grasspack import packing
+    def test_family_overlaps_are_computed_once(self, monkeypatch):
+        from functools import cached_property
         calls = []
-        check = packing.verify_mubs
+        compute = MubFamily.deviations.func
 
-        def counting(family, tol):
+        def counting(family):
             calls.append(family.k)
-            return check(family, tol)
+            return compute(family)
 
-        monkeypatch.setattr(packing, "verify_mubs", counting)
-        pk = fano_mixed_packing()
-        assert certify(pk).coherence.method == "exact"
+        counted = cached_property(counting)
+        counted.__set_name__(MubFamily, "deviations")
+        monkeypatch.setattr(MubFamily, "deviations", counted)
+        family = gen_mubs_prime(7)
+        pk = build_mixed_packing(family, [FANO, FANO_C], [[0, 1, 2, 3], [4, 5, 6, 7]])
+        assert verify_mubs(family).ok
+        assert certify(pk).coherence.method == coherence(pk).method == "exact"
         assert calls == [8]
 
     def test_no_element_matrix_is_formed(self, monkeypatch):
