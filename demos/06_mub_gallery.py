@@ -28,21 +28,20 @@ for q in (9, 25, 27, 49, 81):
 print()
 fam = gp.gen_mubs_small(2, gp.COMPLEX)
 print("C^2 triple: second basis =")
-print(np.round(fam.bases[1].matrix, 4))
+print(np.round(fam.bases[1], 4))
 
 fam = gp.gen_mubs_small(4, gp.REAL)
 print(f"\nR^4 real family: {fam.k} bases = the real capacity m/2 + 1 = 3")
 print("third basis (columns):")
-print(fam.bases[2].matrix.real)
+print(fam.bases[2].real)
 
 # cross moduli: every inner product between different bases has |.|^2 = 1/m
-a, b = fam.bases[1].matrix, fam.bases[2].matrix
+a, b = fam.bases[1], fam.bases[2]
 print("\n|<x, y>|^2 across the two nontrivial real bases:")
 print(np.abs(a.conj().T @ b) ** 2)
 
 # verification is report-based: broken families are described, not rejected
-eye = gp.Basis(3, gp.COMPLEX, np.eye(3))
-bad = gp.MubFamily(3, gp.COMPLEX, (eye, eye))
+bad = gp.MubFamily(3, gp.COMPLEX, (np.eye(3), np.eye(3)))
 rep = gp.verify_mubs(bad)
 print(f"\nduplicated identity 'family': ok = {rep.ok}")
 for failure in rep.failures:

@@ -22,47 +22,44 @@ _MAX_PRIME = 101
 _MAX_PRIME_POWER = 81
 
 
-@dataclass(frozen=True)
-class Basis:
-    """An orthonormal basis of F^m; columns of ``matrix`` are the vectors.
+@dataclass(frozen=True, eq=False)
+class MubFamily:
+    """k orthonormal bases of F^m, held as one read-only complex128 array
+    ``bases`` of shape (k, m, m): the columns of ``bases[a]`` are the vectors
+    of basis a. Equality is identity.
 
-    Construction raises ParameterError when ``max|U^* U - I|`` exceeds
-    ``DEFAULT_TOL.eps_abs``, so each basis is checked once and the
-    coordinate projections built on it need no check of their own.
+    Construction raises ParameterError unless the bases form a (k, m, m)
+    array with k >= 1, every entry is finite, every imaginary part is zero
+    when ``field`` is "R", and each basis has max|U_a^* U_a - I| <=
+    ``DEFAULT_TOL.eps_abs`` (the message names a). Unbiasedness is measured
+    by ``deviations``, once, on first use.
     """
 
     m: int
     field: Field
-    matrix: np.ndarray
-
-    def __init__(self, m: int, field: Field, matrix):
-        mat = np.asarray(matrix, dtype=np.complex128)
-        if mat.shape != (m, m):
-            raise ParameterError(f"expected a {m}x{m} matrix, got {mat.shape}")
-        check_field(field)
-        if not np.all(np.isfinite(mat)):
-            raise ParameterError("non-finite entries")
-        if field == REAL and np.any(mat.imag != 0.0):
-            raise ParameterError("real-tagged basis has nonzero imaginary parts")
-        dev = float(np.abs(mat.conj().T @ mat - np.eye(m)).max(initial=0.0))
-        if dev > DEFAULT_TOL.eps_abs:
-            raise ParameterError(f"basis is not orthonormal (max |U*U - I| = {dev:.3e})")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "matrix", lock(mat))
-
-
-@dataclass(frozen=True)
-class MubFamily:
-    """Bases of F^m, unchecked until ``deviations`` measures them, once: the
-    family is frozen, ``bases`` a tuple and each matrix read-only."""
-
-    m: int
-    field: Field
-    bases: tuple[Basis, ...]
+    bases: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bases", tuple(self.bases))
+        m = as_int(self.m, "m")
+        check_field(self.field)
+        try:
+            u = np.array(self.bases, dtype=np.complex128)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            raise ParameterError(f"bases must form a k x {m} x {m} array") from None
+        if u.shape[:1] == (0,):
+            raise ParameterError("a MUB family needs at least one basis")
+        if u.ndim != 3 or u.shape[1:] != (m, m):
+            raise ParameterError(f"bases must form a k x {m} x {m} array, got shape {u.shape}")
+        if not np.all(np.isfinite(u)):
+            raise ParameterError("non-finite entries")
+        if self.field == REAL and np.any(u.imag != 0.0):
+            raise ParameterError("real-tagged basis has nonzero imaginary parts")
+        for a, ua in enumerate(u):
+            dev = float(np.abs(ua.conj().T @ ua - np.eye(m)).max(initial=0.0))
+            if dev > DEFAULT_TOL.eps_abs:
+                raise ParameterError(f"basis {a} is not orthonormal (max |U*U - I| = {dev:.3e})")
+        u.setflags(write=False)
+        object.__setattr__(self, "bases", u)
 
     @property
     def k(self) -> int:
@@ -76,7 +73,7 @@ class MubFamily:
         U_i^* [U_i ... U_{k-1}]."""
         m, k = self.m, self.k
         dev = np.zeros((k, k))
-        u = np.concatenate([np.empty((m, 0)), *(b.matrix for b in self.bases)], axis=1)
+        u = np.concatenate(self.bases, axis=1)
         uh = u.conj().T
         for i in range(k):
             z = uh[i * m:(i + 1) * m] @ u[:, i * m:]
@@ -106,11 +103,8 @@ def gen_mubs_prime(p: int) -> MubFamily:
     omega = np.exp(2j * np.pi * np.arange(p) / p)
     scale = 1.0 / np.sqrt(p)
     j = np.arange(p)
-    bases = [Basis(p, COMPLEX, np.eye(p))]
-    for a in range(p):
-        expo = (a * (j * j)[:, None] + np.outer(j, j)) % p  # row x, column b
-        bases.append(Basis(p, COMPLEX, scale * omega[expo]))
-    return MubFamily(p, COMPLEX, tuple(bases))
+    expo = (j[:, None, None] * (j * j)[:, None] + np.outer(j, j)) % p  # [a, row x, column b]
+    return MubFamily(p, COMPLEX, np.concatenate([np.eye(p)[None], scale * omega[expo]]))
 
 
 def gen_mubs_prime_power(q: PrimePower | int) -> MubFamily:
@@ -134,15 +128,15 @@ def gen_mubs_prime_power(q: PrimePower | int) -> MubFamily:
     scale = 1.0 / np.sqrt(qq)
     xs = np.arange(qq, dtype=np.int64)
     xsq = ft.mul(xs, xs)
-    bases = [Basis(qq, COMPLEX, np.eye(qq))]
+    bases = [np.eye(qq)]
     for a in range(qq):
         ax2 = ft.mul(np.full(qq, a, dtype=np.int64), xsq)     # indexed by x
         mat = np.empty((qq, qq), dtype=np.complex128)
         for b in range(qq):
             e = ft.add(ax2, ft.mul(np.full(qq, b, dtype=np.int64), xs))
             mat[:, b] = scale * omega[ft.trace(e)]
-        bases.append(Basis(qq, COMPLEX, mat))
-    return MubFamily(qq, COMPLEX, tuple(bases))
+        bases.append(mat)
+    return MubFamily(qq, COMPLEX, bases)
 
 
 # Columns of the four bases unbiased to the standard basis of C^4; entries
@@ -158,6 +152,16 @@ _C4_PHASES = [
 _R4_SECOND = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
 _R4_THIRD = [[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]]
 
+_S2 = 1.0 / np.sqrt(2.0)
+_SMALL_FAMILIES = {
+    (2, COMPLEX): [np.eye(2), _S2 * np.array([[1, 1], [1, -1]]),
+                   _S2 * np.array([[1, 1], [1j, -1j]])],
+    (4, COMPLEX): [np.eye(4)] + [0.5 * np.array(phases, dtype=np.complex128)
+                                 for phases in _C4_PHASES],
+    (4, REAL): [np.eye(4), 0.5 * np.array(_R4_SECOND, dtype=float),
+                0.5 * np.array(_R4_THIRD, dtype=float)],
+}
+
 
 def gen_mubs_small(m: int, field: Field) -> MubFamily:
     """Hardcoded maximal families: 3 MUBs in C^2, 5 in C^4, 3 in R^4.
@@ -166,29 +170,10 @@ def gen_mubs_small(m: int, field: Field) -> MubFamily:
     UnsupportedError with an import hint.
     """
     check_field(field)
-    if (m, field) == (2, COMPLEX):
-        s = 1.0 / np.sqrt(2.0)
-        bases = (
-            Basis(2, COMPLEX, np.eye(2)),
-            Basis(2, COMPLEX, s * np.array([[1, 1], [1, -1]])),
-            Basis(2, COMPLEX, s * np.array([[1, 1], [1j, -1j]])),
-        )
-        fam = MubFamily(2, COMPLEX, bases)
-    elif (m, field) == (4, COMPLEX):
-        bases = [Basis(4, COMPLEX, np.eye(4))]
-        for phases in _C4_PHASES:
-            bases.append(Basis(4, COMPLEX, 0.5 * np.array(phases, dtype=np.complex128)))
-        fam = MubFamily(4, COMPLEX, tuple(bases))
-    elif (m, field) == (4, REAL):
-        bases = (
-            Basis(4, REAL, np.eye(4)),
-            Basis(4, REAL, 0.5 * np.array(_R4_SECOND, dtype=float)),
-            Basis(4, REAL, 0.5 * np.array(_R4_THIRD, dtype=float)),
-        )
-        fam = MubFamily(4, REAL, bases)
-    else:
+    if (m, field) not in _SMALL_FAMILIES:
         raise UnsupportedError(
             f"no built-in family for (m={m}, field={field}); import one via JSON")
+    fam = MubFamily(m, field, _SMALL_FAMILIES[m, field])
     report = verify_mubs(fam)
     if not report.ok:
         raise ConsistencyError(f"hardcoded family failed verification: {report}")
@@ -200,7 +185,7 @@ def gen_mubs(m: int, field: Field) -> MubFamily:
     phases for odd prime (power) m over C. Other real m and even extension
     dimensions raise UnsupportedError, non-prime-powers ParameterError."""
     check_field(field)
-    if (m, field) in ((2, COMPLEX), (4, COMPLEX), (4, REAL)):
+    if (m, field) in _SMALL_FAMILIES:
         return gen_mubs_small(m, field)
     if field == REAL:
         raise UnsupportedError(f"no built-in real family for m={m}; import required")
@@ -258,7 +243,7 @@ def mubs_to_json(family: MubFamily) -> dict:
     return {
         "m": family.m,
         "field": family.field,
-        "bases": [matrix_to_json(b.matrix, family.field) for b in family.bases],
+        "bases": [matrix_to_json(u, family.field) for u in family.bases],
     }
 
 
@@ -266,8 +251,5 @@ def mubs_from_json(obj: dict) -> MubFamily:
     as_type(obj, dict, "MUB family")
     m = as_int(obj["m"], "m")
     field = check_field(obj["field"])
-    bases = tuple(Basis(m, field, matrix_from_json(mj))
-                  for mj in as_type(obj["bases"], list, "bases"))
-    if not bases:
-        raise ParameterError("a MUB family needs at least one basis")
-    return MubFamily(m, field, bases)
+    return MubFamily(m, field, [matrix_from_json(mj)
+                                for mj in as_type(obj["bases"], list, "bases")])

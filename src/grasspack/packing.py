@@ -28,8 +28,8 @@ from .designs import (BlockDesign, HadamardMatrix, check_block, complementary_ha
 from .embedding import build_space, embed, embedding_dim
 from .errors import (ConsistencyError, DegenerateRankError, DimensionMismatchError,
                      HypothesisError, ParameterError, StructuralError)
-from .mubs import Basis, MubFamily, mub_capacity
-from .numerics import (DEFAULT_TOL, Field, Tolerance, as_int, as_type, check_field,
+from .mubs import MubFamily, mub_capacity
+from .numerics import (DEFAULT_TOL, REAL, Field, Tolerance, as_int, as_type, check_field,
                        is_projection, lock, matrix_from_json, matrix_rank,
                        matrix_to_json)
 
@@ -44,9 +44,9 @@ class Projection:
     A coordinate projection (made only by ``coordinate_projection``) is
     stored as its MUB ``family``, ``basis_index`` and sorted ``block`` alone:
     ``matrix`` is ``U[:, block] @ U[:, block]^*`` with ``U =
-    basis.matrix``, formed anew and read-only on each read; the exact
-    coherence pass, tightness and the achiever span read the triple and
-    never form it. Every other projection, imported ones included, has
+    family.bases[basis_index]``, formed anew and read-only on each read; the
+    exact coherence pass, tightness and the achiever span read the triple
+    and never form it. Every other projection, imported ones included, has
     ``family`` None and keeps the dense matrix it was checked with, with
     the ``basis_index`` and ``block`` of its ``provenance`` argument (both
     None for ``"imported"``). Equality is identity.
@@ -80,11 +80,6 @@ class Projection:
         return self.family.m if self.family is not None else self._dense.shape[0]
 
     @property
-    def basis(self) -> Basis | None:
-        """The basis of a coordinate projection, None for any other."""
-        return self.family.bases[self.basis_index] if self.family is not None else None
-
-    @property
     def provenance(self) -> Provenance:
         """``(basis_index, block)``, or ``"imported"`` when there is no index."""
         return IMPORTED if self.basis_index is None else (self.basis_index, self.block)
@@ -93,7 +88,7 @@ class Projection:
     def matrix(self) -> np.ndarray:
         if self.family is None:
             return self._dense
-        cols = self.basis.matrix[:, list(self.block)]
+        cols = self.family.bases[self.basis_index][:, list(self.block)]
         mat = cols @ cols.conj().T
         mat.setflags(write=False)
         return mat
@@ -114,6 +109,11 @@ class HypothesisRecord:
 
 @dataclass(frozen=True)
 class Packing:
+    """Projections of F^m, F = ``field``. Construction raises unless every
+    element is m x m and over F: a coordinate projection's family has that
+    field, and under "R" a dense element's imaginary parts are exactly zero,
+    as ``matrix_to_json`` requires."""
+
     m: int
     field: Field
     elements: tuple[Projection, ...]
@@ -122,9 +122,15 @@ class Packing:
 
     def __post_init__(self) -> None:
         check_field(self.field)
-        for p in self.elements:
+        for i, p in enumerate(self.elements):
             if p.m != self.m:
                 raise DimensionMismatchError(f"element of size {p.m} in an m={self.m} packing")
+            if p.family is not None and p.family.field != self.field:
+                raise ParameterError(
+                    f"element {i} is over {p.family.field}, the packing over {self.field}")
+            if self.field == REAL and p.family is None and np.any(p.matrix.imag != 0.0):
+                raise ParameterError(
+                    f"element {i} of a real-tagged packing has nonzero imaginary parts")
 
     @property
     def n(self) -> int:
@@ -148,7 +154,8 @@ class Packing:
 def coordinate_projection(family: MubFamily, basis_index: int, block) -> Projection:
     """Projection onto the vectors ``block`` of basis ``basis_index`` of
     ``family``, stored as that triple (block sorted); its rank is the block
-    size. ``Basis`` checked the orthonormality, so it needs no check here."""
+    size. The family checked its bases when it was made, so the projection
+    needs no check of its own."""
     k = as_int(basis_index, "basis index")
     if not 0 <= k < family.k:
         raise ParameterError(f"basis index {k} outside 0..{family.k - 1}")
@@ -635,7 +642,7 @@ def _summed_projections(packing: Packing, indices) -> np.ndarray:
     inc, labels = _incidence(packing.m, els), _basis_labels(els)
     f = np.zeros((packing.m, packing.m), dtype=np.complex128)
     for a in np.unique(labels):
-        u = family.bases[a].matrix
+        u = family.bases[a]
         f += (u * inc[:, labels == a].sum(axis=1)) @ u.conj().T
     return f
 
@@ -726,8 +733,10 @@ def extract_hadamard(packing: Packing, design: BlockDesign,
 
     One block is chosen per complementary pair (the one containing point 0);
     row i of the output is +1 exactly on that block, and the last row is all
-    +1. The result is verified in exact integer arithmetic; failure would
-    contradict the construction and raises ConsistencyError.
+    +1. When the elements carry blocks, those on the first element's basis
+    must be the design's blocks, or StructuralError is raised. The result is
+    verified in exact integer arithmetic; failure would contradict the
+    construction and raises ConsistencyError.
     """
     m = packing.m
     ranks = set(int(r) for r in packing.ranks)
@@ -738,6 +747,11 @@ def extract_hadamard(packing: Packing, design: BlockDesign,
         raise StructuralError(f"design over {design.m} points does not match m={m}")
     if design.b != 2 * (m - 1):
         raise StructuralError(f"need 2(m-1) = {2 * (m - 1)} blocks, got {design.b}")
+    first = packing.elements[0]
+    if first.block is not None and set(design.blocks) != {
+            p.block for p in packing.elements if p.basis_index == first.basis_index}:
+        raise StructuralError(
+            f"the design's blocks are not the packing's blocks on basis {first.basis_index}")
     halves = complementary_halves(design)  # raises StructuralError if not closed
     geometry = verify_orthoplex_geometry(packing, tol=tol)
     if not geometry.passes:

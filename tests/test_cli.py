@@ -122,6 +122,22 @@ class TestBuildAndCertify:
         rows = np.array(json.loads(hout.read_text())["rows"])
         assert np.array_equal(rows @ rows.T, 4 * np.eye(4, dtype=int))
 
+    def test_extraction_with_a_foreign_design_exits_2(self, tmp_path, capsys):
+        design, pack = tmp_path / "h3.json", tmp_path / "ortho.json"
+        assert run("gen", "design", "--hadamard3", "--order", 8, "--out", design) == 0
+        assert run("build", "--mub", Path(__file__).parent / "data" / "mubs_c8.json",
+                   "--design", design, "--mode", "orthoplex", "--out", pack) == 0
+        obj = json.loads(design.read_text())
+        swap = {0: 1, 1: 0}
+        obj["blocks"] = [[swap.get(x, x) for x in blk] for blk in obj["blocks"]]
+        swapped = tmp_path / "swapped.json"
+        swapped.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("certify", pack, "--extract-hadamard", tmp_path / "h.json",
+                   "--design", swapped) == 2
+        assert "not the packing's blocks" in capsys.readouterr().err
+        assert not (tmp_path / "h.json").exists()
+
     def test_hypothesis_failure_exits_3_but_writes(self, tmp_path, mub7, fano):
         pack = tmp_path / "packing.json"
         code = run("build", "--mub", mub7, "--design", fano,
@@ -244,6 +260,20 @@ class TestBuildAndCertify:
 
 PAIR = [{"rows": 2, "cols": 2, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]},
         {"rows": 2, "cols": 2, "re": [0, 0, 0, 1], "im": [0, 0, 0, 0]}]
+
+
+def real_tagged_c3_packing():
+    """The singleton blocks of bases 0-2 of C^3 (n = 9, mu = 0), tagged "R"
+    with no hypotheses: over R, d = 5 and n > d + 1 would certify it."""
+    from grasspack import Packing, coordinate_projection, gen_mubs_prime, packing_to_json
+    family = gen_mubs_prime(3)
+    obj = packing_to_json(Packing(3, "C", tuple(coordinate_projection(family, a, (x,))
+                                                for a in range(3) for x in range(3))))
+    obj["field"] = "R"
+    del obj["hypotheses"]
+    return obj
+
+
 MALFORMED = {
     "packing-list": ("certify", [{"m": 2, "field": "C", "elements": PAIR}]),
     "elements-5": ("certify", {"m": 2, "field": "C", "elements": 5}),
@@ -281,6 +311,11 @@ MALFORMED = {
     "design-list": ("design", [[0, 1, 2]]),
     "bases-5": ("mub", {"m": 7, "field": "C", "bases": 5}),
     "mub-list": ("mub", []),
+    "mub-basis-wrong-size": ("mub", {"m": 2, "field": "C",
+                                     "bases": [PAIR[0], {"rows": 3, "cols": 3,
+                                                         "re": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+                                                         "im": [0] * 9}]}),
+    "field-R-complex-elements": ("certify", real_tagged_c3_packing()),
 }
 
 
@@ -364,12 +399,16 @@ class TestComplementAndEmbed:
         assert run("certify", tmp_path / "nope.json") == 2
 
 
+def readme_block(heading, language):
+    """The first ``language`` code block under the README's ``heading``."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return text.split(f"## {heading}", 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_commands():
     """The ``grasspack`` lines of the README's "Command line" block, with
     backslash continuations joined."""
-    text = (Path(__file__).parents[1] / "README.md").read_text()
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
+    lines = readme_block("Command line", "sh").replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("grasspack ")]
 
 
@@ -384,6 +423,17 @@ def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
             printed = json.loads(capsys.readouterr().out)
             assert printed["status"] == "MaximalOrthoplex"
             assert printed["hadamard_order"] == 4
+
+
+def test_readme_library_tour():
+    """The README's "Library tour" runs, and what its comments state holds."""
+    scope = {}
+    exec(readme_block("Library tour", "python"), scope)
+    cert = scope["cert"]
+    assert cert.status is grasspack.CertStatus.OPTIMAL_ORTHOPLEX
+    assert (cert.n, cert.d, cert.mu_embedded) == (56, 48, 0.0)
+    assert cert.tight_constant == 28
+    assert cert.coherence.method == "exact"
 
 
 # Registered first, so it runs after the command, even one that exits.

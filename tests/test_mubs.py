@@ -4,12 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasspack.errors import ParameterError, UnsupportedError
-from grasspack.mubs import (Basis, MubFamily, gen_mubs, gen_mubs_prime,
+from grasspack.mubs import (MubFamily, gen_mubs, gen_mubs_prime,
                             gen_mubs_prime_power, gen_mubs_small, mub_capacity,
                             mubs_from_json, mubs_to_json, verify_mubs)
 from grasspack.numerics import COMPLEX, REAL
+
+from conftest import random_orthonormal
 
 DATA = Path(__file__).parent / "data"
 
@@ -19,11 +23,11 @@ def exhaustive_check(family, atol=1e-9):
     unbiasedness conditions."""
     m = family.m
     for basis in family.bases:
-        assert np.allclose(basis.matrix.conj().T @ basis.matrix, np.eye(m), atol=atol)
+        assert np.allclose(basis.conj().T @ basis, np.eye(m), atol=atol)
     for (i, a), (j, b) in itertools.combinations(enumerate(family.bases), 2):
         for x in range(m):
             for y in range(m):
-                val = abs(np.vdot(a.matrix[:, x], b.matrix[:, y])) ** 2
+                val = abs(np.vdot(a[:, x], b[:, y])) ** 2
                 assert abs(val - 1.0 / m) <= atol, (i, j, x, y, val)
 
 
@@ -55,11 +59,21 @@ class TestPrime:
         assert report.ok
         assert report.worst_dev < 1e-12  # construction is exact to rounding
 
+    @pytest.mark.parametrize("p", [3, 5, 31])
+    def test_equals_the_per_basis_formula(self, p):
+        """The vectorized generator gives, bit for bit, basis a built alone."""
+        omega = np.exp(2j * np.pi * np.arange(p) / p)
+        scale = 1.0 / np.sqrt(p)
+        j = np.arange(p)
+        ref = [np.eye(p)] + [scale * omega[(a * (j * j)[:, None] + np.outer(j, j)) % p]
+                             for a in range(p)]
+        assert np.array_equal(gen_mubs_prime(p).bases, np.array(ref, dtype=np.complex128))
+
     def test_unbiasedness_scales_with_m(self):
         for p in (3, 5, 7):
             fam = gen_mubs_prime(p)
             for a, b in itertools.combinations(fam.bases, 2):
-                cross = np.abs(a.matrix.conj().T @ b.matrix) ** 2
+                cross = np.abs(a.conj().T @ b) ** 2
                 assert np.abs(cross * p - 1).max() <= 1e-9 * p
 
 
@@ -104,7 +118,7 @@ class TestSmall:
         assert fam.field == REAL
         # all cross moduli squared are exactly 1/4 (integer dot products /2)
         for a, b in itertools.combinations(fam.bases, 2):
-            cross = np.abs(a.matrix.conj().T @ b.matrix) ** 2
+            cross = np.abs(a.conj().T @ b) ** 2
             assert np.array_equal(cross, np.full((4, 4), 0.25))
 
     def test_unsupported(self):
@@ -115,8 +129,7 @@ class TestSmall:
 
 
 def same_family(a, b):
-    return (a.m, a.field, a.k) == (b.m, b.field, b.k) and all(
-        np.array_equal(x.matrix, y.matrix) for x, y in zip(a.bases, b.bases))
+    return (a.m, a.field) == (b.m, b.field) and np.array_equal(a.bases, b.bases)
 
 
 class TestGenMubs:
@@ -152,7 +165,6 @@ class TestVerify:
 
     def test_deviations_are_cached_read_only_and_symmetric(self):
         fam = MubFamily(5, COMPLEX, list(gen_mubs_prime(5).bases))
-        assert isinstance(fam.bases, tuple)
         dev = fam.deviations
         assert fam.deviations is dev and not dev.flags.writeable
         assert dev.shape == (6, 6) and np.array_equal(dev, dev.T)
@@ -161,15 +173,14 @@ class TestVerify:
         assert report.worst_unbiasedness_dev == dev[~np.eye(6, dtype=bool)].max()
 
     def test_repeated_identity_fails(self):
-        eye = Basis(3, COMPLEX, np.eye(3))
-        report = verify_mubs(MubFamily(3, COMPLEX, (eye, eye)))
+        report = verify_mubs(MubFamily(3, COMPLEX, (np.eye(3), np.eye(3))))
         assert not report.ok
         assert any("not unbiased" in f for f in report.failures)
 
     def test_cardinality_bound_flagged(self):
         # four bases claimed real in R^4 exceed the m/2 + 1 = 3 bound
         fam = gen_mubs_small(4, REAL)
-        fake = MubFamily(4, REAL, fam.bases + (fam.bases[0],))
+        fake = MubFamily(4, REAL, np.concatenate([fam.bases, fam.bases[:1]]))
         report = verify_mubs(fake)
         assert not report.cardinality_ok
         assert any("capacity" in f for f in report.failures)
@@ -200,11 +211,11 @@ class TestVerify:
             mubs_from_json(json.loads(json.dumps(obj)))
 
     def test_non_orthonormal_basis_rejected(self):
-        with pytest.raises(ParameterError, match="not orthonormal"):
-            Basis(2, COMPLEX, [[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ParameterError, match="basis 1 is not orthonormal"):
+            MubFamily(2, COMPLEX, [np.eye(2), [[1.0, 1.0], [0.0, 1.0]]])
         obj = mubs_to_json(gen_mubs_prime(5))
         obj["bases"][2]["im"][7] += 1e-6
-        with pytest.raises(ParameterError, match="not orthonormal"):
+        with pytest.raises(ParameterError, match="basis 2 is not orthonormal"):
             mubs_from_json(json.loads(json.dumps(obj)))
 
     def test_imported_c8_family(self):
@@ -213,3 +224,57 @@ class TestVerify:
         report = verify_mubs(fam)
         assert report.ok
         assert report.worst_dev < 1e-9
+
+
+class TestConstructor:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 4), st.sampled_from([COMPLEX, REAL]),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_checked_read_only_array(self, m, k, field, seed, data):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([random_orthonormal(rng, m, m, field) for _ in range(k)])
+        fam = MubFamily(m, field, stack)
+        assert fam.k == k and fam.bases.shape == (k, m, m)
+        assert fam.bases.dtype == np.complex128 and not fam.bases.flags.writeable
+        assert np.array_equal(fam.bases, stack)
+        back = mubs_from_json(json.loads(json.dumps(mubs_to_json(fam))))
+        assert (back.m, back.field) == (m, field) and np.array_equal(back.bases, fam.bases)
+        a = data.draw(st.integers(0, k - 1))
+        x, y = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        stack[a, x, y] += 1e-6
+        with pytest.raises(ParameterError, match=f"basis {a} is not orthonormal"):
+            MubFamily(m, field, stack)
+
+    def test_size_must_match_the_bases(self):
+        with pytest.raises(ParameterError, match="k x 4 x 4"):
+            MubFamily(4, REAL, gen_mubs_prime(5).bases)
+
+    def test_complex_entries_rejected_over_r(self):
+        with pytest.raises(ParameterError, match="imaginary"):
+            MubFamily(2, REAL, gen_mubs_small(2, COMPLEX).bases)
+
+    def test_nan_entry_rejected(self):
+        bases = np.array(gen_mubs_small(4, REAL).bases)
+        bases[2, 1, 3] = np.nan
+        with pytest.raises(ParameterError, match="non-finite"):
+            MubFamily(4, REAL, bases)
+
+    @pytest.mark.parametrize("bases", [[], np.zeros((0, 3, 3))], ids=["list", "array"])
+    def test_no_bases_rejected(self, bases):
+        with pytest.raises(ParameterError, match="at least one basis"):
+            MubFamily(3, COMPLEX, bases)
+
+    @pytest.mark.parametrize("m", [2.0, True, "2"])
+    def test_non_integral_m_rejected(self, m):
+        with pytest.raises(ParameterError, match="m "):
+            MubFamily(m, COMPLEX, [np.eye(2)])
+
+    def test_ragged_bases_rejected(self):
+        with pytest.raises(ParameterError, match="k x 2 x 2"):
+            MubFamily(2, COMPLEX, [np.eye(2), np.eye(3)])
+
+    def test_the_family_keeps_a_copy(self):
+        stack = np.array(gen_mubs_small(2, COMPLEX).bases)
+        fam = MubFamily(2, COMPLEX, stack)
+        stack[0] = 0.0
+        assert np.array_equal(fam.bases[0], np.eye(2))

@@ -14,9 +14,8 @@ from grasspack.embedding import build_space, embedding_dim
 from grasspack.errors import (DegenerateRankError, HypothesisError, ParameterError,
                               StructuralError)
 from grasspack.fields import enumerate_projective_plane
-from grasspack.mubs import (Basis, MubFamily, gen_mubs, gen_mubs_prime,
-                            gen_mubs_prime_power, gen_mubs_small, mubs_from_json,
-                            verify_mubs)
+from grasspack.mubs import (MubFamily, gen_mubs, gen_mubs_prime, gen_mubs_prime_power,
+                            gen_mubs_small, mubs_from_json, verify_mubs)
 from grasspack.numerics import COMPLEX, REAL, hs_inner
 from grasspack.packing import (CertStatus, Packing, Projection, _embedded_gram,
                                build_mixed_packing, build_orthoplex_packing,
@@ -62,7 +61,7 @@ class TestCoordinateProjection:
     def test_fourier_vs_standard_c3(self):
         # |J| = 1, |J'| = 2 across unbiased bases: trace = 1*2/3
         mubs = gen_mubs_prime(3)
-        assert np.allclose(np.abs(mubs.bases[1].matrix), 1 / np.sqrt(3))
+        assert np.allclose(np.abs(mubs.bases[1]), 1 / np.sqrt(3))
         p = coordinate_projection(mubs, 0, (0,))
         q = coordinate_projection(mubs, 1, (0, 2))
         assert hs_inner(p.matrix, q.matrix).real == pytest.approx(2 / 3, abs=1e-12)
@@ -71,7 +70,6 @@ class TestCoordinateProjection:
         family = gen_mubs_prime(5)
         p = coordinate_projection(family, np.int64(1), (np.int64(3), 1))
         assert p.family is family and p.basis_index == 1 and p.block == (1, 3)
-        assert p.basis is family.bases[1]
         assert p.provenance == (1, (1, 3))
 
     @pytest.mark.parametrize("index", [-1, 6])
@@ -82,7 +80,7 @@ class TestCoordinateProjection:
     def test_matrix_is_formed_read_only_on_read(self):
         family = gen_mubs_prime(5)
         p = coordinate_projection(family, 3, (4, 0, 2))
-        u = family.bases[3].matrix[:, [0, 2, 4]]
+        u = family.bases[3][:, [0, 2, 4]]
         assert not p.matrix.flags.writeable
         assert np.array_equal(p.matrix, u @ u.conj().T)
 
@@ -520,6 +518,26 @@ class TestExtractHadamard:
         with pytest.raises(StructuralError):
             extract_hadamard(pk, FANO)
 
+    @pytest.mark.parametrize("variant", ["built", "imported"])
+    def test_repeated_blocks_rejected(self, variant):
+        pk, _ = c4_orthoplex_packing()
+        pk = VARIANTS[variant](pk)
+        other = BlockDesign(4, [(0, 1), (2, 3), (0, 1), (2, 3), (0, 2), (1, 3)])
+        with pytest.raises(StructuralError, match="not the packing's blocks on basis 0"):
+            extract_hadamard(pk, other)
+
+    @pytest.mark.parametrize("variant", ["built", "imported"])
+    def test_relabelled_design_rejected(self, variant):
+        """Swapping points 0 and 1 of the C^8 3-design changes its block set
+        (in C^4 the blocks are all six pairs, which a relabelling keeps)."""
+        pk = VARIANTS[variant](c8_orthoplex_packing())
+        design3 = hadamard_to_3design(gen_hadamard(8))
+        swap = {0: 1, 1: 0}
+        other = BlockDesign(8, [[swap.get(x, x) for x in blk] for blk in design3.blocks])
+        with pytest.raises(StructuralError, match="not the packing's blocks"):
+            extract_hadamard(pk, other)
+        assert extract_hadamard(pk, design3).order == 8
+
 
 class TestJson:
     def test_packing_round_trip(self):
@@ -569,6 +587,19 @@ class TestJson:
         obj["provenance"][5]["block"] = block
         with pytest.raises(ParameterError, match=f"element 5: .*{match}"):
             packing_from_json(json.loads(json.dumps(obj)))
+
+    def test_field_must_match_the_elements(self):
+        family = gen_mubs_prime(3)
+        pk = Packing(3, COMPLEX, tuple(coordinate_projection(family, a, (x,))
+                                       for a in range(3) for x in range(3)))
+        with pytest.raises(ParameterError, match="element 0 is over C"):
+            Packing(3, REAL, pk.elements)
+        obj = packing_to_json(pk)
+        obj["field"] = REAL
+        with pytest.raises(ParameterError, match="element 4 of a real-tagged packing"):
+            packing_from_json(json.loads(json.dumps(obj)))
+        real = r4_orthoplex_packing()
+        assert packing_from_json(packing_to_json(real)).field == REAL
 
     def test_certificate_json(self):
         cert = certify(fano_mixed_packing())
@@ -622,8 +653,7 @@ def coordinate_packings(draw):
     field = draw(st.sampled_from([COMPLEX, REAL]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = draw(st.integers(2, 4))
-    family = MubFamily(m, field, [Basis(m, field, random_orthonormal(rng, m, m, field))
-                                  for _ in range(k)])
+    family = MubFamily(m, field, [random_orthonormal(rng, m, m, field) for _ in range(k)])
     picks = draw(st.lists(
         st.tuples(st.integers(0, k - 1),
                   st.sets(st.integers(0, m - 1), min_size=1, max_size=m - 1)),
@@ -646,7 +676,7 @@ class TestCoordinatePackings:
         """Over bases that are not MUBs the numeric pass reads the same dense
         Gram with or without the bases attached, so the reports are equal."""
         ref = dense_copy(pk)
-        assert all(p.basis is None for p in ref.elements)
+        assert all(p.family is None for p in ref.elements)
         rep, rep_ref = coherence(pk), coherence(ref)
         assert rep.method == rep_ref.method == "numeric"
         assert rep.mu_embedded == rep_ref.mu_embedded
@@ -658,9 +688,9 @@ class TestCoordinatePackings:
     @pytest.mark.parametrize("name", sorted(BUILDER_FIXTURES))
     def test_builders_agree_with_imported_copy(self, name):
         pk = BUILDER_FIXTURES[name]()
-        assert all(p.basis is not None for p in pk.elements)
+        assert all(p.family is not None for p in pk.elements)
         back = packing_from_json(packing_to_json(pk))
-        assert all(p.basis is None for p in back.elements)
+        assert all(p.family is None for p in back.elements)
         cert, cert_back = certify(pk), certify(back)
         assert cert.status is cert_back.status
         assert cert.is_tight == cert_back.is_tight
@@ -680,7 +710,7 @@ class TestCoordinatePackings:
             assert q.family is family and q.basis_index == p.basis_index
             assert q.block == tuple(sorted(set(range(7)) - set(p.block)))
         back = packing_from_json(packing_to_json(pk))
-        assert all(p.family is None and p.basis is None for p in back.elements)
+        assert all(p.family is None for p in back.elements)
         assert [p.provenance for p in back.elements] == [p.provenance for p in pk.elements]
 
     def test_imported_elements_have_unknown_basis(self):
@@ -841,7 +871,7 @@ class TestExactPass:
 
     def test_duplicated_basis_falls_back(self):
         basis = gen_mubs_prime(5).bases[1]
-        family = MubFamily(5, COMPLEX, (basis, Basis(5, COMPLEX, basis.matrix)))
+        family = MubFamily(5, COMPLEX, (basis, basis))
         blocks = [(0,), (1, 2), (3, 4), (0, 2, 4)]
         pk = Packing(5, COMPLEX, tuple(coordinate_projection(family, a, blk)
                                        for a in range(2) for blk in blocks))
@@ -850,8 +880,7 @@ class TestExactPass:
         assert rep.mub_dev == pytest.approx(1 - 1 / 5, abs=1e-12)
 
     def test_random_orthonormal_bases_fall_back(self, rng):
-        family = MubFamily(4, COMPLEX, [Basis(4, COMPLEX, random_orthonormal(rng, 4, 4))
-                                        for _ in range(3)])
+        family = MubFamily(4, COMPLEX, [random_orthonormal(rng, 4, 4) for _ in range(3)])
         pk = Packing(4, COMPLEX, tuple(coordinate_projection(family, a, blk) for a in range(3)
                                        for blk in [(0,), (1, 2), (0, 1, 3)]))
         assert coherence(pk).method == "numeric"
@@ -859,10 +888,10 @@ class TestExactPass:
     def test_perturbed_mub_falls_back(self, rng):
         family = gen_mubs_prime(5)
         noise = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        q, r = np.linalg.qr(family.bases[2].matrix + 1e-7 * noise)
+        q, r = np.linalg.qr(family.bases[2] + 1e-7 * noise)
         phases = np.diagonal(r) / np.abs(np.diagonal(r))
-        bent = Basis(5, COMPLEX, q * phases)
-        assert np.abs(bent.matrix - family.bases[2].matrix).max() < 1e-6
+        bent = q * phases
+        assert np.abs(bent - family.bases[2]).max() < 1e-6
         bent_family = MubFamily(5, COMPLEX, (family.bases[0], family.bases[1], bent))
         pk = Packing(5, COMPLEX, tuple(coordinate_projection(bent_family, a, blk)
                                        for a in range(3) for blk in [(0,), (1, 2), (0, 3, 4)]))
