@@ -1,10 +1,11 @@
-"""Arithmetic in GF(p) and GF(p^n) for odd p, plus the classical point/line
-geometries (affine hyperplane cosets, projective planes) used as block-design
-sources.
+"""Arithmetic in GF(q), q = p^n <= 256 for any prime p, plus the classical
+point/line geometries (affine hyperplane cosets, projective planes) used as
+block-design sources.
 
 Elements of GF(p^n) are encoded as integers 0..q-1 whose base-p digits are the
 coefficients of the polynomial representative (constant term first), reduced
-modulo a fixed monic irreducible.
+modulo a fixed monic irreducible. A field is a sum table, a product table and
+a trace table (``FieldTable``); every operation is a lookup.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-_MAX_Q = 1 << 20
+_MAX_Q = 256
 _MAX_GEOMETRY = 1 << 16
 
 
@@ -78,13 +79,6 @@ def _digits(v: int, p: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _undigits(coeffs, p: int) -> int:
-    v = 0
-    for c in reversed(coeffs):
-        v = v * p + c
-    return v
-
-
 def _poly_divmod_monic(num: list[int], den: list[int], p: int) -> list[int]:
     """Remainder of num / den for monic den; coefficients constant-first."""
     rem = list(num)
@@ -126,10 +120,15 @@ def smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
 
 
 class FieldTable:
-    """GF(q) with log/antilog multiplication tables and a precomputed trace map.
+    """GF(q) as three read-only integer tables, built once with NumPy: the
+    q x q sum table, the q x q product table (the product of the digit
+    polynomials, reduced from the top degree by the monic ``modulus``) and
+    the trace of each element, read through the product table.
 
-    Immutable after construction; all methods are pure. Elements are the
-    integers 0..q-1 in the digit encoding described in the module docstring.
+    Elements are the integers 0..q-1 in the digit encoding described in the
+    module docstring. ``add``, ``mul`` and ``trace`` are lookups; they take
+    scalars or arrays and return an int for a 0-d result. The tables hold
+    q^2 entries, so q is capped at 256.
     """
 
     def __init__(self, pp: PrimePower):
@@ -138,58 +137,29 @@ class FieldTable:
         self.pp = pp
         p, n, q = pp.p, pp.n, pp.q
         self.modulus = smallest_irreducible(p, n)
+        places = p ** np.arange(n, dtype=np.int64)
+        digits = np.arange(q, dtype=np.int64)[:, None] // places % p  # [element, degree]
+        self._sum = (digits[:, None] + digits) % p @ places
 
-        def mul_slow(a: int, b: int) -> int:
-            da, db = _digits(a, p, n), _digits(b, p, n)
-            prod = [0] * (2 * n - 1)
-            for i, x in enumerate(da):
-                if x:
-                    for j, y in enumerate(db):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-            rem = _poly_divmod_monic(prod, list(self.modulus), p)
-            rem += [0] * (n - len(rem))
-            return _undigits(rem, p)
+        prod = np.zeros((q, q, 2 * n - 1), dtype=np.int64)  # [a, b, degree]
+        for i in range(n):
+            prod[:, :, i:i + n] += digits[:, None, i, None] * digits
+        for top in range(2 * n - 2, n - 1, -1):  # x^n = -(c_0 + ... + c_{n-1} x^(n-1))
+            prod[:, :, top - n:top] -= prod[:, :, top, None] * self.modulus[:n]
+        self._product = prod[:, :, :n] % p @ places
 
-        # find a generator, then build exp/log tables
-        gen = None
-        for g in range(1, q):
-            seen = 1
-            x = g
-            while x != 1:
-                x = mul_slow(x, g)
-                seen += 1
-                if seen > q:
-                    raise AssertionError("multiplication is broken")
-            if seen == q - 1:
-                gen = g
-                break
-        if gen is None:
-            raise AssertionError(f"no generator found for GF({q})")
-        self.generator = gen
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
-        x = 1
-        for e in range(q - 1):
-            exp[e] = x
-            log[x] = e
-            x = mul_slow(x, gen)
-        self._exp, self._log = exp, log
-
-        # digit place values for vectorized addition
-        self._places = p ** np.arange(n, dtype=np.int64)
-
-        # trace: tr(x) = sum_{i<n} x^(p^i), always lands in the prime field
-        tr = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            t, x = 0, a
-            for _ in range(n):
-                t = self.add(t, x)
-                x = self._pow_int(x, p)
-            if t >= p:
-                raise AssertionError(f"trace of {a} not in the prime field")
-            tr[a] = t
+        # tr(x) = x + x^p + ... + x^(p^(n-1)) lands in the prime field
+        tr, frob = np.zeros(q, dtype=np.int64), np.arange(q)
+        for _ in range(n):
+            tr = self._sum[tr, frob]
+            power = frob
+            for _ in range(p - 1):
+                power = self._product[power, frob]
+            frob = power
+        if np.any(tr >= p):
+            raise AssertionError(f"trace of {int(np.argmax(tr >= p))} not in the prime field")
         self._trace = tr
-        for arr in (self._exp, self._log, self._places, self._trace):
+        for arr in (self._sum, self._product, self._trace):
             arr.setflags(write=False)
 
     @property
@@ -201,40 +171,28 @@ class FieldTable:
         return self.pp.p
 
     def add(self, a, b):
-        """Digit-wise sum mod p; accepts scalars or numpy arrays."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        da = (a[..., None] // self._places) % self.p
-        db = (b[..., None] // self._places) % self.p
-        out = (((da + db) % self.p) * self._places).sum(axis=-1)
-        return int(out) if out.ndim == 0 else out
+        """a + b from the sum table; accepts scalars or numpy arrays."""
+        return _int_if_scalar(self._sum[a, b])
 
     def mul(self, a, b):
-        """Product via log/antilog tables; accepts scalars or numpy arrays."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        out = np.where((a == 0) | (b == 0), 0, out)
-        return int(out) if out.ndim == 0 else out
+        """a b from the product table; accepts scalars or numpy arrays."""
+        return _int_if_scalar(self._product[a, b])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ParameterError("0 has no multiplicative inverse")
-        return int(self._exp[(-self._log[a]) % (self.q - 1)])
-
-    def _pow_int(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0
-        return int(self._exp[(self._log[a] * e) % (self.q - 1)])
+        return int(np.argmax(self._product[a] == 1))
 
     def trace(self, x):
         """Field trace tr(x) = x + x^p + ... + x^(p^(n-1)), an element of GF(p)."""
-        x = np.asarray(x, dtype=np.int64)
-        out = self._trace[x]
-        return int(out) if out.ndim == 0 else out
+        return _int_if_scalar(self._trace[x])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FieldTable(GF({self.q}), modulus={self.modulus})"
+
+
+def _int_if_scalar(out: np.ndarray):
+    return int(out) if out.ndim == 0 else out
 
 
 def build_field(pp: PrimePower | int) -> FieldTable:
@@ -287,16 +245,16 @@ def enumerate_projective_plane(q: PrimePower | int) -> list[tuple[int, ...]]:
     GF(q)^3 (first nonzero coordinate 1), indexed in lexicographic order;
     lines are zero sets of the same canonical functionals.
     """
-    ft = build_field(q)
-    qq = ft.q
+    pp = factor_prime_power(q) if isinstance(q, int) else q
+    qq = pp.q
     if qq * qq + qq + 1 > _MAX_GEOMETRY:
         raise ParameterError(f"plane of order {qq} exceeds the supported size")
-    reps = [v for v in itertools.product(range(qq), repeat=3)
-            if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1]
+    ft = build_field(pp)
+    reps = np.array([(0, 0, 1)] + [(0, 1, z) for z in range(qq)]
+                    + [(1, y, z) for y in range(qq) for z in range(qq)], dtype=np.int64)
+    x, y, z = reps.T
     lines = []
-    for w in reps:
-        line = [i for i, x in enumerate(reps)
-                if ft.add(ft.add(ft.mul(w[0], x[0]), ft.mul(w[1], x[1])),
-                          ft.mul(w[2], x[2])) == 0]
-        lines.append(tuple(line))
+    for a, b, c in reps.tolist():  # the line a x + b y + c z = 0, read at every point
+        value = ft.add(ft.add(ft.mul(a, x), ft.mul(b, y)), ft.mul(c, z))
+        lines.append(tuple(np.flatnonzero(value == 0).tolist()))
     return lines

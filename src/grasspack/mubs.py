@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError, UnsupportedError
-from .fields import PrimePower, build_field, factor_prime_power, is_prime
+from .fields import FieldTable, PrimePower, build_field, factor_prime_power, is_prime
 from .numerics import (COMPLEX, DEFAULT_TOL, REAL, Field, Tolerance, as_int, as_type,
                        check_field, lock, matrix_from_json, matrix_to_json)
 
@@ -89,29 +89,37 @@ def mub_capacity(m: int, field: Field) -> int:
     return m + 1 if field == COMPLEX else m // 2 + 1
 
 
-def gen_mubs_prime(p: int) -> MubFamily:
-    """The maximal family of p+1 complex MUBs in dimension p (odd prime).
+def _quadratic_phases(ft: FieldTable) -> MubFamily:
+    """The q+1 quadratic-phase MUBs of GF(q), q odd (Wootters and Fields):
+    the standard basis, then basis a with column b the vector with entries
+    q^(-1/2) w^(tr(a x^2 + b x)), x in GF(q), tr the field trace down to
+    GF(p) and w = exp(2 pi i / p). All q bases are one table lookup."""
+    q, p = ft.q, ft.p
+    omega = np.exp(2j * np.pi * np.arange(p) / p)
+    scale = 1.0 / np.sqrt(q)
+    x = np.arange(q)
+    expo = ft.trace(ft.add(ft.mul(x[:, None, None], ft.mul(x, x)[:, None]),
+                           ft.mul(x[:, None], x)))  # [a, row x, column b]
+    return MubFamily(q, COMPLEX, np.concatenate([np.eye(q)[None], scale * omega[expo]]))
 
-    Basis a has vectors x^(a,b) with components p^(-1/2) w^(a j^2 + b j),
-    w = exp(2 pi i / p), the exponent reduced mod p before evaluation; the
-    standard basis comes first.
+
+def gen_mubs_prime(p: int) -> MubFamily:
+    """The maximal family of p+1 complex MUBs in dimension p (odd prime):
+    the quadratic phases over GF(p), where the trace is the identity, so
+    basis a has columns p^(-1/2) w^(a j^2 + b j) with the exponent reduced
+    mod p; the standard basis comes first.
     """
     if not is_prime(p) or p == 2:
         raise ParameterError(f"{p} is not an odd prime")
     if p > _MAX_PRIME:
         raise ParameterError(f"generation is capped at p <= {_MAX_PRIME}")
-    omega = np.exp(2j * np.pi * np.arange(p) / p)
-    scale = 1.0 / np.sqrt(p)
-    j = np.arange(p)
-    expo = (j[:, None, None] * (j * j)[:, None] + np.outer(j, j)) % p  # [a, row x, column b]
-    return MubFamily(p, COMPLEX, np.concatenate([np.eye(p)[None], scale * omega[expo]]))
+    return _quadratic_phases(build_field(p))
 
 
 def gen_mubs_prime_power(q: PrimePower | int) -> MubFamily:
-    """The maximal family of q+1 complex MUBs for q = p^n, p odd, n >= 2.
-
-    Entries are q^(-1/2) w^(tr(a x^2 + b x)) with tr the field trace down to
-    GF(p) and w = exp(2 pi i / p).
+    """The maximal family of q+1 complex MUBs for q = p^n, p odd, n >= 2:
+    the quadratic phases over GF(q), with entries q^(-1/2) w^(tr(a x^2 + b x)),
+    tr the field trace down to GF(p) and w = exp(2 pi i / p).
     """
     pp = factor_prime_power(q) if isinstance(q, int) else q
     if pp.p == 2:
@@ -122,21 +130,7 @@ def gen_mubs_prime_power(q: PrimePower | int) -> MubFamily:
         raise ParameterError(f"q = {pp.q} is prime; use gen_mubs_prime")
     if pp.q > _MAX_PRIME_POWER:
         raise ParameterError(f"generation is capped at q <= {_MAX_PRIME_POWER}")
-    ft = build_field(pp)
-    qq, p = ft.q, ft.p
-    omega = np.exp(2j * np.pi * np.arange(p) / p)
-    scale = 1.0 / np.sqrt(qq)
-    xs = np.arange(qq, dtype=np.int64)
-    xsq = ft.mul(xs, xs)
-    bases = [np.eye(qq)]
-    for a in range(qq):
-        ax2 = ft.mul(np.full(qq, a, dtype=np.int64), xsq)     # indexed by x
-        mat = np.empty((qq, qq), dtype=np.complex128)
-        for b in range(qq):
-            e = ft.add(ax2, ft.mul(np.full(qq, b, dtype=np.int64), xs))
-            mat[:, b] = scale * omega[ft.trace(e)]
-        bases.append(mat)
-    return MubFamily(qq, COMPLEX, bases)
+    return _quadratic_phases(build_field(pp))
 
 
 # Columns of the four bases unbiased to the standard basis of C^4; entries

@@ -49,7 +49,8 @@ class Projection:
     and never form it. Every other projection, imported ones included, has
     ``family`` None and keeps the dense matrix it was checked with, with
     the ``basis_index`` and ``block`` of its ``provenance`` argument (both
-    None for ``"imported"``). Equality is identity.
+    None for ``"imported"``); a block whose size is not the rank raises
+    ParameterError. Equality is identity.
     """
 
     rank: int
@@ -67,6 +68,9 @@ class Projection:
         if rank is not None and rank != check.rank:
             raise ParameterError(f"declared rank {rank} != inferred rank {check.rank}")
         index, block = provenance if isinstance(provenance, tuple) else (None, None)
+        if block is not None and len(block) != check.rank:
+            raise ParameterError(
+                f"provenance block of {len(block)} points on a rank-{check.rank} element")
         self._set(check.rank, None, index, block, lock(mat))
 
     def _set(self, rank, family, basis_index, block, dense) -> None:
@@ -258,6 +262,12 @@ class PairClassSummary:
 class CoherenceReport:
     """Largest pairwise embedded inner product and where it is attained.
 
+    ``argmax_pair`` is the first pair (i, j), i < j, in row-major order of the
+    Gram whose value is within ``eps_abs`` of ``mu_embedded`` (exactly equal
+    to it on the exact path), so rounding noise does not pick among exact
+    ties and a packing and its imported copy report the same pair.
+    ``achievers`` are the elements of such pairs.
+
     ``method`` is ``"exact"`` when the values were read off block
     intersections over a family of MUBs and ``"numeric"`` when they come from
     a float trace Gram; ``mub_dev`` bounds the deviation of the packing's
@@ -340,11 +350,11 @@ def _report_from_grams(packing: Packing, e: np.ndarray, g: np.ndarray,
     n = packing.n
     np.fill_diagonal(e, -np.inf)
     np.fill_diagonal(g, -np.inf)
-    i, j = divmod(int(np.argmax(e)), n)
-    mu = float(e[i, j])
+    mu = float(e.max())
+    hit = e >= mu - tol.eps_abs
+    i, j = divmod(int(np.argmax(hit)), n)  # the first pair within eps_abs of mu
     argmax_pair = (min(i, j), max(i, j))
-    attain = (e >= mu - tol.eps_abs).any(axis=1)
-    achievers = tuple(int(x) for x in np.flatnonzero(attain))
+    achievers = tuple(int(x) for x in np.flatnonzero(hit.any(axis=1)))
 
     labels, ranks = _basis_labels(packing.elements), packing.ranks
     cls = _pair_class(labels[:, None], ranks[:, None], labels, ranks)

@@ -300,6 +300,9 @@ MALFORMED = {
     "provenance-negative-basis": ("certify", {"m": 2, "field": "C", "elements": PAIR,
                                               "provenance": [{"basis": -3, "block": [0]},
                                                              "imported"]}),
+    "provenance-block-size": ("certify", {"m": 2, "field": "C", "elements": PAIR,
+                                          "provenance": [{"basis": 0, "block": [0, 1]},
+                                                         "imported"]}),
     "failures-not-strings": ("certify", {"m": 2, "field": "C", "elements": PAIR,
                                          "hypotheses": {"failures": [1, {"a": 2}]}}),
     "ok-string": ("certify", {"m": 2, "field": "C", "elements": PAIR,

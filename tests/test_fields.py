@@ -50,6 +50,66 @@ def test_field_axioms_exhaustive(q):
         assert ft.mul(x, ft.inv(x)) == 1
 
 
+def naive_field(q):
+    """Sum, product and trace of GF(q) from pure-int polynomial arithmetic
+    over the digit encoding: the reference for the tables."""
+    pp = factor_prime_power(q)
+    p, n = pp.p, pp.n
+    modulus = smallest_irreducible(p, n)
+
+    def digits(v):
+        return [v // p ** i % p for i in range(n)]
+
+    def value(coeffs):
+        return sum(c * p ** i for i, c in enumerate(coeffs))
+
+    def add(a, b):
+        return value([(x + y) % p for x, y in zip(digits(a), digits(b))])
+
+    def mul(a, b):
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] += x * y
+        for top in range(2 * n - 2, n - 1, -1):
+            c = prod[top]
+            for i in range(n + 1):
+                prod[top - n + i] -= c * modulus[i]
+        return value([c % p for c in prod[:n]])
+
+    def trace(x):
+        t, power = 0, x
+        for _ in range(n):
+            t = add(t, power)
+            y = 1
+            for _ in range(p):
+                y = mul(y, power)
+            power = y
+        return t
+
+    return add, mul, trace
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 64, 81])
+def test_tables_match_naive_arithmetic(q):
+    ft = build_field(q)
+    add, mul, trace = naive_field(q)
+    elems = np.arange(q)
+    assert ft.add(elems[:, None], elems).tolist() == [[add(a, b) for b in range(q)]
+                                                      for a in range(q)]
+    assert ft.mul(elems[:, None], elems).tolist() == [[mul(a, b) for b in range(q)]
+                                                      for a in range(q)]
+    assert ft.trace(elems).tolist() == [trace(x) for x in range(q)]
+    assert isinstance(ft.add(1, 2), int) and isinstance(ft.mul(1, 2), int)
+    assert isinstance(ft.trace(1), int)
+
+
+def test_build_field_is_capped_at_256():
+    assert build_field(256).q == 256
+    with pytest.raises(ParameterError, match="q <= 256"):
+        build_field(257)
+
+
 def test_gf7_trace_is_identity():
     ft = build_field(PrimePower(7, 1))
     assert field_trace(ft, 5) == 5
@@ -124,11 +184,17 @@ class TestProjectivePlane:
         assert all(len(L) == 4 for L in lines)
 
     def test_pairwise_intersection_is_one(self):
-        for q in (2, 3, 4):
+        for q in (2, 3, 4, 8):
             lines = enumerate_projective_plane(q)
+            assert len(lines) == q * q + q + 1
             for a, b in itertools.combinations(lines, 2):
                 assert len(set(a) & set(b)) == 1
 
     def test_invalid_order(self):
         with pytest.raises(ParameterError):
             enumerate_projective_plane(6)
+
+    def test_size_is_checked_before_the_field_is_built(self):
+        # GF(257) is above the table cap; the plane-size error comes first
+        with pytest.raises(ParameterError, match="plane of order 257"):
+            enumerate_projective_plane(257)

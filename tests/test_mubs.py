@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasspack.errors import ParameterError, UnsupportedError
+from grasspack.fields import build_field
 from grasspack.mubs import (MubFamily, gen_mubs, gen_mubs_prime,
                             gen_mubs_prime_power, gen_mubs_small, mub_capacity,
                             mubs_from_json, mubs_to_json, verify_mubs)
@@ -78,6 +79,24 @@ class TestPrime:
 
 
 class TestPrimePower:
+    @pytest.mark.parametrize("q", [9, 25, 27])
+    def test_equals_the_per_column_formula(self, q):
+        """The one-lookup generator gives, bit for bit, each column b built alone."""
+        ft = build_field(q)
+        omega = np.exp(2j * np.pi * np.arange(ft.p) / ft.p)
+        scale = 1.0 / np.sqrt(q)
+        xs = np.arange(q, dtype=np.int64)
+        xsq = ft.mul(xs, xs)
+        ref = [np.eye(q)]
+        for a in range(q):
+            ax2 = ft.mul(np.full(q, a, dtype=np.int64), xsq)
+            mat = np.empty((q, q), dtype=np.complex128)
+            for b in range(q):
+                e = ft.add(ax2, ft.mul(np.full(q, b, dtype=np.int64), xs))
+                mat[:, b] = scale * omega[ft.trace(e)]
+            ref.append(mat)
+        assert np.array_equal(gen_mubs_prime_power(q).bases, np.array(ref))
+
     def test_q9(self):
         fam = gen_mubs_prime_power(9)
         assert fam.k == 10

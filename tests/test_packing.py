@@ -588,6 +588,14 @@ class TestJson:
         with pytest.raises(ParameterError, match=f"element 5: .*{match}"):
             packing_from_json(json.loads(json.dumps(obj)))
 
+    def test_provenance_block_of_the_wrong_size_rejected(self):
+        """The rank-2 element of the C^4 orthoplex with a one-point block."""
+        obj = packing_to_json(c4_orthoplex_packing()[0])
+        obj["provenance"][0] = {"basis": 0, "block": [0]}
+        with pytest.raises(ParameterError, match="element 0: provenance block of 1 points "
+                                                 "on a rank-2 element"):
+            packing_from_json(json.loads(json.dumps(obj)))
+
     def test_field_must_match_the_elements(self):
         family = gen_mubs_prime(3)
         pk = Packing(3, COMPLEX, tuple(coordinate_projection(family, a, (x,))
@@ -698,6 +706,9 @@ class TestCoordinatePackings:
         assert cert.mu_embedded == pytest.approx(cert_back.mu_embedded, abs=1e-12)
         rep, rep_back = coherence(pk), coherence(back)
         assert rep.achievers == rep_back.achievers
+        # rounding noise on the numeric pass does not pick among exact ties
+        assert (rep.argmax_pair == rep_back.argmax_pair
+                == coherence(spatial_complement(back)).argmax_pair)
         assert ({k: v.count for k, v in rep.pair_classes.items()}
                 == {k: v.count for k, v in rep_back.pair_classes.items()})
         assert rep.mu_embedded == pytest.approx(rep_back.mu_embedded, abs=1e-12)
