@@ -8,13 +8,14 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError, StructuralError, UnsupportedError
 from .fields import is_prime
-from .numerics import as_int, as_type
+from .numerics import as_int, as_type, lock
 
 
 def check_block(block, m: int) -> tuple[int, ...]:
@@ -31,13 +32,24 @@ def check_block(block, m: int) -> tuple[int, ...]:
     return b
 
 
+def _incidence(m: int, blocks) -> np.ndarray:
+    """The m x b 0/1 float matrix whose column c marks the points of ``blocks[c]``."""
+    sizes = [len(blk) for blk in blocks]
+    points = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.intp, count=sum(sizes))
+    inc = np.zeros((m, len(sizes)))
+    inc[points, np.repeat(np.arange(len(sizes)), sizes)] = 1.0
+    return inc
+
+
 @dataclass(frozen=True)
 class BlockDesign:
     """An ordered multiset of equal-size blocks over the points 0..m-1.
 
     Duplicate blocks are permitted and counted with multiplicity; order is
     significant (complement-closed families are stored as concatenations with
-    positional identity).
+    positional identity). How blocks meet is read off one matrix:
+    ``incidence``, the m x b 0/1 float matrix N, and ``intersections``, the
+    int64 N^T N with entries |B_i & B_j|, are read-only and made on first use.
     """
 
     m: int
@@ -68,6 +80,14 @@ class BlockDesign:
     @property
     def block_size(self) -> int:
         return len(self.blocks[0])
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        return lock(_incidence(self.m, self.blocks))
+
+    @cached_property
+    def intersections(self) -> np.ndarray:
+        return lock((self.incidence.T @ self.incidence).astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -118,19 +138,13 @@ def verify_design(design: BlockDesign, t: int) -> DesignReport:
         raise ParameterError(f"t must be >= 1, got {t}")
     if t > design.m:
         raise ParameterError(f"t={t} exceeds the point count {design.m}")
-    is_t: dict[int, bool] = {}
-    lam: int | None = None
-    for tt in range(1, t + 1):
-        ok, value = _subset_counts(design, tt)
-        is_t[tt] = ok
-        if tt == t:
-            lam = value
-    r_ok, r = _subset_counts(design, 1)
+    counts = [_subset_counts(design, tt) for tt in range(1, t + 1)]  # (ok, count) per level
+    is_t = {tt: ok for tt, (ok, _) in enumerate(counts, 1)}
     res = resolvability(design) if is_t.get(2, False) else ResolvabilityReport(False, None, False, None)
     return DesignReport(
         is_t_design=is_t,
-        lambda_observed=lam,
-        r_observed=r if r_ok else None,
+        lambda_observed=counts[-1][1],
+        r_observed=counts[0][1],
         b=design.b,
         is_symmetric=bool(is_t.get(2, False) and design.b == design.m),
         cohesion=cohesion(design) if design.b >= 2 else None,
@@ -141,11 +155,10 @@ def verify_design(design: BlockDesign, t: int) -> DesignReport:
 
 
 def cohesion(design: BlockDesign) -> int:
-    """Largest pairwise intersection over distinct block positions."""
+    """Largest intersection of two block positions: max of the strict upper triangle of N^T N."""
     if design.b < 2:
         raise ParameterError("cohesion needs at least 2 blocks")
-    sets = [frozenset(b) for b in design.blocks]
-    return max(len(a & b) for a, b in itertools.combinations(sets, 2))
+    return int(np.triu(design.intersections, 1).max())
 
 
 def is_cohesive(design: BlockDesign, bound: Fraction | int) -> bool:
@@ -160,15 +173,15 @@ def complement_design(design: BlockDesign) -> BlockDesign:
     """
     if design.block_size == design.m:
         raise ParameterError("blocks already cover every point; complement is empty")
-    full = set(range(design.m))
-    return BlockDesign(design.m, [tuple(sorted(full - set(b))) for b in design.blocks])
+    return BlockDesign(design.m, [np.flatnonzero(c == 0).tolist() for c in design.incidence.T])
 
 
 def resolvability(design: BlockDesign) -> ResolvabilityReport:
     """Search for a partition of the blocks into parallel classes (disjoint
     blocks covering all points); when found, affineness requires a constant
     cross-class intersection, and Bose's bound b >= m + r - 1 must then hold
-    with equality."""
+    with equality. Disjointness and cross-class intersections are read off
+    ``design.intersections``."""
     m, l, b = design.m, design.block_size, design.b
     if l == m:
         # complete blocks: trivially resolvable, outside Bose/affine scope
@@ -179,27 +192,25 @@ def resolvability(design: BlockDesign) -> ResolvabilityReport:
     per_class = m // l
     if b % per_class != 0:
         return ResolvabilityReport(False, None, False, None)
-    sets = [frozenset(blk) for blk in design.blocks]
+    meets = (design.intersections > 0).tolist()
 
-    def complete_class(partial: list[int], covered: frozenset, unused: set[int]):
+    def complete_class(partial: list[int], unused: set[int]):
         if len(partial) == per_class:
             yield tuple(partial)
             return
         after = partial[-1]
         for i in sorted(unused):
-            if i <= after:
-                continue
-            if covered & sets[i]:
+            if i <= after or any(meets[j][i] for j in partial):
                 continue
             partial.append(i)
-            yield from complete_class(partial, covered | sets[i], unused - {i})
+            yield from complete_class(partial, unused - {i})
             partial.pop()
 
     def partition(unused: set[int]) -> tuple[tuple[int, ...], ...] | None:
         if not unused:
             return ()
         pivot = min(unused)
-        for cls in complete_class([pivot], sets[pivot], unused - {pivot}):
+        for cls in complete_class([pivot], unused - {pivot}):
             rest = partition(unused - set(cls))
             if rest is not None:
                 return (cls,) + rest
@@ -208,11 +219,8 @@ def resolvability(design: BlockDesign) -> ResolvabilityReport:
     classes = partition(set(range(b)))
     if classes is None:
         return ResolvabilityReport(False, None, False, None)
-    cross = {
-        len(sets[i] & sets[j])
-        for ca, cb in itertools.combinations(classes, 2)
-        for i in ca for j in cb
-    }
+    label = np.argsort(np.concatenate(classes)) // per_class  # the class of each block
+    cross = set(design.intersections[label[:, None] != label].tolist())
     # affine needs an actual constant cross-class intersection; a single
     # parallel class has no cross pairs and does not qualify
     is_affine = len(cross) == 1
@@ -329,9 +337,8 @@ def hadamard_to_3design(h: HadamardMatrix) -> BlockDesign:
     if n < 4 or n % 4 != 0:
         raise ParameterError(f"need order 4t >= 4, got {n}")
     mat = h.entries * h.entries[-1]  # negate columns whose last entry is -1
-    pos = [tuple(int(j) for j in np.flatnonzero(mat[i] == 1)) for i in range(n - 1)]
-    neg = [tuple(int(j) for j in np.flatnonzero(mat[i] == -1)) for i in range(n - 1)]
-    return BlockDesign(n, pos + neg, declared_t=3, declared_lambda=n // 4 - 1)
+    blocks = [np.flatnonzero(row == sign).tolist() for sign in (1, -1) for row in mat[:-1]]
+    return BlockDesign(n, blocks, declared_t=3, declared_lambda=n // 4 - 1)
 
 
 def design_rebase(design: BlockDesign) -> tuple[int, BlockDesign]:
@@ -357,19 +364,19 @@ def design_rebase(design: BlockDesign) -> tuple[int, BlockDesign]:
 
 def complementary_halves(design: BlockDesign) -> BlockDesign:
     """From a complement-closed block family, keep one block per complementary
-    pair: the one containing point 0."""
+    pair: the one containing point 0. Two blocks of size l are complements
+    when they are disjoint and 2l = m; each block in turn is paired with the
+    first later unpaired complement, or StructuralError names it."""
+    disjoint = ((design.intersections == 0) & (2 * design.block_size == design.m)).tolist()
     remaining = list(range(design.b))
-    sets = [frozenset(b) for b in design.blocks]
-    full = frozenset(range(design.m))
     chosen = []
     while remaining:
         i = remaining.pop(0)
-        comp = full - sets[i]
-        j = next((k for k in remaining if sets[k] == comp), None)
+        j = next((k for k in remaining if disjoint[i][k]), None)
         if j is None:
             raise StructuralError(f"block {design.blocks[i]} has no complement in the family")
         remaining.remove(j)
-        chosen.append(i if 0 in sets[i] else j)
+        chosen.append(i if design.incidence[0, i] else j)
     return BlockDesign(design.m, [design.blocks[i] for i in sorted(chosen)])
 
 

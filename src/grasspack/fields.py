@@ -126,9 +126,10 @@ class FieldTable:
     the trace of each element, read through the product table.
 
     Elements are the integers 0..q-1 in the digit encoding described in the
-    module docstring. ``add``, ``mul`` and ``trace`` are lookups; they take
-    scalars or arrays and return an int for a 0-d result. The tables hold
-    q^2 entries, so q is capped at 256.
+    module docstring. ``add``, ``mul``, ``inv`` and ``trace`` are lookups,
+    and raise ParameterError for an element outside 0..q-1; all but ``inv``
+    take scalars or arrays and return an int for a 0-d result. The tables
+    hold q^2 entries, so q is capped at 256.
     """
 
     def __init__(self, pp: PrimePower):
@@ -170,29 +171,33 @@ class FieldTable:
     def p(self) -> int:
         return self.pp.p
 
+    def _lookup(self, table: np.ndarray, *elements):
+        """``table[elements]``; ``np.ravel_multi_index`` refuses elements outside 0..q-1."""
+        try:
+            out = table.ravel()[np.ravel_multi_index(elements, table.shape)]
+        except ValueError:
+            raise ParameterError(f"element outside 0..{self.q - 1}") from None
+        return int(out) if out.ndim == 0 else out
+
     def add(self, a, b):
         """a + b from the sum table; accepts scalars or numpy arrays."""
-        return _int_if_scalar(self._sum[a, b])
+        return self._lookup(self._sum, a, b)
 
     def mul(self, a, b):
         """a b from the product table; accepts scalars or numpy arrays."""
-        return _int_if_scalar(self._product[a, b])
+        return self._lookup(self._product, a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ParameterError("0 has no multiplicative inverse")
-        return int(np.argmax(self._product[a] == 1))
+        return int(np.argmax(self.mul(a, np.arange(self.q)) == 1))
 
     def trace(self, x):
         """Field trace tr(x) = x + x^p + ... + x^(p^(n-1)), an element of GF(p)."""
-        return _int_if_scalar(self._trace[x])
+        return self._lookup(self._trace, x)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FieldTable(GF({self.q}), modulus={self.modulus})"
-
-
-def _int_if_scalar(out: np.ndarray):
-    return int(out) if out.ndim == 0 else out
 
 
 def build_field(pp: PrimePower | int) -> FieldTable:

@@ -12,7 +12,6 @@ family is equivalent to a normalized Hadamard matrix.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from collections import Counter
@@ -23,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .designs import (BlockDesign, HadamardMatrix, check_block, complementary_halves,
-                      is_cohesive)
+from .designs import (BlockDesign, HadamardMatrix, _incidence, check_block,
+                      complement_design, complementary_halves, is_cohesive)
 from .embedding import build_space, embed, embedding_dim
 from .errors import (ConsistencyError, DegenerateRankError, DimensionMismatchError,
                      HypothesisError, ParameterError, StructuralError)
@@ -217,8 +216,8 @@ def build_orthoplex_packing(mubs: MubFamily, halves: BlockDesign) -> Packing:
     basis, for a block family S whose distinct blocks all meet in exactly
     l^2/m points.
 
-    The intersection condition is checked exactly (m |J & J'| = l^2) and its
-    violation raises HypothesisError naming the offending pair. When
+    The intersection condition m |J & J'| = l^2 is checked exactly on
+    ``halves.intersections``; its first violation raises HypothesisError. When
     |S| = m-1 and the family of bases is maximal, the result is tagged as a
     candidate maximal orthoplectic fusion frame with 2(m-1) k = 2d elements.
     """
@@ -228,14 +227,13 @@ def build_orthoplex_packing(mubs: MubFamily, halves: BlockDesign) -> Packing:
     l = halves.block_size
     if l >= m:
         raise ParameterError("blocks cover every point; complements are empty")
-    for (i, a), (j, b) in itertools.combinations(enumerate(halves.blocks), 2):
-        inter = len(set(a) & set(b))
-        if m * inter != l * l:
-            raise HypothesisError(
-                f"blocks {i} and {j} meet in {inter} points; need l^2/m = {l * l}/{m}")
-    full_pts = set(range(m))
-    all_blocks = list(halves.blocks) + [
-        tuple(sorted(full_pts - set(b))) for b in halves.blocks]
+    meet = halves.intersections
+    bad = np.triu(m * meet != l * l, 1)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), halves.b)
+        raise HypothesisError(
+            f"blocks {i} and {j} meet in {meet[i, j]} points; need l^2/m = {l * l}/{m}")
+    all_blocks = halves.blocks + complement_design(halves).blocks
     elements = [
         coordinate_projection(mubs, k, blk)
         for k in range(mubs.k)
@@ -300,38 +298,28 @@ def _family(elements) -> MubFamily | None:
     return family if family is not None and all(p.family is family for p in elements) else None
 
 
-def _incidence(m: int, elements) -> np.ndarray:
-    """The m x n 0/1 matrix whose column c marks the block of ``elements[c]``."""
-    sizes = [p.rank for p in elements]
-    points = np.fromiter(itertools.chain.from_iterable(p.block for p in elements),
-                         dtype=np.intp, count=sum(sizes))
-    inc = np.zeros((m, len(sizes)))
-    inc[points, np.repeat(np.arange(len(sizes)), sizes)] = 1.0
-    return inc
-
-
 def _physical_memory() -> int:
     """Bytes of physical memory of the machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_gram_memory(packing: Packing) -> None:
-    """Raise ParameterError before the numeric pass allocates more than the
-    machine has: it holds at least the trace Gram, the embedded Gram and one
-    n x n temporary, and the stack of the n complex m x m element matrices."""
+def _check_gram_memory(packing: Packing, task: str) -> None:
+    """Raise ParameterError before ``task`` allocates more than the machine
+    has: three n x n float arrays and n complex m x m matrices, as the numeric
+    pass holds, which also exceeds the geometry pass's n x d coordinates and Gram."""
     n, m = packing.n, packing.m
     need = 3 * 8 * n * n + 16 * n * m * m
     have = _physical_memory()
     if need > have:
         raise ParameterError(
-            f"the numeric coherence pass for n={n}, m={m} needs at least {need} bytes, "
+            f"{task} for n={n}, m={m} needs at least {need} bytes, "
             f"more than the {have} bytes of physical memory")
 
 
 def _embedded_gram(packing: Packing) -> tuple[np.ndarray, np.ndarray]:
     """(e, g): the embedded Gram c_i c_j (g_ij - r_i r_j / m), built in place,
     and the trace Gram g."""
-    _check_gram_memory(packing)
+    _check_gram_memory(packing, "the numeric coherence pass")
     m = packing.m
     ranks = packing.ranks
     g = _trace_gram(packing)
@@ -408,7 +396,7 @@ def _exact_pass(packing: Packing, mub_dev: float,
     # sorted by basis, stably so each keeps increasing indices; where each run starts
     order = np.argsort(labels, kind="stable")
     starts = np.concatenate(([0], np.cumsum(np.bincount(labels))))
-    inc = _incidence(m, [packing.elements[i] for i in order])
+    inc = _incidence(m, [packing.elements[i].block for i in order])
     first, second, common = [], [], []  # the same-basis pairs i < j and |J & K|
     for s, e in zip(starts[:-1], starts[1:]):
         u, v = np.triu_indices(e - s, 1)
@@ -520,7 +508,7 @@ def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, 
             return _exact_pass(packing, mub_dev, tol)
     e, g = _embedded_gram(packing)
 
-    def antipodal_pairs() -> int | None:
+    def antipodal_pairs() -> int | None:  # after the report is built, so e is scratch
         ok, pairs, _ = _orthoplex_pattern(e, tol)
         return len(pairs) if ok else None
 
@@ -564,7 +552,8 @@ class Certificate:
 
 def _orthoplex_pattern(e: np.ndarray, tol: Tolerance) -> tuple[bool, tuple[tuple[int, int], ...], float]:
     """Check that the embedded Gram matrix is an orthoplex Gram: a perfect
-    matching of antipodal pairs with all other inner products zero."""
+    matching of antipodal pairs with all other inner products zero. ``e`` is
+    scratch: its diagonal and partner entries are overwritten with 0."""
     n = e.shape[0]
     antipodal = e <= (-1.0 + tol.eps_abs)
     np.fill_diagonal(antipodal, False)
@@ -574,9 +563,9 @@ def _orthoplex_pattern(e: np.ndarray, tol: Tolerance) -> tuple[bool, tuple[tuple
     if not np.array_equal(partner[partner], np.arange(n)):
         return False, (), float("nan")
     pairs = tuple((int(i), int(partner[i])) for i in range(n) if i < partner[i])
-    rest = ~antipodal
-    np.fill_diagonal(rest, False)
-    worst = float(np.abs(e[rest]).max()) if rest.any() else 0.0
+    np.fill_diagonal(e, 0.0)
+    e[np.arange(n), partner] = 0.0
+    worst = float(np.maximum(e.max(), -e.min()))
     return worst <= tol.eps_abs, pairs, worst
 
 
@@ -649,7 +638,7 @@ def _summed_projections(packing: Packing, indices) -> np.ndarray:
     family = _family(els)
     if family is None:
         return sum(p.matrix for p in els)
-    inc, labels = _incidence(packing.m, els), _basis_labels(els)
+    inc, labels = _incidence(packing.m, [p.block for p in els]), _basis_labels(els)
     f = np.zeros((packing.m, packing.m), dtype=np.complex128)
     for a in np.unique(labels):
         u = family.bases[a]
@@ -697,6 +686,7 @@ def verify_orthoplex_geometry(packing: Packing, tol: Tolerance = DEFAULT_TOL) ->
     n = packing.n
     if n != 2 * d:
         return OrthoplexReport(False, f"n != 2d ({n} != {2 * d})", n, d, (), float("nan"))
+    _check_gram_memory(packing, "the orthoplex geometry pass")
     coords = np.stack([embed(p.matrix, space, tol=tol).coords for p in packing.elements])
     gram = coords @ coords.T
     ok, pairs, worst = _orthoplex_pattern(gram, tol)
@@ -741,12 +731,12 @@ def extract_hadamard(packing: Packing, design: BlockDesign,
     """Recover the Hadamard matrix behind a constant-rank maximal orthoplectic
     packing built from a complement-closed block family.
 
-    One block is chosen per complementary pair (the one containing point 0);
-    row i of the output is +1 exactly on that block, and the last row is all
-    +1. When the elements carry blocks, those on the first element's basis
-    must be the design's blocks, or StructuralError is raised. The result is
-    verified in exact integer arithmetic; failure would contradict the
-    construction and raises ConsistencyError.
+    It needs constant rank m/2 and the ``certify`` status MAXIMAL_ORTHOPLEX
+    (certify's HypothesisError passes through); no coordinates are formed.
+    The rows are 2 N^T - 1, N the incidence of ``complementary_halves(design)``,
+    then all +1. When the elements carry blocks, those on the first element's
+    basis must be the design's blocks, or StructuralError is raised. The
+    result is checked in exact integers; failure raises ConsistencyError.
     """
     m = packing.m
     ranks = set(int(r) for r in packing.ranks)
@@ -763,16 +753,13 @@ def extract_hadamard(packing: Packing, design: BlockDesign,
         raise StructuralError(
             f"the design's blocks are not the packing's blocks on basis {first.basis_index}")
     halves = complementary_halves(design)  # raises StructuralError if not closed
-    geometry = verify_orthoplex_geometry(packing, tol=tol)
-    if not geometry.passes:
-        raise StructuralError(f"packing is not a maximal orthoplex: {geometry.reason}")
-    h = -np.ones((m, m), dtype=np.int64)
-    for i, blk in enumerate(halves.blocks):
-        h[i, list(blk)] = 1
-    h[m - 1, :] = 1
+    status = certify(packing, tol).status
+    if status is not CertStatus.MAXIMAL_ORTHOPLEX:
+        raise StructuralError(f"packing is not a maximal orthoplex: certified {status.value}")
+    h = np.vstack([2 * halves.incidence.T - 1, np.ones(m)]).astype(np.int64)
     try:
         return HadamardMatrix(h)
-    except ParameterError as exc:  # cannot happen for a verified orthoplex
+    except ParameterError as exc:  # cannot happen for a certified orthoplex
         raise ConsistencyError(f"extracted matrix is not Hadamard: {exc}") from exc
 
 

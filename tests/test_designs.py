@@ -13,8 +13,12 @@ from grasspack.designs import (BlockDesign, HadamardMatrix, cohesion,
                                gen_hadamard, hadamard_from_json,
                                hadamard_to_3design, hadamard_to_json, is_cohesive,
                                resolvability, verify_design)
-from grasspack.errors import ParameterError, StructuralError, UnsupportedError
+from grasspack.errors import (ConsistencyError, GrasspackError, HypothesisError, ParameterError,
+                              StructuralError, UnsupportedError)
 from grasspack.fields import enumerate_affine_hyperplanes, enumerate_projective_plane
+from grasspack.mubs import MubFamily
+from grasspack.numerics import COMPLEX
+from grasspack.packing import build_orthoplex_packing
 
 FANO = BlockDesign(7, enumerate_projective_plane(2))
 AG22 = BlockDesign(4, enumerate_affine_hyperplanes(2, 2))
@@ -416,3 +420,177 @@ class TestComplementaryHalves:
     def test_not_closed_raises(self):
         with pytest.raises(StructuralError):
             complementary_halves(BlockDesign(4, [(0, 1), (0, 2)]))
+
+
+class TestIntersectionMatrix:
+    def test_incidence_and_intersections(self):
+        inc, meet = FANO.incidence, FANO.intersections
+        assert inc.shape == (7, 7) and inc.dtype == np.float64
+        assert [tuple(np.flatnonzero(col)) for col in inc.T] == list(FANO.blocks)
+        assert meet.dtype == np.int64
+        assert np.array_equal(meet, 2 * np.eye(7, dtype=np.int64) + 1)  # l = 3, lambda = 1
+
+    def test_read_only_and_made_once(self):
+        d = BlockDesign(4, [(0, 1), (2, 3), (0, 2)])
+        for arr in (d.incidence, d.intersections):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 5
+        assert d.incidence is d.incidence and d.intersections is d.intersections
+
+    def test_not_part_of_equality_hash_or_json(self):
+        used, fresh = BlockDesign(4, [(0, 1), (2, 3)]), BlockDesign(4, [(0, 1), (2, 3)])
+        assert used.intersections.shape == (2, 2)  # made on first use
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert design_to_json(used) == design_to_json(fresh)
+
+    def test_verify_design_counts_each_level_once(self, monkeypatch):
+        from grasspack import designs
+        calls = []
+        real = designs._subset_counts
+
+        def counting(design, t):
+            calls.append(t)
+            return real(design, t)
+
+        monkeypatch.setattr(designs, "_subset_counts", counting)
+        report = verify_design(FANO, 2)
+        assert calls == [1, 2]
+        assert report.r_observed == 3 and report.lambda_observed == 1
+
+
+# The set-based readers the intersection matrix replaced, kept as references.
+
+def reference_cohesion(design):
+    sets = [frozenset(b) for b in design.blocks]
+    return max(len(a & b) for a, b in itertools.combinations(sets, 2))
+
+
+def reference_halves(design):
+    remaining = list(range(design.b))
+    sets = [frozenset(b) for b in design.blocks]
+    full = frozenset(range(design.m))
+    chosen = []
+    while remaining:
+        i = remaining.pop(0)
+        comp = full - sets[i]
+        j = next((k for k in remaining if sets[k] == comp), None)
+        if j is None:
+            raise StructuralError(f"block {design.blocks[i]} has no complement in the family")
+        remaining.remove(j)
+        chosen.append(i if 0 in sets[i] else j)
+    return BlockDesign(design.m, [design.blocks[i] for i in sorted(chosen)])
+
+
+def reference_resolvability(design):
+    from grasspack.designs import ResolvabilityReport, _subset_counts
+    m, l, b = design.m, design.block_size, design.b
+    if l == m:
+        return ResolvabilityReport(True, tuple((i,) for i in range(b)), False, None)
+    if m % l != 0 or b % (m // l) != 0:
+        return ResolvabilityReport(False, None, False, None)
+    per_class = m // l
+    sets = [frozenset(blk) for blk in design.blocks]
+
+    def complete_class(partial, covered, unused):
+        if len(partial) == per_class:
+            yield tuple(partial)
+            return
+        for i in sorted(unused):
+            if i <= partial[-1] or covered & sets[i]:
+                continue
+            partial.append(i)
+            yield from complete_class(partial, covered | sets[i], unused - {i})
+            partial.pop()
+
+    def partition(unused):
+        if not unused:
+            return ()
+        pivot = min(unused)
+        for cls in complete_class([pivot], sets[pivot], unused - {pivot}):
+            rest = partition(unused - set(cls))
+            if rest is not None:
+                return (cls,) + rest
+        return None
+
+    classes = partition(set(range(b)))
+    if classes is None:
+        return ResolvabilityReport(False, None, False, None)
+    cross = {len(sets[i] & sets[j]) for ca, cb in itertools.combinations(classes, 2)
+             for i in ca for j in cb}
+    is_affine = len(cross) == 1
+    if is_affine:
+        ok2, _ = _subset_counts(design, 2)
+        r_ok, r = _subset_counts(design, 1)
+        if ok2 and r_ok and b != m + r - 1:
+            raise ConsistencyError(
+                f"affine design violates the b = m + r - 1 equality: b={b}, m={m}, r={r}")
+    return ResolvabilityReport(True, classes, is_affine, cross.pop() if is_affine else None)
+
+
+def reference_orthoplex_failure(halves):
+    m, l = halves.m, halves.block_size
+    for (i, a), (j, b) in itertools.combinations(enumerate(halves.blocks), 2):
+        inter = len(set(a) & set(b))
+        if m * inter != l * l:
+            return f"blocks {i} and {j} meet in {inter} points; need l^2/m = {l * l}/{m}"
+    return None
+
+
+def outcome(read, design):
+    """What ``read(design)`` returns, or the type and text of what it raises."""
+    try:
+        return read(design)
+    except GrasspackError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def small_designs(draw):
+    """Blocks of one size over m <= 8 points: arbitrary ones, complement-closed
+    families (shuffled, sometimes with a repeated block) or unions of parallel
+    classes, so that each reader meets its success and its failure cases."""
+    m = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["any", "closed", "parallel"]))
+    subsets = st.permutations(range(m))
+    if kind == "closed" and m % 2 == 0:
+        halves = [pts[:m // 2] for pts in draw(st.lists(subsets, min_size=1, max_size=5))]
+        blocks = halves + [sorted(set(range(m)) - set(h)) for h in halves]
+        blocks = [blocks[i] for i in draw(st.permutations(range(len(blocks))))]
+        blocks += blocks[:draw(st.integers(0, 1))]
+    elif kind == "parallel":
+        l = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+        blocks = [pts[s:s + l] for pts in draw(st.lists(subsets, min_size=1, max_size=4))
+                  for s in range(0, m, l)]
+        blocks = [blocks[i] for i in draw(st.permutations(range(len(blocks))))]
+    else:
+        l = draw(st.integers(1, m))
+        blocks = [pts[:l] for pts in draw(st.lists(subsets, min_size=1, max_size=10))]
+    return BlockDesign(m, blocks)
+
+
+class TestIntersectionReaders:
+    """Every reader of ``intersections`` agrees with the set-based code it
+    replaced, errors included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_designs())
+    def test_matches_set_based_reference(self, design):
+        if design.b >= 2:
+            assert cohesion(design) == reference_cohesion(design)
+        halves = outcome(complementary_halves, design)
+        expected = outcome(reference_halves, design)
+        assert (halves.blocks if isinstance(halves, BlockDesign) else halves) == (
+            expected.blocks if isinstance(expected, BlockDesign) else expected)
+        assert outcome(resolvability, design) == outcome(reference_resolvability, design)
+        if design.block_size < design.m:
+            assert complement_design(design).blocks == tuple(
+                tuple(sorted(set(range(design.m)) - set(b))) for b in design.blocks)
+            family = MubFamily(design.m, COMPLEX, [np.eye(design.m)])
+            failure = reference_orthoplex_failure(design)
+            if failure is None:
+                assert build_orthoplex_packing(family, design).n == 2 * design.b
+            else:
+                with pytest.raises(HypothesisError) as info:
+                    build_orthoplex_packing(family, design)
+                assert str(info.value) == failure

@@ -110,6 +110,24 @@ def test_build_field_is_capped_at_256():
         build_field(257)
 
 
+@pytest.mark.parametrize("q", [5, 9])
+@pytest.mark.parametrize("outside", ["negative", "q"])
+def test_lookups_refuse_elements_outside_the_field(q, outside):
+    """A negative element would wrap around the tables (in GF(9), -1 read as
+    8) and q would overrun them; every lookup raises ParameterError instead,
+    for scalars and arrays alike."""
+    ft = build_field(q)
+    bad = -1 if outside == "negative" else q
+    calls = [lambda: ft.add(bad, 0), lambda: ft.add(0, bad), lambda: ft.mul(bad, 1),
+             lambda: ft.mul(1, bad), lambda: ft.trace(bad), lambda: ft.inv(bad),
+             lambda: ft.add(np.array([0, bad]), 1), lambda: ft.trace(np.array([bad]))]
+    for call in calls:
+        with pytest.raises(ParameterError, match=rf"element outside 0\.\.{q - 1}"):
+            call()
+    assert ft.add(q - 1, 0) == ft.mul(q - 1, 1) == q - 1 and ft.trace(q - 1) < ft.p
+    assert ft.mul(np.arange(q), 1).tolist() == list(range(q))
+
+
 def test_gf7_trace_is_identity():
     ft = build_field(PrimePower(7, 1))
     assert field_trace(ft, 5) == 5

@@ -16,8 +16,9 @@ from grasspack.errors import (DegenerateRankError, HypothesisError, ParameterErr
 from grasspack.fields import enumerate_projective_plane
 from grasspack.mubs import (MubFamily, gen_mubs, gen_mubs_prime, gen_mubs_prime_power,
                             gen_mubs_small, mubs_from_json, verify_mubs)
-from grasspack.numerics import COMPLEX, REAL, hs_inner
-from grasspack.packing import (CertStatus, Packing, Projection, _embedded_gram,
+from grasspack.numerics import COMPLEX, DEFAULT_TOL, REAL, hs_inner
+from grasspack.packing import (CertStatus, HypothesisRecord, Packing, Projection,
+                               _embedded_gram, _orthoplex_pattern,
                                build_mixed_packing, build_orthoplex_packing,
                                certificate_to_json, certify, check_tightness,
                                coherence, coordinate_projection, extract_hadamard,
@@ -432,6 +433,20 @@ class TestOrthoplexGeometry:
         assert not report.passes
         assert "n != 2d" in report.reason
 
+    def test_geometry_pass_checks_memory_first(self, monkeypatch):
+        """The geometry pass sizes its arrays against physical memory before
+        forming coordinates; ``certify`` of the same packing is exact and
+        never reaches the guard."""
+        from grasspack import packing
+        monkeypatch.setattr(packing, "_physical_memory", lambda: 1000)
+        pk, design3 = c4_orthoplex_packing()
+        with pytest.raises(ParameterError,
+                           match="orthoplex geometry pass .* 1000 bytes of physical memory"):
+            verify_orthoplex_geometry(pk)
+        cert = certify(pk)
+        assert cert.status is CertStatus.MAXIMAL_ORTHOPLEX and cert.coherence.method == "exact"
+        assert extract_hadamard(pk, design3).order == 4
+
     def test_maximal_orthoplex_is_tight(self):
         # every verified orthoplex is a tight fusion frame
         for pk in (c4_orthoplex_packing()[0],
@@ -490,7 +505,63 @@ class TestSpanOfAchievers:
             span_of_achievers(pk, rep)
 
 
+def parent_hadamard(design):
+    """The rows the set-based extraction wrote: +1 on each kept half, then all +1."""
+    m = design.m
+    h = -np.ones((m, m), dtype=np.int64)
+    for i, blk in enumerate(complementary_halves(design).blocks):
+        h[i, list(blk)] = 1
+    h[m - 1, :] = 1
+    return h
+
+
+ORTHOPLEX_CASES = {
+    "c2": lambda: (BUILDER_FIXTURES["c2-octahedron"](), BlockDesign(2, [(0,), (1,)])),
+    "c4": c4_orthoplex_packing,
+    "c8": lambda: (c8_orthoplex_packing(), hadamard_to_3design(gen_hadamard(8))),
+}
+
+
 class TestExtractHadamard:
+    @pytest.mark.parametrize("variant", ["built", "imported"])
+    @pytest.mark.parametrize("case", sorted(ORTHOPLEX_CASES))
+    def test_reads_the_certificate(self, case, variant, monkeypatch):
+        """The orthoplex verdict is the certificate's: no geometry pass runs,
+        and a built packing forms no element matrix."""
+        from grasspack import packing
+        pk, design = ORTHOPLEX_CASES[case]()
+        pk = VARIANTS[variant](pk)
+        calls = {"geometry": 0, "matrix": 0}
+        geometry, matrix = packing.verify_orthoplex_geometry, Projection.matrix.fget
+
+        def counted_geometry(*args, **kwargs):
+            calls["geometry"] += 1
+            return geometry(*args, **kwargs)
+
+        def counted_matrix(self):
+            calls["matrix"] += 1
+            return matrix(self)
+
+        monkeypatch.setattr(packing, "verify_orthoplex_geometry", counted_geometry)
+        monkeypatch.setattr(Projection, "matrix", property(counted_matrix))
+        h = extract_hadamard(pk, design)
+        assert np.array_equal(h.entries, parent_hadamard(design))
+        assert calls["geometry"] == 0
+        assert calls["matrix"] == 0 or variant == "imported"
+
+    def test_not_maximal_names_the_certified_status(self):
+        pk, design3 = c4_orthoplex_packing()
+        fewer = Packing(4, COMPLEX, pk.elements[:-6])  # the last basis dropped: n = 24 < 2d
+        with pytest.raises(StructuralError, match="^packing is not a maximal orthoplex: "
+                                                  "certified OptimalOrthoplexRegime$"):
+            extract_hadamard(fewer, design3)
+
+    def test_hypothesis_tagged_packing_raises_hypothesis_error(self):
+        pk, design3 = c4_orthoplex_packing()
+        tagged = Packing(4, COMPLEX, pk.elements, HypothesisRecord(False, ("made up",)))
+        with pytest.raises(HypothesisError, match="made up"):
+            extract_hadamard(tagged, design3)
+
     def test_c4_round_trip(self):
         pk, design3 = c4_orthoplex_packing()
         h = extract_hadamard(pk, design3)
@@ -947,3 +1018,70 @@ class TestExactPass:
         with pytest.raises(ParameterError, match=r"\d+ bytes of physical memory"):
             certify(dense_copy(pk))
         assert certify(pk).coherence.method == "exact"  # allocates no n x n array
+
+
+def parent_orthoplex_pattern(e, tol):
+    """The orthoplex check with two n x n masks and a masked copy, kept as the
+    reference for ``_orthoplex_pattern``."""
+    n = e.shape[0]
+    antipodal = e <= (-1.0 + tol.eps_abs)
+    np.fill_diagonal(antipodal, False)
+    if not np.all(antipodal.sum(axis=1) == 1):
+        return False, (), float("nan")
+    partner = np.argmax(antipodal, axis=1)
+    if not np.array_equal(partner[partner], np.arange(n)):
+        return False, (), float("nan")
+    pairs = tuple((int(i), int(partner[i])) for i in range(n) if i < partner[i])
+    rest = ~antipodal
+    np.fill_diagonal(rest, False)
+    worst = float(np.abs(e[rest]).max()) if rest.any() else 0.0
+    return worst <= tol.eps_abs, pairs, worst
+
+
+@st.composite
+def orthoplex_grams(draw):
+    """Embedded Grams near an orthoplex pattern: antipodes on a random
+    matching (one element left out when n is odd), a diagonal of 1 or -inf
+    (as the numeric pass leaves it), noise of 0 to 1e-3, symmetric or not,
+    and sometimes an extra antipode placed on one side only."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(n)
+    e = np.zeros((n, n))
+    for a, b in zip(order[0:n - 1:2], order[1::2]):
+        e[a, b] = e[b, a] = -1.0
+    e += draw(st.sampled_from([0.0, 1e-12, 1e-10, 1e-9, 1e-6, 1e-3])) * rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        e = (e + e.T) / 2
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = rng.integers(n, size=2)
+        e[i, j] = -1.0
+    np.fill_diagonal(e, draw(st.sampled_from([1.0, -np.inf])))
+    return e
+
+
+class TestOrthoplexPattern:
+    @settings(max_examples=300, deadline=None)
+    @given(orthoplex_grams())
+    def test_matches_the_masked_copy_reference(self, e):
+        ok, pairs, worst = _orthoplex_pattern(e.copy(), DEFAULT_TOL)
+        ref_ok, ref_pairs, ref_worst = parent_orthoplex_pattern(e, DEFAULT_TOL)
+        assert (ok, pairs) == (ref_ok, ref_pairs)
+        assert worst == ref_worst or (np.isnan(worst) and np.isnan(ref_worst))
+
+    def test_keeps_no_masked_copy(self):
+        """At n = 2000 the Gram is 32 MB and one n x n boolean 4 MB; the
+        second mask and the masked copy took about 72 MB more."""
+        import tracemalloc
+        n = 2000
+        e = np.eye(n)
+        evens = np.arange(0, n, 2)
+        e[evens, evens + 1] = e[evens + 1, evens] = -1.0
+        tracemalloc.start()
+        try:
+            ok, pairs, worst = _orthoplex_pattern(e, DEFAULT_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok and len(pairs) == n // 2 and worst == 0.0
+        assert peak < 8 * 2**20
