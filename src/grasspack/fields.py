@@ -172,10 +172,15 @@ class FieldTable:
         return self.pp.p
 
     def _lookup(self, table: np.ndarray, *elements):
-        """``table[elements]``; ``np.ravel_multi_index`` refuses elements outside 0..q-1."""
+        """``table[elements]``, refusing elements outside 0..q-1 without
+        forming an index array: NumPy raises IndexError for one >= q, and
+        each operand's minimum catches a negative one, which would wrap."""
         try:
-            out = table.ravel()[np.ravel_multi_index(elements, table.shape)]
-        except ValueError:
+            if any(e < 0 if isinstance(e, int) else e.size and e.min() < 0
+                   for e in elements):
+                raise IndexError
+            out = table[elements]
+        except IndexError:
             raise ParameterError(f"element outside 0..{self.q - 1}") from None
         return int(out) if out.ndim == 0 else out
 

@@ -27,7 +27,7 @@ from .designs import (BlockDesign, HadamardMatrix, _incidence, check_block,
 from .embedding import build_space, embed, embedding_dim
 from .errors import (ConsistencyError, DegenerateRankError, DimensionMismatchError,
                      HypothesisError, ParameterError, StructuralError)
-from .mubs import MubFamily, mub_capacity
+from .mubs import MubFamily, mub_capacity, mubs_from_json, mubs_to_json
 from .numerics import (DEFAULT_TOL, REAL, Field, Tolerance, as_int, as_type, check_field,
                        is_projection, lock, matrix_from_json, matrix_rank,
                        matrix_to_json)
@@ -45,11 +45,12 @@ class Projection:
     ``matrix`` is ``U[:, block] @ U[:, block]^*`` with ``U =
     family.bases[basis_index]``, formed anew and read-only on each read; the
     exact coherence pass, tightness and the achiever span read the triple
-    and never form it. Every other projection, imported ones included, has
-    ``family`` None and keeps the dense matrix it was checked with, with
-    the ``basis_index`` and ``block`` of its ``provenance`` argument (both
-    None for ``"imported"``); a block whose size is not the rank raises
-    ParameterError. Equality is identity.
+    and never form it; ``packing_from_json`` rebuilds them from a version-2
+    file with a family. Every other projection, ones read from dense
+    matrices included, has ``family`` None and keeps the dense matrix it
+    was checked with, with the ``basis_index`` and ``block`` of its
+    ``provenance`` argument (both None for ``"imported"``); a block whose
+    size is not the rank raises ParameterError. Equality is identity.
     """
 
     rank: int
@@ -522,11 +523,11 @@ def coherence(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> CoherenceReport
 
     A packing of coordinate projections of one MUB family (the builders'
     output and its spatial complement) is read exactly off its block
-    intersections (``report.method == "exact"``), with no n x n array. Any
-    other packing, such as one read by ``packing_from_json`` or built on
-    bases that are not MUBs, takes the dense Gram of its matrices
-    (``"numeric"``). ``certify`` keeps the same
-    report as ``Certificate.coherence``.
+    intersections (``report.method == "exact"``), with no n x n array, also
+    when read back from its version-2 JSON. Any other packing, such as one
+    read from dense matrices (a version-1 file) or built on bases that are
+    not MUBs, takes the dense Gram of its matrices (``"numeric"``).
+    ``certify`` keeps the same report as ``Certificate.coherence``.
     """
     return _coherence_pass(packing, tol)[0]
 
@@ -764,47 +765,73 @@ def extract_hadamard(packing: Packing, design: BlockDesign,
 
 
 def packing_to_json(packing: Packing) -> dict:
+    """The version-2 packing JSON. A packing of coordinate projections of one
+    MUB family is that family (``mubs_to_json``) and one ``{"basis", "block"}``
+    per element; any other has ``"family": null`` and, as in version 1, one
+    dense matrix per element and its ``"provenance"``."""
     prov = [IMPORTED if p.basis_index is None
             else {"basis": p.basis_index, "block": list(p.block)} for p in packing.elements]
-    return {
+    family = _family(packing.elements)
+    obj = {
+        "version": 2,
         "m": packing.m,
         "field": packing.field,
         "mode": packing.mode,
-        "elements": [matrix_to_json(p.matrix, packing.field) for p in packing.elements],
-        "provenance": prov,
         "hypotheses": {
             "ok": packing.hypotheses.ok,
             "failures": list(packing.hypotheses.failures),
             "candidate_maximal": packing.hypotheses.candidate_maximal,
         },
+        "family": None if family is None else mubs_to_json(family),
+        "elements": prov,
     }
+    if family is None:
+        obj["elements"] = [matrix_to_json(p.matrix, packing.field) for p in packing.elements]
+        obj["provenance"] = prov
+    return obj
 
 
 def packing_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Packing:
+    """Read ``packing_to_json`` output. Version 2 with a family rebuilds it
+    (``mubs_from_json``) and each element with ``coordinate_projection``, so
+    the exact coherence pass applies; a ``"family": null`` object, or a
+    version-1 one (no ``"version"`` key), is read as dense matrices with
+    their provenance and takes the numeric pass."""
     as_type(obj, dict, "packing")
+    if "version" in obj and as_int(obj["version"], "version") != 2:
+        raise ParameterError(f"packing version {obj['version']} is not 2")
     m = as_int(obj["m"], "m")
     field = check_field(obj["field"])
-    mats = as_type(obj["elements"], list, "elements")
-    prov = obj.get("provenance")
-    prov_list = as_type([IMPORTED] * len(mats) if prov is None else prov, list, "provenance")
-    if len(prov_list) != len(mats):
-        raise ParameterError("provenance list does not match element count")
+    items = as_type(obj["elements"], list, "elements")
+    family = obj["family"] if "version" in obj else None
+    if family is not None:
+        family, prov_list = mubs_from_json(family), items  # each element is its pair
+    else:
+        prov = obj.get("provenance")
+        prov_list = as_type([IMPORTED] * len(items) if prov is None else prov, list,
+                            "provenance")
+        if len(prov_list) != len(items):
+            raise ParameterError("provenance list does not match element count")
     elements = []
-    for idx, (mj, pv) in enumerate(zip(mats, prov_list)):
+    for idx, (item, pv) in enumerate(zip(items, prov_list)):
         try:
             if isinstance(pv, dict):
                 index = as_int(pv["basis"], "basis index")
                 if index < 0:
                     raise ParameterError(f"basis index {index} is negative")
                 provenance = (index, check_block(as_type(pv["block"], list, "block"), m))
-            elif pv == IMPORTED:
+            elif pv == IMPORTED and family is None:
                 provenance = IMPORTED
             else:
-                raise ParameterError(
-                    f"provenance {pv!r} is neither an object nor {IMPORTED!r}")
-            elements.append(Projection(matrix_from_json(mj), provenance=provenance, tol=tol))
+                raise ParameterError(f"{pv!r} is not a {{basis, block}} object"
+                                     + ("" if family is not None else f" nor {IMPORTED!r}"))
+            elements.append(
+                Projection(matrix_from_json(item), provenance=provenance, tol=tol)
+                if family is None else coordinate_projection(family, *provenance))
         except ParameterError as exc:
             raise ParameterError(f"element {idx}: {exc}") from exc
+        except KeyError as exc:
+            raise ParameterError(f"element {idx}: no {exc} key") from None
     hyp = as_type(obj.get("hypotheses", {}), dict, "hypotheses")
     failures = as_type(hyp.get("failures", []), list, "failures")
     record = HypothesisRecord(

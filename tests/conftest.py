@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from grasspack.packing import Packing, Projection, packing_to_json
+
 
 def random_orthonormal(rng, m, k, field="C"):
     """k orthonormal columns in F^m via QR of a random Gaussian matrix."""
@@ -20,6 +22,21 @@ def random_projection(rng, m, rank, field="C"):
     if field == "R":
         p = p.real.astype(complex)
     return p
+
+
+def dense_copy(pk):
+    """The same matrices, provenance, hypotheses and mode with no basis
+    attached, so the Gram takes the dense path and coherence the numeric pass."""
+    return Packing(pk.m, pk.field, tuple(Projection(p.matrix, provenance=p.provenance)
+                                         for p in pk.elements), pk.hypotheses, pk.mode)
+
+
+def v1_json(pk) -> dict:
+    """The version-1 packing JSON of ``pk``: the family-null version-2 object
+    of its dense copy, without the ``"version"`` and ``"family"`` keys."""
+    obj = packing_to_json(dense_copy(pk))
+    del obj["version"], obj["family"]
+    return obj
 
 
 @pytest.fixture

@@ -11,11 +11,17 @@ import pytest
 import grasspack
 from grasspack.cli import main
 
-from conftest import random_projection
+from conftest import random_projection, v1_json
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def rewrite_as_v1(path):
+    """Rewrite the packing file ``path`` in the version-1 format."""
+    from grasspack.packing import packing_from_json
+    path.write_text(json.dumps(v1_json(packing_from_json(json.loads(path.read_text())))))
 
 
 @pytest.fixture
@@ -138,6 +144,27 @@ class TestBuildAndCertify:
         assert "not the packing's blocks" in capsys.readouterr().err
         assert not (tmp_path / "h.json").exists()
 
+    def test_relabelled_v2_blocks_exit_2_before_extraction(self, tmp_path, capsys):
+        """Relabelling the blocks of basis 0 in a version-2 file relabels the
+        projections themselves, so the design check refuses the file and the
+        extraction never meets a block that its element does not span."""
+        mub, design, pack = tmp_path / "mub4.json", tmp_path / "h3.json", tmp_path / "pk.json"
+        assert run("gen", "mub", "--m", 4, "--out", mub) == 0
+        assert run("gen", "design", "--hadamard3", "--order", 4, "--out", design) == 0
+        assert run("build", "--mub", mub, "--design", design, "--mode", "orthoplex",
+                   "--out", pack) == 0
+        obj = json.loads(pack.read_text())
+        assert [e["basis"] for e in obj["elements"][:7]] == [0] * 6 + [1]
+        for e, blk in zip(obj["elements"], ([0, 1], [2, 3], [0, 1], [2, 3], [0, 2], [1, 3])):
+            e["block"] = blk
+        pack.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("certify", pack, "--extract-hadamard", tmp_path / "h4.json",
+                   "--design", design) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the design's blocks are not the packing's blocks on basis 0\n"
+        assert not (tmp_path / "h4.json").exists()
+
     def test_hypothesis_failure_exits_3_but_writes(self, tmp_path, mub7, fano):
         pack = tmp_path / "packing.json"
         code = run("build", "--mub", mub7, "--design", fano,
@@ -217,6 +244,7 @@ class TestBuildAndCertify:
         pk = tmp_path / "pk.json"
         assert run("build", "--mub", mub7, "--design", fano, "--mode", "mixed",
                    "--partition", "0,1,2,3,4,5,6,7", "--out", pk) == 0
+        rewrite_as_v1(pk)
         obj = json.loads(pk.read_text())
         obj["provenance"][4]["block"] = block
         pk.write_text(json.dumps(obj))
@@ -242,10 +270,17 @@ class TestBuildAndCertify:
         monkeypatch.setattr(packing, "_trace_gram", counting)
         capsys.readouterr()
         assert run("certify", pk, "--achievers") == 0
+        assert calls == []  # a version-2 file keeps its family: the exact pass
+        exact = json.loads(capsys.readouterr().out)
+        rewrite_as_v1(pk)
+        assert run("certify", pk, "--achievers") == 0
         assert calls == [56]
         obj = json.loads(capsys.readouterr().out)
         assert obj["achievers"]["indices"] == list(range(56))
         assert obj["achievers"]["span_is_full"]
+        # the numeric pass differs from the exact one only by rounding in mu
+        assert exact["mu_embedded"] == 0.0 and abs(obj["mu_embedded"]) < 1e-12
+        assert dict(obj, mu_embedded=0.0) == exact
 
     def test_report_mirrors_json(self, tmp_path, mub7, fano, capsys):
         pack = tmp_path / "packing.json"
@@ -263,15 +298,39 @@ PAIR = [{"rows": 2, "cols": 2, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]},
 
 
 def real_tagged_c3_packing():
-    """The singleton blocks of bases 0-2 of C^3 (n = 9, mu = 0), tagged "R"
-    with no hypotheses: over R, d = 5 and n > d + 1 would certify it."""
-    from grasspack import Packing, coordinate_projection, gen_mubs_prime, packing_to_json
-    family = gen_mubs_prime(3)
-    obj = packing_to_json(Packing(3, "C", tuple(coordinate_projection(family, a, (x,))
-                                                for a in range(3) for x in range(3))))
+    """The version-1 file of the singleton blocks of bases 0-2 of C^3 (n = 9,
+    mu = 0), tagged "R" with no hypotheses: over R, d = 5 and n > d + 1 would
+    certify it."""
+    obj = v1_json(c3_singletons())
     obj["field"] = "R"
     del obj["hypotheses"]
     return obj
+
+
+def c3_singletons():
+    from grasspack import Packing, coordinate_projection, gen_mubs_prime
+    family = gen_mubs_prime(3)
+    return Packing(3, "C", tuple(coordinate_projection(family, a, (x,))
+                                 for a in range(3) for x in range(3)))
+
+
+def v2_case(**changes):
+    """The version-2 file of ``c3_singletons`` with top-level keys replaced;
+    an ``element`` change replaces element 4."""
+    from grasspack import packing_to_json
+    obj = packing_to_json(c3_singletons())
+    if "element" in changes:
+        obj["elements"][4] = changes.pop("element")
+    return dict(obj, **changes)
+
+
+def r4_orthoplex_as_complex():
+    """The R^4 orthoplex file, its field changed to "C" (the family stays "R")."""
+    from grasspack import (build_orthoplex_packing, complementary_halves, gen_hadamard,
+                           gen_mubs_small, hadamard_to_3design, packing_to_json)
+    halves = complementary_halves(hadamard_to_3design(gen_hadamard(4)))
+    return dict(packing_to_json(build_orthoplex_packing(gen_mubs_small(4, "R"), halves)),
+                field="C")
 
 
 MALFORMED = {
@@ -319,6 +378,16 @@ MALFORMED = {
                                                          "re": [1, 0, 0, 0, 1, 0, 0, 0, 1],
                                                          "im": [0] * 9}]}),
     "field-R-complex-elements": ("certify", real_tagged_c3_packing()),
+    "v2-version-3": ("certify", v2_case(version=3)),
+    "v2-element-5": ("certify", v2_case(element=5)),
+    "v2-basis-k": ("certify", v2_case(element={"basis": 4, "block": [0]})),
+    "v2-basis-negative": ("certify", v2_case(element={"basis": -1, "block": [0]})),
+    "v2-block-repeats": ("certify", v2_case(element={"basis": 1, "block": [0, 0]})),
+    "v2-block-outside": ("certify", v2_case(element={"basis": 1, "block": [3]})),
+    "v2-family-wrong-m": ("certify", v2_case(
+        family=grasspack.mubs_to_json(grasspack.gen_mubs_prime(5)))),
+    "v2-family-wrong-field": ("certify", r4_orthoplex_as_complex()),
+    "v2-dense-elements": ("certify", v2_case(elements=v1_json(c3_singletons())["elements"])),
 }
 
 
@@ -337,6 +406,26 @@ def test_malformed_json_exits_2(tmp_path, fano, case, capsys):
     assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_pg31_packing_file_holds_its_family(tmp_path, monkeypatch, capsys):
+    """The m = 31 mixed packing of PG(2, 5) and its complement (n = 992) is
+    written as its family and (basis, block) pairs, 2.1 MB where dense
+    matrices took 56 MB, and read back onto the exact pass."""
+    from grasspack.packing import coherence, packing_from_json
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "mub", "--m", 31, "--out", "mub.json") == 0
+    assert run("gen", "design", "--projective", 5, "--out", "pg.json") == 0
+    assert run("gen", "design", "--complement-of", "pg.json", "--out", "pgc.json") == 0
+    assert run("build", "--mub", "mub.json", "--design", "pg.json", "--design", "pgc.json",
+               "--mode", "mixed", "--partition", ",".join(map(str, range(16))) + ";"
+               + ",".join(map(str, range(16, 32))), "--out", "pk.json") == 0
+    assert (tmp_path / "pk.json").stat().st_size < 2.5e6
+    pk = packing_from_json(json.loads((tmp_path / "pk.json").read_text()))
+    assert pk.n == 992 and coherence(pk).method == "exact"
+    capsys.readouterr()
+    assert run("certify", "pk.json") == 0
+    assert json.loads(capsys.readouterr().out)["mu_embedded"] == 0.0
 
 
 def test_numeric_pass_beyond_physical_memory_exits_2(tmp_path, monkeypatch, capsys):

@@ -120,12 +120,21 @@ def test_lookups_refuse_elements_outside_the_field(q, outside):
     bad = -1 if outside == "negative" else q
     calls = [lambda: ft.add(bad, 0), lambda: ft.add(0, bad), lambda: ft.mul(bad, 1),
              lambda: ft.mul(1, bad), lambda: ft.trace(bad), lambda: ft.inv(bad),
-             lambda: ft.add(np.array([0, bad]), 1), lambda: ft.trace(np.array([bad]))]
+             lambda: ft.add(np.array([0, bad]), 1), lambda: ft.trace(np.array([bad])),
+             lambda: ft.mul(np.array([[1], [bad]]), np.arange(q)),
+             lambda: ft.add(np.arange(q), np.full(q, bad))]
     for call in calls:
         with pytest.raises(ParameterError, match=rf"element outside 0\.\.{q - 1}"):
             call()
     assert ft.add(q - 1, 0) == ft.mul(q - 1, 1) == q - 1 and ft.trace(q - 1) < ft.p
     assert ft.mul(np.arange(q), 1).tolist() == list(range(q))
+
+
+def test_lookups_of_empty_arrays_are_empty():
+    ft = build_field(9)
+    empty = np.zeros(0, dtype=np.int64)
+    assert ft.add(empty, 1).shape == ft.trace(empty).shape == (0,)
+    assert ft.mul(np.zeros((0, 1), dtype=np.int64), np.arange(9)).shape == (0, 9)
 
 
 def test_gf7_trace_is_identity():

@@ -26,7 +26,7 @@ from grasspack.packing import (CertStatus, HypothesisRecord, Packing, Projection
                                span_of_achievers, spatial_complement,
                                verify_orthoplex_geometry)
 
-from conftest import random_orthonormal, random_projection
+from conftest import dense_copy, random_orthonormal, random_projection, v1_json
 
 DATA = Path(__file__).parent / "data"
 
@@ -624,13 +624,13 @@ class TestJson:
 
     def test_malformed_element_reported_with_index(self):
         pk = fano_mixed_packing()
-        obj = packing_to_json(pk)
+        obj = v1_json(pk)
         obj["elements"][3]["re"][0] = 0.7  # break idempotency
         with pytest.raises(ParameterError, match="element 3"):
             packing_from_json(obj)
 
     def test_nan_entry_rejected(self):
-        obj = packing_to_json(fano_mixed_packing())
+        obj = v1_json(fano_mixed_packing())
         obj["elements"][3]["re"][1] = float("nan")
         with pytest.raises(ParameterError, match="element 3.*non-finite"):
             packing_from_json(json.loads(json.dumps(obj)))
@@ -644,7 +644,7 @@ class TestJson:
 
     @pytest.mark.parametrize("basis", [2.5, 2.0, "2"])
     def test_non_integral_provenance_basis_rejected(self, basis):
-        obj = packing_to_json(fano_mixed_packing())
+        obj = v1_json(fano_mixed_packing())
         obj["provenance"][5]["basis"] = basis
         with pytest.raises(ParameterError, match="basis index"):
             packing_from_json(json.loads(json.dumps(obj)))
@@ -654,14 +654,14 @@ class TestJson:
         ([1, 1], "repeats a point"), ([3, 7], "outside 0..6"), ([], "empty block"),
     ])
     def test_malformed_provenance_block_rejected(self, block, match):
-        obj = packing_to_json(fano_mixed_packing())
+        obj = v1_json(fano_mixed_packing())
         obj["provenance"][5]["block"] = block
         with pytest.raises(ParameterError, match=f"element 5: .*{match}"):
             packing_from_json(json.loads(json.dumps(obj)))
 
     def test_provenance_block_of_the_wrong_size_rejected(self):
         """The rank-2 element of the C^4 orthoplex with a one-point block."""
-        obj = packing_to_json(c4_orthoplex_packing()[0])
+        obj = v1_json(c4_orthoplex_packing()[0])
         obj["provenance"][0] = {"basis": 0, "block": [0]}
         with pytest.raises(ParameterError, match="element 0: provenance block of 1 points "
                                                  "on a rank-2 element"):
@@ -674,6 +674,10 @@ class TestJson:
         with pytest.raises(ParameterError, match="element 0 is over C"):
             Packing(3, REAL, pk.elements)
         obj = packing_to_json(pk)
+        obj["field"] = REAL
+        with pytest.raises(ParameterError, match="element 0 is over C, the packing over R"):
+            packing_from_json(json.loads(json.dumps(obj)))
+        obj = v1_json(pk)
         obj["field"] = REAL
         with pytest.raises(ParameterError, match="element 4 of a real-tagged packing"):
             packing_from_json(json.loads(json.dumps(obj)))
@@ -741,13 +745,6 @@ def coordinate_packings(draw):
     return Packing(m, field, tuple(coordinate_projection(family, a, blk) for a, blk in picks))
 
 
-def dense_copy(pk):
-    """The same matrices and provenance with no basis attached, so the Gram
-    takes the dense path and coherence the numeric pass."""
-    return Packing(pk.m, pk.field, tuple(Projection(p.matrix, provenance=p.provenance)
-                                         for p in pk.elements))
-
-
 class TestCoordinatePackings:
     @settings(max_examples=60, deadline=None)
     @given(coordinate_packings())
@@ -768,7 +765,7 @@ class TestCoordinatePackings:
     def test_builders_agree_with_imported_copy(self, name):
         pk = BUILDER_FIXTURES[name]()
         assert all(p.family is not None for p in pk.elements)
-        back = packing_from_json(packing_to_json(pk))
+        back = packing_from_json(packing_to_json(dense_copy(pk)))
         assert all(p.family is None for p in back.elements)
         cert, cert_back = certify(pk), certify(back)
         assert cert.status is cert_back.status
@@ -791,7 +788,7 @@ class TestCoordinatePackings:
         for p, q in zip(pk.elements, flipped.elements):
             assert q.family is family and q.basis_index == p.basis_index
             assert q.block == tuple(sorted(set(range(7)) - set(p.block)))
-        back = packing_from_json(packing_to_json(pk))
+        back = packing_from_json(packing_to_json(dense_copy(pk)))
         assert all(p.family is None for p in back.elements)
         assert [p.provenance for p in back.elements] == [p.provenance for p in pk.elements]
 
@@ -807,9 +804,92 @@ class TestCoordinatePackings:
 
 VARIANTS = {
     "built": lambda pk: pk,
-    "imported": lambda pk: packing_from_json(packing_to_json(pk)),
+    "imported": lambda pk: packing_from_json(packing_to_json(dense_copy(pk))),
     "complement": spatial_complement,
 }
+
+
+def assert_round_trip(pk):
+    """The version-2 JSON of a packing of one family reads back to the same
+    family, elements and certificate, and writes back the same bytes."""
+    text = json.dumps(packing_to_json(pk), sort_keys=True)
+    back = packing_from_json(json.loads(text))
+    assert (back.m, back.field, back.mode, back.hypotheses) == (
+        pk.m, pk.field, pk.mode, pk.hypotheses)
+    assert ([(p.basis_index, p.block, p.rank) for p in back.elements]
+            == [(p.basis_index, p.block, p.rank) for p in pk.elements])
+    family, family_back = pk.elements[0].family, back.elements[0].family
+    # a real family stores no imaginary parts, so a -0.0 there reads back as 0.0
+    stored = (lambda u: u.real) if pk.field == REAL else (lambda u: u)
+    assert stored(family_back.bases).tobytes() == stored(family.bases).tobytes()
+    assert np.array_equal(family_back.bases, family.bases)
+    assert all(p.family is family_back for p in back.elements)
+    assert (json.dumps(certificate_to_json(certify(back)), sort_keys=True)
+            == json.dumps(certificate_to_json(certify(pk)), sort_keys=True))
+    assert coherence(back).method == coherence(pk).method
+    assert json.dumps(packing_to_json(back), sort_keys=True) == text
+
+
+class TestJsonVersions:
+    @settings(max_examples=40, deadline=None)
+    @given(coordinate_packings())
+    def test_coordinate_packings_round_trip(self, pk):
+        assert_round_trip(pk)
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["built", "complement"])
+    @pytest.mark.parametrize("name", sorted(BUILDER_FIXTURES))
+    def test_builders_round_trip_on_the_exact_pass(self, name, flip):
+        pk = BUILDER_FIXTURES[name]()
+        pk = spatial_complement(pk) if flip else pk
+        assert_round_trip(pk)
+        obj = packing_to_json(pk)
+        assert obj["version"] == 2 and "provenance" not in obj
+        assert coherence(packing_from_json(obj)).method == "exact"
+
+    def test_a_packing_without_one_family_is_written_dense(self):
+        pk = dense_copy(fano_mixed_packing())
+        obj = packing_to_json(pk)
+        assert obj["version"] == 2 and obj["family"] is None
+        assert len(obj["elements"]) == len(obj["provenance"]) == 56
+        back = packing_from_json(json.loads(json.dumps(obj)))
+        assert [p.provenance for p in back.elements] == [p.provenance for p in pk.elements]
+        assert coherence(back).method == "numeric"
+
+    @pytest.mark.parametrize("name", sorted(BUILDER_FIXTURES))
+    def test_version_1_files_load_on_the_numeric_pass(self, name):
+        pk = BUILDER_FIXTURES[name]()
+        obj = json.loads(json.dumps(v1_json(pk)))
+        assert "version" not in obj and "family" not in obj
+        back = packing_from_json(obj)
+        assert all(p.family is None for p in back.elements)
+        for a, b in zip(pk.elements, back.elements):
+            assert np.array_equal(a.matrix, b.matrix)
+            assert a.provenance == b.provenance
+        assert (back.mode, back.hypotheses) == (pk.mode, pk.hypotheses)
+        assert (json.dumps(certificate_to_json(certify(back)), sort_keys=True)
+                == json.dumps(certificate_to_json(certify(dense_copy(pk))), sort_keys=True))
+
+    @pytest.mark.parametrize("version", [1, 3, "2", 2.0, None])
+    def test_other_versions_rejected(self, version):
+        obj = packing_to_json(fano_mixed_packing())
+        obj["version"] = version
+        with pytest.raises(ParameterError, match="version"):
+            packing_from_json(obj)
+
+    @pytest.mark.parametrize("element, match", [
+        (5, "element 3: 5 is not a {basis, block} object$"),
+        ("imported", "element 3: 'imported' is not a {basis, block} object$"),
+        ({"basis": 8, "block": [0]}, "element 3: basis index 8 outside 0..7"),
+        ({"basis": -1, "block": [0]}, "element 3: basis index -1 is negative"),
+        ({"basis": 1, "block": [2, 2]}, "element 3: .*repeats a point"),
+        ({"basis": 1, "block": [7]}, "element 3: .*outside 0..6"),
+        ({"basis": 1}, "element 3: no 'block' key"),
+    ])
+    def test_malformed_element_rejected(self, element, match):
+        obj = packing_to_json(fano_mixed_packing())
+        obj["elements"][3] = element
+        with pytest.raises(ParameterError, match=match):
+            packing_from_json(json.loads(json.dumps(obj)))
 
 
 class TestCertificateCoherence:
