@@ -9,7 +9,8 @@ from .designs import (BlockDesign, DesignReport, HadamardMatrix, cohesion,
                       is_cohesive, resolvability, verify_design)
 from .embedding import (EmbeddedVector, EmbeddingSpace, build_space,
                         check_image_disjointness, embed, embedded_code_to_json,
-                        embedded_inner, embedding_dim, sphere_radius_sq)
+                        embedded_inner, embedding_dim, sphere_radius_sq,
+                        write_embedded_code)
 from .errors import (ConsistencyError, DegenerateRankError,
                      DimensionMismatchError, GrasspackError, HypothesisError,
                      ParameterError, StructuralError, UnsupportedError)

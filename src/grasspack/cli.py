@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -197,10 +198,19 @@ def cmd_embed(args) -> int:
     tol = _tolerance(args)
     pk = P.packing_from_json(_read_json(args.packing), tol)
     space = E.build_space(pk.m, pk.field)
-    vectors = [E.embed(p.matrix, space, source_index=i, tol=tol)
-               for i, p in enumerate(pk.elements)]
-    _write_json(args.out, E.embedded_code_to_json(space, vectors))
-    print(f"wrote {len(vectors)} embedded unit vectors in R^{space.d} to {args.out}")
+    vectors = (E.embed(p.matrix, space, source_index=i, tol=tol)
+               for i, p in enumerate(pk.elements))
+    # the code is streamed, so it goes to --out only once all of it is written
+    out = Path(args.out)
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x") as fp:
+            count = E.write_embedded_code(fp, space, vectors)
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    print(f"wrote {count} embedded unit vectors in R^{space.d} to {args.out}")
     return EXIT_OK
 
 

@@ -136,6 +136,9 @@ def check_image_disjointness(p, q, space: EmbeddingSpace,
 
 
 def embedded_code_to_json(space: EmbeddingSpace, vectors) -> dict:
+    """The embedded code as a JSON object. ``write_embedded_code`` streams the
+    same code; its bytes must equal this object's ``json.dumps(obj, indent=2,
+    sort_keys=True) + "\\n"``, which is its reference."""
     return {
         "d": space.d,
         "vectors": [
@@ -143,3 +146,23 @@ def embedded_code_to_json(space: EmbeddingSpace, vectors) -> dict:
             for v in vectors
         ],
     }
+
+
+def write_embedded_code(fp, space: EmbeddingSpace, vectors) -> int:
+    """Write the code of the iterable ``vectors`` to the text stream ``fp``,
+    each vector as soon as it arrives, so that no more than one is ever held;
+    return how many were written.
+
+    The text is byte for byte that of ``json.dumps(embedded_code_to_json(space,
+    vectors), indent=2, sort_keys=True) + "\\n"``: json writes a finite float
+    with ``float.__repr__`` too.
+    """
+    fp.write(f'{{\n  "d": {space.d},\n  "vectors": [')
+    count, sep = 0, "\n"
+    for v in vectors:
+        coords = ",\n        ".join(map(float.__repr__, v.coords.tolist()))
+        fp.write(f'{sep}    {{\n      "coords": [\n        {coords}\n      ],\n'
+                 f'      "rank": {v.source_rank}\n    }}')
+        count, sep = count + 1, ",\n"
+    fp.write("\n  ]\n}\n" if count else "]\n}\n")
+    return count

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from grasspack.embedding import build_space, embed, embedded_code_to_json
 from grasspack.packing import Packing, Projection, packing_to_json
 
 
@@ -37,6 +40,18 @@ def v1_json(pk) -> dict:
     obj = packing_to_json(dense_copy(pk))
     del obj["version"], obj["family"]
     return obj
+
+
+def code_json_text(space, vectors) -> str:
+    """The reference text of an embedded code, which the streamed writer of
+    ``grasspack embed`` must match byte for byte."""
+    return json.dumps(embedded_code_to_json(space, vectors), indent=2, sort_keys=True) + "\n"
+
+
+def packing_code_text(pk) -> str:
+    """The reference text of the embedded code of the packing ``pk``."""
+    space = build_space(pk.m, pk.field)
+    return code_json_text(space, [embed(p.matrix, space) for p in pk.elements])
 
 
 @pytest.fixture

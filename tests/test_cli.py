@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -11,7 +12,7 @@ import pytest
 import grasspack
 from grasspack.cli import main
 
-from conftest import random_projection, v1_json
+from conftest import packing_code_text, random_projection, v1_json
 
 
 def run(*argv):
@@ -408,24 +409,61 @@ def test_malformed_json_exits_2(tmp_path, fano, case, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_pg31_packing_file_holds_its_family(tmp_path, monkeypatch, capsys):
-    """The m = 31 mixed packing of PG(2, 5) and its complement (n = 992) is
-    written as its family and (basis, block) pairs, 2.1 MB where dense
-    matrices took 56 MB, and read back onto the exact pass."""
-    from grasspack.packing import coherence, packing_from_json
-    monkeypatch.chdir(tmp_path)
-    assert run("gen", "mub", "--m", 31, "--out", "mub.json") == 0
-    assert run("gen", "design", "--projective", 5, "--out", "pg.json") == 0
-    assert run("gen", "design", "--complement-of", "pg.json", "--out", "pgc.json") == 0
-    assert run("build", "--mub", "mub.json", "--design", "pg.json", "--design", "pgc.json",
+@pytest.fixture(scope="module")
+def pg31_packing(tmp_path_factory):
+    """The file of the m = 31 mixed packing of PG(2, 5) and its complement
+    (n = 992), built once for the tests that read it."""
+    work = tmp_path_factory.mktemp("pg31")
+    mub, pg, pgc, pk = (work / f for f in ("mub.json", "pg.json", "pgc.json", "pk.json"))
+    assert run("gen", "mub", "--m", 31, "--out", mub) == 0
+    assert run("gen", "design", "--projective", 5, "--out", pg) == 0
+    assert run("gen", "design", "--complement-of", pg, "--out", pgc) == 0
+    assert run("build", "--mub", mub, "--design", pg, "--design", pgc,
                "--mode", "mixed", "--partition", ",".join(map(str, range(16))) + ";"
-               + ",".join(map(str, range(16, 32))), "--out", "pk.json") == 0
-    assert (tmp_path / "pk.json").stat().st_size < 2.5e6
-    pk = packing_from_json(json.loads((tmp_path / "pk.json").read_text()))
+               + ",".join(map(str, range(16, 32))), "--out", pk) == 0
+    return pk
+
+
+def test_pg31_packing_file_holds_its_family(pg31_packing, capsys):
+    """The m = 31 packing is written as its family and (basis, block) pairs,
+    2.1 MB where dense matrices took 56 MB, and read back onto the exact pass."""
+    from grasspack.packing import coherence, packing_from_json
+    assert pg31_packing.stat().st_size < 2.5e6
+    pk = packing_from_json(json.loads(pg31_packing.read_text()))
     assert pk.n == 992 and coherence(pk).method == "exact"
     capsys.readouterr()
-    assert run("certify", "pk.json") == 0
+    assert run("certify", pg31_packing) == 0
     assert json.loads(capsys.readouterr().out)["mu_embedded"] == 0.0
+
+
+# Linux carries the memory a process was started from over exec into the
+# child's peak RSS, so the command is started from a small interpreter that
+# reports the peak with wait4, not from this one.
+_PEAK_RSS = ("import os, subprocess, sys\n"
+             "proc = subprocess.Popen(sys.argv[1:])\n"
+             "_, status, usage = os.wait4(proc.pid, 0)\n"
+             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+
+
+def test_pg31_embed_streams_in_bounded_memory(pg31_packing):
+    """``embed`` writes the 28 MB code of the m = 31 packing (952,320
+    coordinates) one vector at a time: a fresh process peaks below 100 MB,
+    and the bytes are those of the reference text."""
+    from grasspack.packing import packing_from_json
+    out = pg31_packing.with_name("code.json")
+    src = os.path.dirname(os.path.dirname(grasspack.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    reply = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "grasspack.cli",
+         "embed", str(pg31_packing), "--out", str(out)],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    code, peak_kb = int(reply[-2]), int(reply[-1])
+    assert code == 0
+    assert peak_kb < 100 * 1024
+    pk = packing_from_json(json.loads(pg31_packing.read_text()))
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == hashlib.sha256(packing_code_text(pk).encode()).hexdigest())
 
 
 def test_numeric_pass_beyond_physical_memory_exits_2(tmp_path, monkeypatch, capsys):
@@ -486,6 +524,29 @@ class TestComplementAndEmbed:
         assert obj["d"] == 3 and len(obj["vectors"]) == 6
         for v in obj["vectors"]:
             assert np.linalg.norm(v["coords"]) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["absent", "present"])
+    def test_failed_embed_leaves_out_as_it_was(self, tmp_path, capsys, existing):
+        """A version-1 packing of m = 2 whose element 1 is the identity loads,
+        and ``embed`` fails on that element after writing element 0: --out
+        stays absent, or keeps its bytes, and no temporary file is left."""
+        from grasspack.numerics import matrix_to_json
+        pack = tmp_path / "pk.json"
+        pack.write_text(json.dumps({"m": 2, "field": "C", "elements": [
+            matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.eye(2))]}))
+        out = tmp_path / "code.json"
+        if existing:
+            out.write_bytes(b"earlier bytes\n")
+        capsys.readouterr()
+        assert run("embed", pack, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "rank-2" in err
+        if existing:
+            assert out.read_bytes() == b"earlier bytes\n"
+        else:
+            assert not out.exists()
+        assert sorted(os.listdir(tmp_path)) == ["code.json", "pk.json"][not existing:]
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run("certify", tmp_path / "nope.json") == 2

@@ -1,14 +1,19 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grasspack.embedding import (build_space,
+from grasspack.embedding import (EmbeddedVector, build_space,
                                  check_image_disjointness, embed,
                                  embedded_code_to_json, embedded_inner,
-                                 embedding_dim, sphere_radius_sq)
+                                 embedding_dim, sphere_radius_sq,
+                                 write_embedded_code)
 from grasspack.errors import DegenerateRankError, ParameterError
 from grasspack.numerics import COMPLEX, REAL, hs_inner
 
-from conftest import random_projection
+from conftest import code_json_text, random_projection
 
 
 def reference_basis(m, field):
@@ -253,3 +258,51 @@ def test_embedded_code_json(rng):
     assert obj["d"] == 8
     assert len(obj["vectors"]) == 4
     assert all(len(v["coords"]) == 8 and v["rank"] == 1 for v in obj["vectors"])
+
+
+def streamed_text(space, vectors) -> str:
+    """The text ``write_embedded_code`` writes of ``vectors``, handed over
+    one at a time."""
+    fp = io.StringIO()
+    assert write_embedded_code(fp, space, iter(vectors)) == len(vectors)
+    return fp.getvalue()
+
+
+# finite float64 values whose repr takes each of its forms: signed zero,
+# subnormal, exponent notation at both ends, and integral floats
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-07, -1e-07, 1e-05, 1e16, -1e16,
+                  1e15, 1.0, -2.0, 3.0, 2.0 ** 53, 1.7976931348623157e308]
+
+
+@st.composite
+def codes(draw):
+    """A space of m = 2..4 over R or C and up to four vectors of its d
+    coordinates, each any finite float64, with ranks 1..m-1."""
+    space = build_space(draw(st.integers(2, 4)), draw(st.sampled_from([REAL, COMPLEX])))
+    coordinate = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                           st.integers(-10 ** 17, 10 ** 17).map(float),
+                           st.floats(allow_nan=False, allow_infinity=False))
+    vectors = draw(st.lists(st.builds(
+        lambda coords, rank: EmbeddedVector(np.array(coords, dtype=np.float64), rank),
+        st.lists(coordinate, min_size=space.d, max_size=space.d),
+        st.integers(1, space.m - 1)), max_size=4))
+    return space, vectors
+
+
+class TestWriteEmbeddedCode:
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_bytes_equal_the_reference(self, rng, field, count):
+        space = build_space(4, field)
+        vectors = [embed(random_projection(rng, 4, 1 + i % 3, field), space, source_index=i)
+                   for i in range(count)]
+        text = streamed_text(space, vectors)
+        assert text == code_json_text(space, vectors)
+        if not count:
+            assert text == f'{{\n  "d": {space.d},\n  "vectors": []\n}}\n'
+
+    @settings(max_examples=150, deadline=None)
+    @given(codes())
+    def test_any_finite_coordinates(self, code):
+        space, vectors = code
+        assert streamed_text(space, vectors) == code_json_text(space, vectors)

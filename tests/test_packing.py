@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grasspack.cli import main
 from grasspack.designs import (BlockDesign, complement_design, complementary_halves,
                                gen_hadamard, hadamard_to_3design, design_rebase)
 from grasspack.embedding import build_space, embedding_dim
@@ -26,7 +27,8 @@ from grasspack.packing import (CertStatus, HypothesisRecord, Packing, Projection
                                span_of_achievers, spatial_complement,
                                verify_orthoplex_geometry)
 
-from conftest import dense_copy, random_orthonormal, random_projection, v1_json
+from conftest import (dense_copy, packing_code_text, random_orthonormal,
+                      random_projection, v1_json)
 
 DATA = Path(__file__).parent / "data"
 
@@ -838,13 +840,20 @@ class TestJsonVersions:
 
     @pytest.mark.parametrize("flip", [False, True], ids=["built", "complement"])
     @pytest.mark.parametrize("name", sorted(BUILDER_FIXTURES))
-    def test_builders_round_trip_on_the_exact_pass(self, name, flip):
+    def test_builders_round_trip_on_the_exact_pass(self, name, flip, tmp_path):
+        """A built packing, or its complement, round-trips on the exact pass,
+        and ``grasspack embed`` of its file writes the reference bytes of its
+        embedded code."""
         pk = BUILDER_FIXTURES[name]()
         pk = spatial_complement(pk) if flip else pk
         assert_round_trip(pk)
         obj = packing_to_json(pk)
         assert obj["version"] == 2 and "provenance" not in obj
         assert coherence(packing_from_json(obj)).method == "exact"
+        pack, out = tmp_path / "pk.json", tmp_path / "code.json"
+        pack.write_text(json.dumps(obj))
+        assert main(["embed", str(pack), "--out", str(out)]) == 0
+        assert out.read_text() == packing_code_text(pk)
 
     def test_a_packing_without_one_family_is_written_dense(self):
         pk = dense_copy(fano_mixed_packing())
