@@ -52,6 +52,6 @@ print(f"\nmax |v_(I-P) + v_P| = {np.abs(v_comp.coords + vp.coords).max():.2e}  (
 # Images of different ranks never collide.
 print("\ndistinct ranks always embed to distinct points:")
 for _ in range(3):
-    a = random_projection(m, 1)
-    b = random_projection(m, 4)
-    print("  disjoint:", gp.check_image_disjointness(a, b, space))
+    a = gp.embed(random_projection(m, 1), space)
+    b = gp.embed(random_projection(m, 4), space)
+    print(f"  |v_A - v_B| = {np.linalg.norm(a.coords - b.coords):.6f}")

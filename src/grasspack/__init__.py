@@ -7,16 +7,15 @@ from .designs import (BlockDesign, DesignReport, HadamardMatrix, cohesion,
                       design_rebase, design_to_json, gen_hadamard,
                       hadamard_from_json, hadamard_to_3design, hadamard_to_json,
                       is_cohesive, resolvability, verify_design)
-from .embedding import (EmbeddedVector, EmbeddingSpace, build_space,
-                        check_image_disjointness, embed, embedded_code_to_json,
-                        embedded_inner, embedding_dim, sphere_radius_sq,
-                        write_embedded_code)
+from .embedding import (EmbeddedVector, EmbeddingSpace, build_space, embed,
+                        embedded_code_to_json, embedded_inner, embedding_dim,
+                        sphere_radius_sq, write_embedded_code)
 from .errors import (ConsistencyError, DegenerateRankError,
                      DimensionMismatchError, GrasspackError, HypothesisError,
                      ParameterError, StructuralError, UnsupportedError)
 from .fields import (FieldTable, PrimePower, build_field,
                      enumerate_affine_hyperplanes, enumerate_projective_plane,
-                     factor_prime_power, field_trace, is_prime)
+                     factor_prime_power, is_prime)
 from .mubs import (MubFamily, MubReport, gen_mubs, gen_mubs_prime, gen_mubs_prime_power,
                    gen_mubs_small, mub_capacity, mubs_from_json, mubs_to_json,
                    verify_mubs)

@@ -124,17 +124,6 @@ def embedded_inner(p, q, space: EmbeddingSpace, tol: Tolerance = DEFAULT_TOL) ->
     return float(scale * (tr_pq - lp * lq / m))
 
 
-def check_image_disjointness(p, q, space: EmbeddingSpace,
-                             tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Assert-style check that projections of distinct ranks embed to distinct
-    points; always expected true."""
-    vp = embed(p, space, tol=tol)
-    vq = embed(q, space, tol=tol)
-    if vp.source_rank == vq.source_rank:
-        raise ParameterError("ranks must differ for the disjointness check")
-    return float(np.linalg.norm(vp.coords - vq.coords)) > tol.eps_abs
-
-
 def embedded_code_to_json(space: EmbeddingSpace, vectors) -> dict:
     """The embedded code as a JSON object. ``write_embedded_code`` streams the
     same code; its bytes must equal this object's ``json.dumps(obj, indent=2,

@@ -213,12 +213,6 @@ def build_field(pp: PrimePower | int) -> FieldTable:
     return FieldTable(pp)
 
 
-def field_trace(ft: FieldTable, x: int) -> int:
-    if not 0 <= x < ft.q:
-        raise ParameterError(f"element {x} outside GF({ft.q})")
-    return ft.trace(x)
-
-
 def enumerate_affine_hyperplanes(p: int, t1: int) -> list[tuple[int, ...]]:
     """All cosets of all (t1-1)-dimensional linear subspaces of GF(p)^t1.
 

@@ -1,15 +1,17 @@
 """Generation, import, and verification of mutually unbiased bases.
 
 Complex families for odd prime (power) dimensions come from quadratic phase
-functions over the finite field; the small dimensions 2 and 4 are hardcoded.
+functions over the finite field and are checked exactly, in integers; the
+small dimensions 2 and 4 are hardcoded.
 Real maximal families beyond R^4 and even-characteristic extension fields are
 supported through JSON import only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -33,11 +35,18 @@ class MubFamily:
     when ``field`` is "R", and each basis has max|U_a^* U_a - I| <=
     ``DEFAULT_TOL.eps_abs`` (the message names a). Unbiasedness is measured
     by ``deviations``, once, on first use.
+
+    A quadratic-phase family also keeps ``phases = (p, E)``, its read-only
+    uint8 exponent table (``_quadratic_phases``), and ``exact_verdict``
+    decides from it whether the family is a set of MUBs; other families
+    have None for both.
     """
 
     m: int
     field: Field
     bases: np.ndarray
+    phases: tuple[int, np.ndarray] | None = dataclass_field(default=None, init=False,
+                                                            repr=False)
 
     def __post_init__(self) -> None:
         m = as_int(self.m, "m")
@@ -82,6 +91,12 @@ class MubFamily:
                 m, k - i - 1, m).max(axis=(0, 2))
         return lock(dev)
 
+    @cached_property
+    def exact_verdict(self) -> bool | None:
+        """``_phases_are_mubs`` of the exponent table, once, on first use."""
+        return None if self.phases is None else _phases_are_mubs(build_field(self.m),
+                                                                 self.phases[1])
+
 
 def mub_capacity(m: int, field: Field) -> int:
     """Largest possible number of pairwise unbiased bases: m+1 over C,
@@ -89,18 +104,54 @@ def mub_capacity(m: int, field: Field) -> int:
     return m + 1 if field == COMPLEX else m // 2 + 1
 
 
-def _quadratic_phases(ft: FieldTable) -> MubFamily:
+def _phase_exponents(ft: FieldTable) -> np.ndarray:
+    """E[a, x, b] = tr(a x^2 + b x) for a, x, b in GF(q), tr the field trace
+    down to GF(p), as a uint8 array (p <= 101)."""
+    x = np.arange(ft.q)
+    return ft.trace(ft.add(ft.mul(x[:, None, None], ft.mul(x, x)[:, None]),
+                           ft.mul(x[:, None], x))).astype(np.uint8)
+
+
+def _quadratic_phases(ft: FieldTable, expo: np.ndarray | None = None) -> MubFamily:
     """The q+1 quadratic-phase MUBs of GF(q), q odd (Wootters and Fields):
     the standard basis, then basis a with column b the vector with entries
-    q^(-1/2) w^(tr(a x^2 + b x)), x in GF(q), tr the field trace down to
-    GF(p) and w = exp(2 pi i / p). All q bases are one table lookup."""
+    q^(-1/2) w^E[a, x, b], x in GF(q), w = exp(2 pi i / p). E is ``expo``
+    (a uint8 table read from JSON) or else ``_phase_exponents(ft)``; the
+    family keeps (p, E) as ``phases``. All q bases are one table lookup."""
     q, p = ft.q, ft.p
+    expo = _phase_exponents(ft) if expo is None else expo
+    expo.setflags(write=False)
     omega = np.exp(2j * np.pi * np.arange(p) / p)
     scale = 1.0 / np.sqrt(q)
-    x = np.arange(q)
-    expo = ft.trace(ft.add(ft.mul(x[:, None, None], ft.mul(x, x)[:, None]),
-                           ft.mul(x[:, None], x)))  # [a, row x, column b]
-    return MubFamily(q, COMPLEX, np.concatenate([np.eye(q)[None], scale * omega[expo]]))
+    family = MubFamily(q, COMPLEX, np.concatenate([np.eye(q)[None], scale * omega[expo]]))
+    object.__setattr__(family, "phases", (p, expo))
+    return family
+
+
+def _phases_are_mubs(ft: FieldTable, expo: np.ndarray) -> bool:
+    """Whether the table E of ``_quadratic_phases`` gives q + 1 MUBs, in
+    integers. E must be tr(a x^2 + b x), additive in (a, b), so two columns
+    meet in q^-1 S_ab, S_ab = sum_x w^E[a, x, b], for (a, b) their difference.
+    With n_t = #{x : E[a, x, b] = t} and c_t = sum_s n_s n_(s+t mod p) (= c_-t),
+    |S_ab|^2 = sum_t c_t w^t is the integer N iff c_t is one value for all
+    t != 0 and c_0 - c_1 = N; N = q for a != 0 (unbiased) and 0 for a = 0,
+    b != 0 (orthonormal). The standard basis is unbiased to every column by
+    construction. Every c_t is at most q^2 <= 101^2, so int16 holds it.
+    """
+    q, p = ft.q, ft.p
+    if not np.array_equal(expo, _phase_exponents(ft)):
+        return False
+    pairs = q * q  # (a, b) is pair a q + b
+    # intp keys: a uint8 E must not set their type (value-based promotion before NumPy 2)
+    ab = np.arange(q, dtype=np.intp)[:, None, None] * q + np.arange(q, dtype=np.intp)
+    counts = np.bincount((expo.astype(np.intp) * pairs + ab).ravel(), minlength=p * pairs)
+    n = counts.reshape(p, pairs).astype(np.int16)  # n[t, pair]
+    twice = np.concatenate([n, n])
+    c = np.stack([(n * twice[t:t + p]).sum(axis=0, dtype=np.int16)
+                  for t in range((p + 1) // 2)])
+    norm = np.where(np.arange(pairs) >= q, q, 0)  # N = q for a != 0
+    ok = np.all(c[1:] == c[1], axis=0) & (c[0] - c[1] == norm)
+    return bool(ok[1:].all())  # pair (0, 0) is a column with itself
 
 
 def gen_mubs_prime(p: int) -> MubFamily:
@@ -196,6 +247,7 @@ class MubReport:
     worst_orthonormality_dev: float
     worst_unbiasedness_dev: float
     failures: tuple[str, ...]
+    method: str = "numeric"
 
     @property
     def worst_dev(self) -> float:
@@ -206,18 +258,23 @@ def verify_mubs(family: MubFamily, tol: Tolerance = DEFAULT_TOL) -> MubReport:
     """Check orthonormality of every basis and unbiasedness of every pair;
     report worst deviations and flag violations of the cardinality bound.
 
+    A family whose exponent table passes ``exact_verdict`` is exactly a set
+    of MUBs: ``method`` is ``"exact"``, both worst deviations are 0.0, and no
+    float is formed. Any other family is measured (``"numeric"``):
     ``worst_orthonormality_dev`` is the largest entry of |U_i^* U_i - I| and
     ``worst_unbiasedness_dev`` of ||U_i^* U_j|^2 - 1/m| over i < j, read off
     ``family.deviations``, which is computed once per family. This is the
     package's only MUB check; ``packing`` gates its exact pass on the same
-    deviations.
+    verdict or deviations.
     """
-    dev, (first, second) = family.deviations, np.triu_indices(family.k, 1)
-    on, ub = np.diagonal(dev).tolist(), dev[first, second].tolist()
-    failures = [f"basis {i} not orthonormal (dev {d:.3e})"
-                for i, d in enumerate(on) if d > tol.eps_abs]
-    failures += [f"bases {i},{j} not unbiased (dev {d:.3e})"
-                 for i, j, d in zip(first.tolist(), second.tolist(), ub) if d > tol.eps_abs]
+    on, ub, failures, method = [], [], [], "exact"
+    if not family.exact_verdict:
+        dev, (first, second) = family.deviations, np.triu_indices(family.k, 1)
+        on, ub, method = np.diagonal(dev).tolist(), dev[first, second].tolist(), "numeric"
+        failures = [f"basis {i} not orthonormal (dev {d:.3e})"
+                    for i, d in enumerate(on) if d > tol.eps_abs]
+        failures += [f"bases {i},{j} not unbiased (dev {d:.3e})"
+                     for i, j, d in zip(first.tolist(), second.tolist(), ub) if d > tol.eps_abs]
     capacity = mub_capacity(family.m, family.field)
     cardinality_ok = family.k <= capacity
     if not cardinality_ok:
@@ -230,10 +287,17 @@ def verify_mubs(family: MubFamily, tol: Tolerance = DEFAULT_TOL) -> MubReport:
         worst_orthonormality_dev=max(on, default=0.0),
         worst_unbiasedness_dev=max(ub, default=0.0),
         failures=tuple(failures),
+        method=method,
     )
 
 
 def mubs_to_json(family: MubFamily) -> dict:
+    """A quadratic-phase family as version 2, its exponent table as nested
+    integer lists; any other family in the float form, with no "version"."""
+    if family.phases is not None:
+        p, expo = family.phases
+        return {"version": 2, "m": family.m, "field": family.field,
+                "phases": {"p": p, "exponents": expo.tolist()}}
     return {
         "m": family.m,
         "field": family.field,
@@ -242,8 +306,34 @@ def mubs_to_json(family: MubFamily) -> dict:
 
 
 def mubs_from_json(obj: dict) -> MubFamily:
+    """Read ``mubs_to_json`` output: the float form (no "version"), or version
+    2, whose table's shape, integers and range are checked before any bases
+    are formed, and which must pass ``exact_verdict``."""
     as_type(obj, dict, "MUB family")
     m = as_int(obj["m"], "m")
     field = check_field(obj["field"])
-    return MubFamily(m, field, [matrix_from_json(mj)
-                                for mj in as_type(obj["bases"], list, "bases")])
+    if "version" not in obj:
+        return MubFamily(m, field, [matrix_from_json(mj)
+                                    for mj in as_type(obj["bases"], list, "bases")])
+    if as_int(obj["version"], "version") != 2:
+        raise ParameterError(f"MUB family version {obj['version']} is not 2")
+    if not (2 < m <= _MAX_PRIME and factor_prime_power(m).p != 2 and field == COMPLEX):
+        raise ParameterError(f"a phase family needs an odd prime power m <= {_MAX_PRIME} "
+                             f"over C, got m = {m} over {field}")
+    ft = build_field(m)
+    phases = as_type(obj["phases"], dict, "phases")
+    if as_int(phases["p"], "p") != ft.p:
+        raise ParameterError(f"p = {phases['p']} is not the characteristic of GF({m})")
+    rows = as_type(phases["exponents"], list, "exponents")
+    try:  # JSON integers three lists deep: no bools, floats or strings
+        ints = set(map(type, chain.from_iterable(chain.from_iterable(rows)))) == {int}
+        expo = np.array(rows, dtype=np.int64) if ints else None
+    except (TypeError, ValueError, OverflowError):  # not lists of lists, ragged, huge
+        expo = None
+    if expo is None or expo.shape != (m, m, m) or expo.min() < 0 or expo.max() >= ft.p:
+        raise ParameterError(f"exponents must be {m} x {m} x {m} nested lists of integers "
+                             f"in 0..{ft.p - 1}")
+    family = _quadratic_phases(ft, expo.astype(np.uint8))
+    if not family.exact_verdict:
+        raise ParameterError(f"the exponent table is not the quadratic phases of GF({m})")
+    return family

@@ -270,8 +270,10 @@ class CoherenceReport:
     ``method`` is ``"exact"`` when the values were read off block
     intersections over a family of MUBs and ``"numeric"`` when they come from
     a float trace Gram; ``mub_dev`` bounds the deviation of the packing's
-    bases from a MUB family, as read off the family's ``deviations`` (None
-    unless every element is a coordinate projection of one family).
+    bases from a MUB family: 0.0 when the family's exponent table proves it a
+    set of MUBs (``MubFamily.exact_verdict``), otherwise as read off the
+    family's ``deviations`` (None unless every element is a coordinate
+    projection of one family).
     """
 
     mu_embedded: float
@@ -478,10 +480,12 @@ def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, 
     perfect antipodal matching, zeros elsewhere), and None otherwise.
 
     A packing of coordinate projections of one ``MubFamily`` takes the exact
-    pass when the bases it uses are MUBs to within what cannot move any
-    embedded inner product by more than ``eps_abs``. The trace identity
-    tr(P_i P_j) = 1_J^T W_ab 1_K holds for W = |U^* U|^2 entrywise, whose MUB
-    values are E_aa = I and E_ab = 1/m. ``family.deviations`` (which
+    pass with ``mub_dev`` 0.0 when the family's ``exact_verdict`` is true: its
+    elements are (E, basis, block), so the ideal family is the one certified.
+    Otherwise it takes it when the bases it uses are MUBs to within what
+    cannot move any embedded inner product by more than ``eps_abs``. The
+    trace identity tr(P_i P_j) = 1_J^T W_ab 1_K holds for W = |U^* U|^2
+    entrywise, whose MUB values are E_aa = I and E_ab = 1/m. ``family.deviations`` (which
     ``verify_mubs`` reports) over the bases used gives the largest entry
     delta of |U_a^* U_a - I| and the largest of |W_ab - 1/m| over a != b;
     |W_aa - I| <= 2 delta + delta^2, so ``mub_dev``, the larger of the two,
@@ -499,6 +503,8 @@ def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, 
         raise DegenerateRankError("rank-0 or full-rank element cannot be embedded")
     mub_dev = None
     family = _family(packing.elements)
+    if family is not None and family.exact_verdict:
+        return _exact_pass(packing, 0.0, tol)
     if family is not None:
         used = np.unique(_basis_labels(packing.elements))
         dev = family.deviations[np.ix_(used, used)]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from grasspack.embedding import build_space, embed, embedded_code_to_json
+from grasspack.errors import ParameterError
+from grasspack.numerics import DEFAULT_TOL
 from grasspack.packing import Packing, Projection, packing_to_json
 
 
@@ -25,6 +27,24 @@ def random_projection(rng, m, rank, field="C"):
     if field == "R":
         p = p.real.astype(complex)
     return p
+
+
+def field_trace(ft, x: int) -> int:
+    """The reference trace of the element ``x`` of GF(q), refusing any ``x``
+    outside 0..q-1 before ``FieldTable.trace`` reads its table."""
+    if not 0 <= x < ft.q:
+        raise ParameterError(f"element {x} outside GF({ft.q})")
+    return ft.trace(x)
+
+
+def check_image_disjointness(p, q, space, tol=DEFAULT_TOL) -> bool:
+    """Whether projections of distinct ranks embed to distinct points (always
+    expected true); equal ranks raise ParameterError."""
+    vp = embed(p, space, tol=tol)
+    vq = embed(q, space, tol=tol)
+    if vp.source_rank == vq.source_rank:
+        raise ParameterError("ranks must differ for the disjointness check")
+    return float(np.linalg.norm(vp.coords - vq.coords)) > tol.eps_abs
 
 
 def dense_copy(pk):

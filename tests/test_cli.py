@@ -33,6 +33,16 @@ def mub7(tmp_path):
 
 
 @pytest.fixture
+def mub7_floats(tmp_path):
+    """The m = 7 family in the float form, with no "version" key."""
+    path = tmp_path / "mub7_floats.json"
+    family = grasspack.gen_mubs_prime(7)
+    path.write_text(json.dumps(grasspack.mubs_to_json(
+        grasspack.MubFamily(7, "C", family.bases))))
+    return path
+
+
+@pytest.fixture
 def fano(tmp_path):
     path = tmp_path / "fano.json"
     assert run("gen", "design", "--projective", 2, "--out", path) == 0
@@ -42,7 +52,9 @@ def fano(tmp_path):
 class TestGen:
     def test_mub_file_has_eight_bases(self, mub7):
         obj = json.loads(mub7.read_text())
-        assert obj["m"] == 7 and len(obj["bases"]) == 8
+        assert (obj["version"], obj["m"], obj["phases"]["p"]) == (2, 7, 7)
+        assert np.array(obj["phases"]["exponents"]).shape == (7, 7, 7)
+        assert grasspack.mubs_from_json(obj).k == 8
 
     def test_unsupported_real_mub_exits_2(self, tmp_path, capsys):
         code = run("gen", "mub", "--m", 16, "--field", "R",
@@ -101,6 +113,30 @@ class TestBuildAndCertify:
         cert = json.loads(cert_path.read_text())
         assert cert["status"] == "OptimalOrthoplexRegime"
         assert cert["is_tight"] and cert["tight_constant"] == pytest.approx(28.0)
+
+    def test_float_form_family_files_still_build_and_certify(self, tmp_path, mub7,
+                                                              mub7_floats, fano):
+        """A float-form m = 7 file builds the Fano packing with the same
+        certificate bytes as the exponent-table file, and its packing file
+        keeps the float form; the float-form C^8 file builds its orthoplex."""
+        comp = tmp_path / "fano_c.json"
+        assert run("gen", "design", "--complement-of", fano, "--out", comp) == 0
+        certs = []
+        for mub in (mub7, mub7_floats):
+            pack, cert = tmp_path / f"pk_{mub.stem}.json", tmp_path / f"cert_{mub.stem}.json"
+            assert run("build", "--mub", mub, "--design", fano, "--design", comp,
+                       "--mode", "mixed", "--partition", "0,1,2,3;4,5,6,7", "--out", pack) == 0
+            assert run("certify", pack, "--achievers", "--out", cert) == 0
+            certs.append(cert.read_bytes())
+        assert certs[0] == certs[1]
+        family = json.loads((tmp_path / "pk_mub7_floats.json").read_text())["family"]
+        assert "version" not in family and len(family["bases"]) == 8
+        design, pack, cert = (tmp_path / f for f in ("h3.json", "ortho.json", "cert8.json"))
+        assert run("gen", "design", "--hadamard3", "--order", 8, "--out", design) == 0
+        assert run("build", "--mub", Path(__file__).parent / "data" / "mubs_c8.json",
+                   "--design", design, "--mode", "orthoplex", "--out", pack) == 0
+        assert run("certify", pack, "--out", cert) == 0
+        assert json.loads(cert.read_text())["status"] == "MaximalOrthoplex"
 
     def test_overlapping_partition_exits_2(self, tmp_path, mub7, fano):
         code = run("build", "--mub", mub7, "--design", fano, "--design", fano,
@@ -205,9 +241,9 @@ class TestBuildAndCertify:
         assert run("certify", path) == 2
         assert "non-finite" in capsys.readouterr().err
 
-    def test_non_finite_mub_exits_2(self, tmp_path, mub7, fano, capsys):
+    def test_non_finite_mub_exits_2(self, tmp_path, mub7_floats, fano, capsys):
         # basis 7 is outside the partition, so only the import can catch it
-        obj = json.loads(mub7.read_text())
+        obj = json.loads(mub7_floats.read_text())
         obj["bases"][7]["im"][3] = float("nan")
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
@@ -227,9 +263,9 @@ class TestBuildAndCertify:
         assert run("certify", path) == 2
         assert "not an integer" in capsys.readouterr().err
 
-    def test_non_orthonormal_mub_exits_2(self, tmp_path, mub7, fano, capsys):
+    def test_non_orthonormal_mub_exits_2(self, tmp_path, mub7_floats, fano, capsys):
         # basis 7 is outside the partition, so only the import can catch it
-        obj = json.loads(mub7.read_text())
+        obj = json.loads(mub7_floats.read_text())
         obj["bases"][7]["re"][0] *= 1.001
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
@@ -334,6 +370,21 @@ def r4_orthoplex_as_complex():
                 field="C")
 
 
+def mub_v2(exponent=None, **changes):
+    """The version-2 file of the m = 7 family with top-level keys replaced;
+    an ``exponent`` replaces E[1, 2, 3]."""
+    obj = grasspack.mubs_to_json(grasspack.gen_mubs_prime(7))
+    if exponent is not None:
+        obj["phases"]["exponents"][1][2][3] = exponent
+    return dict(obj, **changes)
+
+
+def mub_v2_phases(**changes):
+    """``mub_v2()`` with keys of its ``"phases"`` object replaced."""
+    obj = mub_v2()
+    return dict(obj, phases=dict(obj["phases"], **changes))
+
+
 MALFORMED = {
     "packing-list": ("certify", [{"m": 2, "field": "C", "elements": PAIR}]),
     "elements-5": ("certify", {"m": 2, "field": "C", "elements": 5}),
@@ -379,6 +430,21 @@ MALFORMED = {
                                                          "re": [1, 0, 0, 0, 1, 0, 0, 0, 1],
                                                          "im": [0] * 9}]}),
     "field-R-complex-elements": ("certify", real_tagged_c3_packing()),
+    "mub-v2-exponent-p": ("mub", mub_v2(exponent=7)),
+    "mub-v2-exponent-negative": ("mub", mub_v2(exponent=-1)),
+    "mub-v2-exponent-float": ("mub", mub_v2(exponent=1.5)),
+    "mub-v2-exponent-bool": ("mub", mub_v2(exponent=True)),
+    "mub-v2-exponent-string": ("mub", mub_v2(exponent="1")),
+    "mub-v2-shape": ("mub", mub_v2_phases(exponents=mub_v2()["phases"]["exponents"][:6])),
+    "mub-v2-ragged": ("mub", mub_v2_phases(exponents=mub_v2()["phases"]["exponents"][:6] + [[[0]]])),
+    "mub-v2-exponents-5": ("mub", mub_v2_phases(exponents=5)),
+    "mub-v2-p-5": ("mub", mub_v2_phases(p=5)),
+    "mub-v2-version-3": ("mub", mub_v2(version=3)),
+    "mub-v2-m-6": ("mub", mub_v2(m=6)),
+    "mub-v2-m-8": ("mub", mub_v2(m=8)),
+    "mub-v2-m-9": ("mub", mub_v2(m=9)),
+    "mub-v2-field-R": ("mub", mub_v2(field="R")),
+    "mub-v2-not-quadratic": ("mub", mub_v2_phases(exponents=[mub_v2()["phases"]["exponents"][1]] + mub_v2()["phases"]["exponents"][1:])),
     "v2-version-3": ("certify", v2_case(version=3)),
     "v2-element-5": ("certify", v2_case(element=5)),
     "v2-basis-k": ("certify", v2_case(element={"basis": 4, "block": [0]})),

@@ -7,7 +7,9 @@ from grasspack.designs import BlockDesign, verify_design
 from grasspack.errors import ParameterError
 from grasspack.fields import (PrimePower, build_field, enumerate_affine_hyperplanes,
                               enumerate_projective_plane, factor_prime_power,
-                              field_trace, is_prime, smallest_irreducible)
+                              is_prime, smallest_irreducible)
+
+from conftest import field_trace
 
 
 def test_is_prime():

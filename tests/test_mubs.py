@@ -7,16 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grasspack import mubs
 from grasspack.errors import ParameterError, UnsupportedError
-from grasspack.fields import build_field
+from grasspack.fields import build_field, is_prime
 from grasspack.mubs import (MubFamily, gen_mubs, gen_mubs_prime,
                             gen_mubs_prime_power, gen_mubs_small, mub_capacity,
                             mubs_from_json, mubs_to_json, verify_mubs)
-from grasspack.numerics import COMPLEX, REAL
+from grasspack.numerics import COMPLEX, REAL, matrix_to_json
 
 from conftest import random_orthonormal
 
 DATA = Path(__file__).parent / "data"
+
+# every dimension the quadratic-phase generators reach
+GENERATED = [q for q in range(3, 102) if is_prime(q)] + [9, 25, 27, 49, 81]
 
 
 def exhaustive_check(family, atol=1e-9):
@@ -232,7 +236,7 @@ class TestVerify:
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(ParameterError, match="basis 1 is not orthonormal"):
             MubFamily(2, COMPLEX, [np.eye(2), [[1.0, 1.0], [0.0, 1.0]]])
-        obj = mubs_to_json(gen_mubs_prime(5))
+        obj = mubs_to_json(MubFamily(5, COMPLEX, gen_mubs_prime(5).bases))  # float form
         obj["bases"][2]["im"][7] += 1e-6
         with pytest.raises(ParameterError, match="basis 2 is not orthonormal"):
             mubs_from_json(json.loads(json.dumps(obj)))
@@ -297,3 +301,102 @@ class TestConstructor:
         fam = MubFamily(2, COMPLEX, stack)
         stack[0] = 0.0
         assert np.array_equal(fam.bases[0], np.eye(2))
+
+
+class TestExactVerdict:
+    @pytest.mark.parametrize("q", GENERATED)
+    def test_generated_family_is_exact_and_agrees_with_floats(self, q):
+        """Every generated family keeps its read-only uint8 table and passes
+        the exact verdict; the float deviations of the same bases agree. At
+        q = 101 the bincount keys E q^2 + (a q + b) reach 1,030,300, so the
+        verdict holds only if no key was typed by the uint8 table."""
+        family = gen_mubs(q, COMPLEX)
+        p, expo = family.phases
+        assert p == build_field(q).p
+        assert expo.dtype == np.uint8 and expo.shape == (q, q, q) and not expo.flags.writeable
+        report = verify_mubs(family)
+        assert family.exact_verdict is True
+        assert report.ok and report.method == "exact" and report.worst_dev == 0.0
+        floats = verify_mubs(MubFamily(q, COMPLEX, family.bases))
+        assert floats.method == "numeric" and floats.ok and floats.worst_dev < 1e-12
+
+    @pytest.mark.parametrize("q", [3, 9, 27, 71, 81, 101])
+    def test_bases_are_those_of_the_int64_lookup(self, q):
+        """Bases read through the uint8 table are, bit for bit, those of the
+        int64 table lookups the generator's expression gives."""
+        ft = build_field(q)
+        x = np.arange(q)
+        expo = ft.trace(ft.add(ft.mul(x[:, None, None], ft.mul(x, x)[:, None]),
+                               ft.mul(x[:, None], x)))
+        omega = np.exp(2j * np.pi * np.arange(ft.p) / ft.p)
+        ref = np.concatenate([np.eye(q)[None], 1.0 / np.sqrt(q) * omega[expo]])
+        assert expo.dtype == np.int64 and np.array_equal(gen_mubs(q, COMPLEX).bases, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([3, 5, 9, 25, 27, 31, 101]), st.data())
+    def test_one_changed_exponent_fails(self, q, data):
+        """Moving one entry E[a, x, b] to another residue makes the verdict
+        false, and the float check of the resulting bases flags them too."""
+        ft = build_field(q)
+        expo = np.array(gen_mubs(q, COMPLEX).phases[1])
+        a, x, b = (data.draw(st.integers(0, q - 1)) for _ in range(3))
+        expo[a, x, b] = (int(expo[a, x, b]) + data.draw(st.integers(1, ft.p - 1))) % ft.p
+        assert mubs._phases_are_mubs(ft, expo) is False
+        with pytest.raises(ParameterError, match=f"basis {a + 1} is not orthonormal"):
+            mubs._quadratic_phases(ft, expo)
+
+    @pytest.mark.parametrize("q", [5, 9, 31])
+    def test_the_sums_catch_an_additive_table_that_is_biased(self, q, monkeypatch):
+        """With E[a, x, b] = tr(b x) passed off as the field's table, every
+        basis is the same Fourier basis: the integer sums refuse it."""
+        ft = build_field(q)
+        x = np.arange(q)
+        fourier = np.broadcast_to(ft.trace(ft.mul(x[:, None], x)), (q, q, q)).astype(np.uint8)
+        monkeypatch.setattr(mubs, "_phase_exponents", lambda field: fourier)
+        assert mubs._phases_are_mubs(ft, fourier) is False
+
+    def test_families_without_a_table_are_measured(self):
+        for family in (gen_mubs_small(4, COMPLEX), MubFamily(5, COMPLEX, gen_mubs_prime(5).bases)):
+            assert family.phases is None and family.exact_verdict is None
+            assert verify_mubs(family).method == "numeric"
+
+
+class TestPhaseJson:
+    @pytest.mark.parametrize("q", GENERATED)
+    def test_round_trip_is_bit_identical(self, q):
+        family = gen_mubs(q, COMPLEX)
+        obj = json.loads(json.dumps(mubs_to_json(family)))
+        assert obj == {"version": 2, "m": q, "field": "C",
+                       "phases": {"p": family.phases[0], "exponents": obj["phases"]["exponents"]}}
+        back = mubs_from_json(obj)
+        assert back.phases[0] == family.phases[0]
+        assert back.phases[1].dtype == np.uint8 and not back.phases[1].flags.writeable
+        assert np.array_equal(back.phases[1], family.phases[1])
+        assert np.array_equal(back.bases, family.bases) and back.exact_verdict
+
+    @pytest.mark.parametrize("m, field", [(2, COMPLEX), (4, COMPLEX), (4, REAL)])
+    def test_other_families_keep_the_float_form(self, m, field):
+        family = gen_mubs_small(m, field)
+        assert mubs_to_json(family) == {
+            "m": m, "field": field, "bases": [matrix_to_json(u, field) for u in family.bases]}
+
+    def test_a_float_form_file_of_a_phase_family_still_loads(self):
+        family = gen_mubs_prime(7)
+        back = mubs_from_json({"m": 7, "field": "C",
+                               "bases": [matrix_to_json(u) for u in family.bases]})
+        assert back.phases is None and np.array_equal(back.bases, family.bases)
+        assert verify_mubs(back).ok
+
+    def test_a_table_of_the_wrong_phases_is_refused(self):
+        """Basis 2 written again as basis 1: each basis is orthonormal and
+        every exponent in range, but the table is not the quadratic phases."""
+        obj = mubs_to_json(gen_mubs_prime(7))
+        obj["phases"]["exponents"][0] = obj["phases"]["exponents"][1]
+        with pytest.raises(ParameterError, match="not the quadratic phases of GF"):
+            mubs_from_json(obj)
+
+    @pytest.mark.parametrize("version", [1, 3, "2", True])
+    def test_other_versions_are_refused(self, version):
+        obj = dict(mubs_to_json(gen_mubs_prime(3)), version=version)
+        with pytest.raises(ParameterError, match="version"):
+            mubs_from_json(obj)

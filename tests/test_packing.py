@@ -17,7 +17,7 @@ from grasspack.errors import (DegenerateRankError, HypothesisError, ParameterErr
 from grasspack.fields import enumerate_projective_plane
 from grasspack.mubs import (MubFamily, gen_mubs, gen_mubs_prime, gen_mubs_prime_power,
                             gen_mubs_small, mubs_from_json, verify_mubs)
-from grasspack.numerics import COMPLEX, DEFAULT_TOL, REAL, hs_inner
+from grasspack.numerics import COMPLEX, DEFAULT_TOL, REAL, hs_inner, matrix_to_json
 from grasspack.packing import (CertStatus, HypothesisRecord, Packing, Projection,
                                _embedded_gram, _orthoplex_pattern,
                                build_mixed_packing, build_orthoplex_packing,
@@ -1070,23 +1070,41 @@ class TestExactPass:
         assert rep.method == "numeric"
         assert 1e-9 < rep.mub_dev < 1e-5
 
-    def test_family_overlaps_are_computed_once(self, monkeypatch):
+    @staticmethod
+    def count_family_checks(monkeypatch):
+        """Count each computation of ``deviations`` and ``exact_verdict`` (by
+        the family's k) while the test runs."""
         from functools import cached_property
-        calls = []
-        compute = MubFamily.deviations.func
+        calls = {"deviations": [], "exact_verdict": []}
+        for name, log in calls.items():
+            def counting(family, compute=getattr(MubFamily, name).func, log=log):
+                log.append(family.k)
+                return compute(family)
 
-        def counting(family):
-            calls.append(family.k)
-            return compute(family)
+            counted = cached_property(counting)
+            counted.__set_name__(MubFamily, name)
+            monkeypatch.setattr(MubFamily, name, counted)
+        return calls
 
-        counted = cached_property(counting)
-        counted.__set_name__(MubFamily, "deviations")
-        monkeypatch.setattr(MubFamily, "deviations", counted)
+    def test_family_overlaps_are_computed_once(self, monkeypatch):
+        """A generated family's verdict is decided once, from its exponent
+        table, and no float overlap is formed."""
+        calls = self.count_family_checks(monkeypatch)
         family = gen_mubs_prime(7)
         pk = build_mixed_packing(family, [FANO, FANO_C], [[0, 1, 2, 3], [4, 5, 6, 7]])
         assert verify_mubs(family).ok
         assert certify(pk).coherence.method == coherence(pk).method == "exact"
-        assert calls == [8]
+        assert calls == {"deviations": [], "exact_verdict": [8]}
+
+    def test_float_form_family_overlaps_are_computed_once(self, monkeypatch):
+        calls = self.count_family_checks(monkeypatch)
+        family = mubs_from_json({"m": 7, "field": "C", "bases": [
+            matrix_to_json(u) for u in gen_mubs_prime(7).bases]})
+        assert family.phases is None
+        pk = build_mixed_packing(family, [FANO, FANO_C], [[0, 1, 2, 3], [4, 5, 6, 7]])
+        assert verify_mubs(family).ok
+        assert certify(pk).coherence.method == coherence(pk).method == "exact"
+        assert calls == {"deviations": [8], "exact_verdict": [8]}
 
     def test_no_element_matrix_is_formed(self, monkeypatch):
         pk = fano_mixed_packing()
