@@ -30,17 +30,20 @@ print("\nsquared radii of the traceless images, rank by rank:")
 for rank in range(1, m):
     p = random_projection(m, rank)
     traceless = p - (rank / m) * np.eye(m)
-    r2 = gp.hs_inner(traceless, traceless).real
+    r2 = np.vdot(traceless, traceless).real  # |A|^2 = tr(A A*) = sum |A_ij|^2
     print(f"  rank {rank}: |P - (l/m)I|^2 = {r2:.6f}   l(m-l)/m = {rank*(m-rank)/m:.6f}")
 
 # The normalized image is a unit vector, and inner products of embedded
-# vectors come straight out of tr(PQ).
-p = random_projection(m, 2)
-q = random_projection(m, 3)
+# vectors come straight out of tr(PQ):
+#   <v_P, v_Q> = sqrt(m^2 / (lp lq (m-lp)(m-lq))) (tr(PQ) - lp lq / m).
+lp, lq = 2, 3
+p = random_projection(m, lp)
+q = random_projection(m, lq)
 vp = gp.embed(p, space)
 vq = gp.embed(q, space)
 print(f"\n|v_P| = {np.linalg.norm(vp.coords):.12f}")
-via_trace = gp.embedded_inner(p, q, space)
+tr_pq = np.vdot(q, p).real  # tr(PQ) for Hermitian P and Q
+via_trace = np.sqrt(m * m / (lp * lq * (m - lp) * (m - lq))) * (tr_pq - lp * lq / m)
 via_coords = float(vp.coords @ vq.coords)
 print(f"<v_P, v_Q> from traces:      {via_trace:.12f}")
 print(f"<v_P, v_Q> from coordinates: {via_coords:.12f}")

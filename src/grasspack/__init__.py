@@ -8,8 +8,8 @@ from .designs import (BlockDesign, DesignReport, HadamardMatrix, cohesion,
                       hadamard_from_json, hadamard_to_3design, hadamard_to_json,
                       is_cohesive, resolvability, verify_design)
 from .embedding import (EmbeddedVector, EmbeddingSpace, build_space, embed,
-                        embedded_code_to_json, embedded_inner, embedding_dim,
-                        sphere_radius_sq, write_embedded_code)
+                        embedded_code_to_json, embedding_dim, sphere_radius_sq,
+                        write_embedded_code)
 from .errors import (ConsistencyError, DegenerateRankError,
                      DimensionMismatchError, GrasspackError, HypothesisError,
                      ParameterError, StructuralError, UnsupportedError)
@@ -19,9 +19,8 @@ from .fields import (FieldTable, PrimePower, build_field,
 from .mubs import (MubFamily, MubReport, gen_mubs, gen_mubs_prime, gen_mubs_prime_power,
                    gen_mubs_small, mub_capacity, mubs_from_json, mubs_to_json,
                    verify_mubs)
-from .numerics import (COMPLEX, DEFAULT_TOL, REAL, Tolerance, hs_inner,
-                       is_projection, matrix_from_json, matrix_rank,
-                       matrix_to_json)
+from .numerics import (COMPLEX, DEFAULT_TOL, REAL, Tolerance, is_projection,
+                       matrix_from_json, matrix_rank, matrix_to_json)
 from .packing import (Certificate, CertStatus, CoherenceReport, HypothesisRecord,
                       OrthoplexReport, Packing, Projection, build_mixed_packing,
                       build_orthoplex_packing, certificate_to_json, certify,

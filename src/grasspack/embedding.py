@@ -9,7 +9,8 @@ embedded vectors is recoverable from traces alone:
 
     <v_P, v_Q> = sqrt(m^2 / (lp lq (m-lp)(m-lq))) (tr(PQ) - lp lq / m)
 
-which this module exposes both ways (trace formula and explicit coordinates).
+The coherence passes of ``packing`` use that trace identity; this module
+forms the coordinates.
 """
 
 from __future__ import annotations
@@ -106,22 +107,6 @@ def embed(p, space: EmbeddingSpace, source_index: int | None = None,
     radius = np.sqrt(sphere_radius_sq(m, rank))
     coords = np.concatenate(parts) / radius
     return EmbeddedVector(lock(coords), rank, source_index)
-
-
-def embedded_inner(p, q, space: EmbeddingSpace, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Inner product of the embedded vectors of ``p`` and ``q``, computed from
-    traces (not coordinates): the mixed-rank trace identity in the module
-    docstring."""
-    p = np.asarray(p, dtype=np.complex128)
-    q = np.asarray(q, dtype=np.complex128)
-    m = space.m
-    if p.shape != (m, m) or q.shape != (m, m):
-        raise DimensionMismatchError(f"expected {m}x{m} matrices")
-    lp = _checked_rank(p, m, tol)
-    lq = _checked_rank(q, m, tol)
-    tr_pq = float(np.sum(p * q.conj()).real)  # = tr(PQ) for Hermitian inputs
-    scale = np.sqrt(m * m / (lp * lq * (m - lp) * (m - lq)))
-    return float(scale * (tr_pq - lp * lq / m))
 
 
 def embedded_code_to_json(space: EmbeddingSpace, vectors) -> dict:

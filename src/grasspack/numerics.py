@@ -77,19 +77,6 @@ def lock(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product trace(A @ B*), B* the conjugate transpose.
-
-    Equals the Frobenius inner product sum_ij A_ij conj(B_ij); real for
-    Hermitian arguments up to rounding.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.sum(a * b.conj()))
-
-
 class ProjectionCheck(NamedTuple):
     ok: bool
     rank: int

@@ -32,13 +32,12 @@ from .numerics import (DEFAULT_TOL, REAL, Field, Tolerance, as_int, as_type, che
                        is_projection, lock, matrix_from_json, matrix_rank,
                        matrix_to_json)
 
-Provenance = "tuple[int, tuple[int, ...]] | str"  # (basis index, block) or "imported"
-IMPORTED = "imported"
+IMPORTED = "imported"  # the label of an element without a basis in a version-1 file
 
 
 @dataclass(frozen=True, eq=False)
 class Projection:
-    """A Hermitian idempotent with its rank and source bookkeeping.
+    """A Hermitian idempotent with its rank.
 
     A coordinate projection (made only by ``coordinate_projection``) is
     stored as its MUB ``family``, ``basis_index`` and sorted ``block`` alone:
@@ -47,10 +46,9 @@ class Projection:
     exact coherence pass, tightness and the achiever span read the triple
     and never form it; ``packing_from_json`` rebuilds them from a version-2
     file with a family. Every other projection, ones read from dense
-    matrices included, has ``family`` None and keeps the dense matrix it
-    was checked with, with the ``basis_index`` and ``block`` of its
-    ``provenance`` argument (both None for ``"imported"``); a block whose
-    size is not the rank raises ParameterError. Equality is identity.
+    matrices included, is the dense matrix it was checked with and nothing
+    else: ``family``, ``basis_index`` and ``block`` are None. Equality is
+    identity.
     """
 
     rank: int
@@ -59,19 +57,14 @@ class Projection:
     block: tuple[int, ...] | None = dataclass_field(default=None, repr=False)
     _dense: np.ndarray | None = dataclass_field(default=None, repr=False)
 
-    def __init__(self, matrix, rank: int | None = None,
-                 provenance: Provenance = IMPORTED, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, matrix, rank: int | None = None, tol: Tolerance = DEFAULT_TOL):
         mat = np.asarray(matrix, dtype=np.complex128)
         check = is_projection(mat, tol)
         if not check.ok:
             raise ParameterError(f"not a projection: {check.failure}")
         if rank is not None and rank != check.rank:
             raise ParameterError(f"declared rank {rank} != inferred rank {check.rank}")
-        index, block = provenance if isinstance(provenance, tuple) else (None, None)
-        if block is not None and len(block) != check.rank:
-            raise ParameterError(
-                f"provenance block of {len(block)} points on a rank-{check.rank} element")
-        self._set(check.rank, None, index, block, lock(mat))
+        self._set(check.rank, None, None, None, lock(mat))
 
     def _set(self, rank, family, basis_index, block, dense) -> None:
         for name, value in (("rank", rank), ("family", family), ("basis_index", basis_index),
@@ -82,11 +75,6 @@ class Projection:
     def m(self) -> int:
         """The dimension of the ambient space."""
         return self.family.m if self.family is not None else self._dense.shape[0]
-
-    @property
-    def provenance(self) -> Provenance:
-        """``(basis_index, block)``, or ``"imported"`` when there is no index."""
-        return IMPORTED if self.basis_index is None else (self.basis_index, self.block)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -373,8 +361,9 @@ _PAIR_CLASSES = tuple(f"{b}/{r}" for b in ("same_basis", "cross_basis", "unknown
 
 
 def _pair_class(label_i, rank_i, label_j, rank_j) -> np.ndarray:
-    """Index into _PAIR_CLASSES of each pair (broadcast), by provenance basis
-    and rank, as int8 so that an n x n class array stays small."""
+    """Index into _PAIR_CLASSES of each pair (broadcast), by basis index (a
+    dense element's -1 makes the pair "unknown_basis") and rank, as int8 so
+    that an n x n class array stays small."""
     basis_class = np.where((label_i >= 0) & (label_j >= 0), label_i != label_j, np.int8(2))
     return 2 * basis_class + (rank_i != rank_j)
 
@@ -658,19 +647,19 @@ def spatial_complement(packing: Packing) -> Packing:
 
     Every embedded vector flips sign, so all pairwise embedded inner products
     (and the packing constant) are preserved. A coordinate projection
-    (family, k, J) maps to (family, k, J^c), so complements keep the exact pass.
+    (family, k, J) maps to (family, k, J^c), so complements keep the exact pass;
+    a dense element maps to the dense matrix I - P.
     """
     m = packing.m
     out = []
     for p in packing.elements:
         if p.rank >= m:
             raise DegenerateRankError("full-rank element has an empty complement")
-        rest = None if p.block is None else tuple(sorted(set(range(m)) - set(p.block)))
         if p.family is not None:
+            rest = tuple(sorted(set(range(m)) - set(p.block)))
             out.append(coordinate_projection(p.family, p.basis_index, rest))
         else:
-            prov = IMPORTED if rest is None else (p.basis_index, rest)
-            out.append(Projection(np.eye(m) - p.matrix, rank=m - p.rank, provenance=prov))
+            out.append(Projection(np.eye(m) - p.matrix, rank=m - p.rank))
     return Packing(m, packing.field, tuple(out), packing.hypotheses, mode="complement")
 
 
@@ -738,13 +727,17 @@ def extract_hadamard(packing: Packing, design: BlockDesign,
     """Recover the Hadamard matrix behind a constant-rank maximal orthoplectic
     packing built from a complement-closed block family.
 
-    It needs constant rank m/2 and the ``certify`` status MAXIMAL_ORTHOPLEX
-    (certify's HypothesisError passes through); no coordinates are formed.
-    The rows are 2 N^T - 1, N the incidence of ``complementary_halves(design)``,
-    then all +1. When the elements carry blocks, those on the first element's
-    basis must be the design's blocks, or StructuralError is raised. The
-    result is checked in exact integers; failure raises ConsistencyError.
+    It needs coordinate projections of one MUB family (dense matrices name
+    no block that could be checked), constant rank m/2, the design's blocks
+    on the first element's basis and the ``certify`` status MAXIMAL_ORTHOPLEX;
+    each failure raises StructuralError, and certify's HypothesisError passes
+    through. No coordinates are formed. The rows are 2 N^T - 1, N the
+    incidence of ``complementary_halves(design)``, then all +1; the result is
+    checked in exact integers, and failure raises ConsistencyError.
     """
+    if _family(packing.elements) is None:
+        raise StructuralError("Hadamard extraction needs a packing of coordinate "
+                              "projections of one MUB family")
     m = packing.m
     ranks = set(int(r) for r in packing.ranks)
     if len(ranks) != 1 or m % 2 != 0 or ranks != {m // 2}:
@@ -754,11 +747,9 @@ def extract_hadamard(packing: Packing, design: BlockDesign,
         raise StructuralError(f"design over {design.m} points does not match m={m}")
     if design.b != 2 * (m - 1):
         raise StructuralError(f"need 2(m-1) = {2 * (m - 1)} blocks, got {design.b}")
-    first = packing.elements[0]
-    if first.block is not None and set(design.blocks) != {
-            p.block for p in packing.elements if p.basis_index == first.basis_index}:
-        raise StructuralError(
-            f"the design's blocks are not the packing's blocks on basis {first.basis_index}")
+    basis = packing.elements[0].basis_index
+    if set(design.blocks) != {p.block for p in packing.elements if p.basis_index == basis}:
+        raise StructuralError(f"the design's blocks are not the packing's blocks on basis {basis}")
     halves = complementary_halves(design)  # raises StructuralError if not closed
     status = certify(packing, tol).status
     if status is not CertStatus.MAXIMAL_ORTHOPLEX:
@@ -773,12 +764,10 @@ def extract_hadamard(packing: Packing, design: BlockDesign,
 def packing_to_json(packing: Packing) -> dict:
     """The version-2 packing JSON. A packing of coordinate projections of one
     MUB family is that family (``mubs_to_json``) and one ``{"basis", "block"}``
-    per element; any other has ``"family": null`` and, as in version 1, one
-    dense matrix per element and its ``"provenance"``."""
-    prov = [IMPORTED if p.basis_index is None
-            else {"basis": p.basis_index, "block": list(p.block)} for p in packing.elements]
+    per element; any other has ``"family": null`` and one dense matrix per
+    element."""
     family = _family(packing.elements)
-    obj = {
+    return {
         "version": 2,
         "m": packing.m,
         "field": packing.field,
@@ -789,20 +778,29 @@ def packing_to_json(packing: Packing) -> dict:
             "candidate_maximal": packing.hypotheses.candidate_maximal,
         },
         "family": None if family is None else mubs_to_json(family),
-        "elements": prov,
+        "elements": [matrix_to_json(p.matrix, packing.field) for p in packing.elements]
+        if family is None else
+        [{"basis": p.basis_index, "block": list(p.block)} for p in packing.elements],
     }
-    if family is None:
-        obj["elements"] = [matrix_to_json(p.matrix, packing.field) for p in packing.elements]
-        obj["provenance"] = prov
-    return obj
+
+
+def _pair(obj, alternative: str = "") -> tuple:
+    """The raw ``(basis, block)`` of a ``{"basis", "block"}`` object; the
+    block must be a JSON array, its points and the basis are checked later.
+    Anything else raises ParameterError, naming the ``alternative`` too."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{obj!r} is not a {{basis, block}} object{alternative}")
+    return obj["basis"], as_type(obj["block"], list, "block")
 
 
 def packing_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Packing:
     """Read ``packing_to_json`` output. Version 2 with a family rebuilds it
     (``mubs_from_json``) and each element with ``coordinate_projection``, so
     the exact coherence pass applies; a ``"family": null`` object, or a
-    version-1 one (no ``"version"`` key), is read as dense matrices with
-    their provenance and takes the numeric pass."""
+    version-1 one (no ``"version"`` key), is read as dense matrices and takes
+    the numeric pass. Their optional ``"provenance"`` list (``"imported"`` or
+    a ``{"basis", "block"}`` object per element, from older writers) is
+    validated, a block against its element's rank, and then dropped."""
     as_type(obj, dict, "packing")
     if "version" in obj and as_int(obj["version"], "version") != 2:
         raise ParameterError(f"packing version {obj['version']} is not 2")
@@ -811,29 +809,28 @@ def packing_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Packing:
     items = as_type(obj["elements"], list, "elements")
     family = obj["family"] if "version" in obj else None
     if family is not None:
-        family, prov_list = mubs_from_json(family), items  # each element is its pair
+        family = mubs_from_json(family)
     else:
-        prov = obj.get("provenance")
-        prov_list = as_type([IMPORTED] * len(items) if prov is None else prov, list,
-                            "provenance")
-        if len(prov_list) != len(items):
+        labels = obj.get("provenance")
+        labels = as_type([IMPORTED] * len(items) if labels is None else labels, list,
+                         "provenance")
+        if len(labels) != len(items):
             raise ParameterError("provenance list does not match element count")
     elements = []
-    for idx, (item, pv) in enumerate(zip(items, prov_list)):
+    for idx, item in enumerate(items):
         try:
-            if isinstance(pv, dict):
-                index = as_int(pv["basis"], "basis index")
-                if index < 0:
-                    raise ParameterError(f"basis index {index} is negative")
-                provenance = (index, check_block(as_type(pv["block"], list, "block"), m))
-            elif pv == IMPORTED and family is None:
-                provenance = IMPORTED
+            if family is not None:
+                p = coordinate_projection(family, *_pair(item))
             else:
-                raise ParameterError(f"{pv!r} is not a {{basis, block}} object"
-                                     + ("" if family is not None else f" nor {IMPORTED!r}"))
-            elements.append(
-                Projection(matrix_from_json(item), provenance=provenance, tol=tol)
-                if family is None else coordinate_projection(family, *provenance))
+                p = Projection(matrix_from_json(item), tol=tol)
+                if labels[idx] != IMPORTED:  # a legacy label: checked, then dropped
+                    index, block = _pair(labels[idx], f" nor {IMPORTED!r}")
+                    if as_int(index, "basis index") < 0:
+                        raise ParameterError(f"basis index {index} is negative")
+                    if len(check_block(block, m)) != p.rank:
+                        raise ParameterError(f"provenance block of {len(block)} points "
+                                             f"on a rank-{p.rank} element")
+            elements.append(p)
         except ParameterError as exc:
             raise ParameterError(f"element {idx}: {exc}") from exc
         except KeyError as exc:

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from grasspack.embedding import build_space, embed, embedded_code_to_json
-from grasspack.errors import ParameterError
-from grasspack.numerics import DEFAULT_TOL
-from grasspack.packing import Packing, Projection, packing_to_json
+from grasspack.embedding import _checked_rank, build_space, embed, embedded_code_to_json
+from grasspack.errors import DimensionMismatchError, ParameterError
+from grasspack.numerics import DEFAULT_TOL, as_matrix
+from grasspack.packing import (Packing, Projection, _embedded_gram, _report_from_grams,
+                               packing_to_json)
 
 
 def random_orthonormal(rng, m, k, field="C"):
@@ -29,6 +30,29 @@ def random_projection(rng, m, rank, field="C"):
     return p
 
 
+def hs_inner(a, b) -> complex:
+    """The reference Hilbert-Schmidt inner product trace(A @ B*), B* the
+    conjugate transpose: the Frobenius inner product sum_ij A_ij conj(B_ij),
+    real for Hermitian arguments up to rounding."""
+    a, b = as_matrix(a), as_matrix(b)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return complex(np.sum(a * b.conj()))
+
+
+def embedded_inner(p, q, space, tol=DEFAULT_TOL) -> float:
+    """The reference inner product of the embedded vectors of the projections
+    ``p`` and ``q``, from traces alone (the identity in the ``embedding``
+    docstring), not coordinates; rank 0 or m raises DegenerateRankError."""
+    p, q = as_matrix(p), as_matrix(q)
+    m = space.m
+    if p.shape != (m, m) or q.shape != (m, m):
+        raise DimensionMismatchError(f"expected {m}x{m} matrices")
+    lp, lq = _checked_rank(p, m, tol), _checked_rank(q, m, tol)
+    scale = np.sqrt(m * m / (lp * lq * (m - lp) * (m - lq)))
+    return float(scale * (hs_inner(p, q).real - lp * lq / m))
+
+
 def field_trace(ft, x: int) -> int:
     """The reference trace of the element ``x`` of GF(q), refusing any ``x``
     outside 0..q-1 before ``FieldTable.trace`` reads its table."""
@@ -48,17 +72,28 @@ def check_image_disjointness(p, q, space, tol=DEFAULT_TOL) -> bool:
 
 
 def dense_copy(pk):
-    """The same matrices, provenance, hypotheses and mode with no basis
-    attached, so the Gram takes the dense path and coherence the numeric pass."""
-    return Packing(pk.m, pk.field, tuple(Projection(p.matrix, provenance=p.provenance)
-                                         for p in pk.elements), pk.hypotheses, pk.mode)
+    """The same matrices, hypotheses and mode as unlabelled dense elements,
+    so the Gram takes the dense path and coherence the numeric pass."""
+    return Packing(pk.m, pk.field, tuple(Projection(p.matrix) for p in pk.elements),
+                   pk.hypotheses, pk.mode)
+
+
+def numeric_report(pk):
+    """The numeric pass on ``pk`` itself, whose coordinate projections keep
+    their basis labels: the reference pair classes of the exact pass."""
+    return _report_from_grams(pk, *_embedded_gram(pk), DEFAULT_TOL, None)
 
 
 def v1_json(pk) -> dict:
-    """The version-1 packing JSON of ``pk``: the family-null version-2 object
-    of its dense copy, without the ``"version"`` and ``"family"`` keys."""
+    """The version-1 packing JSON of ``pk``: the dense matrices of its
+    family-null version-2 object, without the ``"version"`` and ``"family"``
+    keys, and the ``"provenance"`` list older writers added: each element's
+    ``{"basis", "block"}``, or ``"imported"`` where it has none."""
     obj = packing_to_json(dense_copy(pk))
     del obj["version"], obj["family"]
+    obj["provenance"] = ["imported" if p.basis_index is None
+                         else {"basis": p.basis_index, "block": list(p.block)}
+                         for p in pk.elements]
     return obj
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import grasspack as gp
 
-from conftest import random_projection
+from conftest import embedded_inner, hs_inner, random_projection
 
 DATA = Path(__file__).parent / "data"
 
@@ -48,11 +48,11 @@ def test_criterion_1_embedding_identities(rng):
                     q = random_projection(rng, m, lq, field)
                     vp = gp.embed(p, space)
                     vq = gp.embed(q, space)
-                    via_trace = gp.embedded_inner(p, q, space)
+                    via_trace = embedded_inner(p, q, space)
                     worst_eq4 = max(worst_eq4,
                                     abs(via_trace - float(vp.coords @ vq.coords)))
                     traceless = p - (lp / m) * np.eye(m)
-                    radius_sq = gp.hs_inner(traceless, traceless).real
+                    radius_sq = hs_inner(traceless, traceless).real
                     worst_radius = max(worst_radius,
                                        abs(radius_sq - lp * (m - lp) / m))
                     vcomp = gp.embed(np.eye(m) - p, space)

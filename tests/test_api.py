@@ -1,0 +1,39 @@
+"""The public names of ``grasspack``, pinned: adding or removing one changes
+this list, so the change shows in review."""
+
+import grasspack
+
+PUBLIC = [
+    "BlockDesign", "COMPLEX", "CertStatus", "Certificate", "CoherenceReport",
+    "ConsistencyError", "DEFAULT_TOL", "DegenerateRankError", "DesignReport",
+    "DimensionMismatchError", "EmbeddedVector", "EmbeddingSpace", "FieldTable",
+    "GrasspackError", "HadamardMatrix", "HypothesisError", "HypothesisRecord", "MubFamily",
+    "MubReport", "OrthoplexReport", "Packing", "ParameterError", "PrimePower", "Projection",
+    "REAL", "StructuralError", "Tolerance", "UnsupportedError", "build_field",
+    "build_mixed_packing", "build_orthoplex_packing", "build_space", "certificate_to_json",
+    "certify", "check_tightness", "coherence", "cohesion", "complement_design",
+    "complementary_halves", "coordinate_projection", "design_from_json", "design_rebase",
+    "design_to_json", "designs", "embed", "embedded_code_to_json", "embedding",
+    "embedding_dim", "enumerate_affine_hyperplanes", "enumerate_projective_plane", "errors",
+    "extract_hadamard", "factor_prime_power", "fields", "gen_hadamard", "gen_mubs",
+    "gen_mubs_prime", "gen_mubs_prime_power", "gen_mubs_small", "hadamard_from_json",
+    "hadamard_to_3design", "hadamard_to_json", "is_cohesive", "is_prime", "is_projection",
+    "matrix_from_json", "matrix_rank", "matrix_to_json", "mub_capacity", "mubs",
+    "mubs_from_json", "mubs_to_json", "numerics", "packing", "packing_from_json",
+    "packing_to_json", "resolvability", "span_of_achievers", "spatial_complement",
+    "sphere_radius_sq", "verify_design", "verify_mubs", "verify_orthoplex_geometry",
+    "write_embedded_code",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(grasspack.__all__) == PUBLIC
+
+
+def test_test_only_references_are_not_public():
+    """The Hilbert-Schmidt product and the one-pair trace identity are test
+    references (``tests/conftest.py``), not package API."""
+    for name in ("hs_inner", "embedded_inner"):
+        assert not hasattr(grasspack, name)
+        assert not hasattr(grasspack.numerics, name)
+        assert not hasattr(grasspack.embedding, name)

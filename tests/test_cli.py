@@ -202,6 +202,40 @@ class TestBuildAndCertify:
         assert err == "error: the design's blocks are not the packing's blocks on basis 0\n"
         assert not (tmp_path / "h4.json").exists()
 
+    def test_relabelled_v1_provenance_is_dropped_and_extraction_exits_2(self, tmp_path,
+                                                                        capsys):
+        """A version-1 file whose provenance relabels the first six blocks of
+        basis 0 still loads: each label is checked against its element's rank
+        and dropped. Extraction refuses the family-less packing, so no
+        false block reaches the Hadamard check, and ``complement`` writes
+        dense matrices with no labels."""
+        mub, design, pack = tmp_path / "mub4.json", tmp_path / "h3.json", tmp_path / "pk.json"
+        assert run("gen", "mub", "--m", 4, "--out", mub) == 0
+        assert run("gen", "design", "--hadamard3", "--order", 4, "--out", design) == 0
+        assert run("build", "--mub", mub, "--design", design, "--mode", "orthoplex",
+                   "--out", pack) == 0
+        rewrite_as_v1(pack)
+        obj = json.loads(pack.read_text())
+        assert [label["basis"] for label in obj["provenance"][:7]] == [0] * 6 + [1]
+        for label, blk in zip(obj["provenance"],
+                              ([0, 1], [2, 3], [0, 1], [2, 3], [0, 2], [1, 3])):
+            label["block"] = blk
+        pack.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("certify", pack) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "MaximalOrthoplex"
+        assert run("certify", pack, "--extract-hadamard", tmp_path / "h4.json",
+                   "--design", design) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: Hadamard extraction needs a packing of coordinate "
+                       "projections of one MUB family\n")
+        assert not (tmp_path / "h4.json").exists()
+        comp = tmp_path / "comp.json"
+        assert run("complement", pack, "--out", comp) == 0
+        out = json.loads(comp.read_text())
+        assert out["version"] == 2 and out["family"] is None and "provenance" not in out
+        assert len(out["elements"]) == 30
+
     def test_hypothesis_failure_exits_3_but_writes(self, tmp_path, mub7, fano):
         pack = tmp_path / "packing.json"
         code = run("build", "--mub", mub7, "--design", fano,

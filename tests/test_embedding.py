@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasspack.embedding import (EmbeddedVector, build_space, embed,
-                                 embedded_code_to_json, embedded_inner,
-                                 embedding_dim, sphere_radius_sq,
-                                 write_embedded_code)
+                                 embedded_code_to_json, embedding_dim,
+                                 sphere_radius_sq, write_embedded_code)
 from grasspack.errors import DegenerateRankError, ParameterError
-from grasspack.numerics import COMPLEX, REAL, hs_inner
+from grasspack.numerics import COMPLEX, REAL
 
-from conftest import check_image_disjointness, code_json_text, random_projection
+from conftest import (check_image_disjointness, code_json_text, embedded_inner, hs_inner,
+                      random_projection)
 
 
 def reference_basis(m, field):

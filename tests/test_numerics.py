@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from grasspack.errors import DimensionMismatchError, ParameterError
-from grasspack.numerics import (COMPLEX, REAL, Tolerance, hs_inner, is_projection,
+from grasspack.numerics import (COMPLEX, REAL, Tolerance, is_projection,
                                 matrix_from_json, matrix_rank, matrix_to_json)
 
-from conftest import random_orthonormal, random_projection
+from conftest import hs_inner, random_orthonormal, random_projection
 
 
 def brute_trace_product(a, b):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from grasspack.errors import (DegenerateRankError, HypothesisError, ParameterErr
 from grasspack.fields import enumerate_projective_plane
 from grasspack.mubs import (MubFamily, gen_mubs, gen_mubs_prime, gen_mubs_prime_power,
                             gen_mubs_small, mubs_from_json, verify_mubs)
-from grasspack.numerics import COMPLEX, DEFAULT_TOL, REAL, hs_inner, matrix_to_json
+from grasspack.numerics import COMPLEX, DEFAULT_TOL, REAL, matrix_to_json
 from grasspack.packing import (CertStatus, HypothesisRecord, Packing, Projection,
                                _embedded_gram, _orthoplex_pattern,
                                build_mixed_packing, build_orthoplex_packing,
@@ -27,8 +28,8 @@ from grasspack.packing import (CertStatus, HypothesisRecord, Packing, Projection
                                span_of_achievers, spatial_complement,
                                verify_orthoplex_geometry)
 
-from conftest import (dense_copy, packing_code_text, random_orthonormal,
-                      random_projection, v1_json)
+from conftest import (dense_copy, embedded_inner, hs_inner, numeric_report,
+                      packing_code_text, random_orthonormal, random_projection, v1_json)
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,7 +54,7 @@ class TestCoordinateProjection:
         p = coordinate_projection(mubs, 0, (0, 1))
         assert np.allclose(p.matrix, np.diag([1, 1, 0, 0]))
         assert p.rank == 2
-        assert p.provenance == (0, (0, 1))
+        assert (p.basis_index, p.block) == (0, (0, 1))
 
     def test_same_basis_trace_is_intersection(self):
         mubs = gen_mubs_prime(5)
@@ -73,7 +74,6 @@ class TestCoordinateProjection:
         family = gen_mubs_prime(5)
         p = coordinate_projection(family, np.int64(1), (np.int64(3), 1))
         assert p.family is family and p.basis_index == 1 and p.block == (1, 3)
-        assert p.provenance == (1, (1, 3))
 
     @pytest.mark.parametrize("index", [-1, 6])
     def test_basis_index_out_of_range(self, index):
@@ -107,6 +107,13 @@ class TestProjection:
         with pytest.raises(ParameterError, match="non-finite"):
             Projection(p)
 
+    def test_dense_element_is_only_its_matrix(self):
+        p = Projection(np.diag([1.0, 1.0, 0.0]))
+        assert (p.rank, p.family, p.basis_index, p.block) == (2, None, None, None)
+        assert not hasattr(p, "provenance")
+        with pytest.raises(TypeError, match="provenance"):
+            Projection(np.diag([1.0, 0.0]), provenance=(0, (0,)))
+
     def test_equality_is_identity(self):
         p = Projection(np.diag([1.0, 0.0]))
         q = Projection(np.diag([0.0, 1.0]))
@@ -129,8 +136,8 @@ class TestBuildMixed:
         m = pk.m
         for i, j in itertools.combinations(range(0, pk.n, 5), 2):
             pi, pj = pk.elements[i], pk.elements[j]
-            ki, blki = pi.provenance
-            kj, blkj = pj.provenance
+            ki, blki = pi.basis_index, pi.block
+            kj, blkj = pj.basis_index, pj.block
             tr = hs_inner(pi.matrix, pj.matrix).real
             if ki == kj:
                 assert tr == pytest.approx(len(set(blki) & set(blkj)), abs=1e-9)
@@ -287,14 +294,12 @@ class TestCoherence:
         pk = fano_mixed_packing()
         rep = coherence(pk)
         i, j = rep.argmax_pair
-        from grasspack.embedding import embedded_inner
         space = build_space(7, COMPLEX)
         val = embedded_inner(pk.elements[i].matrix, pk.elements[j].matrix, space)
         assert val == pytest.approx(rep.mu_embedded, abs=1e-12)
 
     def test_vectorized_gram_matches_pairwise_formula(self, rng):
         # the bulk pair scan agrees with the one-pair trace formula everywhere
-        from grasspack.embedding import embedded_inner
         from grasspack.packing import _embedded_gram
         m = 5
         space = build_space(m, COMPLEX)
@@ -393,7 +398,14 @@ class TestSpatialComplement:
         back = spatial_complement(spatial_complement(pk))
         for a, b in zip(pk.elements, back.elements):
             assert np.abs(a.matrix - b.matrix).max() <= 1e-12
-            assert a.provenance == b.provenance
+            assert (a.family, a.basis_index, a.block) == (b.family, b.basis_index, b.block)
+
+    def test_dense_element_complement_is_unlabelled(self, rng):
+        p = random_projection(rng, 4, 1)
+        comp = spatial_complement(Packing(4, COMPLEX, (Projection(p),)))
+        (q,) = comp.elements
+        assert (q.rank, q.family, q.basis_index, q.block) == (3, None, None, None)
+        assert np.abs(q.matrix - (np.eye(4) - p)).max() <= 1e-12
 
     def test_orthoplex_packing_complement_is_same_set(self):
         pk, _ = c4_orthoplex_packing()
@@ -524,12 +536,17 @@ ORTHOPLEX_CASES = {
 }
 
 
+FAMILY_REQUIRED = ("^Hadamard extraction needs a packing of coordinate projections "
+                   "of one MUB family$")
+
+
 class TestExtractHadamard:
     @pytest.mark.parametrize("variant", ["built", "imported"])
     @pytest.mark.parametrize("case", sorted(ORTHOPLEX_CASES))
     def test_reads_the_certificate(self, case, variant, monkeypatch):
         """The orthoplex verdict is the certificate's: no geometry pass runs,
-        and a built packing forms no element matrix."""
+        and no element matrix is formed. An imported copy, dense matrices
+        whose blocks nothing can check, is refused."""
         from grasspack import packing
         pk, design = ORTHOPLEX_CASES[case]()
         pk = VARIANTS[variant](pk)
@@ -546,10 +563,13 @@ class TestExtractHadamard:
 
         monkeypatch.setattr(packing, "verify_orthoplex_geometry", counted_geometry)
         monkeypatch.setattr(Projection, "matrix", property(counted_matrix))
-        h = extract_hadamard(pk, design)
-        assert np.array_equal(h.entries, parent_hadamard(design))
-        assert calls["geometry"] == 0
-        assert calls["matrix"] == 0 or variant == "imported"
+        if variant == "imported":
+            with pytest.raises(StructuralError, match=FAMILY_REQUIRED):
+                extract_hadamard(pk, design)
+        else:
+            h = extract_hadamard(pk, design)
+            assert np.array_equal(h.entries, parent_hadamard(design))
+        assert calls == {"geometry": 0, "matrix": 0}
 
     def test_not_maximal_names_the_certified_status(self):
         pk, design3 = c4_orthoplex_packing()
@@ -596,17 +616,25 @@ class TestExtractHadamard:
         pk, _ = c4_orthoplex_packing()
         pk = VARIANTS[variant](pk)
         other = BlockDesign(4, [(0, 1), (2, 3), (0, 1), (2, 3), (0, 2), (1, 3)])
-        with pytest.raises(StructuralError, match="not the packing's blocks on basis 0"):
+        with pytest.raises(StructuralError, match=FAMILY_REQUIRED if variant == "imported"
+                           else "^the design's blocks are not the packing's blocks on basis 0$"):
             extract_hadamard(pk, other)
 
     @pytest.mark.parametrize("variant", ["built", "imported"])
     def test_relabelled_design_rejected(self, variant):
         """Swapping points 0 and 1 of the C^8 3-design changes its block set
-        (in C^4 the blocks are all six pairs, which a relabelling keeps)."""
+        (in C^4 the blocks are all six pairs, which a relabelling keeps). The
+        imported copy is refused with either design: its basis 0 is not the
+        standard basis, so no block could be read off its matrices."""
         pk = VARIANTS[variant](c8_orthoplex_packing())
         design3 = hadamard_to_3design(gen_hadamard(8))
         swap = {0: 1, 1: 0}
         other = BlockDesign(8, [[swap.get(x, x) for x in blk] for blk in design3.blocks])
+        if variant == "imported":
+            for design in (other, design3):
+                with pytest.raises(StructuralError, match=FAMILY_REQUIRED):
+                    extract_hadamard(pk, design)
+            return
         with pytest.raises(StructuralError, match="not the packing's blocks"):
             extract_hadamard(pk, other)
         assert extract_hadamard(pk, design3).order == 8
@@ -621,7 +649,7 @@ class TestJson:
         assert back.m == pk.m and back.field == pk.field and back.n == pk.n
         for a, b in zip(pk.elements, back.elements):
             assert np.array_equal(a.matrix, b.matrix)
-            assert a.provenance == b.provenance
+            assert (a.basis_index, a.block) == (b.basis_index, b.block)
         assert back.hypotheses == pk.hypotheses
 
     def test_malformed_element_reported_with_index(self):
@@ -747,20 +775,39 @@ def coordinate_packings(draw):
     return Packing(m, field, tuple(coordinate_projection(family, a, blk) for a, blk in picks))
 
 
+def assert_unknown_basis_merges(labelled, dense):
+    """Each ``unknown_basis/<r>`` summary of the report ``dense`` of a dense
+    copy merges the ``same_basis/<r>`` and ``cross_basis/<r>`` summaries of
+    the report ``labelled`` of the same Gram with the basis labels: counts
+    add, and ``max_inner`` is the larger of the two."""
+    assert not any(name.startswith("unknown_basis/") for name in labelled.pair_classes)
+    assert all(name.startswith("unknown_basis/") for name in dense.pair_classes)
+    for r in ("same_rank", "cross_rank"):
+        parts = [labelled.pair_classes[name] for name in (f"same_basis/{r}", f"cross_basis/{r}")
+                 if name in labelled.pair_classes]
+        merged = dense.pair_classes.get(f"unknown_basis/{r}")
+        assert (merged is None) == (not parts)
+        if parts:
+            assert merged.count == sum(c.count for c in parts)
+            assert merged.max_inner == max(c.max_inner for c in parts)
+
+
 class TestCoordinatePackings:
     @settings(max_examples=60, deadline=None)
     @given(coordinate_packings())
     def test_numeric_pass_matches_dense_copy(self, pk):
         """Over bases that are not MUBs the numeric pass reads the same dense
-        Gram with or without the bases attached, so the reports are equal."""
+        Gram with or without the bases attached, so the reports are equal but
+        for the pair classes, which the dense copy cannot split by basis."""
         ref = dense_copy(pk)
-        assert all(p.family is None for p in ref.elements)
+        assert all((p.family, p.basis_index, p.block) == (None, None, None)
+                   for p in ref.elements)
         rep, rep_ref = coherence(pk), coherence(ref)
         assert rep.method == rep_ref.method == "numeric"
         assert rep.mu_embedded == rep_ref.mu_embedded
         assert rep.argmax_pair == rep_ref.argmax_pair
         assert rep.achievers == rep_ref.achievers
-        assert rep.pair_classes == rep_ref.pair_classes
+        assert_unknown_basis_merges(rep, rep_ref)
         assert rep.mu_raw == rep_ref.mu_raw
 
     @pytest.mark.parametrize("name", sorted(BUILDER_FIXTURES))
@@ -774,13 +821,14 @@ class TestCoordinatePackings:
         assert cert.is_tight == cert_back.is_tight
         assert cert.tight_constant == cert_back.tight_constant
         assert cert.mu_embedded == pytest.approx(cert_back.mu_embedded, abs=1e-12)
-        rep, rep_back = coherence(pk), coherence(back)
+        rep, rep_back, rep_ref = coherence(pk), coherence(back), numeric_report(pk)
         assert rep.achievers == rep_back.achievers
         # rounding noise on the numeric pass does not pick among exact ties
         assert (rep.argmax_pair == rep_back.argmax_pair
                 == coherence(spatial_complement(back)).argmax_pair)
         assert ({k: v.count for k, v in rep.pair_classes.items()}
-                == {k: v.count for k, v in rep_back.pair_classes.items()})
+                == {k: v.count for k, v in rep_ref.pair_classes.items()})
+        assert_unknown_basis_merges(rep_ref, rep_back)
         assert rep.mu_embedded == pytest.approx(rep_back.mu_embedded, abs=1e-12)
 
     def test_complement_keeps_the_family_and_import_drops_it(self):
@@ -790,18 +838,26 @@ class TestCoordinatePackings:
         for p, q in zip(pk.elements, flipped.elements):
             assert q.family is family and q.basis_index == p.basis_index
             assert q.block == tuple(sorted(set(range(7)) - set(p.block)))
-        back = packing_from_json(packing_to_json(dense_copy(pk)))
-        assert all(p.family is None for p in back.elements)
-        assert [p.provenance for p in back.elements] == [p.provenance for p in pk.elements]
+        for obj in (packing_to_json(dense_copy(pk)), v1_json(pk)):
+            back = packing_from_json(json.loads(json.dumps(obj)))
+            assert all((p.family, p.basis_index, p.block) == (None, None, None)
+                       for p in back.elements)
 
     def test_imported_elements_have_unknown_basis(self):
+        """Every pair with a dense element falls in an ``unknown_basis`` class;
+        a pair of coordinate projections keeps its basis class."""
         pk = fano_mixed_packing()
-        els = [Projection(p.matrix, provenance=p.provenance if i % 2 else "imported")
-               for i, p in enumerate(pk.elements)]
+        els = [p if i % 2 else Projection(p.matrix) for i, p in enumerate(pk.elements)]
         rep = coherence(Packing(7, COMPLEX, tuple(els)))
         assert rep.method == "numeric"
-        assert {"unknown_basis/same_rank", "unknown_basis/cross_rank"} <= rep.pair_classes.keys()
-        assert sum(c.count for c in rep.pair_classes.values()) == 56 * 55 // 2
+        want = Counter()
+        for a, b in itertools.combinations(els, 2):
+            basis = ("unknown_basis" if a.family is None or b.family is None
+                     else "same_basis" if a.basis_index == b.basis_index else "cross_basis")
+            want[f"{basis}/{'same_rank' if a.rank == b.rank else 'cross_rank'}"] += 1
+        assert {k: v.count for k, v in rep.pair_classes.items()} == dict(want)
+        assert want["same_basis/same_rank"] and want["cross_basis/cross_rank"]
+        assert sum(want.values()) == 56 * 55 // 2
 
 
 VARIANTS = {
@@ -856,12 +912,18 @@ class TestJsonVersions:
         assert out.read_text() == packing_code_text(pk)
 
     def test_a_packing_without_one_family_is_written_dense(self):
-        pk = dense_copy(fano_mixed_packing())
+        """Half the elements are coordinate projections, so the packing has no
+        one family: all are written as dense matrices, with no labels."""
+        pk = fano_mixed_packing()
+        pk = Packing(7, COMPLEX, tuple(p if i % 2 else Projection(p.matrix)
+                                       for i, p in enumerate(pk.elements)))
         obj = packing_to_json(pk)
-        assert obj["version"] == 2 and obj["family"] is None
-        assert len(obj["elements"]) == len(obj["provenance"]) == 56
+        assert obj["version"] == 2 and obj["family"] is None and "provenance" not in obj
+        assert len(obj["elements"]) == 56
         back = packing_from_json(json.loads(json.dumps(obj)))
-        assert [p.provenance for p in back.elements] == [p.provenance for p in pk.elements]
+        for a, b in zip(pk.elements, back.elements):
+            assert np.array_equal(a.matrix, b.matrix)
+            assert (b.family, b.basis_index, b.block) == (None, None, None)
         assert coherence(back).method == "numeric"
 
     @pytest.mark.parametrize("name", sorted(BUILDER_FIXTURES))
@@ -869,11 +931,11 @@ class TestJsonVersions:
         pk = BUILDER_FIXTURES[name]()
         obj = json.loads(json.dumps(v1_json(pk)))
         assert "version" not in obj and "family" not in obj
+        assert len(obj["provenance"]) == pk.n
         back = packing_from_json(obj)
-        assert all(p.family is None for p in back.elements)
         for a, b in zip(pk.elements, back.elements):
             assert np.array_equal(a.matrix, b.matrix)
-            assert a.provenance == b.provenance
+            assert (b.family, b.basis_index, b.block) == (None, None, None)
         assert (back.mode, back.hypotheses) == (pk.mode, pk.hypotheses)
         assert (json.dumps(certificate_to_json(certify(back)), sort_keys=True)
                 == json.dumps(certificate_to_json(certify(dense_copy(pk))), sort_keys=True))
@@ -889,7 +951,7 @@ class TestJsonVersions:
         (5, "element 3: 5 is not a {basis, block} object$"),
         ("imported", "element 3: 'imported' is not a {basis, block} object$"),
         ({"basis": 8, "block": [0]}, "element 3: basis index 8 outside 0..7"),
-        ({"basis": -1, "block": [0]}, "element 3: basis index -1 is negative"),
+        ({"basis": -1, "block": [0]}, "element 3: basis index -1 outside 0..7"),
         ({"basis": 1, "block": [2, 2]}, "element 3: .*repeats a point"),
         ({"basis": 1, "block": [7]}, "element 3: .*outside 0..6"),
         ({"basis": 1}, "element 3: no 'block' key"),
@@ -899,6 +961,22 @@ class TestJsonVersions:
         obj["elements"][3] = element
         with pytest.raises(ParameterError, match=match):
             packing_from_json(json.loads(json.dumps(obj)))
+
+    def test_each_version_2_block_is_checked_once(self, monkeypatch):
+        """Reading the Fano m = 7 file checks each of its 56 blocks once, in
+        ``coordinate_projection``."""
+        from grasspack import packing
+        obj = json.loads(json.dumps(packing_to_json(fano_mixed_packing())))
+        calls = []
+        check = packing.check_block
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(packing, "check_block", counting)
+        assert packing_from_json(obj).n == 56
+        assert len(calls) == 56
 
 
 class TestCertificateCoherence:
@@ -961,10 +1039,13 @@ def mub_packings(draw):
 
 def assert_exact_matches_numeric(pk):
     """The exact pass on ``pk`` and the numeric pass on its dense copy give
-    the same certificate and report, up to 1e-12 in every float."""
+    the same certificate and report, up to 1e-12 in every float; the pair
+    classes are checked against the numeric pass on ``pk`` itself, which
+    keeps the basis labels the dense copy has not."""
     ref = dense_copy(pk)
     cert, cert_ref = certify(pk), certify(ref)
     rep, rep_ref = cert.coherence, cert_ref.coherence
+    classes = numeric_report(pk)
     assert (rep.method, rep_ref.method) == ("exact", "numeric")
     assert rep.mub_dev <= 1e-12 and rep_ref.mub_dev is None
     assert cert.status is cert_ref.status
@@ -974,11 +1055,12 @@ def assert_exact_matches_numeric(pk):
     assert cert.details.get("antipodal_pairs") == cert_ref.details.get("antipodal_pairs")
     assert rep.achievers == rep_ref.achievers
     assert rep.mu_embedded == pytest.approx(rep_ref.mu_embedded, abs=1e-12)
-    assert rep.pair_classes.keys() == rep_ref.pair_classes.keys()
+    assert rep.pair_classes.keys() == classes.pair_classes.keys()
     for name, summary in rep.pair_classes.items():
-        assert summary.count == rep_ref.pair_classes[name].count
-        assert summary.max_inner == pytest.approx(rep_ref.pair_classes[name].max_inner,
+        assert summary.count == classes.pair_classes[name].count
+        assert summary.max_inner == pytest.approx(classes.pair_classes[name].max_inner,
                                                   abs=1e-12)
+    assert_unknown_basis_merges(classes, rep_ref)
     if rep.mu_raw is None:
         assert rep_ref.mu_raw is None
     else:
