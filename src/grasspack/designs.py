@@ -5,7 +5,6 @@ normalized Hadamard matrices."""
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -112,18 +111,21 @@ class DesignReport:
 
 
 def _subset_counts(design: BlockDesign, t: int) -> tuple[bool, int | None]:
-    """(is constant, common count) of t-subset containment over all C(m,t) subsets."""
-    counts: Counter = Counter()
-    for blk in design.blocks:
-        for sub in itertools.combinations(blk, t):
-            counts[sub] += 1
-    if not counts:
+    """(is constant, common count) of t-subset containment over all C(m,t)
+    subsets. The blocks are sorted and of one size l, so one list of C(l, t)
+    places picks every t-subset; each is one code in base m where m^t fits."""
+    m, l = design.m, design.block_size
+    if t > l:
         return True, 0  # no block holds any t-subset: constant zero
-    if len(counts) < comb(design.m, t):
+    subsets = np.array(design.blocks)[:, list(itertools.combinations(range(l), t))].reshape(-1, t)
+    if m ** t < 2 ** 63:
+        _, counts = np.unique(np.ravel_multi_index(subsets.T, (m,) * t), return_counts=True)
+    else:
+        _, counts = np.unique(subsets, axis=0, return_counts=True)
+    if len(counts) < comb(m, t):
         return False, None  # some t-subsets covered, others not
-    values = set(counts.values())
-    if len(values) == 1:
-        return True, values.pop()
+    if np.all(counts == counts[0]):
+        return True, int(counts[0])
     return False, None
 
 

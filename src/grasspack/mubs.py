@@ -38,8 +38,8 @@ class MubFamily:
 
     A quadratic-phase family also keeps ``phases = (p, E)``, its read-only
     uint8 exponent table (``_quadratic_phases``), and ``exact_verdict``
-    decides from it whether the family is a set of MUBs; other families
-    have None for both.
+    decides from it whether the family is a set of MUBs, in place of the
+    float loop; other families have None for both.
     """
 
     m: int
@@ -117,14 +117,19 @@ def _quadratic_phases(ft: FieldTable, expo: np.ndarray | None = None) -> MubFami
     the standard basis, then basis a with column b the vector with entries
     q^(-1/2) w^E[a, x, b], x in GF(q), w = exp(2 pi i / p). E is ``expo``
     (a uint8 table read from JSON) or else ``_phase_exponents(ft)``; the
-    family keeps (p, E) as ``phases``. All q bases are one table lookup."""
+    family keeps (p, E) as ``phases``. All q bases are one table lookup. The
+    family is checked by ``exact_verdict``, not the float loop: a false one raises."""
     q, p = ft.q, ft.p
     expo = _phase_exponents(ft) if expo is None else expo
     expo.setflags(write=False)
     omega = np.exp(2j * np.pi * np.arange(p) / p)
     scale = 1.0 / np.sqrt(q)
-    family = MubFamily(q, COMPLEX, np.concatenate([np.eye(q)[None], scale * omega[expo]]))
-    object.__setattr__(family, "phases", (p, expo))
+    bases = np.concatenate([np.eye(q)[None], scale * omega[expo]])
+    bases.setflags(write=False)
+    family = object.__new__(MubFamily)
+    family.__dict__.update(m=q, field=COMPLEX, bases=bases, phases=(p, expo))
+    if not family.exact_verdict:
+        raise ParameterError(f"the exponent table is not the quadratic phases of GF({q})")
     return family
 
 
@@ -308,7 +313,7 @@ def mubs_to_json(family: MubFamily) -> dict:
 def mubs_from_json(obj: dict) -> MubFamily:
     """Read ``mubs_to_json`` output: the float form (no "version"), or version
     2, whose table's shape, integers and range are checked before any bases
-    are formed, and which must pass ``exact_verdict``."""
+    are formed, and which must pass ``exact_verdict`` (``_quadratic_phases``)."""
     as_type(obj, dict, "MUB family")
     m = as_int(obj["m"], "m")
     field = check_field(obj["field"])
@@ -333,7 +338,4 @@ def mubs_from_json(obj: dict) -> MubFamily:
     if expo is None or expo.shape != (m, m, m) or expo.min() < 0 or expo.max() >= ft.p:
         raise ParameterError(f"exponents must be {m} x {m} x {m} nested lists of integers "
                              f"in 0..{ft.p - 1}")
-    family = _quadratic_phases(ft, expo.astype(np.uint8))
-    if not family.exact_verdict:
-        raise ParameterError(f"the exponent table is not the quadratic phases of GF({m})")
-    return family
+    return _quadratic_phases(ft, expo.astype(np.uint8))

@@ -19,6 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -64,12 +65,7 @@ class Projection:
             raise ParameterError(f"not a projection: {check.failure}")
         if rank is not None and rank != check.rank:
             raise ParameterError(f"declared rank {rank} != inferred rank {check.rank}")
-        self._set(check.rank, None, None, None, lock(mat))
-
-    def _set(self, rank, family, basis_index, block, dense) -> None:
-        for name, value in (("rank", rank), ("family", family), ("basis_index", basis_index),
-                            ("block", block), ("_dense", dense)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(rank=check.rank, _dense=lock(mat))  # family etc. stay None
 
     @property
     def m(self) -> int:
@@ -97,6 +93,19 @@ class HypothesisRecord:
     ok: bool
     failures: tuple[str, ...] = ()
     candidate_maximal: bool = False
+
+
+@dataclass(frozen=True)
+class _BlockTable:
+    """Coordinate projections of one ``family``: element i is the distinct block
+    ``ids[i]`` of basis ``labels[i]``; the B distinct blocks have the m x B 0/1
+    ``incidence`` N and the int64 ``meet`` = N^T N, read-only (sizes on its diagonal)."""
+
+    family: MubFamily
+    labels: np.ndarray
+    ids: np.ndarray
+    incidence: np.ndarray
+    meet: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -142,6 +151,18 @@ class Packing:
     def mixture(self) -> int:
         return len({p.rank for p in self.elements})
 
+    @cached_property
+    def _block_table(self) -> _BlockTable | None:
+        """The block table of coordinate projections of one family, else None."""
+        family = _family(self.elements)
+        if family is None:
+            return None
+        distinct: dict = {}
+        ids = np.array([distinct.setdefault(p.block, len(distinct)) for p in self.elements])
+        inc = lock(_incidence(self.m, list(distinct)))
+        return _BlockTable(family, _basis_labels(self.elements), ids, inc,
+                           lock((inc.T @ inc).astype(np.int64)))
+
 
 def coordinate_projection(family: MubFamily, basis_index: int, block) -> Projection:
     """Projection onto the vectors ``block`` of basis ``basis_index`` of
@@ -151,9 +172,13 @@ def coordinate_projection(family: MubFamily, basis_index: int, block) -> Project
     k = as_int(basis_index, "basis index")
     if not 0 <= k < family.k:
         raise ParameterError(f"basis index {k} outside 0..{family.k - 1}")
-    idx = check_block(block, family.m)
-    proj = object.__new__(Projection)
-    proj._set(len(idx), family, k, idx, None)
+    return _coordinate(family, k, check_block(block, family.m))
+
+
+def _coordinate(family: MubFamily, k: int, block: tuple[int, ...]) -> Projection:
+    """``coordinate_projection`` of a checked basis index and sorted block."""
+    proj = object.__new__(Projection)  # a frozen instance's fields, set once
+    proj.__dict__.update(rank=len(block), family=family, basis_index=k, block=block)
     return proj
 
 
@@ -173,6 +198,9 @@ def build_mixed_packing(mubs: MubFamily, designs: list[BlockDesign],
         raise ParameterError(f"{s} designs exceed the {mubs.k} available bases")
     classes = [tuple(sorted(as_int(k, "basis index") for k in cls)) for cls in partition]
     used = [k for cls in classes for k in cls]
+    for k in used:
+        if not 0 <= k < mubs.k:
+            raise ParameterError(f"basis index {k} outside 0..{mubs.k - 1}")
     if len(set(used)) != len(used):
         raise ParameterError("partition classes overlap")
     m = mubs.m
@@ -180,11 +208,8 @@ def build_mixed_packing(mubs: MubFamily, designs: list[BlockDesign],
         if dsgn.m != m:
             raise ParameterError(f"design over {dsgn.m} points does not match m={m}")
 
-    elements: list[Projection] = []
-    for dsgn, cls in zip(designs, classes):
-        for k in cls:
-            for blk in dsgn.blocks:
-                elements.append(coordinate_projection(mubs, k, blk))
+    elements = [_coordinate(mubs, k, blk)
+                for dsgn, cls in zip(designs, classes) for k in cls for blk in dsgn.blocks]
 
     failures: list[str] = []
     for i, dsgn in enumerate(designs):
@@ -223,11 +248,7 @@ def build_orthoplex_packing(mubs: MubFamily, halves: BlockDesign) -> Packing:
         raise HypothesisError(
             f"blocks {i} and {j} meet in {meet[i, j]} points; need l^2/m = {l * l}/{m}")
     all_blocks = halves.blocks + complement_design(halves).blocks
-    elements = [
-        coordinate_projection(mubs, k, blk)
-        for k in range(mubs.k)
-        for blk in all_blocks
-    ]
+    elements = [_coordinate(mubs, k, blk) for k in range(mubs.k) for blk in all_blocks]
     d = embedding_dim(m, mubs.field)
     n = 2 * halves.b * mubs.k
     failures: list[str] = []
@@ -381,23 +402,31 @@ def _exact_pass(packing: Packing, mub_dev: float,
     Returns the report and the orthoplex check ``certify`` runs when n = 2d,
     decided on blocks: each element has exactly one complementary block in
     its basis (its antipode), and every other same-basis pair has num = 0.
+
+    Bases whose elements are the same block ids in the same order (one design
+    in a partition class) form a pattern, whose pairs are formed once.
     """
     m, n = packing.m, packing.n
-    ranks, labels = packing.ranks, _basis_labels(packing.elements)
+    table = packing._block_table
+    labels, ids, meet = table.labels, table.ids, table.meet
+    ranks = np.diagonal(meet)[ids]
     crossed = bool(np.any(labels != labels[0]))  # some pair lies across two bases
     # sorted by basis, stably so each keeps increasing indices; where each run starts
     order = np.argsort(labels, kind="stable")
     starts = np.concatenate(([0], np.cumsum(np.bincount(labels))))
-    inc = _incidence(m, [packing.elements[i].block for i in order])
-    first, second, common = [], [], []  # the same-basis pairs i < j and |J & K|
+    patterns: dict[bytes, list] = {}  # the runs of each pattern
     for s, e in zip(starts[:-1], starts[1:]):
-        u, v = np.triu_indices(e - s, 1)
-        first.append(order[s + u])
-        second.append(order[s + v])
-        common.append((inc[:, s:e].T @ inc[:, s:e])[u, v])
+        patterns.setdefault(ids[order[s:e]].tobytes(), []).append(order[s:e])
+    stand_in = np.arange(n)  # the element in the same place of its pattern's first run
+    first, second = [], []  # the same-basis pairs i < j of the first runs
+    for runs in patterns.values():
+        for run in runs[1:]:
+            stand_in[run] = runs[0]
+        u, v = np.triu_indices(len(runs[0]), 1)
+        first.append(runs[0][u])
+        second.append(runs[0][v])
     first, second = np.concatenate(first), np.concatenate(second)
-    common = np.rint(np.concatenate(common)).astype(np.int64)
-    ri, rj = ranks[first], ranks[second]
+    common, ri, rj = meet[ids[first], ids[second]], ranks[first], ranks[second]
     num = m * common - ri * rj
 
     # (|J|, |K|, |J & K|) fixes a value: one integer code per pair
@@ -419,19 +448,21 @@ def _exact_pass(packing: Packing, mub_dev: float,
     best = np.full(n, zero)  # the largest value each element attains, as a rank
     np.maximum.at(best, first, key)
     np.maximum.at(best, second, key)
+    best = best[stand_in]
     top = int(best.max())
     mu = float(floats[top])
     i = int(np.argmax(best == top))  # the first row of the Gram that attains mu
-    hit = key == top
-    partners = [*second[hit & (first == i)], *first[hit & (second == i)]]
+    hit, j = key == top, stand_in[i]
+    partners = np.concatenate([second[hit & (first == j)], first[hit & (second == j)]])
+    run = order[starts[labels[i]]:starts[labels[i] + 1]]
+    partners = run[np.isin(stand_in[run], partners)].tolist()  # the same places in i's run
     if top == zero:
         partners.append(np.flatnonzero(labels != labels[i])[0])
     argmax_pair = (i, int(min(partners)))
-    achievers = tuple(int(x) for x in np.flatnonzero(floats[best] >= mu - tol.eps_abs))
+    achievers = tuple(np.flatnonzero(floats[best] >= mu - tol.eps_abs).tolist())
 
     classes = len(_PAIR_CLASSES)
-    cls = _pair_class(labels[first], ri, labels[second], rj)
-    same = np.bincount(cls, minlength=classes)
+    cls = _pair_class(0, ri, 0, rj)  # every pair here lies in one basis
     same_top = np.full(classes, -1)
     np.maximum.at(same_top, cls, key)
     # all pairs per class, counted over the cells of equal (label, rank)
@@ -442,9 +473,9 @@ def _exact_pass(packing: Packing, mub_dev: float,
     cls = _pair_class(cell_label[:, None], cell_rank[:, None], cell_label, cell_rank)
     count = np.bincount(cls.ravel(), weights=ordered_pairs.ravel(),
                         minlength=classes).astype(np.int64) // 2
-    pair_classes = {
+    pair_classes = {  # every cross-basis value is zero
         name: PairClassSummary(int(count[c]), float(floats[
-            max(same_top[c], zero if count[c] > same[c] else -1)]))
+            max(same_top[c], zero if name.startswith("cross_basis") else -1)]))
         for c, name in enumerate(_PAIR_CLASSES) if count[c]}
 
     mu_raw = None
@@ -455,7 +486,7 @@ def _exact_pass(packing: Packing, mub_dev: float,
     def antipodal_pairs() -> int | None:
         comp = (common == 0) & (ri + rj == m)
         degree = np.bincount(first[comp], minlength=n) + np.bincount(second[comp], minlength=n)
-        return n // 2 if np.all(degree == 1) and not np.any(num[~comp]) else None
+        return n // 2 if np.all(degree[stand_in] == 1) and not np.any(num[~comp]) else None
 
     report = CoherenceReport(mu, argmax_pair, achievers, pair_classes, n, mu_raw,
                              "exact", mub_dev)
@@ -491,11 +522,12 @@ def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, 
     if np.any(ranks == 0) or np.any(ranks == m):
         raise DegenerateRankError("rank-0 or full-rank element cannot be embedded")
     mub_dev = None
-    family = _family(packing.elements)
+    table = packing._block_table
+    family = None if table is None else table.family
     if family is not None and family.exact_verdict:
         return _exact_pass(packing, 0.0, tol)
     if family is not None:
-        used = np.unique(_basis_labels(packing.elements))
+        used = np.unique(table.labels)
         dev = family.deviations[np.ix_(used, used)]
         delta = float(np.diagonal(dev).max())
         mub_dev = max(float(dev.max()), 2 * delta + delta * delta)  # delta <= 2 delta + delta^2
@@ -613,9 +645,21 @@ def certify(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> Certificate:
 
 def check_tightness(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether the summed projections equal a multiple of the identity; the
-    multiple tr(F)/m = (sum of ranks)/m is returned either way."""
+    multiple tr(F)/m = (sum of ranks)/m is returned either way.
+
+    Under a true ``exact_verdict`` it is tight exactly when every basis a
+    covers each point equally often: with c_a its coverage, c_a = mean 1 + v_a,
+    F = sum_a U_a diag(c_a) U_a^* is cI plus sum_a T_a, T_a = U_a diag(v_a) U_a^*.
+    Over MUBs tr(T_a T_b) = (sum v_a)(sum v_b) / m = 0 for a != b, so the
+    Hilbert-Schmidt norm of sum_a T_a squared is sum_a |v_a|^2, 0 iff every
+    v_a is. Otherwise F, summed in floats, must be within ``eps_abs`` of cI.
+    """
     m = packing.m
     constant = int(packing.ranks.sum()) / m
+    table = packing._block_table
+    if table is not None and table.family.exact_verdict:
+        cover = _coverage(table, range(packing.n))
+        return bool(np.all(cover == cover[:, :1])), constant
     f = _summed_projections(packing, range(packing.n))
     dev = float(np.abs(f - constant * np.eye(m)).max())
     return dev <= tol.eps_abs, constant
@@ -626,20 +670,31 @@ def _summed_projections(packing: Packing, indices) -> np.ndarray:
 
     When each is a coordinate projection of one family the sum is
     U_a diag(cov_a) U_a^* summed over the bases a in use, where cov_a[x]
-    counts the picked blocks of basis a that contain point x; no element
-    matrix is formed and no MUB property is assumed. Otherwise it is the
-    plain sum of the matrices.
+    counts the picked blocks of basis a that contain point x (``_coverage``);
+    no element matrix is formed and no MUB property is assumed. Otherwise it
+    is the plain sum of the matrices.
     """
-    els = [packing.elements[i] for i in indices]
-    family = _family(els)
-    if family is None:
-        return sum(p.matrix for p in els)
-    inc, labels = _incidence(packing.m, [p.block for p in els]), _basis_labels(els)
+    table = packing._block_table
+    if table is None:  # the picked elements may still be of one family
+        els = tuple(packing.elements[i] for i in indices)
+        if _family(els) is None:
+            return sum(p.matrix for p in els)
+        table, indices = Packing(packing.m, packing.field, els)._block_table, range(len(els))
+    cover = _coverage(table, indices)
     f = np.zeros((packing.m, packing.m), dtype=np.complex128)
-    for a in np.unique(labels):
-        u = family.bases[a]
-        f += (u * inc[:, labels == a].sum(axis=1)) @ u.conj().T
+    for a in np.flatnonzero(cover.any(axis=1)):
+        u = table.family.bases[a]
+        f += (u * cover[a]) @ u.conj().T
     return f
+
+
+def _coverage(table: _BlockTable, indices) -> np.ndarray:
+    """The k x m float array whose row a counts, for each point, the blocks
+    of basis a among the elements ``indices`` that contain it."""
+    k, b = table.family.k, len(table.meet)
+    idx = np.asarray(indices, dtype=np.intp)
+    counts = np.bincount(table.labels[idx] * b + table.ids[idx], minlength=k * b)
+    return counts.reshape(k, b) @ table.incidence.T
 
 
 def spatial_complement(packing: Packing) -> Packing:
@@ -657,7 +712,7 @@ def spatial_complement(packing: Packing) -> Packing:
             raise DegenerateRankError("full-rank element has an empty complement")
         if p.family is not None:
             rest = tuple(sorted(set(range(m)) - set(p.block)))
-            out.append(coordinate_projection(p.family, p.basis_index, rest))
+            out.append(_coordinate(p.family, p.basis_index, rest))
         else:
             out.append(Projection(np.eye(m) - p.matrix, rank=m - p.rank))
     return Packing(m, packing.field, tuple(out), packing.hypotheses, mode="complement")

@@ -336,14 +336,28 @@ class TestExactVerdict:
     @given(st.sampled_from([3, 5, 9, 25, 27, 31, 101]), st.data())
     def test_one_changed_exponent_fails(self, q, data):
         """Moving one entry E[a, x, b] to another residue makes the verdict
-        false, and the float check of the resulting bases flags them too."""
+        false, so the family of the table is refused when it is made, and
+        the float check of the same bases without the table flags basis a + 1."""
         ft = build_field(q)
         expo = np.array(gen_mubs(q, COMPLEX).phases[1])
         a, x, b = (data.draw(st.integers(0, q - 1)) for _ in range(3))
         expo[a, x, b] = (int(expo[a, x, b]) + data.draw(st.integers(1, ft.p - 1))) % ft.p
         assert mubs._phases_are_mubs(ft, expo) is False
-        with pytest.raises(ParameterError, match=f"basis {a + 1} is not orthonormal"):
+        with pytest.raises(ParameterError, match=rf"not the quadratic phases of GF\({q}\)$"):
             mubs._quadratic_phases(ft, expo)
+        bases = np.concatenate([np.eye(q)[None], np.exp(2j * np.pi * expo / ft.p) / np.sqrt(q)])
+        with pytest.raises(ParameterError, match=f"basis {a + 1} is not orthonormal"):
+            MubFamily(q, COMPLEX, bases)
+
+    @pytest.mark.parametrize("q", [3, 9, 71])
+    def test_a_phase_family_skips_the_float_loop(self, q, monkeypatch):
+        """A generated family is decided by its verdict when it is made: the
+        constructor's float loop, which a table-less copy still runs, is not."""
+        calls = []
+        monkeypatch.setattr(MubFamily, "__post_init__", lambda family: calls.append(family))
+        family = gen_mubs(q, COMPLEX)
+        assert calls == [] and family.__dict__["exact_verdict"] is True
+        assert MubFamily(q, COMPLEX, family.bases).phases is None and len(calls) == 1
 
     @pytest.mark.parametrize("q", [5, 9, 31])
     def test_the_sums_catch_an_additive_table_that_is_biased(self, q, monkeypatch):

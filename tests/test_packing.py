@@ -1179,9 +1179,9 @@ class TestExactPass:
         assert calls == {"deviations": [], "exact_verdict": [8]}
 
     def test_float_form_family_overlaps_are_computed_once(self, monkeypatch):
+        bases = [matrix_to_json(u) for u in gen_mubs_prime(7).bases]  # verdict decided here
         calls = self.count_family_checks(monkeypatch)
-        family = mubs_from_json({"m": 7, "field": "C", "bases": [
-            matrix_to_json(u) for u in gen_mubs_prime(7).bases]})
+        family = mubs_from_json({"m": 7, "field": "C", "bases": bases})
         assert family.phases is None
         pk = build_mixed_packing(family, [FANO, FANO_C], [[0, 1, 2, 3], [4, 5, 6, 7]])
         assert verify_mubs(family).ok
