@@ -3,6 +3,8 @@ packings, certify them, and convert between the JSON formats.
 
 Exit codes: 0 certified (or generation/build succeeded), 1 not certified /
 verification failed, 2 input error, 3 construction-hypothesis failure.
+
+Each command imports only the modules it runs, so ``--help`` loads no NumPy.
 """
 
 from __future__ import annotations
@@ -13,13 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import designs as D
-from . import embedding as E
-from . import mubs as M
-from . import packing as P
 from .errors import GrasspackError, HypothesisError, ParameterError, UnsupportedError
-from .fields import enumerate_affine_hyperplanes, enumerate_projective_plane
-from .numerics import COMPLEX, REAL, Tolerance
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 1
@@ -38,7 +34,9 @@ def _read_json(path: str) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _tolerance(args) -> Tolerance:
+def _tolerance(args):
+    from .numerics import Tolerance
+
     if args.eps > MAX_EPS:
         raise ParameterError(f"--eps {args.eps} is above {MAX_EPS}; a tolerance that "
                              "loose would certify packings that miss the bounds")
@@ -53,6 +51,8 @@ def _fail(message: str, code: int) -> int:
 def cmd_gen(args) -> int:
     tol = _tolerance(args)
     if args.kind == "mub":
+        from . import mubs as M
+
         try:
             fam = M.gen_mubs(args.m, args.field)
         except UnsupportedError as exc:
@@ -65,7 +65,11 @@ def cmd_gen(args) -> int:
         print(f"wrote {fam.k} mutually unbiased bases for {fam.field}^{fam.m} to {args.out}")
         return EXIT_OK
 
+    from . import designs as D
+
     if args.kind == "design":
+        from .fields import enumerate_affine_hyperplanes, enumerate_projective_plane
+
         if args.hadamard3:
             if args.order is None:
                 return _fail("--hadamard3 needs --order", EXIT_INPUT)
@@ -120,6 +124,10 @@ def _parse_partition(text: str) -> list[list[int]]:
 
 
 def cmd_build(args) -> int:
+    from . import designs as D
+    from . import mubs as M
+    from . import packing as P
+
     mubs = M.mubs_from_json(_read_json(args.mub))
     design_list = [D.design_from_json(_read_json(f)) for f in args.design]
     if args.mode == "mixed":
@@ -151,6 +159,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import designs as D
+    from . import packing as P
+
     tol = _tolerance(args)
     pk = P.packing_from_json(_read_json(args.packing), tol)
     cert = P.certify(pk, tol=tol)
@@ -187,6 +198,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_complement(args) -> int:
+    from . import packing as P
+
     tol = _tolerance(args)
     pk = P.packing_from_json(_read_json(args.packing), tol)
     _write_json(args.out, P.packing_to_json(P.spatial_complement(pk)))
@@ -195,21 +208,29 @@ def cmd_complement(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    tol = _tolerance(args)
-    pk = P.packing_from_json(_read_json(args.packing), tol)
-    space = E.build_space(pk.m, pk.field)
-    vectors = (E.embed(p.matrix, space, source_index=i, tol=tol)
-               for i, p in enumerate(pk.elements))
-    # the code is streamed, so it goes to --out only once all of it is written
-    out = Path(args.out)
-    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "x") as fp:
-            count = E.write_embedded_code(fp, space, vectors)
-        os.replace(tmp, out)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    from . import _codetext
+
+    # the workers that format the code are forked first, while this process
+    # has one thread: NumPy is imported below
+    with _codetext.Formatters.start() as formatters:
+        from . import embedding as E
+        from . import packing as P
+
+        tol = _tolerance(args)
+        pk = P.packing_from_json(_read_json(args.packing), tol)
+        space = E.build_space(pk.m, pk.field)
+        vectors = (E.embed(p.matrix, space, source_index=i, tol=tol)
+                   for i, p in enumerate(pk.elements))
+        # the code is streamed, so it goes to --out only once all of it is written
+        out = Path(args.out)
+        tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "x") as fp:
+                count = _codetext.write(fp, space.d, vectors, formatters.workers)
+            os.replace(tmp, out)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     print(f"wrote {count} embedded unit vectors in R^{space.d} to {args.out}")
     return EXIT_OK
 
@@ -227,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = gen.add_subparsers(dest="kind", required=True)
     gm = gen_sub.add_parser("mub")
     gm.add_argument("--m", type=int, required=True)
-    gm.add_argument("--field", choices=[REAL, COMPLEX], default=COMPLEX)
+    # numerics.REAL and COMPLEX, spelled out so that --help loads no NumPy
+    gm.add_argument("--field", choices=["R", "C"], default="C")
     gm.add_argument("--out", required=True)
     gd = gen_sub.add_parser("design")
     gd.add_argument("--hadamard3", action="store_true",

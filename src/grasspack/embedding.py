@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _codetext
 from .errors import DegenerateRankError, DimensionMismatchError, ParameterError
 from .numerics import (COMPLEX, DEFAULT_TOL, REAL, Field, Tolerance, check_field,
                        is_projection, lock)
@@ -42,13 +43,15 @@ class EmbeddingSpace:
     (-i E_jk + i E_kj)/sqrt(2), then the diagonal matrices
     diag(1,...,1,-h,0,...,0)/sqrt(h(h+1)) for h = 1..m-1. Only the diagonal
     parts are stored, as the (m-1) x m Helmert rows; pair coordinates are
-    read straight off the matrix entries.
+    read straight off the matrix entries, at the read-only ``pairs`` (j, k),
+    j < k, in that order.
     """
 
     m: int
     field: Field
     d: int
     helmert: np.ndarray  # shape (m - 1, m)
+    pairs: tuple[np.ndarray, np.ndarray]
 
 
 def build_space(m: int, field: Field) -> EmbeddingSpace:
@@ -57,7 +60,8 @@ def build_space(m: int, field: Field) -> EmbeddingSpace:
     for h in range(1, m):
         helmert[h - 1, :h] = 1.0 / np.sqrt(h * (h + 1))
         helmert[h - 1, h] = -h / np.sqrt(h * (h + 1))
-    return EmbeddingSpace(m, field, d, lock(helmert))
+    j, k = np.triu_indices(m, 1)
+    return EmbeddingSpace(m, field, d, lock(helmert), (lock(j), lock(k)))
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,7 @@ def embed(p, space: EmbeddingSpace, source_index: int | None = None,
         raise ParameterError("cannot embed a non-real projection in a real space")
     rank = _checked_rank(p, m, tol)
     a = p - (rank / m) * np.eye(m)
-    j, k = np.triu_indices(m, 1)
+    j, k = space.pairs
     s = 1.0 / np.sqrt(2.0)
     parts = [(a[j, k] * s + a[k, j] * s).real]
     if space.field == COMPLEX:
@@ -131,12 +135,4 @@ def write_embedded_code(fp, space: EmbeddingSpace, vectors) -> int:
     vectors), indent=2, sort_keys=True) + "\\n"``: json writes a finite float
     with ``float.__repr__`` too.
     """
-    fp.write(f'{{\n  "d": {space.d},\n  "vectors": [')
-    count, sep = 0, "\n"
-    for v in vectors:
-        coords = ",\n        ".join(map(float.__repr__, v.coords.tolist()))
-        fp.write(f'{sep}    {{\n      "coords": [\n        {coords}\n      ],\n'
-                 f'      "rank": {v.source_rank}\n    }}')
-        count, sep = count + 1, ",\n"
-    fp.write("\n  ]\n}\n" if count else "]\n}\n")
-    return count
+    return _codetext.write(fp, space.d, vectors)

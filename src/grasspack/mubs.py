@@ -117,20 +117,35 @@ def _quadratic_phases(ft: FieldTable, expo: np.ndarray | None = None) -> MubFami
     the standard basis, then basis a with column b the vector with entries
     q^(-1/2) w^E[a, x, b], x in GF(q), w = exp(2 pi i / p). E is ``expo``
     (a uint8 table read from JSON) or else ``_phase_exponents(ft)``; the
-    family keeps (p, E) as ``phases``. All q bases are one table lookup. The
-    family is checked by ``exact_verdict``, not the float loop: a false one raises."""
-    q, p = ft.q, ft.p
+    family keeps (p, E) as ``phases`` and forms its bases only when they are
+    read. The family is checked by ``exact_verdict``, not the float loop: a
+    false one raises."""
     expo = _phase_exponents(ft) if expo is None else expo
     expo.setflags(write=False)
-    omega = np.exp(2j * np.pi * np.arange(p) / p)
-    scale = 1.0 / np.sqrt(q)
-    bases = np.concatenate([np.eye(q)[None], scale * omega[expo]])
-    bases.setflags(write=False)
-    family = object.__new__(MubFamily)
-    family.__dict__.update(m=q, field=COMPLEX, bases=bases, phases=(p, expo))
+    family = object.__new__(_PhaseFamily)
+    family.__dict__.update(m=ft.q, field=COMPLEX, phases=(ft.p, expo))
     if not family.exact_verdict:
-        raise ParameterError(f"the exponent table is not the quadratic phases of GF({q})")
+        raise ParameterError(f"the exponent table is not the quadratic phases of GF({ft.q})")
     return family
+
+
+class _PhaseFamily(MubFamily):
+    """A family made by ``_quadratic_phases``. Its exact verdict, tightness and
+    JSON read only the table, so ``bases`` is formed from it on first read,
+    read-only, all q non-standard bases in one table lookup."""
+
+    @property
+    def k(self) -> int:
+        return self.m + 1
+
+    @cached_property
+    def bases(self) -> np.ndarray:
+        (p, expo), q = self.phases, self.m
+        omega = np.exp(2j * np.pi * np.arange(p) / p)
+        scale = 1.0 / np.sqrt(q)
+        bases = np.concatenate([np.eye(q)[None], scale * omega[expo]])
+        bases.setflags(write=False)
+        return bases
 
 
 def _phases_are_mubs(ft: FieldTable, expo: np.ndarray) -> bool:

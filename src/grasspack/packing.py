@@ -703,15 +703,18 @@ def spatial_complement(packing: Packing) -> Packing:
     Every embedded vector flips sign, so all pairwise embedded inner products
     (and the packing constant) are preserved. A coordinate projection
     (family, k, J) maps to (family, k, J^c), so complements keep the exact pass;
-    a dense element maps to the dense matrix I - P.
+    a dense element maps to the dense matrix I - P. Each distinct block is
+    complemented once.
     """
     m = packing.m
-    out = []
+    out, rests = [], {}
     for p in packing.elements:
         if p.rank >= m:
             raise DegenerateRankError("full-rank element has an empty complement")
         if p.family is not None:
-            rest = tuple(sorted(set(range(m)) - set(p.block)))
+            rest = rests.get(p.block)
+            if rest is None:
+                rest = rests[p.block] = tuple(sorted(set(range(m)) - set(p.block)))
             out.append(_coordinate(p.family, p.basis_index, rest))
         else:
             out.append(Projection(np.eye(m) - p.matrix, rank=m - p.rank))

@@ -21,6 +21,7 @@ from grasspack.packing import (_PAIR_CLASSES, CoherenceReport, Packing, PairClas
                                certificate_to_json, certify, check_tightness,
                                coordinate_projection, spatial_complement)
 
+from conftest import dense_copy
 from test_packing import (BUILDER_FIXTURES, FANO, FANO_C, assert_exact_matches_numeric,
                           coordinate_packings, mub_packings, paley_packing)
 
@@ -274,3 +275,31 @@ class TestTightnessGate:
         monkeypatch.setattr(packing, "_summed_projections", refuse)
         assert check_tightness(paley_packing(19)) == (True, 190.0)
         assert check_tightness(spatial_complement(paley_packing(19))) == (True, 190.0)
+
+
+class TestComplement:
+    @pytest.mark.parametrize("make", [lambda: paley_packing(19),
+                                      lambda: shuffled(paley_packing(19), 2)],
+                             ids=["paley19", "paley19-shuffled"])
+    def test_each_distinct_block_is_complemented_once(self, make, monkeypatch):
+        """Complementing each distinct block once gives the same (basis, block)
+        pairs in the same order, and the same packing file, as complementing
+        each element's block."""
+        pk = make()
+        m, ref = pk.m, []
+        for p in pk.elements:
+            rest = tuple(sorted(set(range(m)) - set(p.block)))
+            ref.append(coordinate_projection(p.family, p.basis_index, rest))
+        ref = Packing(m, pk.field, tuple(ref), pk.hypotheses, mode="complement")
+        comp = spatial_complement(pk)
+        assert ([(p.family, p.basis_index, p.block) for p in comp.elements]
+                == [(p.family, p.basis_index, p.block) for p in ref.elements])
+        assert (json.dumps(packing.packing_to_json(comp))
+                == json.dumps(packing.packing_to_json(ref)))
+
+    def test_dense_elements_are_complemented_as_matrices(self):
+        pk = dense_copy(paley_packing(7))
+        assert pk._block_table is None
+        comp = spatial_complement(pk)
+        assert all(np.array_equal(c.matrix, np.eye(7) - p.matrix) and c.rank == 7 - p.rank
+                   for p, c in zip(pk.elements, comp.elements))

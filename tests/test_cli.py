@@ -536,6 +536,13 @@ def test_pg31_packing_file_holds_its_family(pg31_packing, capsys):
     assert json.loads(capsys.readouterr().out)["mu_embedded"] == 0.0
 
 
+def child_env():
+    """The environment of a fresh interpreter that imports this grasspack."""
+    src = os.path.dirname(os.path.dirname(grasspack.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 # Linux carries the memory a process was started from over exec into the
 # child's peak RSS, so the command is started from a small interpreter that
 # reports the peak with wait4, not from this one.
@@ -546,24 +553,144 @@ _PEAK_RSS = ("import os, subprocess, sys\n"
 
 
 def test_pg31_embed_streams_in_bounded_memory(pg31_packing):
-    """``embed`` writes the 28 MB code of the m = 31 packing (952,320
-    coordinates) one vector at a time: a fresh process peaks below 100 MB,
-    and the bytes are those of the reference text."""
+    """``embed`` streams the 28 MB code of the m = 31 packing (952,320
+    coordinates): a fresh process peaks below 100 MB, and the bytes are
+    those of the reference text."""
     from grasspack.packing import packing_from_json
     out = pg31_packing.with_name("code.json")
-    src = os.path.dirname(os.path.dirname(grasspack.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     reply = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "grasspack.cli",
          "embed", str(pg31_packing), "--out", str(out)],
-        env=env, capture_output=True, text=True, check=True).stdout.split()
+        env=child_env(), capture_output=True, text=True, check=True).stdout.split()
     code, peak_kb = int(reply[-2]), int(reply[-1])
     assert code == 0
     assert peak_kb < 100 * 1024
     pk = packing_from_json(json.loads(pg31_packing.read_text()))
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
             == hashlib.sha256(packing_code_text(pk).encode()).hexdigest())
+
+
+# Runs ``grasspack embed ARGS...`` in this interpreter, on one CPU when the
+# first argument is "1" and with a second thread running when it is "thread",
+# counting the workers it forks. After the command, it prints how many were
+# forked and whether the command reaped every one of them (then waitpid finds
+# no such child).
+_EMBED_WORKERS = (
+    "import atexit, os, runpy, sys, threading\n"
+    "pids, fork = [], os.fork\n"
+    "def counted():\n"
+    "    pid = fork()\n"
+    "    pids.extend([pid] if pid else [])\n"
+    "    return pid\n"
+    "def reaped(pid):\n"
+    "    try:\n"
+    "        os.waitpid(pid, os.WNOHANG)\n"
+    "    except ChildProcessError:\n"
+    "        return True\n"
+    "    return False\n"
+    "os.fork = counted\n"
+    "if sys.argv[1] == '1':\n"
+    "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    "if sys.argv[1] == 'thread':\n"
+    "    threading.Thread(target=threading.Event().wait, daemon=True).start()\n"
+    "atexit.register(lambda: print('workers:', len(pids), all(map(reaped, pids))))\n"
+    "sys.argv = ['grasspack', 'embed', *sys.argv[2:]]\n"
+    "runpy.run_module('grasspack.cli', run_name='__main__', alter_sys=True)\n")
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+pinnable = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                              reason="no CPU affinity on this platform")
+
+
+def embed_in_child(cpus, *args):
+    """Run ``embed`` with ``_EMBED_WORKERS``; return its exit code, its
+    stderr, the number of workers it forked and whether all were reaped."""
+    proc = subprocess.run([sys.executable, "-c", _EMBED_WORKERS, cpus, *map(str, args)],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    label, forked, reaped = proc.stdout.splitlines()[-1].split()
+    assert label == "workers:"
+    return proc.returncode, proc.stderr, int(forked), reaped == "True"
+
+
+@pinnable
+def test_pg31_embed_on_one_cpu_is_serial_and_the_same(pg31_packing):
+    """Pinned to one CPU, ``embed`` forks no worker and writes the m = 31
+    code, in the same bytes as the reference text."""
+    from grasspack.packing import packing_from_json
+    out = pg31_packing.with_name("code1.json")
+    assert embed_in_child("1", pg31_packing, "--out", out) == (0, "", 0, True)
+    pk = packing_from_json(json.loads(pg31_packing.read_text()))
+    assert out.read_text() == packing_code_text(pk)
+
+
+@pinnable
+@pytest.mark.parametrize("cpus", ["1", "all"])
+def test_paley19_embed_bytes_do_not_depend_on_the_cpus(tmp_path, cpus):
+    """The code of the Paley p = 19 packing (380 vectors in R^360, eight
+    chunks) is the reference text whether it is formatted here alone or by
+    one forked worker per CPU; every worker is reaped."""
+    from test_packing import paley_packing
+    from grasspack.packing import packing_to_json
+    pk = paley_packing(19)
+    path, out = tmp_path / "pk.json", tmp_path / "code.json"
+    path.write_text(json.dumps(packing_to_json(pk)))
+    workers = 0 if cpus == "1" or CPUS < 2 else CPUS
+    assert embed_in_child(cpus, path, "--out", out) == (0, "", workers, True)
+    assert out.read_text() == packing_code_text(pk)
+    assert sorted(os.listdir(tmp_path)) == ["code.json", "pk.json"]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "present"])
+def test_failed_parallel_embed_leaves_out_as_it_was(tmp_path, existing):
+    """A version-1 packing of m = 19 whose element 60 is the identity: the
+    first 46 vectors fill a chunk that a worker formats before the parent
+    reaches element 60. The command exits 2 with one error line, --out
+    stays absent or keeps its bytes, no temporary file is left, and every
+    worker is reaped."""
+    from test_packing import paley_packing
+    from grasspack.packing import Packing, Projection
+    pk = paley_packing(19)
+    pk = Packing(19, "C", pk.elements[:60] + (Projection(np.eye(19)),))
+    path, out = tmp_path / "pk.json", tmp_path / "code.json"
+    path.write_text(json.dumps(v1_json(pk)))
+    if existing:
+        out.write_bytes(b"earlier bytes\n")
+    code, err, forked, reaped = embed_in_child("all", path, "--out", out)
+    assert (code, forked, reaped) == (2, 0 if CPUS < 2 else CPUS, True)
+    assert err.startswith("error: ") and err.count("\n") == 1 and "rank-19" in err
+    if existing:
+        assert out.read_bytes() == b"earlier bytes\n"
+    else:
+        assert not out.exists()
+    assert sorted(os.listdir(tmp_path)) == ["code.json", "pk.json"][not existing:]
+
+
+def test_embed_in_a_threaded_process_forks_nothing(tmp_path):
+    """``main(["embed", ...])`` called in a process without NumPy but with a
+    second thread formats the code itself: a fork would not carry the thread
+    over. The bytes are the reference text."""
+    from test_packing import paley_packing
+    from grasspack.packing import packing_to_json
+    pk = paley_packing(19)
+    path, out = tmp_path / "pk.json", tmp_path / "code.json"
+    path.write_text(json.dumps(packing_to_json(pk)))
+    assert embed_in_child("thread", path, "--out", out) == (0, "", 0, True)
+    assert out.read_text() == packing_code_text(pk)
+
+
+def test_in_process_embed_forks_nothing(tmp_path, monkeypatch, mub7, fano):
+    """With NumPy loaded, as in any in-process caller, ``embed`` writes the
+    code serially: it succeeds with ``os.fork`` made to raise."""
+    def refuse():
+        raise AssertionError("embed forked a worker")
+
+    pack, out = tmp_path / "packing.json", tmp_path / "code.json"
+    assert run("build", "--mub", mub7, "--design", fano, "--mode", "mixed",
+               "--partition", "0,1,2,3,4,5,6,7", "--out", pack) == 0
+    monkeypatch.setattr(os, "fork", refuse)
+    assert run("embed", pack, "--out", out) == 0
+    from grasspack.packing import packing_from_json
+    assert out.read_text() == packing_code_text(packing_from_json(json.loads(pack.read_text())))
 
 
 def test_numeric_pass_beyond_physical_memory_exits_2(tmp_path, monkeypatch, capsys):
@@ -694,21 +821,26 @@ _LIST_MODULES = ("import atexit, sys\n"
                  "atexit.register(lambda: print('modules:', *sorted(sys.modules)))\n")
 
 
-@pytest.mark.parametrize("command", [
-    "import grasspack",
-    "import runpy, sys\n"
-    "sys.argv = ['grasspack', '--help']\n"
-    "runpy.run_module('grasspack.cli', run_name='__main__', alter_sys=True)",
-], ids=["import", "cli-help"])
-def test_fresh_process_loads_no_scipy(command):
-    src = os.path.dirname(os.path.dirname(grasspack.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", _LIST_MODULES + command], env=env,
+@pytest.mark.parametrize("command, loads_numpy", [
+    ("import grasspack", False),
+    ("import runpy, sys\n"
+     "sys.argv = ['grasspack', '--help']\n"
+     "runpy.run_module('grasspack.cli', run_name='__main__', alter_sys=True)", False),
+    ("import grasspack\n"
+     "grasspack.certify", True),
+], ids=["import", "cli-help", "first-use"])
+def test_fresh_process_loads_no_scipy(command, loads_numpy):
+    """``import grasspack`` and ``grasspack --help`` load no NumPy; the first
+    use of a public name imports its module, NumPy with it, and never SciPy."""
+    out = subprocess.run([sys.executable, "-c", _LIST_MODULES + command], env=child_env(),
                          capture_output=True, text=True, timeout=60, check=True).stdout
     modules = out.splitlines()[-1].split()
-    assert modules[0] == "modules:"
-    assert {"grasspack", "grasspack.numerics", "numpy"} <= set(modules)
+    assert modules[0] == "modules:" and "grasspack" in modules
     assert [m for m in modules if m.partition(".")[0] == "scipy"] == []
+    numpy = [m for m in modules if m.partition(".")[0] == "numpy"]
+    if loads_numpy:
+        assert {"grasspack.packing", "grasspack.numerics", "numpy"} <= set(modules)
+    else:
+        assert numpy == []
     if "--help" in command:
         assert out.startswith("usage:")

@@ -54,6 +54,25 @@ class TestSpace:
         assert space.helmert.shape == (4, 5)
         assert not hasattr(space, "basis")
 
+    @pytest.mark.parametrize("m,field", [(2, COMPLEX), (7, COMPLEX), (31, COMPLEX), (5, REAL)])
+    def test_pairs_are_kept_once_and_coordinates_unchanged(self, m, field):
+        """The space keeps the read-only pair indices j < k that ``embed`` used
+        to form on every call; the coordinates are bit for bit those formed
+        with fresh ``triu_indices``."""
+        space = build_space(m, field)
+        j, k = np.triu_indices(m, 1)
+        assert np.array_equal(space.pairs[0], j) and np.array_equal(space.pairs[1], k)
+        assert not space.pairs[0].flags.writeable and not space.pairs[1].flags.writeable
+        p = random_projection(np.random.default_rng(m), m, m // 2, field)
+        a = p - (m // 2 / m) * np.eye(m)
+        s = 1.0 / np.sqrt(2.0)
+        parts = [(a[j, k] * s + a[k, j] * s).real]
+        if field == COMPLEX:
+            parts.append((a[j, k] * (1j * s) - a[k, j] * (1j * s)).real)
+        parts.append(np.einsum("i,ki->k", np.diagonal(a), space.helmert).real)
+        ref = np.concatenate(parts) / np.sqrt(sphere_radius_sq(m, m // 2))
+        assert np.array_equal(embed(p, space).coords, ref)
+
     def test_pauli_basis_for_m2(self):
         basis = reference_basis(2, COMPLEX)
         s = 1 / np.sqrt(2)

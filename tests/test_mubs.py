@@ -332,6 +332,20 @@ class TestExactVerdict:
         ref = np.concatenate([np.eye(q)[None], 1.0 / np.sqrt(q) * omega[expo]])
         assert expo.dtype == np.int64 and np.array_equal(gen_mubs(q, COMPLEX).bases, ref)
 
+    @pytest.mark.parametrize("q", [3, 9, 71])
+    def test_bases_are_formed_on_first_read(self, q):
+        """A generated family decides its verdict and writes its JSON from the
+        table alone; its bases are formed on first read, once, read-only and
+        bit for bit those of the table lookup."""
+        family = gen_mubs(q, COMPLEX)
+        assert verify_mubs(family).ok and family.k == q + 1 and mubs_to_json(family)
+        assert "bases" not in family.__dict__
+        (p, expo), bases = family.phases, family.bases
+        ref = np.concatenate([np.eye(q)[None], 1.0 / np.sqrt(q)
+                              * np.exp(2j * np.pi * np.arange(p) / p)[expo]])
+        assert np.array_equal(bases, ref) and not bases.flags.writeable
+        assert family.bases is bases and len(bases) == family.k
+
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([3, 5, 9, 25, 27, 31, 101]), st.data())
     def test_one_changed_exponent_fails(self, q, data):
