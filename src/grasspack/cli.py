@@ -24,6 +24,9 @@ EXIT_HYPOTHESIS = 3
 
 MAX_EPS = 1e-6
 
+# the variables OpenBLAS reads for its thread count, in its order of precedence
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 def _write_json(path: str, obj) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
@@ -192,7 +195,10 @@ def cmd_certify(args) -> int:
         obj["hadamard_order"] = h.order
     if args.out:
         _write_json(args.out, obj)
-    print(json.dumps(obj, indent=2, sort_keys=True))
+        print(f"wrote certificate to {args.out}: {cert.status.value}, n = {cert.n}, "
+              f"d = {cert.d}, mu = {float(cert.mu_embedded)!r}")
+    else:
+        print(json.dumps(obj, indent=2, sort_keys=True))
     certified = cert.status != P.CertStatus.NOT_CERTIFIED
     return EXIT_OK if certified else EXIT_NOT_CERTIFIED
 
@@ -213,6 +219,9 @@ def cmd_embed(args) -> int:
     # the workers that format the code are forked first, while this process
     # has one thread: NumPy is imported below
     with _codetext.Formatters.start() as formatters:
+        if formatters.workers and not any(name in os.environ for name in BLAS_THREADS):
+            # else OpenBLAS starts a thread per CPU, and they spin on the workers' CPUs
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
         from . import embedding as E
         from . import packing as P
 

@@ -1,8 +1,9 @@
 """Generation, import, and verification of mutually unbiased bases.
 
 Complex families for odd prime (power) dimensions come from quadratic phase
-functions over the finite field and are checked exactly, in integers; the
-small dimensions 2 and 4 are hardcoded.
+functions over the finite field: one exponent table per order, checked
+exactly, in integers, once per process; the small dimensions 2 and 4 are
+hardcoded.
 Real maximal families beyond R^4 and even-characteristic extension fields are
 supported through JSON import only.
 """
@@ -10,18 +11,19 @@ supported through JSON import only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError, UnsupportedError
-from .fields import FieldTable, PrimePower, build_field, factor_prime_power, is_prime
+from .fields import PrimePower, build_field, factor_prime_power, is_prime
 from .numerics import (COMPLEX, DEFAULT_TOL, REAL, Field, Tolerance, as_int, as_type,
                        check_field, lock, matrix_from_json, matrix_to_json)
 
 _MAX_PRIME = 101
 _MAX_PRIME_POWER = 81
+_CONSTRUCTION = "quadratic-phases"
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,10 +38,11 @@ class MubFamily:
     ``DEFAULT_TOL.eps_abs`` (the message names a). Unbiasedness is measured
     by ``deviations``, once, on first use.
 
-    A quadratic-phase family also keeps ``phases = (p, E)``, its read-only
-    uint8 exponent table (``_quadratic_phases``), and ``exact_verdict``
-    decides from it whether the family is a set of MUBs, in place of the
-    float loop; other families have None for both.
+    A quadratic-phase family also keeps ``phases = (p, E)``, E the read-only
+    uint8 exponent table shared by every family of its order
+    (``_phase_exponents``), and ``exact_verdict`` decides from it whether the
+    family is a set of MUBs, in place of the float loop; other families
+    have None for both.
     """
 
     m: int
@@ -93,9 +96,8 @@ class MubFamily:
 
     @cached_property
     def exact_verdict(self) -> bool | None:
-        """``_phases_are_mubs`` of the exponent table, once, on first use."""
-        return None if self.phases is None else _phases_are_mubs(build_field(self.m),
-                                                                 self.phases[1])
+        """``_phases_are_mubs`` of the family's order, which reads its table."""
+        return None if self.phases is None else _phases_are_mubs(self.m)
 
 
 def mub_capacity(m: int, field: Field) -> int:
@@ -104,28 +106,35 @@ def mub_capacity(m: int, field: Field) -> int:
     return m + 1 if field == COMPLEX else m // 2 + 1
 
 
-def _phase_exponents(ft: FieldTable) -> np.ndarray:
+@cache
+def _phase_exponents(q: int) -> np.ndarray:
     """E[a, x, b] = tr(a x^2 + b x) for a, x, b in GF(q), tr the field trace
-    down to GF(p), as a uint8 array (p <= 101)."""
-    x = np.arange(ft.q)
-    return ft.trace(ft.add(ft.mul(x[:, None, None], ft.mul(x, x)[:, None]),
-                           ft.mul(x[:, None], x))).astype(np.uint8)
+    down to GF(p), as one read-only uint8 array per q, shared by every
+    family of that order (p <= 101). The trace is additive, so E is
+    tr(a x^2) + tr(x b) mod p: two q x q lookups and one uint8 sum, reduced mod p."""
+    ft = build_field(q)
+    x = np.arange(q)
+    square = ft.trace(ft.mul(x[:, None], ft.mul(x, x))).astype(np.uint8)  # [a, x]
+    linear = ft.trace(ft.mul(x[:, None], x)).astype(np.uint8)  # [x, b]
+    expo = square[:, :, None] + linear  # < 2p <= 202, so no uint8 wraps
+    expo -= np.uint8(ft.p) * (expo >= ft.p)
+    expo.setflags(write=False)
+    return expo
 
 
-def _quadratic_phases(ft: FieldTable, expo: np.ndarray | None = None) -> MubFamily:
+def _quadratic_phases(q: int, expo: np.ndarray | None = None) -> MubFamily:
     """The q+1 quadratic-phase MUBs of GF(q), q odd (Wootters and Fields):
     the standard basis, then basis a with column b the vector with entries
-    q^(-1/2) w^E[a, x, b], x in GF(q), w = exp(2 pi i / p). E is ``expo``
-    (a uint8 table read from JSON) or else ``_phase_exponents(ft)``; the
-    family keeps (p, E) as ``phases`` and forms its bases only when they are
-    read. The family is checked by ``exact_verdict``, not the float loop: a
-    false one raises."""
-    expo = _phase_exponents(ft) if expo is None else expo
-    expo.setflags(write=False)
+    q^(-1/2) w^E[a, x, b], x in GF(q), w = exp(2 pi i / p). The family keeps
+    (p, E) as ``phases``, E the shared ``_phase_exponents(q)``, and forms its
+    bases only when they are read. A table ``expo`` read from JSON must equal
+    E, and the family is checked by ``exact_verdict``, not the float loop:
+    a false one raises."""
+    table = _phase_exponents(q)
     family = object.__new__(_PhaseFamily)
-    family.__dict__.update(m=ft.q, field=COMPLEX, phases=(ft.p, expo))
-    if not family.exact_verdict:
-        raise ParameterError(f"the exponent table is not the quadratic phases of GF({ft.q})")
+    family.__dict__.update(m=q, field=COMPLEX, phases=(factor_prime_power(q).p, table))
+    if (expo is not None and not np.array_equal(expo, table)) or not family.exact_verdict:
+        raise ParameterError(f"the exponent table is not the quadratic phases of GF({q})")
     return family
 
 
@@ -148,19 +157,18 @@ class _PhaseFamily(MubFamily):
         return bases
 
 
-def _phases_are_mubs(ft: FieldTable, expo: np.ndarray) -> bool:
-    """Whether the table E of ``_quadratic_phases`` gives q + 1 MUBs, in
-    integers. E must be tr(a x^2 + b x), additive in (a, b), so two columns
-    meet in q^-1 S_ab, S_ab = sum_x w^E[a, x, b], for (a, b) their difference.
+@cache
+def _phases_are_mubs(q: int) -> bool:
+    """Whether the table E = ``_phase_exponents(q)`` gives q + 1 MUBs, in
+    integers, once per q. E is additive in (a, b), so two columns meet in
+    q^-1 S_ab, S_ab = sum_x w^E[a, x, b], for (a, b) their difference.
     With n_t = #{x : E[a, x, b] = t} and c_t = sum_s n_s n_(s+t mod p) (= c_-t),
     |S_ab|^2 = sum_t c_t w^t is the integer N iff c_t is one value for all
     t != 0 and c_0 - c_1 = N; N = q for a != 0 (unbiased) and 0 for a = 0,
     b != 0 (orthonormal). The standard basis is unbiased to every column by
     construction. Every c_t is at most q^2 <= 101^2, so int16 holds it.
     """
-    q, p = ft.q, ft.p
-    if not np.array_equal(expo, _phase_exponents(ft)):
-        return False
+    expo, p = _phase_exponents(q), factor_prime_power(q).p
     pairs = q * q  # (a, b) is pair a q + b
     # intp keys: a uint8 E must not set their type (value-based promotion before NumPy 2)
     ab = np.arange(q, dtype=np.intp)[:, None, None] * q + np.arange(q, dtype=np.intp)
@@ -184,7 +192,7 @@ def gen_mubs_prime(p: int) -> MubFamily:
         raise ParameterError(f"{p} is not an odd prime")
     if p > _MAX_PRIME:
         raise ParameterError(f"generation is capped at p <= {_MAX_PRIME}")
-    return _quadratic_phases(build_field(p))
+    return _quadratic_phases(p)
 
 
 def gen_mubs_prime_power(q: PrimePower | int) -> MubFamily:
@@ -201,7 +209,7 @@ def gen_mubs_prime_power(q: PrimePower | int) -> MubFamily:
         raise ParameterError(f"q = {pp.q} is prime; use gen_mubs_prime")
     if pp.q > _MAX_PRIME_POWER:
         raise ParameterError(f"generation is capped at q <= {_MAX_PRIME_POWER}")
-    return _quadratic_phases(build_field(pp))
+    return _quadratic_phases(pp.q)
 
 
 # Columns of the four bases unbiased to the standard basis of C^4; entries
@@ -312,12 +320,12 @@ def verify_mubs(family: MubFamily, tol: Tolerance = DEFAULT_TOL) -> MubReport:
 
 
 def mubs_to_json(family: MubFamily) -> dict:
-    """A quadratic-phase family as version 2, its exponent table as nested
-    integer lists; any other family in the float form, with no "version"."""
+    """A quadratic-phase family as version 3, which names its construction
+    (its reader rebuilds the table); any other family in the float form,
+    with no "version"."""
     if family.phases is not None:
-        p, expo = family.phases
-        return {"version": 2, "m": family.m, "field": family.field,
-                "phases": {"p": p, "exponents": expo.tolist()}}
+        return {"version": 3, "m": family.m, "field": family.field,
+                "construction": _CONSTRUCTION}
     return {
         "m": family.m,
         "field": family.field,
@@ -326,23 +334,30 @@ def mubs_to_json(family: MubFamily) -> dict:
 
 
 def mubs_from_json(obj: dict) -> MubFamily:
-    """Read ``mubs_to_json`` output: the float form (no "version"), or version
-    2, whose table's shape, integers and range are checked before any bases
-    are formed, and which must pass ``exact_verdict`` (``_quadratic_phases``)."""
+    """Read ``mubs_to_json`` output: the float form (no "version"); version 3,
+    whose family is generated again; or version 2, whose table's shape,
+    integers and range are checked before it is compared with the generated
+    one. Both phase versions must pass ``exact_verdict`` (``_quadratic_phases``)."""
     as_type(obj, dict, "MUB family")
     m = as_int(obj["m"], "m")
     field = check_field(obj["field"])
     if "version" not in obj:
         return MubFamily(m, field, [matrix_from_json(mj)
                                     for mj in as_type(obj["bases"], list, "bases")])
-    if as_int(obj["version"], "version") != 2:
-        raise ParameterError(f"MUB family version {obj['version']} is not 2")
+    version = as_int(obj["version"], "version")
+    if version not in (2, 3):
+        raise ParameterError(f"MUB family version {obj['version']} is not 2 or 3")
+    if version == 3 and obj.get("construction") != _CONSTRUCTION:
+        raise ParameterError(f"a version-3 MUB family needs construction "
+                             f"{_CONSTRUCTION!r}, got {obj.get('construction')!r}")
     if not (2 < m <= _MAX_PRIME and factor_prime_power(m).p != 2 and field == COMPLEX):
         raise ParameterError(f"a phase family needs an odd prime power m <= {_MAX_PRIME} "
                              f"over C, got m = {m} over {field}")
-    ft = build_field(m)
+    if version == 3:
+        return _quadratic_phases(m)
+    p = factor_prime_power(m).p
     phases = as_type(obj["phases"], dict, "phases")
-    if as_int(phases["p"], "p") != ft.p:
+    if as_int(phases["p"], "p") != p:
         raise ParameterError(f"p = {phases['p']} is not the characteristic of GF({m})")
     rows = as_type(phases["exponents"], list, "exponents")
     try:  # JSON integers three lists deep: no bools, floats or strings
@@ -350,7 +365,7 @@ def mubs_from_json(obj: dict) -> MubFamily:
         expo = np.array(rows, dtype=np.int64) if ints else None
     except (TypeError, ValueError, OverflowError):  # not lists of lists, ragged, huge
         expo = None
-    if expo is None or expo.shape != (m, m, m) or expo.min() < 0 or expo.max() >= ft.p:
+    if expo is None or expo.shape != (m, m, m) or expo.min() < 0 or expo.max() >= p:
         raise ParameterError(f"exponents must be {m} x {m} x {m} nested lists of integers "
-                             f"in 0..{ft.p - 1}")
-    return _quadratic_phases(ft, expo.astype(np.uint8))
+                             f"in 0..{p - 1}")
+    return _quadratic_phases(m, expo)

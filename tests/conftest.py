@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from grasspack import mubs
 from grasspack.embedding import _checked_rank, build_space, embed, embedded_code_to_json
 from grasspack.errors import DimensionMismatchError, ParameterError
+from grasspack.fields import build_field
 from grasspack.numerics import DEFAULT_TOL, as_matrix
 from grasspack.packing import (Packing, Projection, _embedded_gram, _report_from_grams,
                                packing_to_json)
@@ -95,6 +97,37 @@ def v1_json(pk) -> dict:
                          else {"basis": p.basis_index, "block": list(p.block)}
                          for p in pk.elements]
     return obj
+
+
+def reference_exponents(q) -> np.ndarray:
+    """E[a, x, b] = tr(a x^2 + b x) over GF(q) as int64, through the field's
+    ``add``, ``mul`` and ``trace`` lookups on q x q x q operands: the
+    reference for the generator's uint8 sum tr(a x^2) + tr(x b) mod p."""
+    ft = build_field(q)
+    x = np.arange(q)
+    return ft.trace(ft.add(ft.mul(x[:, None, None], ft.mul(x, x)[:, None]),
+                           ft.mul(x[:, None], x)))
+
+
+def mub_v2_json(q) -> dict:
+    """The version-2 MUB file of the order-q quadratic-phase family, which
+    writes its exponent table, as ``mubs_to_json`` did before version 3."""
+    return {"version": 2, "m": q, "field": "C",
+            "phases": {"p": build_field(q).p, "exponents": reference_exponents(q).tolist()}}
+
+
+@pytest.fixture
+def fresh_phase_caches():
+    """Empty the per-order caches of the exponent table and its verdict
+    before and after the test, so a table the test patches in cannot leave
+    a false verdict behind; the cached functions are held here, since a
+    patch may replace their module names."""
+    caches = (mubs._phase_exponents, mubs._phases_are_mubs)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
 
 
 def code_json_text(space, vectors) -> str:

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import grasspack
+from grasspack import cli
 from grasspack.cli import main
 
-from conftest import packing_code_text, random_projection, v1_json
+from conftest import mub_v2_json, packing_code_text, random_projection, v1_json
 
 
 def run(*argv):
@@ -52,9 +53,16 @@ def fano(tmp_path):
 class TestGen:
     def test_mub_file_has_eight_bases(self, mub7):
         obj = json.loads(mub7.read_text())
-        assert (obj["version"], obj["m"], obj["phases"]["p"]) == (2, 7, 7)
-        assert np.array(obj["phases"]["exponents"]).shape == (7, 7, 7)
+        assert obj == {"version": 3, "m": 7, "field": "C", "construction": "quadratic-phases"}
         assert grasspack.mubs_from_json(obj).k == 8
+
+    def test_the_m71_mub_file_names_its_construction(self, tmp_path):
+        """The m = 71 family file is under 1 KB: it holds no exponent table."""
+        path = tmp_path / "mub71.json"
+        assert run("gen", "mub", "--m", 71, "--out", path) == 0
+        assert path.stat().st_size < 1000
+        family = grasspack.mubs_from_json(json.loads(path.read_text()))
+        assert family.k == 72 and family.exact_verdict
 
     def test_unsupported_real_mub_exits_2(self, tmp_path, capsys):
         code = run("gen", "mub", "--m", 16, "--field", "R",
@@ -236,6 +244,22 @@ class TestBuildAndCertify:
         assert out["version"] == 2 and out["family"] is None and "provenance" not in out
         assert len(out["elements"]) == 30
 
+    def test_a_version_2_family_file_builds_the_same_packing(self, tmp_path, mub7, fano):
+        """A version-2 m = 7 file, which writes the exponent table, builds the
+        Fano packing in the same bytes as the version-3 file: the packing
+        file holds the version-3 family either way."""
+        comp, v2 = tmp_path / "fano_c.json", tmp_path / "mub7_v2.json"
+        v2.write_text(json.dumps(mub_v2_json(7)))
+        assert run("gen", "design", "--complement-of", fano, "--out", comp) == 0
+        packs = []
+        for mub in (mub7, v2):
+            pack = tmp_path / f"pk_{mub.stem}.json"
+            assert run("build", "--mub", mub, "--design", fano, "--design", comp, "--mode",
+                       "mixed", "--partition", "0,1,2,3;4,5,6,7", "--out", pack) == 0
+            packs.append(pack.read_bytes())
+        assert packs[0] == packs[1]
+        assert json.loads(packs[0])["family"] == json.loads(mub7.read_text())
+
     def test_hypothesis_failure_exits_3_but_writes(self, tmp_path, mub7, fano):
         pack = tmp_path / "packing.json"
         code = run("build", "--mub", mub7, "--design", fano,
@@ -354,14 +378,21 @@ class TestBuildAndCertify:
         assert dict(obj, mu_embedded=0.0) == exact
 
     def test_report_mirrors_json(self, tmp_path, mub7, fano, capsys):
+        """Without ``--out`` the certificate is printed; with it, the file
+        holds the same certificate and one summary line is printed."""
         pack = tmp_path / "packing.json"
         run("build", "--mub", mub7, "--design", fano, "--mode", "mixed",
             "--partition", "0,1,2,3,4,5,6,7", "--out", pack)
         capsys.readouterr()  # drop the build command's output
+        assert run("certify", pack) == 0
+        printed = capsys.readouterr().out
         cert_path = tmp_path / "cert.json"
         assert run("certify", pack, "--out", cert_path) == 0
-        printed = capsys.readouterr().out
-        assert json.loads(printed) == json.loads(cert_path.read_text())
+        cert = json.loads(cert_path.read_text())
+        assert json.loads(printed) == cert
+        assert capsys.readouterr().out == (
+            f"wrote certificate to {cert_path}: {cert['status']}, n = {cert['n']}, "
+            f"d = {cert['d']}, mu = {cert['mu_embedded']!r}\n")
 
 
 PAIR = [{"rows": 2, "cols": 2, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]},
@@ -407,7 +438,7 @@ def r4_orthoplex_as_complex():
 def mub_v2(exponent=None, **changes):
     """The version-2 file of the m = 7 family with top-level keys replaced;
     an ``exponent`` replaces E[1, 2, 3]."""
-    obj = grasspack.mubs_to_json(grasspack.gen_mubs_prime(7))
+    obj = mub_v2_json(7)
     if exponent is not None:
         obj["phases"]["exponents"][1][2][3] = exponent
     return dict(obj, **changes)
@@ -418,6 +449,8 @@ def mub_v2_phases(**changes):
     obj = mub_v2()
     return dict(obj, phases=dict(obj["phases"], **changes))
 
+
+MUB_V3 = {"version": 3, "m": 7, "field": "C", "construction": "quadratic-phases"}
 
 MALFORMED = {
     "packing-list": ("certify", [{"m": 2, "field": "C", "elements": PAIR}]),
@@ -478,6 +511,12 @@ MALFORMED = {
     "mub-v2-m-8": ("mub", mub_v2(m=8)),
     "mub-v2-m-9": ("mub", mub_v2(m=9)),
     "mub-v2-field-R": ("mub", mub_v2(field="R")),
+    "mub-v3-construction": ("mub", dict(MUB_V3, construction="quadratic")),
+    "mub-v3-m-8": ("mub", dict(MUB_V3, m=8)),
+    "mub-v3-m-103": ("mub", dict(MUB_V3, m=103)),
+    "mub-v3-field-R": ("mub", dict(MUB_V3, field="R")),
+    "mub-v3-no-construction": ("mub", {k: v for k, v in MUB_V3.items() if k != "construction"}),
+    "mub-v3-no-m": ("mub", {k: v for k, v in MUB_V3.items() if k != "m"}),
     "mub-v2-not-quadratic": ("mub", mub_v2_phases(exponents=[mub_v2()["phases"]["exponents"][1]] + mub_v2()["phases"]["exponents"][1:])),
     "v2-version-3": ("certify", v2_case(version=3)),
     "v2-element-5": ("certify", v2_case(element=5)),
@@ -638,6 +677,32 @@ def test_paley19_embed_bytes_do_not_depend_on_the_cpus(tmp_path, cpus):
     assert embed_in_child(cpus, path, "--out", out) == (0, "", workers, True)
     assert out.read_text() == packing_code_text(pk)
     assert sorted(os.listdir(tmp_path)) == ["code.json", "pk.json"]
+
+
+# Runs ``grasspack embed ARGS...`` in this interpreter and then prints the
+# OpenBLAS thread count the command left in the environment.
+_EMBED_BLAS = (
+    "import atexit, os, runpy, sys\n"
+    "atexit.register(lambda: print('threads:', os.environ.get('OPENBLAS_NUM_THREADS')))\n"
+    "sys.argv = ['grasspack', 'embed', *sys.argv[1:]]\n"
+    "runpy.run_module('grasspack.cli', run_name='__main__', alter_sys=True)\n")
+
+
+@pytest.mark.skipif(CPUS < 2, reason="embed forks its workers only on two CPUs or more")
+@pytest.mark.parametrize("preset, threads", [
+    ({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3"), ({"OMP_NUM_THREADS": "2"}, "None")])
+def test_parallel_embed_gives_numpy_one_blas_thread(tmp_path, preset, threads):
+    """With its formatting workers forked, ``embed`` has OpenBLAS, loaded
+    with NumPy after the fork, start one thread, unless the environment
+    already names a thread count that OpenBLAS reads."""
+    from grasspack.packing import packing_to_json
+    path, out = tmp_path / "pk.json", tmp_path / "code.json"
+    path.write_text(json.dumps(packing_to_json(c3_singletons())))
+    env = {k: v for k, v in child_env().items() if k not in cli.BLAS_THREADS}
+    proc = subprocess.run([sys.executable, "-c", _EMBED_BLAS, path, "--out", out],
+                          env=dict(env, **preset), capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == f"threads: {threads}"
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["absent", "present"])

@@ -15,7 +15,7 @@ from grasspack.mubs import (MubFamily, gen_mubs, gen_mubs_prime,
                             mubs_from_json, mubs_to_json, verify_mubs)
 from grasspack.numerics import COMPLEX, REAL, matrix_to_json
 
-from conftest import random_orthonormal
+from conftest import mub_v2_json, random_orthonormal, reference_exponents
 
 DATA = Path(__file__).parent / "data"
 
@@ -320,17 +320,16 @@ class TestExactVerdict:
         floats = verify_mubs(MubFamily(q, COMPLEX, family.bases))
         assert floats.method == "numeric" and floats.ok and floats.worst_dev < 1e-12
 
-    @pytest.mark.parametrize("q", [3, 9, 27, 71, 81, 101])
+    @pytest.mark.parametrize("q", GENERATED)
     def test_bases_are_those_of_the_int64_lookup(self, q):
-        """Bases read through the uint8 table are, bit for bit, those of the
-        int64 table lookups the generator's expression gives."""
-        ft = build_field(q)
-        x = np.arange(q)
-        expo = ft.trace(ft.add(ft.mul(x[:, None, None], ft.mul(x, x)[:, None]),
-                               ft.mul(x[:, None], x)))
+        """The uint8 table, tr(a x^2) + tr(x b) mod p, is entry for entry the
+        int64 table of the field's add, mul and trace lookups, and the bases
+        read through it are, bit for bit, those of the int64 table."""
+        family, ft, expo = gen_mubs(q, COMPLEX), build_field(q), reference_exponents(q)
+        assert family.phases[1].dtype == np.uint8 and np.array_equal(family.phases[1], expo)
         omega = np.exp(2j * np.pi * np.arange(ft.p) / ft.p)
         ref = np.concatenate([np.eye(q)[None], 1.0 / np.sqrt(q) * omega[expo]])
-        assert expo.dtype == np.int64 and np.array_equal(gen_mubs(q, COMPLEX).bases, ref)
+        assert expo.dtype == np.int64 and np.array_equal(family.bases, ref)
 
     @pytest.mark.parametrize("q", [3, 9, 71])
     def test_bases_are_formed_on_first_read(self, q):
@@ -356,9 +355,9 @@ class TestExactVerdict:
         expo = np.array(gen_mubs(q, COMPLEX).phases[1])
         a, x, b = (data.draw(st.integers(0, q - 1)) for _ in range(3))
         expo[a, x, b] = (int(expo[a, x, b]) + data.draw(st.integers(1, ft.p - 1))) % ft.p
-        assert mubs._phases_are_mubs(ft, expo) is False
+        assert not np.array_equal(expo, mubs._phase_exponents(q))
         with pytest.raises(ParameterError, match=rf"not the quadratic phases of GF\({q}\)$"):
-            mubs._quadratic_phases(ft, expo)
+            mubs._quadratic_phases(q, expo)
         bases = np.concatenate([np.eye(q)[None], np.exp(2j * np.pi * expo / ft.p) / np.sqrt(q)])
         with pytest.raises(ParameterError, match=f"basis {a + 1} is not orthonormal"):
             MubFamily(q, COMPLEX, bases)
@@ -374,14 +373,18 @@ class TestExactVerdict:
         assert MubFamily(q, COMPLEX, family.bases).phases is None and len(calls) == 1
 
     @pytest.mark.parametrize("q", [5, 9, 31])
-    def test_the_sums_catch_an_additive_table_that_is_biased(self, q, monkeypatch):
+    def test_the_sums_catch_an_additive_table_that_is_biased(self, q, monkeypatch,
+                                                              fresh_phase_caches):
         """With E[a, x, b] = tr(b x) passed off as the field's table, every
-        basis is the same Fourier basis: the integer sums refuse it."""
+        basis is the same Fourier basis: the integer sums refuse it, and no
+        family of that order can be made."""
         ft = build_field(q)
         x = np.arange(q)
         fourier = np.broadcast_to(ft.trace(ft.mul(x[:, None], x)), (q, q, q)).astype(np.uint8)
-        monkeypatch.setattr(mubs, "_phase_exponents", lambda field: fourier)
-        assert mubs._phases_are_mubs(ft, fourier) is False
+        monkeypatch.setattr(mubs, "_phase_exponents", lambda order: fourier)
+        assert mubs._phases_are_mubs(q) is False
+        with pytest.raises(ParameterError, match="not the quadratic phases"):
+            gen_mubs(q, COMPLEX)
 
     def test_families_without_a_table_are_measured(self):
         for family in (gen_mubs_small(4, COMPLEX), MubFamily(5, COMPLEX, gen_mubs_prime(5).bases)):
@@ -389,18 +392,61 @@ class TestExactVerdict:
             assert verify_mubs(family).method == "numeric"
 
 
+class TestPhaseTable:
+    @pytest.mark.parametrize("q", [3, 9, 71])
+    def test_one_read_only_table_per_order(self, q):
+        first, second = gen_mubs(q, COMPLEX), gen_mubs(q, COMPLEX)
+        assert first is not second and first.phases[1] is second.phases[1]
+        assert first.phases[1] is mubs._phase_exponents(q)
+        with pytest.raises(ValueError, match="read-only"):
+            first.phases[1][0, 0, 0] = 1
+
+    def test_the_verdict_runs_once_per_order(self, fresh_phase_caches):
+        """Generating, writing and reading (both versions) the families of two
+        orders builds each order's table once and decides its verdict once."""
+        for _ in range(2):
+            for q in (5, 9):
+                family = gen_mubs(q, COMPLEX)
+                assert verify_mubs(family).method == "exact"
+                assert mubs_from_json(mubs_to_json(family)).exact_verdict
+                assert mubs_from_json(mub_v2_json(q)).exact_verdict
+        for cached in (mubs._phase_exponents, mubs._phases_are_mubs):
+            info = cached.cache_info()
+            assert (info.misses, info.currsize) == (2, 2)
+
+
 class TestPhaseJson:
     @pytest.mark.parametrize("q", GENERATED)
     def test_round_trip_is_bit_identical(self, q):
+        """Version 3 names the construction, and its reader generates the
+        family again, onto the same table and bases."""
         family = gen_mubs(q, COMPLEX)
         obj = json.loads(json.dumps(mubs_to_json(family)))
-        assert obj == {"version": 2, "m": q, "field": "C",
-                       "phases": {"p": family.phases[0], "exponents": obj["phases"]["exponents"]}}
+        assert obj == {"version": 3, "m": q, "field": "C", "construction": "quadratic-phases"}
         back = mubs_from_json(obj)
-        assert back.phases[0] == family.phases[0]
-        assert back.phases[1].dtype == np.uint8 and not back.phases[1].flags.writeable
-        assert np.array_equal(back.phases[1], family.phases[1])
+        assert back.phases[0] == family.phases[0] and back.phases[1] is family.phases[1]
         assert np.array_equal(back.bases, family.bases) and back.exact_verdict
+
+    @pytest.mark.parametrize("q", [3, 9, 31])
+    def test_a_version_2_file_loads_onto_the_shared_table(self, q):
+        back = mubs_from_json(json.loads(json.dumps(mub_v2_json(q))))
+        assert back.phases[1] is mubs._phase_exponents(q) and back.exact_verdict
+        assert np.array_equal(back.bases, gen_mubs(q, COMPLEX).bases)
+
+    @pytest.mark.parametrize("change", [
+        {"construction": "quadratic"}, {"construction": None}, {"construction": 3},
+        {"m": 8}, {"m": 103}, {"field": "R"}])
+    def test_other_version_3_families_are_refused(self, change):
+        obj = dict(mubs_to_json(gen_mubs_prime(7)), **change)
+        with pytest.raises(ParameterError, match="construction|phase family|prime power"):
+            mubs_from_json(obj)
+
+    @pytest.mark.parametrize("key", ["construction", "m", "field"])
+    def test_a_version_3_family_needs_every_key(self, key):
+        obj = mubs_to_json(gen_mubs_prime(7))
+        del obj[key]
+        with pytest.raises((KeyError, ParameterError), match=key):
+            mubs_from_json(obj)
 
     @pytest.mark.parametrize("m, field", [(2, COMPLEX), (4, COMPLEX), (4, REAL)])
     def test_other_families_keep_the_float_form(self, m, field):
@@ -418,13 +464,15 @@ class TestPhaseJson:
     def test_a_table_of_the_wrong_phases_is_refused(self):
         """Basis 2 written again as basis 1: each basis is orthonormal and
         every exponent in range, but the table is not the quadratic phases."""
-        obj = mubs_to_json(gen_mubs_prime(7))
+        obj = mub_v2_json(7)
         obj["phases"]["exponents"][0] = obj["phases"]["exponents"][1]
         with pytest.raises(ParameterError, match="not the quadratic phases of GF"):
             mubs_from_json(obj)
 
     @pytest.mark.parametrize("version", [1, 3, "2", True])
     def test_other_versions_are_refused(self, version):
-        obj = dict(mubs_to_json(gen_mubs_prime(3)), version=version)
+        """A version-2 file under another version: version 3 names no
+        construction."""
+        obj = dict(mub_v2_json(3), version=version)
         with pytest.raises(ParameterError, match="version"):
             mubs_from_json(obj)
