@@ -112,11 +112,18 @@ class DesignReport:
 
 def _subset_counts(design: BlockDesign, t: int) -> tuple[bool, int | None]:
     """(is constant, common count) of t-subset containment over all C(m,t)
-    subsets. The blocks are sorted and of one size l, so one list of C(l, t)
-    places picks every t-subset; each is one code in base m where m^t fits."""
+    subsets. Points (t = 1) are counted by the row sums of N, pairs (t = 2)
+    by the off-diagonal of N N^T, both exact in floats. Otherwise the blocks
+    are sorted and of one size l, so one list of C(l, t) places picks every
+    t-subset; each is one code in base m where m^t fits."""
     m, l = design.m, design.block_size
     if t > l:
         return True, 0  # no block holds any t-subset: constant zero
+    if t <= 2:
+        inc = design.incidence
+        counts = inc.sum(axis=1) if t == 1 else (inc @ inc.T)[~np.eye(m, dtype=bool)]
+        counts = counts.astype(np.int64)
+        return (True, int(counts[0])) if np.all(counts == counts[0]) else (False, None)
     subsets = np.array(design.blocks)[:, list(itertools.combinations(range(l), t))].reshape(-1, t)
     if m ** t < 2 ** 63:
         _, counts = np.unique(np.ravel_multi_index(subsets.T, (m,) * t), return_counts=True)
@@ -175,7 +182,12 @@ def complement_design(design: BlockDesign) -> BlockDesign:
     """
     if design.block_size == design.m:
         raise ParameterError("blocks already cover every point; complement is empty")
-    return BlockDesign(design.m, [np.flatnonzero(c == 0).tolist() for c in design.incidence.T])
+    rest = lock(1.0 - design.incidence)
+    blocks = tuple(tuple(np.flatnonzero(c).tolist()) for c in rest.T)  # sorted, size m - l
+    comp = object.__new__(BlockDesign)  # a frozen instance's fields, set once, unchecked
+    comp.__dict__.update(m=design.m, blocks=blocks, declared_t=None, declared_lambda=None,
+                         incidence=rest)
+    return comp
 
 
 def resolvability(design: BlockDesign) -> ResolvabilityReport:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
@@ -98,58 +97,83 @@ class HypothesisRecord:
 @dataclass(frozen=True)
 class _BlockTable:
     """Coordinate projections of one ``family``: element i is the distinct block
-    ``ids[i]`` of basis ``labels[i]``; the B distinct blocks have the m x B 0/1
-    ``incidence`` N and the int64 ``meet`` = N^T N, read-only (sizes on its diagonal)."""
+    ``blocks[ids[i]]`` of basis ``labels[i]``, blocks numbered in order of first
+    use; the B distinct blocks have the m x B 0/1 ``incidence`` N and the int64
+    ``meet`` = N^T N, read-only (sizes on its diagonal)."""
 
     family: MubFamily
     labels: np.ndarray
     ids: np.ndarray
+    blocks: tuple[tuple[int, ...], ...]
     incidence: np.ndarray
     meet: np.ndarray
 
 
-@dataclass(frozen=True)
+def _table(family: MubFamily, labels, ids, blocks) -> _BlockTable:
+    """The block table of checked, distinct ``blocks``, with N and N^T N formed."""
+    inc = lock(_incidence(family.m, blocks))
+    return _BlockTable(family, lock(labels), lock(ids), tuple(blocks), inc,
+                       lock((inc.T @ inc).astype(np.int64)))
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Packing:
     """Projections of F^m, F = ``field``. Construction raises unless every
     element is m x m and over F: a coordinate projection's family has that
     field, and under "R" a dense element's imaginary parts are exactly zero,
-    as ``matrix_to_json`` requires."""
+    as ``matrix_to_json`` requires. Equality is identity. The builders,
+    ``spatial_complement`` and ``packing_from_json`` make a packing of one MUB
+    family as its block table, with the same checks, and form ``elements``
+    from it only when they are first read."""
 
     m: int
     field: Field
-    elements: tuple[Projection, ...]
-    hypotheses: HypothesisRecord = HypothesisRecord(ok=True)
-    mode: str = "manual"
+    hypotheses: HypothesisRecord
+    mode: str
 
-    def __post_init__(self) -> None:
-        check_field(self.field)
-        for i, p in enumerate(self.elements):
-            if p.m != self.m:
-                raise DimensionMismatchError(f"element of size {p.m} in an m={self.m} packing")
-            if p.family is not None and p.family.field != self.field:
+    def __init__(self, m: int, field: Field, elements: tuple[Projection, ...],
+                 hypotheses: HypothesisRecord = HypothesisRecord(ok=True),
+                 mode: str = "manual"):
+        check_field(field)
+        for i, p in enumerate(elements):
+            if p.m != m:
+                raise DimensionMismatchError(f"element of size {p.m} in an m={m} packing")
+            if p.family is not None and p.family.field != field:
                 raise ParameterError(
-                    f"element {i} is over {p.family.field}, the packing over {self.field}")
-            if self.field == REAL and p.family is None and np.any(p.matrix.imag != 0.0):
+                    f"element {i} is over {p.family.field}, the packing over {field}")
+            if field == REAL and p.family is None and np.any(p.matrix.imag != 0.0):
                 raise ParameterError(
                     f"element {i} of a real-tagged packing has nonzero imaginary parts")
+        self.__dict__.update(m=m, field=field, elements=tuple(elements), hypotheses=hypotheses,
+                             mode=mode)
+
+    @cached_property
+    def elements(self) -> tuple[Projection, ...]:
+        """The elements, formed on first read when the packing was made as its block table."""
+        t = self._block_table
+        return tuple(_coordinate(t.family, a, t.blocks[i])
+                     for a, i in zip(t.labels.tolist(), t.ids.tolist()))
 
     @property
     def n(self) -> int:
-        return len(self.elements)
+        return len(self.ranks)
 
-    @property
+    @cached_property
     def ranks(self) -> np.ndarray:
-        return np.array([p.rank for p in self.elements], dtype=np.int64)
+        """Each element's rank, read-only: diag(N^T N)[ids] for a block table."""
+        t = self._block_table
+        return lock(np.diagonal(t.meet)[t.ids] if t is not None else
+                    np.array([p.rank for p in self.elements], dtype=np.int64))
 
     @property
     def rank_profile(self) -> tuple[tuple[int, int], ...]:
         """Pairs (count, rank) sorted by rank."""
-        counts = Counter(p.rank for p in self.elements)
-        return tuple((counts[l], l) for l in sorted(counts))
+        ranks, counts = np.unique(self.ranks, return_counts=True)
+        return tuple(zip(counts.tolist(), ranks.tolist()))
 
     @property
     def mixture(self) -> int:
-        return len({p.rank for p in self.elements})
+        return len(self.rank_profile)
 
     @cached_property
     def _block_table(self) -> _BlockTable | None:
@@ -158,10 +182,22 @@ class Packing:
         if family is None:
             return None
         distinct: dict = {}
-        ids = np.array([distinct.setdefault(p.block, len(distinct)) for p in self.elements])
-        inc = lock(_incidence(self.m, list(distinct)))
-        return _BlockTable(family, _basis_labels(self.elements), ids, inc,
-                           lock((inc.T @ inc).astype(np.int64)))
+        ids = [distinct.setdefault(p.block, len(distinct)) for p in self.elements]
+        return _table(family, _basis_labels(self.elements), np.array(ids, dtype=np.int64),
+                      list(distinct))
+
+
+def _table_packing(m: int, field: Field, table: _BlockTable, hypotheses: HypothesisRecord,
+                   mode: str) -> Packing:
+    """The packing of ``table``'s elements (at least one), checked as ``Packing`` checks them."""
+    if table.family.m != m:
+        raise DimensionMismatchError(f"element of size {table.family.m} in an m={m} packing")
+    if table.family.field != field:
+        raise ParameterError(f"element 0 is over {table.family.field}, the packing over {field}")
+    packing = object.__new__(Packing)  # a frozen instance's fields, set once
+    packing.__dict__.update(m=m, field=field, hypotheses=hypotheses, mode=mode,
+                            _block_table=table)
+    return packing
 
 
 def coordinate_projection(family: MubFamily, basis_index: int, block) -> Projection:
@@ -169,10 +205,15 @@ def coordinate_projection(family: MubFamily, basis_index: int, block) -> Project
     ``family``, stored as that triple (block sorted); its rank is the block
     size. The family checked its bases when it was made, so the projection
     needs no check of its own."""
-    k = as_int(basis_index, "basis index")
+    return _coordinate(family, _basis_index(family, basis_index), check_block(block, family.m))
+
+
+def _basis_index(family: MubFamily, index) -> int:
+    """``index`` as an int in 0..k-1, else ParameterError."""
+    k = as_int(index, "basis index")
     if not 0 <= k < family.k:
         raise ParameterError(f"basis index {k} outside 0..{family.k - 1}")
-    return _coordinate(family, k, check_block(block, family.m))
+    return k
 
 
 def _coordinate(family: MubFamily, k: int, block: tuple[int, ...]) -> Projection:
@@ -180,6 +221,24 @@ def _coordinate(family: MubFamily, k: int, block: tuple[int, ...]) -> Projection
     proj = object.__new__(Projection)  # a frozen instance's fields, set once
     proj.__dict__.update(rank=len(block), family=family, basis_index=k, block=block)
     return proj
+
+
+def _from_runs(family: MubFamily, runs, record: HypothesisRecord, mode: str) -> Packing:
+    """The packing of each checked block of ``blocks`` on each basis of
+    ``bases``, basis by basis, for (bases, blocks) in ``runs`` in turn, made
+    as its block table: one label and block id per element, by np.repeat and
+    np.tile of the run's distinct block ids."""
+    distinct: dict = {}
+    labels, ids = [], []
+    for bases, blocks in runs:
+        if len(bases):
+            run = np.array([distinct.setdefault(b, len(distinct)) for b in blocks], dtype=np.int64)
+            labels.append(np.repeat(np.array(bases, dtype=np.int64), len(blocks)))
+            ids.append(np.tile(run, len(bases)))
+    if not labels:
+        return Packing(family.m, family.field, (), record, mode)
+    table = _table(family, np.concatenate(labels), np.concatenate(ids), list(distinct))
+    return _table_packing(family.m, family.field, table, record, mode)
 
 
 def build_mixed_packing(mubs: MubFamily, designs: list[BlockDesign],
@@ -208,9 +267,6 @@ def build_mixed_packing(mubs: MubFamily, designs: list[BlockDesign],
         if dsgn.m != m:
             raise ParameterError(f"design over {dsgn.m} points does not match m={m}")
 
-    elements = [_coordinate(mubs, k, blk)
-                for dsgn, cls in zip(designs, classes) for k in cls for blk in dsgn.blocks]
-
     failures: list[str] = []
     for i, dsgn in enumerate(designs):
         l = dsgn.block_size
@@ -222,7 +278,8 @@ def build_mixed_packing(mubs: MubFamily, designs: list[BlockDesign],
     if total <= d + 1:
         failures.append(f"only {total} elements; need more than d+1 = {d + 1}")
     record = HypothesisRecord(ok=not failures, failures=tuple(failures))
-    return Packing(m, mubs.field, tuple(elements), record, mode="mixed")
+    return _from_runs(mubs, [(cls, dsgn.blocks) for dsgn, cls in zip(designs, classes)],
+                      record, "mixed")
 
 
 def build_orthoplex_packing(mubs: MubFamily, halves: BlockDesign) -> Packing:
@@ -247,8 +304,6 @@ def build_orthoplex_packing(mubs: MubFamily, halves: BlockDesign) -> Packing:
         i, j = divmod(int(np.argmax(bad)), halves.b)
         raise HypothesisError(
             f"blocks {i} and {j} meet in {meet[i, j]} points; need l^2/m = {l * l}/{m}")
-    all_blocks = halves.blocks + complement_design(halves).blocks
-    elements = [_coordinate(mubs, k, blk) for k in range(mubs.k) for blk in all_blocks]
     d = embedding_dim(m, mubs.field)
     n = 2 * halves.b * mubs.k
     failures: list[str] = []
@@ -257,7 +312,8 @@ def build_orthoplex_packing(mubs: MubFamily, halves: BlockDesign) -> Packing:
     candidate = halves.b == m - 1 and mubs.k == mub_capacity(m, mubs.field)
     record = HypothesisRecord(ok=not failures, failures=tuple(failures),
                               candidate_maximal=candidate)
-    return Packing(m, mubs.field, tuple(elements), record, mode="orthoplex")
+    all_blocks = halves.blocks + complement_design(halves).blocks
+    return _from_runs(mubs, [(range(mubs.k), all_blocks)], record, "orthoplex")
 
 
 @dataclass(frozen=True)
@@ -408,8 +464,7 @@ def _exact_pass(packing: Packing, mub_dev: float,
     """
     m, n = packing.m, packing.n
     table = packing._block_table
-    labels, ids, meet = table.labels, table.ids, table.meet
-    ranks = np.diagonal(meet)[ids]
+    labels, ids, meet, ranks = table.labels, table.ids, table.meet, packing.ranks
     crossed = bool(np.any(labels != labels[0]))  # some pair lies across two bases
     # sorted by basis, stably so each keeps increasing indices; where each run starts
     order = np.argsort(labels, kind="stable")
@@ -703,19 +758,27 @@ def spatial_complement(packing: Packing) -> Packing:
     Every embedded vector flips sign, so all pairwise embedded inner products
     (and the packing constant) are preserved. A coordinate projection
     (family, k, J) maps to (family, k, J^c), so complements keep the exact pass;
-    a dense element maps to the dense matrix I - P. Each distinct block is
-    complemented once.
+    a dense element maps to the dense matrix I - P. A block table maps to
+    the table of the complementary blocks, same labels and ids, with
+    incidence 1 - N and intersections m - |J| - |K| + |J & K|.
     """
-    m = packing.m
-    out, rests = [], {}
+    m, table = packing.m, packing._block_table
+    if table is not None:
+        sizes = np.diagonal(table.meet)
+        if np.any(sizes >= m):
+            raise DegenerateRankError("full-rank element has an empty complement")
+        inc = lock(1.0 - table.incidence)
+        rests = _BlockTable(table.family, table.labels, table.ids,
+                            tuple(tuple(np.flatnonzero(c).tolist()) for c in inc.T), inc,
+                            lock(m - sizes[:, None] - sizes + table.meet))
+        return _table_packing(m, packing.field, rests, packing.hypotheses, "complement")
+    out = []
     for p in packing.elements:
         if p.rank >= m:
             raise DegenerateRankError("full-rank element has an empty complement")
         if p.family is not None:
-            rest = rests.get(p.block)
-            if rest is None:
-                rest = rests[p.block] = tuple(sorted(set(range(m)) - set(p.block)))
-            out.append(_coordinate(p.family, p.basis_index, rest))
+            out.append(_coordinate(p.family, p.basis_index,
+                                   tuple(sorted(set(range(m)) - set(p.block)))))
         else:
             out.append(Projection(np.eye(m) - p.matrix, rank=m - p.rank))
     return Packing(m, packing.field, tuple(out), packing.hypotheses, mode="complement")
@@ -793,7 +856,8 @@ def extract_hadamard(packing: Packing, design: BlockDesign,
     incidence of ``complementary_halves(design)``, then all +1; the result is
     checked in exact integers, and failure raises ConsistencyError.
     """
-    if _family(packing.elements) is None:
+    table = packing._block_table
+    if table is None:
         raise StructuralError("Hadamard extraction needs a packing of coordinate "
                               "projections of one MUB family")
     m = packing.m
@@ -805,8 +869,8 @@ def extract_hadamard(packing: Packing, design: BlockDesign,
         raise StructuralError(f"design over {design.m} points does not match m={m}")
     if design.b != 2 * (m - 1):
         raise StructuralError(f"need 2(m-1) = {2 * (m - 1)} blocks, got {design.b}")
-    basis = packing.elements[0].basis_index
-    if set(design.blocks) != {p.block for p in packing.elements if p.basis_index == basis}:
+    basis = table.labels[0]
+    if set(design.blocks) != {table.blocks[i] for i in table.ids[table.labels == basis].tolist()}:
         raise StructuralError(f"the design's blocks are not the packing's blocks on basis {basis}")
     halves = complementary_halves(design)  # raises StructuralError if not closed
     status = certify(packing, tol).status
@@ -824,7 +888,7 @@ def packing_to_json(packing: Packing) -> dict:
     MUB family is that family (``mubs_to_json``) and one ``{"basis", "block"}``
     per element; any other has ``"family": null`` and one dense matrix per
     element."""
-    family = _family(packing.elements)
+    table = packing._block_table
     return {
         "version": 2,
         "m": packing.m,
@@ -835,10 +899,10 @@ def packing_to_json(packing: Packing) -> dict:
             "failures": list(packing.hypotheses.failures),
             "candidate_maximal": packing.hypotheses.candidate_maximal,
         },
-        "family": None if family is None else mubs_to_json(family),
+        "family": None if table is None else mubs_to_json(table.family),
         "elements": [matrix_to_json(p.matrix, packing.field) for p in packing.elements]
-        if family is None else
-        [{"basis": p.basis_index, "block": list(p.block)} for p in packing.elements],
+        if table is None else [{"basis": a, "block": list(table.blocks[i])}
+                               for a, i in zip(table.labels.tolist(), table.ids.tolist())],
     }
 
 
@@ -853,8 +917,9 @@ def _pair(obj, alternative: str = "") -> tuple:
 
 def packing_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Packing:
     """Read ``packing_to_json`` output. Version 2 with a family rebuilds it
-    (``mubs_from_json``) and each element with ``coordinate_projection``, so
-    the exact coherence pass applies; a ``"family": null`` object, or a
+    (``mubs_from_json``) and the packing as its block table, checking each
+    basis index and each distinct raw block once, as ``coordinate_projection``
+    does, so the exact coherence pass applies; a ``"family": null`` object, or a
     version-1 one (no ``"version"`` key), is read as dense matrices and takes
     the numeric pass. Their optional ``"provenance"`` list (``"imported"`` or
     a ``{"basis", "block"}`` object per element, from older writers) is
@@ -874,11 +939,16 @@ def packing_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Packing:
                          "provenance")
         if len(labels) != len(items):
             raise ParameterError("provenance list does not match element count")
-    elements = []
+    elements, pairs, seen, distinct = [], [], {}, {}
     for idx, item in enumerate(items):
         try:
             if family is not None:
-                p = coordinate_projection(family, *_pair(item))
+                basis, raw = _pair(item)
+                k = _basis_index(family, basis)
+                key = repr(raw)  # 1 == True == 1.0, but only 1 is a point
+                if key not in seen:
+                    seen[key] = distinct.setdefault(check_block(raw, family.m), len(distinct))
+                pairs.append((k, seen[key]))
             else:
                 p = Projection(matrix_from_json(item), tol=tol)
                 if labels[idx] != IMPORTED:  # a legacy label: checked, then dropped
@@ -888,7 +958,7 @@ def packing_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Packing:
                     if len(check_block(block, m)) != p.rank:
                         raise ParameterError(f"provenance block of {len(block)} points "
                                              f"on a rank-{p.rank} element")
-            elements.append(p)
+                elements.append(p)
         except ParameterError as exc:
             raise ParameterError(f"element {idx}: {exc}") from exc
         except KeyError as exc:
@@ -902,6 +972,9 @@ def packing_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Packing:
                                   "hypotheses.candidate_maximal"),
     )
     mode = as_type(obj.get("mode", "imported"), str, "mode")
+    if pairs:
+        labels, ids = np.array(pairs, dtype=np.int64).T
+        return _table_packing(m, field, _table(family, labels, ids, list(distinct)), record, mode)
     return Packing(m, field, tuple(elements), record, mode=mode)
 
 

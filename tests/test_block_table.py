@@ -1,6 +1,7 @@
 """The block table of a MUB-family packing: the exact pass grouped by
 pattern against the per-pair pass it replaced, tightness decided in integers
-against the float sum, and builders that check no block per element."""
+against the float sum, builders that check no block per element, and
+packings made as their table against packings made element by element."""
 
 import json
 import math
@@ -12,14 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasspack import packing
-from grasspack.designs import _incidence
+from grasspack.designs import BlockDesign, _incidence, complement_design
 from grasspack.errors import ParameterError
-from grasspack.mubs import MubFamily, gen_mubs
+from grasspack.mubs import MubFamily, gen_mubs, gen_mubs_prime, mubs_from_json
 from grasspack.numerics import COMPLEX, DEFAULT_TOL
 from grasspack.packing import (_PAIR_CLASSES, CoherenceReport, Packing, PairClassSummary,
                                _basis_labels, _pair_class,
-                               certificate_to_json, certify, check_tightness,
-                               coordinate_projection, spatial_complement)
+                               certificate_to_json, certify, check_tightness, coherence,
+                               coordinate_projection, packing_from_json, packing_to_json,
+                               spatial_complement)
 
 from conftest import dense_copy
 from test_packing import (BUILDER_FIXTURES, FANO, FANO_C, assert_exact_matches_numeric,
@@ -303,3 +305,132 @@ class TestComplement:
         comp = spatial_complement(pk)
         assert all(np.array_equal(c.matrix, np.eye(7) - p.matrix) and c.rank == 7 - p.rank
                    for p, c in zip(pk.elements, comp.elements))
+
+
+def element_runs(family, runs, record, mode):
+    """The builders' packing made as it was before the block table: one
+    checked ``coordinate_projection`` per element, every block of each run on
+    each of its bases in turn, and the table read off the elements."""
+    return Packing(family.m, family.field, tuple(
+        coordinate_projection(family, k, blk) for bases, blocks in runs
+        for k in bases for blk in blocks), record, mode)
+
+
+def paley_by_elements(p):
+    """``paley_packing(p)`` written out element by element: the design's
+    blocks on each even basis, then its complement's on each odd one."""
+    residues = sorted({x * x % p for x in range(1, p)})
+    paley = BlockDesign(p, [[(q + t) % p for q in residues] for t in range(p)])
+    family, comp = gen_mubs_prime(p), complement_design(paley)
+    runs = [(paley, range(0, p + 1, 2)), (comp, range(1, p + 1, 2))]
+    elements = [coordinate_projection(family, k, blk)
+                for design, bases in runs for k in bases for blk in design.blocks]
+    return Packing(p, COMPLEX, tuple(elements), paley_packing(p).hypotheses, "mixed")
+
+
+def complement_by_elements(pk):
+    """The spatial complement, each element's block complemented on its own."""
+    m = pk.m
+    return Packing(m, pk.field, tuple(
+        coordinate_projection(p.family, p.basis_index, set(range(m)) - set(p.block))
+        for p in pk.elements), pk.hypotheses, "complement")
+
+
+def json_round_trip(pk):
+    return packing_from_json(json.loads(json.dumps(packing_to_json(pk))))
+
+
+def json_by_elements(pk):
+    """The packing file of ``pk`` read back one ``coordinate_projection`` per element."""
+    obj = json.loads(json.dumps(packing_to_json(pk)))
+    family = mubs_from_json(obj["family"])
+    return Packing(obj["m"], obj["field"], tuple(
+        coordinate_projection(family, e["basis"], e["block"]) for e in obj["elements"]),
+        pk.hypotheses, obj["mode"])
+
+
+TABLE_CASES = sorted([*BUILDER_FIXTURES, "paley-p7", "paley-p31", "paley-p71"])
+VARIANTS = {  # (how the table makes it, how the elements do)
+    "built": (lambda pk: pk, lambda ref: ref),
+    "complement": (spatial_complement, complement_by_elements),
+    "json": (json_round_trip, json_by_elements),
+    "complement-json": (lambda pk: json_round_trip(spatial_complement(pk)),
+                        lambda ref: json_by_elements(complement_by_elements(ref))),
+}
+
+
+def both_ways(name, monkeypatch):
+    """(the packing ``name`` made as its table, the same made by elements)."""
+    if name.startswith("paley-p"):
+        p = int(name.removeprefix("paley-p"))
+        return paley_packing(p), paley_by_elements(p)
+    with monkeypatch.context() as patch:
+        patch.setattr(packing, "_from_runs", element_runs)
+        ref = BUILDER_FIXTURES[name]()
+    return BUILDER_FIXTURES[name](), ref
+
+
+def text(obj) -> str:
+    return json.dumps(obj, sort_keys=True)
+
+
+class TestTableBorn:
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("name", TABLE_CASES)
+    def test_equals_the_packing_made_by_elements(self, name, variant, monkeypatch):
+        pk, ref = both_ways(name, monkeypatch)
+        by_table, by_elements = VARIANTS[variant]
+        pk, ref = by_table(pk), by_elements(ref)
+        assert "elements" not in vars(pk) and "elements" in vars(ref)
+        table, ref_table = pk._block_table, ref._block_table
+        for part in ("labels", "ids", "incidence", "meet"):
+            assert np.array_equal(getattr(table, part), getattr(ref_table, part)), part
+        assert table.blocks == ref_table.blocks
+        assert (pk.m, pk.field, pk.n, pk.hypotheses, pk.mode, pk.rank_profile, pk.mixture) == (
+            ref.m, ref.field, ref.n, ref.hypotheses, ref.mode, ref.rank_profile, ref.mixture)
+        assert np.array_equal(pk.ranks, ref.ranks)
+        assert text(packing_to_json(pk)) == text(packing_to_json(ref))
+        assert text(certificate_to_json(certify(pk))) == text(certificate_to_json(certify(ref)))
+        assert coherence(pk) == coherence(ref)
+        assert "elements" not in vars(pk)
+        assert ([(p.basis_index, p.block, p.rank) for p in pk.elements]
+                == [(p.basis_index, p.block, p.rank) for p in ref.elements])
+        assert all(p.family is table.family for p in pk.elements)
+        assert pk.elements is pk.elements  # made once
+
+    def test_the_m71_pipeline_makes_no_element(self, monkeypatch):
+        """Building, certifying, coherence, tightness, writing, complementing
+        and reading back the Paley m = 71 packing form no Projection."""
+        def refuse(*args):
+            raise AssertionError("an element was made")
+
+        monkeypatch.setattr(packing, "_coordinate", refuse)
+        pk = paley_packing(71)
+        assert certify(pk).status.value == "OptimalOrthoplexRegime"
+        assert coherence(pk).method == "exact"
+        assert check_tightness(pk) == (True, 71 * 72 / 2)
+        comp = spatial_complement(pk)
+        back = packing_from_json(json.loads(json.dumps(packing_to_json(comp))))
+        assert certify(back).is_tight and back.n == pk.n == 5112
+        assert all("elements" not in vars(x) for x in (pk, comp, back))
+
+    def test_ranks_are_read_only_and_kept(self):
+        pk = paley_packing(7)
+        assert pk.ranks is pk.ranks and not pk.ranks.flags.writeable
+        assert pk.rank_profile == ((28, 3), (28, 4)) and pk.mixture == 2
+
+    def test_equality_is_identity(self):
+        pk = paley_packing(7)
+        assert pk == pk and pk != paley_packing(7)
+        assert pk != Packing(pk.m, pk.field, pk.elements, pk.hypotheses, pk.mode)
+
+    @pytest.mark.parametrize("point", [True, 1.0], ids=["bool", "float"])
+    def test_an_equal_point_of_another_type_is_checked(self, point):
+        """Each raw block is checked once, but [true, 2, 4] is not the block
+        [1, 2, 4] it equals in Python: it is checked too, and refused."""
+        obj = packing_to_json(paley_packing(7))
+        obj["elements"][4] = {"basis": 0, "block": [1, 2, 4]}
+        assert packing_from_json(obj).elements[4].block == (1, 2, 4)
+        obj["elements"][5] = {"basis": 0, "block": [point, 2, 4]}
+        with pytest.raises(ParameterError, match=f"element 5: point label {point!r} is"):
+            packing_from_json(obj)

@@ -909,3 +909,39 @@ def test_fresh_process_loads_no_scipy(command, loads_numpy):
         assert numpy == []
     if "--help" in command:
         assert out.startswith("usage:")
+
+
+def test_fresh_process_verifies_a_design_without_packing():
+    """Building and verifying a design, all that the benchmark's set-up does
+    in process, imports none of the packing, MUB, embedding or code-text
+    modules."""
+    command = ("import grasspack\n"
+               "residues = sorted({x * x % 19 for x in range(1, 19)})\n"
+               "design = grasspack.BlockDesign(19, [[(q + t) % 19 for q in residues]\n"
+               "                                    for t in range(19)])\n"
+               "assert grasspack.verify_design(design, 2).lambda_observed == 4\n")
+    out = subprocess.run([sys.executable, "-c", _LIST_MODULES + command], env=child_env(),
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    modules = out.splitlines()[-1].split()
+    assert modules[0] == "modules:" and "grasspack.designs" in modules
+    assert not {"grasspack.packing", "grasspack.mubs", "grasspack.embedding",
+                "grasspack._codetext"} & set(modules)
+
+
+def test_fresh_process_exact_pipeline_loads_no_numpy_ma():
+    """Building, certifying, complementing and writing a packing of one
+    phase family never imports ``numpy.ma``, which NumPy 2 loads on the
+    first plain ``np.unique`` (about 0.5 MB of peak memory per process)."""
+    command = ("import sys, numpy\n"
+               "eager = 'numpy.ma' in sys.modules  # NumPy 1 imports it with numpy\n"
+               "import grasspack as gp\n"
+               "residues = sorted({x * x % 19 for x in range(1, 19)})\n"
+               "design = gp.BlockDesign(19, [[(q + t) % 19 for q in residues] for t in range(19)])\n"
+               "pk = gp.build_mixed_packing(gp.gen_mubs_prime(19),\n"
+               "                            [design, gp.complement_design(design)],\n"
+               "                            [list(range(0, 20, 2)), list(range(1, 20, 2))])\n"
+               "for p in (pk, gp.spatial_complement(pk)):\n"
+               "    gp.certify(p), gp.coherence(p), gp.check_tightness(p), gp.packing_to_json(p)\n"
+               "assert eager or 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    subprocess.run([sys.executable, "-c", command], env=child_env(), capture_output=True,
+                   text=True, timeout=60, check=True)

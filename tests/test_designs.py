@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grasspack import designs
 from grasspack.designs import (BlockDesign, HadamardMatrix, cohesion,
                                complement_design, complementary_halves,
                                design_from_json, design_rebase, design_to_json,
@@ -594,3 +596,103 @@ class TestIntersectionReaders:
                 with pytest.raises(HypothesisError) as info:
                     build_orthoplex_packing(family, design)
                 assert str(info.value) == failure
+
+
+def enumerated_subset_counts(design, t):
+    """(is constant, common count) of t-subset containment, every t-subset of
+    every block enumerated and counted with ``np.unique``: the reference for
+    levels 1 and 2, which ``_subset_counts`` now reads off N."""
+    m, l = design.m, design.block_size
+    if t > l:
+        return True, 0
+    subsets = np.array(design.blocks)[:, list(itertools.combinations(range(l), t))].reshape(-1, t)
+    _, counts = np.unique(subsets, axis=0, return_counts=True)
+    if len(counts) < math.comb(m, t):
+        return False, None
+    if np.all(counts == counts[0]):
+        return True, int(counts[0])
+    return False, None
+
+
+def enumerated_report(design, t):
+    """``verify_design`` with every level enumerated."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(designs, "_subset_counts", enumerated_subset_counts)
+        return verify_design(design, t)
+
+
+def paley(p):
+    residues = sorted({x * x % p for x in range(1, p)})
+    return BlockDesign(p, [[(q + t) % p for q in residues] for t in range(p)])
+
+
+COUNTED_DESIGNS = {
+    "fano": FANO,
+    "ag22": AG22,
+    "ag23": BlockDesign(9, enumerate_affine_hyperplanes(3, 2)),
+    "pg23": BlockDesign(13, enumerate_projective_plane(3)),
+    "pg25": BlockDesign(31, enumerate_projective_plane(5)),
+    "menon16": menon_16_6_2(),
+    "rebased-fano": design_rebase(FANO)[1],
+    **{f"hadamard{n}": hadamard_to_3design(gen_hadamard(n)) for n in (4, 8, 12, 16)},
+    "halves8": complementary_halves(hadamard_to_3design(gen_hadamard(8))),
+    **{f"paley{p}": paley(p) for p in (7, 19, 31, 71)},
+    "repeated": BlockDesign(2, [(0, 1), (0, 1)]),
+    "repeated-fano": BlockDesign(7, FANO.blocks + FANO.blocks[:3]),
+    "uncovered-point": BlockDesign(4, [(0, 1), (0, 2)]),
+    "uncovered-pair": BlockDesign(4, [(0, 1), (2, 3)]),
+    "points": BlockDesign(5, [(i,) for i in range(5)]),  # t = 2 > l
+    "whole": BlockDesign(3, [(0, 1, 2)]),  # t = l = m
+    "triples-of-four": BlockDesign(4, itertools.combinations(range(4), 3)),  # t = m > l
+}
+
+
+COUNTED_DESIGNS.update({f"{name}-complement": complement_design(d)
+                        for name, d in list(COUNTED_DESIGNS.items()) if d.block_size < d.m})
+
+
+class TestSubsetCounts:
+    """Levels 1 and 2 read off N give the reports the enumeration gave."""
+
+    @pytest.mark.parametrize("name", sorted(COUNTED_DESIGNS))
+    def test_reports_match_the_enumeration(self, name):
+        design = COUNTED_DESIGNS[name]
+        for t in range(1, min(design.m, 4 if design.m <= 16 else 2) + 1):
+            assert verify_design(design, t) == enumerated_report(design, t), t
+
+    def test_known_counts(self):
+        assert designs._subset_counts(paley(71), 1) == (True, 35)
+        assert designs._subset_counts(paley(71), 2) == (True, 17)
+        assert designs._subset_counts(COUNTED_DESIGNS["uncovered-pair"], 1) == (True, 1)
+        assert designs._subset_counts(COUNTED_DESIGNS["uncovered-pair"], 2) == (False, None)
+        assert designs._subset_counts(COUNTED_DESIGNS["repeated"], 2) == (True, 2)
+        assert designs._subset_counts(COUNTED_DESIGNS["points"], 2) == (True, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(small_designs(), block_families(), two_designs()), st.data())
+    def test_random_families_match_the_enumeration(self, design, data):
+        t = data.draw(st.integers(1, min(design.m, 4)))
+        assert verify_design(design, t) == enumerated_report(design, t)
+
+
+class TestComplementBlocks:
+    def test_the_complement_checks_no_block(self, monkeypatch):
+        """``complement_design`` reads its blocks off the checked incidence;
+        ``BlockDesign`` and ``design_from_json`` still check every block."""
+        calls = []
+        check = designs.check_block
+        monkeypatch.setattr(designs, "check_block", lambda *a: calls.append(a) or check(*a))
+        design = paley(71)
+        assert len(calls) == 71
+        comp = complement_design(design)
+        assert len(calls) == 71
+        ref = BlockDesign(71, [set(range(71)) - set(b) for b in design.blocks])
+        assert len(calls) == 142
+        assert comp.blocks == ref.blocks and (comp.m, comp.b, comp.block_size) == (71, 71, 36)
+        assert all(type(x) is int for b in comp.blocks for x in b)
+        assert np.array_equal(comp.incidence, ref.incidence)
+        assert not comp.incidence.flags.writeable
+        assert np.array_equal(comp.intersections, ref.intersections)
+        assert (comp.declared_t, comp.declared_lambda) == (None, None)
+        assert design_from_json(design_to_json(comp)).blocks == comp.blocks
+        assert len(calls) == 213

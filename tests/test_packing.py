@@ -963,8 +963,8 @@ class TestJsonVersions:
             packing_from_json(json.loads(json.dumps(obj)))
 
     def test_each_version_2_block_is_checked_once(self, monkeypatch):
-        """Reading the Fano m = 7 file checks each of its 56 blocks once, in
-        ``coordinate_projection``."""
+        """Reading the Fano m = 7 file checks each of its 14 distinct blocks
+        once, though its 56 elements list them 56 times."""
         from grasspack import packing
         obj = json.loads(json.dumps(packing_to_json(fano_mixed_packing())))
         calls = []
@@ -976,7 +976,7 @@ class TestJsonVersions:
 
         monkeypatch.setattr(packing, "check_block", counting)
         assert packing_from_json(obj).n == 56
-        assert len(calls) == 56
+        assert len(calls) == 14
 
 
 class TestCertificateCoherence:
