@@ -175,6 +175,14 @@ def is_cohesive(design: BlockDesign, bound: Fraction | int) -> bool:
     return Fraction(cohesion(design)) <= Fraction(bound)
 
 
+def _supports(inc: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The sorted points of each column of the 0/1 matrix ``inc``, read off
+    one ``np.nonzero`` of inc^T (column by column) and cut at the column sums."""
+    points = np.nonzero(inc.T)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(inc, axis=0)).tolist()
+    return tuple(tuple(points[s:e]) for s, e in zip([0, *ends], ends))
+
+
 def complement_design(design: BlockDesign) -> BlockDesign:
     """Blocks replaced by their complements in 0..m-1, order preserved.
 
@@ -183,10 +191,9 @@ def complement_design(design: BlockDesign) -> BlockDesign:
     if design.block_size == design.m:
         raise ParameterError("blocks already cover every point; complement is empty")
     rest = lock(1.0 - design.incidence)
-    blocks = tuple(tuple(np.flatnonzero(c).tolist()) for c in rest.T)  # sorted, size m - l
     comp = object.__new__(BlockDesign)  # a frozen instance's fields, set once, unchecked
-    comp.__dict__.update(m=design.m, blocks=blocks, declared_t=None, declared_lambda=None,
-                         incidence=rest)
+    comp.__dict__.update(m=design.m, blocks=_supports(rest), declared_t=None,
+                         declared_lambda=None, incidence=rest)
     return comp
 
 

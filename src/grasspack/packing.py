@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .designs import (BlockDesign, HadamardMatrix, _incidence, check_block,
+from .designs import (BlockDesign, HadamardMatrix, _incidence, _supports, check_block,
                       complement_design, complementary_halves, is_cohesive)
 from .embedding import build_space, embed, embedding_dim
 from .errors import (ConsistencyError, DegenerateRankError, DimensionMismatchError,
@@ -99,7 +99,8 @@ class _BlockTable:
     """Coordinate projections of one ``family``: element i is the distinct block
     ``blocks[ids[i]]`` of basis ``labels[i]``, blocks numbered in order of first
     use; the B distinct blocks have the m x B 0/1 ``incidence`` N and the int64
-    ``meet`` = N^T N, read-only (sizes on its diagonal)."""
+    ``meet`` = N^T N, read-only (sizes on its diagonal). What the exact path
+    reads is kept once formed: ``exact`` (``_exact_values``) and the tightness verdict."""
 
     family: MubFamily
     labels: np.ndarray
@@ -107,6 +108,15 @@ class _BlockTable:
     blocks: tuple[tuple[int, ...], ...]
     incidence: np.ndarray
     meet: np.ndarray
+
+    @cached_property
+    def exact(self) -> _ExactValues:
+        return _exact_values(self)
+
+    @cached_property
+    def evenly_covered(self) -> bool:  # every basis covers each point equally often
+        cover = _coverage(self)
+        return bool(np.all(cover == cover[:, :1]))
 
 
 def _table(family: MubFamily, labels, ids, blocks) -> _BlockTable:
@@ -445,26 +455,38 @@ def _pair_class(label_i, rank_i, label_j, rank_j) -> np.ndarray:
     return 2 * basis_class + (rank_i != rank_j)
 
 
-def _exact_pass(packing: Packing, mub_dev: float,
-                tol: Tolerance) -> tuple[CoherenceReport, Callable]:
-    """The report of a packing of coordinate projections over a family of
-    MUBs, from block intersections alone.
+@dataclass(frozen=True)
+class _ExactValues:
+    """Each element's largest embedded inner product ``peaks``, their maximum,
+    the report's other values, and n/2 antipodal pairs for an orthoplex Gram, else None."""
+
+    peaks: np.ndarray
+    mu: float
+    argmax_pair: tuple[int, int]
+    pair_classes: dict[str, PairClassSummary]
+    mu_raw: float | None
+    antipodal_pairs: int | None
+
+
+def _exact_values(table: _BlockTable) -> _ExactValues:
+    """The values of ``_exact_pass`` that no tolerance enters, formed once per
+    table as ``table.exact``.
 
     Over MUBs tr(P_i P_j) is |J & K| for two blocks of one basis and
     |J||K|/m across bases, so every cross-basis embedded inner product is 0
     and a same-basis pair has num / sqrt(den) with num = m|J & K| - |J||K|
     and den = |J|(m-|J|)|K|(m-|K|). Values are ordered exactly by the
     Fraction num|num|/den; only the reported numbers are rounded to floats.
-    Returns the report and the orthoplex check ``certify`` runs when n = 2d,
-    decided on blocks: each element has exactly one complementary block in
-    its basis (its antipode), and every other same-basis pair has num = 0.
+    The orthoplex check is decided on blocks: each element has exactly one
+    complementary block in its basis (its antipode), and every other
+    same-basis pair has num = 0.
 
     Bases whose elements are the same block ids in the same order (one design
     in a partition class) form a pattern, whose pairs are formed once.
     """
-    m, n = packing.m, packing.n
-    table = packing._block_table
-    labels, ids, meet, ranks = table.labels, table.ids, table.meet, packing.ranks
+    labels, ids, meet = table.labels, table.ids, table.meet
+    m, n = table.family.m, len(labels)
+    ranks = np.diagonal(meet)[ids]
     crossed = bool(np.any(labels != labels[0]))  # some pair lies across two bases
     # sorted by basis, stably so each keeps increasing indices; where each run starts
     order = np.argsort(labels, kind="stable")
@@ -505,7 +527,6 @@ def _exact_pass(packing: Packing, mub_dev: float,
     np.maximum.at(best, second, key)
     best = best[stand_in]
     top = int(best.max())
-    mu = float(floats[top])
     i = int(np.argmax(best == top))  # the first row of the Gram that attains mu
     hit, j = key == top, stand_in[i]
     partners = np.concatenate([second[hit & (first == j)], first[hit & (second == j)]])
@@ -513,8 +534,6 @@ def _exact_pass(packing: Packing, mub_dev: float,
     partners = run[np.isin(stand_in[run], partners)].tolist()  # the same places in i's run
     if top == zero:
         partners.append(np.flatnonzero(labels != labels[i])[0])
-    argmax_pair = (i, int(min(partners)))
-    achievers = tuple(np.flatnonzero(floats[best] >= mu - tol.eps_abs).tolist())
 
     classes = len(_PAIR_CLASSES)
     cls = _pair_class(0, ri, 0, rj)  # every pair here lies in one basis
@@ -534,18 +553,25 @@ def _exact_pass(packing: Packing, mub_dev: float,
         for c, name in enumerate(_PAIR_CLASSES) if count[c]}
 
     mu_raw = None
-    if packing.mixture == 1:  # tr is |J & K| within a basis and l^2/m across
+    if np.all(ranks == ranks[0]):  # tr is |J & K| within a basis and l^2/m across
         traces = [Fraction(int(common.max()))] if common.size else []
         mu_raw = float(max(traces + ([Fraction(int(ranks[0]) ** 2, m)] if crossed else [])))
 
-    def antipodal_pairs() -> int | None:
-        comp = (common == 0) & (ri + rj == m)
-        degree = np.bincount(first[comp], minlength=n) + np.bincount(second[comp], minlength=n)
-        return n // 2 if np.all(degree[stand_in] == 1) and not np.any(num[~comp]) else None
+    comp = (common == 0) & (ri + rj == m)
+    degree = np.bincount(first[comp], minlength=n) + np.bincount(second[comp], minlength=n)
+    antipodal = n // 2 if np.all(degree[stand_in] == 1) and not np.any(num[~comp]) else None
+    return _ExactValues(lock(floats[best]), float(floats[top]), (i, int(min(partners))),
+                        pair_classes, mu_raw, antipodal)
 
-    report = CoherenceReport(mu, argmax_pair, achievers, pair_classes, n, mu_raw,
-                             "exact", mub_dev)
-    return report, antipodal_pairs
+
+def _exact_pass(packing: Packing, mub_dev: float,
+                tol: Tolerance) -> tuple[CoherenceReport, Callable]:
+    """The report read off the table's shared ``exact``, achievers (within
+    ``eps_abs`` of mu) picked, and the orthoplex check ``certify`` runs when n = 2d."""
+    v = packing._block_table.exact
+    achievers = tuple(np.flatnonzero(v.peaks >= v.mu - tol.eps_abs).tolist())
+    return (CoherenceReport(v.mu, v.argmax_pair, achievers, dict(v.pair_classes), packing.n,
+                            v.mu_raw, "exact", mub_dev), lambda: v.antipodal_pairs)
 
 
 def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, Callable]:
@@ -582,7 +608,7 @@ def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, 
     if family is not None and family.exact_verdict:
         return _exact_pass(packing, 0.0, tol)
     if family is not None:
-        used = np.unique(table.labels)
+        used = np.flatnonzero(np.bincount(table.labels))
         dev = family.deviations[np.ix_(used, used)]
         delta = float(np.diagonal(dev).max())
         mub_dev = max(float(dev.max()), 2 * delta + delta * delta)  # delta <= 2 delta + delta^2
@@ -610,6 +636,9 @@ def coherence(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> CoherenceReport
     read from dense matrices (a version-1 file) or built on bases that are
     not MUBs, takes the dense Gram of its matrices (``"numeric"``).
     ``certify`` keeps the same report as ``Certificate.coherence``.
+    The exact values are formed once per packing and shared with ``certify``,
+    ``check_tightness`` and ``span_of_achievers``; a call picks the achievers
+    at its ``eps_abs``. The numeric path keeps nothing, its Grams included.
     """
     return _coherence_pass(packing, tol)[0]
 
@@ -713,15 +742,14 @@ def check_tightness(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> tuple[boo
     constant = int(packing.ranks.sum()) / m
     table = packing._block_table
     if table is not None and table.family.exact_verdict:
-        cover = _coverage(table, range(packing.n))
-        return bool(np.all(cover == cover[:, :1])), constant
-    f = _summed_projections(packing, range(packing.n))
+        return table.evenly_covered, constant
+    f = _summed_projections(packing)
     dev = float(np.abs(f - constant * np.eye(m)).max())
     return dev <= tol.eps_abs, constant
 
 
-def _summed_projections(packing: Packing, indices) -> np.ndarray:
-    """The sum of the projections ``indices`` picks.
+def _summed_projections(packing: Packing, picked=slice(None)) -> np.ndarray:
+    """The sum of the projections ``picked`` (an index array or a slice) selects.
 
     When each is a coordinate projection of one family the sum is
     U_a diag(cov_a) U_a^* summed over the bases a in use, where cov_a[x]
@@ -731,11 +759,11 @@ def _summed_projections(packing: Packing, indices) -> np.ndarray:
     """
     table = packing._block_table
     if table is None:  # the picked elements may still be of one family
-        els = tuple(packing.elements[i] for i in indices)
+        els = tuple(packing.elements[i] for i in np.arange(packing.n)[picked].tolist())
         if _family(els) is None:
             return sum(p.matrix for p in els)
-        table, indices = Packing(packing.m, packing.field, els)._block_table, range(len(els))
-    cover = _coverage(table, indices)
+        table, picked = Packing(packing.m, packing.field, els)._block_table, slice(None)
+    cover = _coverage(table, picked)
     f = np.zeros((packing.m, packing.m), dtype=np.complex128)
     for a in np.flatnonzero(cover.any(axis=1)):
         u = table.family.bases[a]
@@ -743,12 +771,11 @@ def _summed_projections(packing: Packing, indices) -> np.ndarray:
     return f
 
 
-def _coverage(table: _BlockTable, indices) -> np.ndarray:
+def _coverage(table: _BlockTable, picked: slice | np.ndarray = slice(None)) -> np.ndarray:
     """The k x m float array whose row a counts, for each point, the blocks
-    of basis a among the elements ``indices`` that contain it."""
+    of basis a among the elements ``picked`` that contain it."""
     k, b = table.family.k, len(table.meet)
-    idx = np.asarray(indices, dtype=np.intp)
-    counts = np.bincount(table.labels[idx] * b + table.ids[idx], minlength=k * b)
+    counts = np.bincount(table.labels[picked] * b + table.ids[picked], minlength=k * b)
     return counts.reshape(k, b) @ table.incidence.T
 
 
@@ -768,8 +795,7 @@ def spatial_complement(packing: Packing) -> Packing:
         if np.any(sizes >= m):
             raise DegenerateRankError("full-rank element has an empty complement")
         inc = lock(1.0 - table.incidence)
-        rests = _BlockTable(table.family, table.labels, table.ids,
-                            tuple(tuple(np.flatnonzero(c).tolist()) for c in inc.T), inc,
+        rests = _BlockTable(table.family, table.labels, table.ids, _supports(inc), inc,
                             lock(m - sizes[:, None] - sizes + table.meet))
         return _table_packing(m, packing.field, rests, packing.hypotheses, "complement")
     out = []
@@ -829,7 +855,10 @@ def span_of_achievers(packing: Packing, report: CoherenceReport,
     The achievers' projections sum to a positive semidefinite matrix whose
     range is their span, so the dimension returned is the numerical rank of
     that sum (``matrix_rank``: the number of its singular values above
-    ``eps_abs`` times its largest column norm). For an optimally spread
+    ``eps_abs`` times its largest column norm). On a block table whose
+    achievers on some one basis a cover every point no sum is formed: that
+    basis's term U_a diag(c_a) U_a^*, every c_a[x] >= 1, is positive
+    definite, so the span is F^m. For an optimally spread
     packing with n >= m this span must be all of F^m; on uncertified packings
     the result is informative only.
     """
@@ -839,7 +868,10 @@ def span_of_achievers(packing: Packing, report: CoherenceReport,
         raise ParameterError("packing is not certified as optimally spread")
     if not report.achievers:
         return 0, False
-    rank = matrix_rank(_summed_projections(packing, report.achievers), tol)
+    table, picked = packing._block_table, np.asarray(report.achievers, dtype=np.intp)
+    if table is not None and np.any(np.all(_coverage(table, picked) > 0, axis=1)):
+        return packing.m, True
+    rank = matrix_rank(_summed_projections(packing, picked), tol)
     return rank, rank == packing.m
 
 

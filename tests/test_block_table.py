@@ -5,6 +5,7 @@ packings made as their table against packings made element by element."""
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,16 +17,17 @@ from grasspack import packing
 from grasspack.designs import BlockDesign, _incidence, complement_design
 from grasspack.errors import ParameterError
 from grasspack.mubs import MubFamily, gen_mubs, gen_mubs_prime, mubs_from_json
-from grasspack.numerics import COMPLEX, DEFAULT_TOL
+from grasspack.numerics import COMPLEX, DEFAULT_TOL, Tolerance, matrix_rank
 from grasspack.packing import (_PAIR_CLASSES, CoherenceReport, Packing, PairClassSummary,
                                _basis_labels, _pair_class,
                                certificate_to_json, certify, check_tightness, coherence,
-                               coordinate_projection, packing_from_json, packing_to_json,
-                               spatial_complement)
+                               coordinate_projection, extract_hadamard, packing_from_json,
+                               packing_to_json, span_of_achievers, spatial_complement)
 
-from conftest import dense_copy
-from test_packing import (BUILDER_FIXTURES, FANO, FANO_C, assert_exact_matches_numeric,
-                          coordinate_packings, mub_packings, paley_packing)
+from conftest import dense_copy, random_orthonormal
+from test_packing import (BUILDER_FIXTURES, FANO, FANO_C, ORTHOPLEX_CASES,
+                          assert_exact_matches_numeric, coordinate_packings, mub_packings,
+                          paley_packing)
 
 
 def per_pair_exact_pass(pk, mub_dev, tol):
@@ -434,3 +436,121 @@ class TestTableBorn:
         obj["elements"][5] = {"basis": 0, "block": [point, 2, 4]}
         with pytest.raises(ParameterError, match=f"element 5: point label {point!r} is"):
             packing_from_json(obj)
+
+
+# one basis holds the Fano blocks and the complement of the first, which meets
+# every other Fano block in two points: 1/6 for those pairs, -1/6 and -1 else,
+# so the first block's largest value is short of mu by 1/3 (by 1/6 when the
+# Fano blocks also lie on a second basis, across which every value is 0)
+UNEVEN_CASES = {
+    "uneven-one-basis": lambda: on_bases(FANO7, [(0, FANO.blocks + FANO_C.blocks[:1])]),
+    "uneven-two-bases": lambda: on_bases(FANO7, [(0, FANO.blocks + FANO_C.blocks[:1]),
+                                                 (3, FANO.blocks)]),
+}
+SHARED_CASES = sorted([*BUILDER_FIXTURES, *UNEVEN_CASES, "paley-p7", "paley-p31", "paley-p71"])
+LOOSE = Tolerance(0.5)  # takes the uneven cases' first block among the achievers
+
+
+def shared_case(name):
+    if name.startswith("paley-p"):
+        return paley_packing(int(name.removeprefix("paley-p")))
+    return {**BUILDER_FIXTURES, **UNEVEN_CASES}[name]()
+
+
+def reports(pk, tolerances) -> dict:
+    """What ``certify``, ``coherence``, ``check_tightness`` and
+    ``span_of_achievers`` report on ``pk`` at each tolerance, in turn."""
+    out = {}
+    for tol in tolerances:
+        cert, rep = certify(pk, tol), coherence(pk, tol)
+        out[tol.eps_abs] = (text(certificate_to_json(cert)), repr(cert.coherence), repr(rep),
+                            check_tightness(pk, tol), span_of_achievers(pk, rep, tol=tol))
+    return out
+
+
+def kept_arrays(obj, seen=None):
+    """Every array reachable from ``obj`` through the containers and the
+    package's own objects, cached values included."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from kept_arrays(item, seen)
+    elif type(obj).__module__.startswith("grasspack") and hasattr(obj, "__dict__"):
+        yield from kept_arrays(vars(obj), seen)
+
+
+class TestSharedAnalysis:
+    @pytest.mark.parametrize("case", ["c4-hadamard", "paley-p19"])
+    def test_one_analysis_serves_every_reader(self, case, monkeypatch):
+        """certify, coherence, check_tightness, the achiever span and
+        extract_hadamard's own certify read one table analysis; the span
+        forms no sum, as one basis is covered, and a family with a verdict
+        decides tightness once, where the float C^4 family sums on each call."""
+        calls = Counter()
+
+        def spy(name):
+            real = getattr(packing, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(packing, name, counted)
+
+        for name in ("_exact_values", "_coverage", "_summed_projections", "matrix_rank"):
+            spy(name)
+        pk, design = ORTHOPLEX_CASES["c4"]() if case == "c4-hadamard" else (paley_packing(19),
+                                                                             None)
+        for round_ in (1, 2):
+            cert = certify(pk)
+            rep = coherence(pk)
+            assert rep == cert.coherence and rep.method == "exact"
+            assert check_tightness(pk) == (True, cert.tight_constant)
+            assert span_of_achievers(pk, rep, cert) == (pk.m, True)
+            if design is not None:
+                assert extract_hadamard(pk, design).order == 4
+            assert calls["_exact_values"] == 1 and calls["matrix_rank"] == 0
+        if design is None:  # the verdict once, then one coverage of the achievers per span
+            assert calls == {"_exact_values": 1, "_coverage": 3}
+        else:  # three float sums per round, one coverage each, and one per span
+            assert calls["_summed_projections"] == 6 and calls["_coverage"] == 8
+
+    @pytest.mark.parametrize("name", SHARED_CASES)
+    def test_reports_equal_those_of_a_fresh_copy(self, name):
+        """The original is read at the loose tolerance first, its copy from
+        JSON at the default one: whatever the table kept from the first
+        call, every report equals the copy's."""
+        pk = shared_case(name)
+        got = reports(pk, (LOOSE, DEFAULT_TOL))
+        assert got == reports(json_round_trip(pk), (DEFAULT_TOL, LOOSE))
+        assert "exact" in vars(pk._block_table)
+        loose, default = (coherence(pk, tol).achievers for tol in (LOOSE, DEFAULT_TOL))
+        assert (loose != default) == (name in UNEVEN_CASES)
+        assert set(default) <= set(loose) and (0 in set(loose) - set(default)) == (loose != default)
+
+    @pytest.mark.parametrize("name", sorted(BUILDER_FIXTURES))
+    def test_the_span_is_the_rank_of_the_summed_matrices(self, name):
+        pk = BUILDER_FIXTURES[name]()
+        rep = coherence(pk)
+        ref = matrix_rank(sum(pk.elements[i].matrix for i in rep.achievers), DEFAULT_TOL)
+        assert span_of_achievers(pk, rep) == (ref, ref == pk.m)
+
+    def test_the_numeric_pass_keeps_nothing(self):
+        """A dense packing keeps no array larger than O(n) after coherence
+        and certify; nor does a table over bases that are not MUBs, whose
+        table forms no exact values."""
+        dense = dense_copy(BUILDER_FIXTURES["c8-hadamard"]())
+        rep, cert = coherence(dense), certify(dense)
+        assert rep.method == "numeric" and dense.n == 126
+        assert max(a.size for a in kept_arrays((dense, rep, cert))) <= dense.n
+        rng = np.random.default_rng(5)
+        family = MubFamily(4, COMPLEX, [random_orthonormal(rng, 4, 4) for _ in range(3)])
+        pk = on_bases(family, [(a, [(0,), (1, 2), (0, 3)]) for a in range(3)] * 4)
+        rep, cert = coherence(pk), certify(pk)
+        assert rep.method == "numeric" and pk.n == 36
+        assert "exact" not in vars(pk._block_table)
+        assert max(a.size for a in kept_arrays((pk, rep, cert))) <= max(pk.n, family.bases.size)

@@ -930,9 +930,12 @@ def test_fresh_process_verifies_a_design_without_packing():
 
 def test_fresh_process_exact_pipeline_loads_no_numpy_ma():
     """Building, certifying, complementing and writing a packing of one
-    phase family never imports ``numpy.ma``, which NumPy 2 loads on the
-    first plain ``np.unique`` (about 0.5 MB of peak memory per process)."""
-    command = ("import sys, numpy\n"
+    phase family, or certifying the orthoplex packing of the float-form C^8
+    family read from its file, never imports ``numpy.ma``, which NumPy 2
+    loads on the first plain ``np.unique`` (about 0.5 MB of peak memory per
+    process)."""
+    c8_file = str(Path(__file__).parent / "data" / "mubs_c8.json")
+    command = ("import json, sys, numpy\n"
                "eager = 'numpy.ma' in sys.modules  # NumPy 1 imports it with numpy\n"
                "import grasspack as gp\n"
                "residues = sorted({x * x % 19 for x in range(1, 19)})\n"
@@ -942,6 +945,11 @@ def test_fresh_process_exact_pipeline_loads_no_numpy_ma():
                "                            [list(range(0, 20, 2)), list(range(1, 20, 2))])\n"
                "for p in (pk, gp.spatial_complement(pk)):\n"
                "    gp.certify(p), gp.coherence(p), gp.check_tightness(p), gp.packing_to_json(p)\n"
+               f"c8 = gp.mubs_from_json(json.loads(open({c8_file!r}).read()))\n"
+               "halves = gp.complementary_halves(gp.hadamard_to_3design(gp.gen_hadamard(8)))\n"
+               "pk = gp.build_orthoplex_packing(c8, halves)\n"
+               "assert gp.certify(pk).status.value == 'MaximalOrthoplex'\n"
+               "assert gp.coherence(pk).method == 'exact'\n"
                "assert eager or 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
     subprocess.run([sys.executable, "-c", command], env=child_env(), capture_output=True,
                    text=True, timeout=60, check=True)

@@ -696,3 +696,16 @@ class TestComplementBlocks:
         assert (comp.declared_t, comp.declared_lambda) == (None, None)
         assert design_from_json(design_to_json(comp)).blocks == comp.blocks
         assert len(calls) == 213
+
+    @pytest.mark.parametrize("name", sorted(name for name, d in COUNTED_DESIGNS.items()
+                                            if d.block_size < d.m))
+    def test_blocks_match_the_per_column_reference(self, name):
+        """The blocks read off one ``np.nonzero`` of (1 - N)^T are each
+        column's own support, and the set complements of the blocks."""
+        design = COUNTED_DESIGNS[name]
+        rest = 1.0 - design.incidence
+        comp = complement_design(design)
+        assert comp.blocks == tuple(tuple(np.flatnonzero(c).tolist()) for c in rest.T)
+        assert comp.blocks == tuple(tuple(sorted(set(range(design.m)) - set(b)))
+                                    for b in design.blocks)
+        assert all(type(x) is int for b in comp.blocks for x in b)

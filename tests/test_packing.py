@@ -18,7 +18,7 @@ from grasspack.errors import (DegenerateRankError, HypothesisError, ParameterErr
 from grasspack.fields import enumerate_projective_plane
 from grasspack.mubs import (MubFamily, gen_mubs, gen_mubs_prime, gen_mubs_prime_power,
                             gen_mubs_small, mubs_from_json, verify_mubs)
-from grasspack.numerics import COMPLEX, DEFAULT_TOL, REAL, matrix_to_json
+from grasspack.numerics import COMPLEX, DEFAULT_TOL, REAL, matrix_rank, matrix_to_json
 from grasspack.packing import (CertStatus, HypothesisRecord, Packing, Projection,
                                _embedded_gram, _orthoplex_pattern,
                                build_mixed_packing, build_orthoplex_packing,
@@ -517,6 +517,23 @@ class TestSpanOfAchievers:
         rep = coherence(pk)
         with pytest.raises(ParameterError):
             span_of_achievers(pk, rep)
+
+    def test_only_a_covered_basis_skips_the_numeric_rank(self, monkeypatch):
+        """Achievers that cover every point on one basis need no sum; the
+        first two blocks of each basis, or of one, cover no basis, and the
+        rank of their sum is taken."""
+        from grasspack import packing
+        ranks, rank = [], packing.matrix_rank
+        monkeypatch.setattr(packing, "matrix_rank", lambda *a: ranks.append(rank(*a)) or ranks[-1])
+        pk = fano_mixed_packing()  # seven blocks on each of the eight bases in turn
+        rep = coherence(pk)
+        assert span_of_achievers(pk, rep) == (7, True) and ranks == []
+        for picked in (tuple(i for i in range(pk.n) if i % 7 < 2), (0, 1), (28, 29)):
+            ref = matrix_rank(sum(pk.elements[i].matrix for i in picked), DEFAULT_TOL)
+            assert ref == {(0, 1): 5, (28, 29): 6}.get(picked, 7)
+            got = span_of_achievers(pk, dataclasses.replace(rep, achievers=picked))
+            assert got == (ref, ref == 7) and ranks[-1] == ref
+        assert len(ranks) == 3
 
 
 def parent_hadamard(design):
