@@ -319,7 +319,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except HypothesisError as exc:
         return _fail(str(exc), EXIT_HYPOTHESIS)
-    except (GrasspackError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (GrasspackError, OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 
 

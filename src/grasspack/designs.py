@@ -411,7 +411,7 @@ def design_to_json(design: BlockDesign) -> dict:
 
 
 def design_from_json(obj: dict) -> BlockDesign:
-    as_type(obj, dict, "design")
+    obj = as_type(obj, dict, "design")
     blocks = [as_type(b, list, "block") for b in as_type(obj["blocks"], list, "blocks")]
     return BlockDesign(obj["m"], blocks, declared_t=obj.get("t"),
                        declared_lambda=obj.get("lambda"))
@@ -422,7 +422,7 @@ def hadamard_to_json(h: HadamardMatrix) -> dict:
 
 
 def hadamard_from_json(obj: dict) -> HadamardMatrix:
-    as_type(obj, dict, "Hadamard matrix")
+    obj = as_type(obj, dict, "Hadamard matrix")
     h = HadamardMatrix(obj["rows"])
     if h.order != as_int(obj["order"], "order"):
         raise ParameterError(f"declared order {obj['order']} != actual {h.order}")

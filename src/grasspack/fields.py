@@ -126,10 +126,10 @@ class FieldTable:
     the trace of each element, read through the product table.
 
     Elements are the integers 0..q-1 in the digit encoding described in the
-    module docstring. ``add``, ``mul``, ``inv`` and ``trace`` are lookups,
-    and raise ParameterError for an element outside 0..q-1; all but ``inv``
-    take scalars or arrays and return an int for a 0-d result. The tables
-    hold q^2 entries, so q is capped at 256.
+    module docstring. ``add``, ``mul`` and ``trace`` are lookups, take
+    scalars or arrays, return an int for a 0-d result, and raise
+    ParameterError for an element outside 0..q-1. The tables hold q^2
+    entries, so q is capped at 256.
     """
 
     def __init__(self, pp: PrimePower):
@@ -191,11 +191,6 @@ class FieldTable:
     def mul(self, a, b):
         """a b from the product table; accepts scalars or numpy arrays."""
         return self._lookup(self._product, a, b)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ParameterError("0 has no multiplicative inverse")
-        return int(np.argmax(self.mul(a, np.arange(self.q)) == 1))
 
     def trace(self, x):
         """Field trace tr(x) = x + x^p + ... + x^(p^(n-1)), an element of GF(p)."""

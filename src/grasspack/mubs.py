@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache, cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -122,18 +121,17 @@ def _phase_exponents(q: int) -> np.ndarray:
     return expo
 
 
-def _quadratic_phases(q: int, expo: np.ndarray | None = None) -> MubFamily:
+def _quadratic_phases(q: int) -> MubFamily:
     """The q+1 quadratic-phase MUBs of GF(q), q odd (Wootters and Fields):
     the standard basis, then basis a with column b the vector with entries
     q^(-1/2) w^E[a, x, b], x in GF(q), w = exp(2 pi i / p). The family keeps
     (p, E) as ``phases``, E the shared ``_phase_exponents(q)``, and forms its
-    bases only when they are read. A table ``expo`` read from JSON must equal
-    E, and the family is checked by ``exact_verdict``, not the float loop:
-    a false one raises."""
-    table = _phase_exponents(q)
+    bases only when they are read. It is checked by ``exact_verdict``, not
+    the float loop: a false one raises."""
     family = object.__new__(_PhaseFamily)
-    family.__dict__.update(m=q, field=COMPLEX, phases=(factor_prime_power(q).p, table))
-    if (expo is not None and not np.array_equal(expo, table)) or not family.exact_verdict:
+    family.__dict__.update(m=q, field=COMPLEX, phases=(factor_prime_power(q).p,
+                                                       _phase_exponents(q)))
+    if not family.exact_verdict:
         raise ParameterError(f"the exponent table is not the quadratic phases of GF({q})")
     return family
 
@@ -334,38 +332,23 @@ def mubs_to_json(family: MubFamily) -> dict:
 
 
 def mubs_from_json(obj: dict) -> MubFamily:
-    """Read ``mubs_to_json`` output: the float form (no "version"); version 3,
-    whose family is generated again; or version 2, whose table's shape,
-    integers and range are checked before it is compared with the generated
-    one. Both phase versions must pass ``exact_verdict`` (``_quadratic_phases``)."""
-    as_type(obj, dict, "MUB family")
+    """Read ``mubs_to_json`` output: the float form (no "version"), or version
+    3, whose family is generated again and must pass ``exact_verdict``
+    (``_quadratic_phases``). Any other version, the exponent table of version
+    2 included, raises ParameterError naming it."""
+    obj = as_type(obj, dict, "MUB family")
     m = as_int(obj["m"], "m")
     field = check_field(obj["field"])
     if "version" not in obj:
         return MubFamily(m, field, [matrix_from_json(mj)
                                     for mj in as_type(obj["bases"], list, "bases")])
-    version = as_int(obj["version"], "version")
-    if version not in (2, 3):
-        raise ParameterError(f"MUB family version {obj['version']} is not 2 or 3")
-    if version == 3 and obj.get("construction") != _CONSTRUCTION:
+    if as_int(obj["version"], "MUB family version") != 3:
+        raise ParameterError(f"MUB family version {obj['version']} is not read, only version 3 "
+                             f"(make the file again with grasspack gen mub)")
+    if obj["construction"] != _CONSTRUCTION:
         raise ParameterError(f"a version-3 MUB family needs construction "
-                             f"{_CONSTRUCTION!r}, got {obj.get('construction')!r}")
+                             f"{_CONSTRUCTION!r}, got {obj['construction']!r}")
     if not (2 < m <= _MAX_PRIME and factor_prime_power(m).p != 2 and field == COMPLEX):
         raise ParameterError(f"a phase family needs an odd prime power m <= {_MAX_PRIME} "
                              f"over C, got m = {m} over {field}")
-    if version == 3:
-        return _quadratic_phases(m)
-    p = factor_prime_power(m).p
-    phases = as_type(obj["phases"], dict, "phases")
-    if as_int(phases["p"], "p") != p:
-        raise ParameterError(f"p = {phases['p']} is not the characteristic of GF({m})")
-    rows = as_type(phases["exponents"], list, "exponents")
-    try:  # JSON integers three lists deep: no bools, floats or strings
-        ints = set(map(type, chain.from_iterable(chain.from_iterable(rows)))) == {int}
-        expo = np.array(rows, dtype=np.int64) if ints else None
-    except (TypeError, ValueError, OverflowError):  # not lists of lists, ragged, huge
-        expo = None
-    if expo is None or expo.shape != (m, m, m) or expo.min() < 0 or expo.max() >= p:
-        raise ParameterError(f"exponents must be {m} x {m} x {m} nested lists of integers "
-                             f"in 0..{p - 1}")
-    return _quadratic_phases(m, expo)
+    return _quadratic_phases(m)

@@ -46,13 +46,25 @@ def as_int(x, what: str) -> int:
 _JSON_KINDS = {dict: "an object", list: "an array", bool: "a boolean", str: "a string"}
 
 
+class _JsonObject(dict):
+    """A JSON object read through ``as_type``, whose missing key raises
+    ParameterError naming the key and the object."""
+
+    def __missing__(self, key):
+        raise ParameterError(f"{self.what} has no {key!r} key")
+
+
 def as_type(x, kind: type, what: str):
-    """``x`` itself when it is a ``kind``: ``dict`` for a JSON object, ``list``
-    for a JSON array, ``bool`` for a JSON boolean, ``str`` for a JSON string.
-    The JSON readers pass every structural value through it, so a wrong one
-    raises ParameterError naming ``what``, not a TypeError further in."""
+    """``x`` when it is a ``kind``: ``dict`` for a JSON object, ``list`` for a
+    JSON array, ``bool`` for a JSON boolean, ``str`` for a JSON string; an
+    object comes back as a ``_JsonObject`` copy named ``what``. The JSON
+    readers pass every structural value through it, so a wrong value or a
+    missing key raises ParameterError naming it, not an error further in."""
     if not isinstance(x, kind):
         raise ParameterError(f"{what} must be {_JSON_KINDS[kind]}, got {type(x).__name__}")
+    if kind is dict:
+        x = _JsonObject(x)
+        x.what = what
     return x
 
 
@@ -155,7 +167,7 @@ def _json_entries(obj: dict, key: str, size: int) -> np.ndarray:
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode ``matrix_to_json``'s encoding; raises ParameterError on an entry
     that is not a JSON number, a wrong entry count or a NaN or inf entry."""
-    as_type(obj, dict, "matrix")
+    obj = as_type(obj, dict, "matrix")
     rows, cols = as_int(obj["rows"], "rows"), as_int(obj["cols"], "cols")
     a = _json_entries(obj, "re", rows * cols).astype(np.complex128)
     if "im" in obj:

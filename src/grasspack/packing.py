@@ -32,8 +32,6 @@ from .numerics import (DEFAULT_TOL, REAL, Field, Tolerance, as_int, as_type, che
                        is_projection, lock, matrix_from_json, matrix_rank,
                        matrix_to_json)
 
-IMPORTED = "imported"  # the label of an element without a basis in a version-1 file
-
 
 @dataclass(frozen=True, eq=False)
 class Projection:
@@ -44,8 +42,7 @@ class Projection:
     ``matrix`` is ``U[:, block] @ U[:, block]^*`` with ``U =
     family.bases[basis_index]``, formed anew and read-only on each read; the
     exact coherence pass, tightness and the achiever span read the triple
-    and never form it; ``packing_from_json`` rebuilds them from a version-2
-    file with a family. Every other projection, ones read from dense
+    and never form it. Every other projection, ones read from dense
     matrices included, is the dense matrix it was checked with and nothing
     else: ``family``, ``basis_index`` and ``block`` are None. Equality is
     identity.
@@ -98,9 +95,10 @@ class HypothesisRecord:
 class _BlockTable:
     """Coordinate projections of one ``family``: element i is the distinct block
     ``blocks[ids[i]]`` of basis ``labels[i]``, blocks numbered in order of first
-    use; the B distinct blocks have the m x B 0/1 ``incidence`` N and the int64
-    ``meet`` = N^T N, read-only (sizes on its diagonal). What the exact path
-    reads is kept once formed: ``exact`` (``_exact_values``) and the tightness verdict."""
+    use by the builders and in file order by ``packing_from_json``; the B
+    distinct blocks have the m x B 0/1 ``incidence`` N and the int64 ``meet`` =
+    N^T N, read-only (sizes on its diagonal). What the exact path reads is
+    kept once formed: ``exact`` (``_exact_values``) and the tightness verdict."""
 
     family: MubFamily
     labels: np.ndarray
@@ -265,11 +263,8 @@ def build_mixed_packing(mubs: MubFamily, designs: list[BlockDesign],
         raise ParameterError(f"{s} designs but {len(partition)} partition classes")
     if s > mubs.k:
         raise ParameterError(f"{s} designs exceed the {mubs.k} available bases")
-    classes = [tuple(sorted(as_int(k, "basis index") for k in cls)) for cls in partition]
+    classes = [tuple(sorted(_basis_index(mubs, k) for k in cls)) for cls in partition]
     used = [k for cls in classes for k in cls]
-    for k in used:
-        if not 0 <= k < mubs.k:
-            raise ParameterError(f"basis index {k} outside 0..{mubs.k - 1}")
     if len(set(used)) != len(used):
         raise ParameterError("partition classes overlap")
     m = mubs.m
@@ -339,7 +334,7 @@ class CoherenceReport:
     ``argmax_pair`` is the first pair (i, j), i < j, in row-major order of the
     Gram whose value is within ``eps_abs`` of ``mu_embedded`` (exactly equal
     to it on the exact path), so rounding noise does not pick among exact
-    ties and a packing and its imported copy report the same pair.
+    ties and a packing and its copy read from dense matrices report the same pair.
     ``achievers`` are the elements of such pairs.
 
     ``method`` is ``"exact"`` when the values were read off block
@@ -632,9 +627,9 @@ def coherence(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> CoherenceReport
     A packing of coordinate projections of one MUB family (the builders'
     output and its spatial complement) is read exactly off its block
     intersections (``report.method == "exact"``), with no n x n array, also
-    when read back from its version-2 JSON. Any other packing, such as one
-    read from dense matrices (a version-1 file) or built on bases that are
-    not MUBs, takes the dense Gram of its matrices (``"numeric"``).
+    when read back from its JSON, which is its block table. Any other packing,
+    such as one of dense matrices or one built on bases that are not MUBs,
+    takes the dense Gram of its matrices (``"numeric"``).
     ``certify`` keeps the same report as ``Certificate.coherence``.
     The exact values are formed once per packing and shared with ``certify``,
     ``check_tightness`` and ``span_of_achievers``; a call picks the achievers
@@ -916,97 +911,80 @@ def extract_hadamard(packing: Packing, design: BlockDesign,
 
 
 def packing_to_json(packing: Packing) -> dict:
-    """The version-2 packing JSON. A packing of coordinate projections of one
-    MUB family is that family (``mubs_to_json``) and one ``{"basis", "block"}``
-    per element; any other has ``"family": null`` and one dense matrix per
-    element."""
-    table = packing._block_table
-    return {
-        "version": 2,
-        "m": packing.m,
-        "field": packing.field,
-        "mode": packing.mode,
-        "hypotheses": {
-            "ok": packing.hypotheses.ok,
-            "failures": list(packing.hypotheses.failures),
-            "candidate_maximal": packing.hypotheses.candidate_maximal,
-        },
-        "family": None if table is None else mubs_to_json(table.family),
-        "elements": [matrix_to_json(p.matrix, packing.field) for p in packing.elements]
-        if table is None else [{"basis": a, "block": list(table.blocks[i])}
-                               for a, i in zip(table.labels.tolist(), table.ids.tolist())],
-    }
+    """The version-3 packing JSON. A packing of one MUB family is its block
+    table: the family (``mubs_to_json``), the table's ``"blocks"`` in its
+    order, and one ``[basis, block id]`` pair per element; any other has
+    ``"family": null`` and one dense matrix per element."""
+    table, hyp = packing._block_table, packing.hypotheses
+    obj = {"version": 3, "m": packing.m, "field": packing.field, "mode": packing.mode,
+           "hypotheses": {"ok": hyp.ok, "failures": list(hyp.failures),
+                          "candidate_maximal": hyp.candidate_maximal}}
+    if table is None:
+        return dict(obj, family=None, elements=[matrix_to_json(p.matrix, packing.field)
+                                                for p in packing.elements])
+    return dict(obj, family=mubs_to_json(table.family), blocks=[list(b) for b in table.blocks],
+                elements=np.column_stack((table.labels, table.ids)).tolist())
 
 
-def _pair(obj, alternative: str = "") -> tuple:
-    """The raw ``(basis, block)`` of a ``{"basis", "block"}`` object; the
-    block must be a JSON array, its points and the basis are checked later.
-    Anything else raises ParameterError, naming the ``alternative`` too."""
-    if not isinstance(obj, dict):
-        raise ParameterError(f"{obj!r} is not a {{basis, block}} object{alternative}")
-    return obj["basis"], as_type(obj["block"], list, "block")
+def _each(items: list, read: Callable, what: str) -> list:
+    """``read`` of each item; a ParameterError is prefixed with ``what`` and the item's index."""
+    out = []
+    for i, item in enumerate(items):
+        try:
+            out.append(read(item))
+        except ParameterError as exc:
+            raise ParameterError(f"{what} {i}: {exc}") from exc
+    return out
+
+
+def _read_table(family: MubFamily, raw_blocks, pairs: list) -> _BlockTable:
+    """The block table of version-3 ``"blocks"`` and ``"elements"``: each block
+    checked once, as ``coordinate_projection`` checks it, none repeated and
+    each used; the pairs checked as a whole, at least one, each two JSON
+    integers (no bools or floats), a basis in 0..k-1 and a block id in 0..B-1."""
+    blocks = _each(as_type(raw_blocks, list, "blocks"),
+                   lambda b: check_block(as_type(b, list, "block"), family.m), "block")
+    if len(set(blocks)) < len(blocks):  # find the first repeat, on this path only
+        i = next(i for i, b in enumerate(blocks) if b in blocks[:i])
+        raise ParameterError(f"block {i} repeats block {blocks.index(blocks[i])}")
+    if not pairs or not all(type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int
+                            for p in pairs):
+        raise ParameterError("elements must be one or more [basis, block id] pairs of integers")
+    pairs = np.array(pairs, dtype=object)  # Python ints: a huge one cannot overflow
+    bad = ((pairs < 0) | (pairs >= [family.k, len(blocks)])).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParameterError(f"element {i}: {pairs[i].tolist()} is not a basis in "
+                             f"0..{family.k - 1} and a block id in 0..{len(blocks) - 1}")
+    labels, ids = pairs.astype(np.int64).T
+    unused = np.flatnonzero(np.bincount(ids, minlength=len(blocks)) == 0)
+    if unused.size:
+        raise ParameterError(f"block {unused[0]} is used by no element")
+    return _table(family, labels, ids, blocks)
 
 
 def packing_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Packing:
-    """Read ``packing_to_json`` output. Version 2 with a family rebuilds it
-    (``mubs_from_json``) and the packing as its block table, checking each
-    basis index and each distinct raw block once, as ``coordinate_projection``
-    does, so the exact coherence pass applies; a ``"family": null`` object, or a
-    version-1 one (no ``"version"`` key), is read as dense matrices and takes
-    the numeric pass. Their optional ``"provenance"`` list (``"imported"`` or
-    a ``{"basis", "block"}`` object per element, from older writers) is
-    validated, a block against its element's rank, and then dropped."""
-    as_type(obj, dict, "packing")
-    if "version" in obj and as_int(obj["version"], "version") != 2:
-        raise ParameterError(f"packing version {obj['version']} is not 2")
-    m = as_int(obj["m"], "m")
-    field = check_field(obj["field"])
-    items = as_type(obj["elements"], list, "elements")
-    family = obj["family"] if "version" in obj else None
-    if family is not None:
-        family = mubs_from_json(family)
-    else:
-        labels = obj.get("provenance")
-        labels = as_type([IMPORTED] * len(items) if labels is None else labels, list,
-                         "provenance")
-        if len(labels) != len(items):
-            raise ParameterError("provenance list does not match element count")
-    elements, pairs, seen, distinct = [], [], {}, {}
-    for idx, item in enumerate(items):
-        try:
-            if family is not None:
-                basis, raw = _pair(item)
-                k = _basis_index(family, basis)
-                key = repr(raw)  # 1 == True == 1.0, but only 1 is a point
-                if key not in seen:
-                    seen[key] = distinct.setdefault(check_block(raw, family.m), len(distinct))
-                pairs.append((k, seen[key]))
-            else:
-                p = Projection(matrix_from_json(item), tol=tol)
-                if labels[idx] != IMPORTED:  # a legacy label: checked, then dropped
-                    index, block = _pair(labels[idx], f" nor {IMPORTED!r}")
-                    if as_int(index, "basis index") < 0:
-                        raise ParameterError(f"basis index {index} is negative")
-                    if len(check_block(block, m)) != p.rank:
-                        raise ParameterError(f"provenance block of {len(block)} points "
-                                             f"on a rank-{p.rank} element")
-                elements.append(p)
-        except ParameterError as exc:
-            raise ParameterError(f"element {idx}: {exc}") from exc
-        except KeyError as exc:
-            raise ParameterError(f"element {idx}: no {exc} key") from None
-    hyp = as_type(obj.get("hypotheses", {}), dict, "hypotheses")
-    failures = as_type(hyp.get("failures", []), list, "failures")
+    """Read ``packing_to_json`` output, version 3 only: another version or a
+    missing key raises ParameterError naming it. A packing with a family is
+    made as its block table (``_read_table``) and takes the exact pass; with
+    ``"family": null`` the elements are dense matrices, for the numeric pass."""
+    obj = as_type(obj, dict, "packing")
+    version = obj.get("version", 1)  # a version-1 file has no "version" key
+    if as_int(version, "packing version") != 3:
+        raise ParameterError(f"packing version {version} is not read, only version 3 "
+                             f"(make the file again with grasspack build)")
+    hyp = as_type(obj["hypotheses"], dict, "hypotheses")
+    failures = as_type(hyp["failures"], list, "failures")
     record = HypothesisRecord(
-        ok=as_type(hyp.get("ok", True), bool, "hypotheses.ok"),
-        failures=tuple(as_type(f, str, "a hypothesis failure") for f in failures),
-        candidate_maximal=as_type(hyp.get("candidate_maximal", False), bool,
-                                  "hypotheses.candidate_maximal"),
-    )
-    mode = as_type(obj.get("mode", "imported"), str, "mode")
-    if pairs:
-        labels, ids = np.array(pairs, dtype=np.int64).T
-        return _table_packing(m, field, _table(family, labels, ids, list(distinct)), record, mode)
+        as_type(hyp["ok"], bool, "hypotheses.ok"),
+        tuple(as_type(f, str, "a hypothesis failure") for f in failures),
+        as_type(hyp["candidate_maximal"], bool, "hypotheses.candidate_maximal"))
+    m, field = as_int(obj["m"], "m"), check_field(obj["field"])
+    mode, items = as_type(obj["mode"], str, "mode"), as_type(obj["elements"], list, "elements")
+    if obj["family"] is not None:
+        table = _read_table(mubs_from_json(obj["family"]), obj["blocks"], items)
+        return _table_packing(m, field, table, record, mode)
+    elements = _each(items, lambda e: Projection(matrix_from_json(e), tol=tol), "element")
     return Packing(m, field, tuple(elements), record, mode=mode)
 
 

@@ -8,8 +8,7 @@ from grasspack.embedding import _checked_rank, build_space, embed, embedded_code
 from grasspack.errors import DimensionMismatchError, ParameterError
 from grasspack.fields import build_field
 from grasspack.numerics import DEFAULT_TOL, as_matrix
-from grasspack.packing import (Packing, Projection, _embedded_gram, _report_from_grams,
-                               packing_to_json)
+from grasspack.packing import Packing, Projection, _embedded_gram, _report_from_grams
 
 
 def random_orthonormal(rng, m, k, field="C"):
@@ -86,19 +85,6 @@ def numeric_report(pk):
     return _report_from_grams(pk, *_embedded_gram(pk), DEFAULT_TOL, None)
 
 
-def v1_json(pk) -> dict:
-    """The version-1 packing JSON of ``pk``: the dense matrices of its
-    family-null version-2 object, without the ``"version"`` and ``"family"``
-    keys, and the ``"provenance"`` list older writers added: each element's
-    ``{"basis", "block"}``, or ``"imported"`` where it has none."""
-    obj = packing_to_json(dense_copy(pk))
-    del obj["version"], obj["family"]
-    obj["provenance"] = ["imported" if p.basis_index is None
-                         else {"basis": p.basis_index, "block": list(p.block)}
-                         for p in pk.elements]
-    return obj
-
-
 def reference_exponents(q) -> np.ndarray:
     """E[a, x, b] = tr(a x^2 + b x) over GF(q) as int64, through the field's
     ``add``, ``mul`` and ``trace`` lookups on q x q x q operands: the
@@ -107,13 +93,6 @@ def reference_exponents(q) -> np.ndarray:
     x = np.arange(q)
     return ft.trace(ft.add(ft.mul(x[:, None, None], ft.mul(x, x)[:, None]),
                            ft.mul(x[:, None], x)))
-
-
-def mub_v2_json(q) -> dict:
-    """The version-2 MUB file of the order-q quadratic-phase family, which
-    writes its exponent table, as ``mubs_to_json`` did before version 3."""
-    return {"version": 2, "m": q, "field": "C",
-            "phases": {"p": build_field(q).p, "exponents": reference_exponents(q).tolist()}}
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """The public names of ``grasspack``, pinned: adding or removing one changes
 this list, so the change shows in review."""
 
+import pytest
+
 import grasspack
 
 PUBLIC = [
@@ -37,3 +39,45 @@ def test_test_only_references_are_not_public():
         assert not hasattr(grasspack, name)
         assert not hasattr(grasspack.numerics, name)
         assert not hasattr(grasspack.embedding, name)
+
+
+def written(name: str) -> tuple:
+    """(reader, what the reader calls the object, the object its writer writes)."""
+    from grasspack import (coordinate_projection, design_to_json, gen_hadamard, gen_mubs,
+                           gen_mubs_prime, hadamard_to_json)
+    family = gen_mubs_prime(3)
+    packing = grasspack.Packing(3, "C", tuple(coordinate_projection(family, a, (x,))
+                                              for a in range(3) for x in range(3)))
+    return {
+        "packing": (grasspack.packing_from_json, "packing", grasspack.packing_to_json(packing)),
+        "mub-v3": (grasspack.mubs_from_json, "MUB family", grasspack.mubs_to_json(family)),
+        "mub-floats": (grasspack.mubs_from_json, "MUB family",
+                       grasspack.mubs_to_json(gen_mubs(2, "C"))),
+        "design": (grasspack.design_from_json, "design",
+                   design_to_json(grasspack.BlockDesign(3, [[0], [1], [2]]))),
+        "hadamard": (grasspack.hadamard_from_json, "Hadamard matrix",
+                     hadamard_to_json(gen_hadamard(4))),
+    }[name]
+
+
+# every key each writer writes; a packing's "version" is not here: a file
+# without one is version 1, which is refused by its version
+WRITTEN_KEYS = [
+    ("packing", ["m", "field", "mode", "hypotheses", "family", "blocks", "elements"]),
+    ("mub-v3", ["m", "field", "construction"]),
+    ("mub-floats", ["m", "field", "bases"]),
+    ("design", ["m", "blocks"]),
+    ("hadamard", ["order", "rows"]),
+]
+
+
+@pytest.mark.parametrize("name, key", [(name, key) for name, keys in WRITTEN_KEYS
+                                       for key in keys])
+def test_a_missing_key_is_an_input_error_naming_it(name, key):
+    """Each JSON reader (packing, MUB family, design and Hadamard matrix)
+    raises ParameterError naming the key and the object, not a KeyError."""
+    reader, what, obj = written(name)
+    assert reader(obj) is not None
+    del obj[key]
+    with pytest.raises(grasspack.ParameterError, match=f"^{what} has no '{key}' key$"):
+        reader(obj)

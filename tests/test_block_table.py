@@ -347,7 +347,7 @@ def json_by_elements(pk):
     obj = json.loads(json.dumps(packing_to_json(pk)))
     family = mubs_from_json(obj["family"])
     return Packing(obj["m"], obj["field"], tuple(
-        coordinate_projection(family, e["basis"], e["block"]) for e in obj["elements"]),
+        coordinate_projection(family, basis, obj["blocks"][i]) for basis, i in obj["elements"]),
         pk.hypotheses, obj["mode"])
 
 
@@ -428,13 +428,12 @@ class TestTableBorn:
 
     @pytest.mark.parametrize("point", [True, 1.0], ids=["bool", "float"])
     def test_an_equal_point_of_another_type_is_checked(self, point):
-        """Each raw block is checked once, but [true, 2, 4] is not the block
-        [1, 2, 4] it equals in Python: it is checked too, and refused."""
+        """Each listed block is checked once, and [true, 2, 4] is not the block
+        [1, 2, 4] it equals in Python: it is refused."""
         obj = packing_to_json(paley_packing(7))
-        obj["elements"][4] = {"basis": 0, "block": [1, 2, 4]}
-        assert packing_from_json(obj).elements[4].block == (1, 2, 4)
-        obj["elements"][5] = {"basis": 0, "block": [point, 2, 4]}
-        with pytest.raises(ParameterError, match=f"element 5: point label {point!r} is"):
+        i = obj["blocks"].index([1, 2, 4])
+        obj["blocks"][i] = [point, 2, 4]
+        with pytest.raises(ParameterError, match=f"^block {i}: point label {point!r} is"):
             packing_from_json(obj)
 
 

@@ -13,17 +13,30 @@ import grasspack
 from grasspack import cli
 from grasspack.cli import main
 
-from conftest import mub_v2_json, packing_code_text, random_projection, v1_json
+from conftest import dense_copy, packing_code_text, random_projection, reference_exponents
 
 
 def run(*argv):
     return main([str(a) for a in argv])
 
 
-def rewrite_as_v1(path):
-    """Rewrite the packing file ``path`` in the version-1 format."""
-    from grasspack.packing import packing_from_json
-    path.write_text(json.dumps(v1_json(packing_from_json(json.loads(path.read_text())))))
+def dense_file(elements, **changes) -> dict:
+    """The version-3 file of a packing of dense ``elements`` in C^2
+    (``"family": null``), with top-level keys replaced by ``changes``."""
+    hypotheses = {"ok": True, "failures": [], "candidate_maximal": False}
+    return dict({"version": 3, "m": 2, "field": "C", "mode": "manual",
+                 "hypotheses": hypotheses, "family": None, "elements": elements}, **changes)
+
+
+PAIR = [{"rows": 2, "cols": 2, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]},
+        {"rows": 2, "cols": 2, "re": [0, 0, 0, 1], "im": [0, 0, 0, 0]}]
+
+
+def rewrite_dense(path):
+    """Rewrite the packing file ``path`` as the file of its dense copy."""
+    from grasspack.packing import packing_from_json, packing_to_json
+    pk = packing_from_json(json.loads(path.read_text()))
+    path.write_text(json.dumps(packing_to_json(dense_copy(pk))))
 
 
 @pytest.fixture
@@ -189,76 +202,27 @@ class TestBuildAndCertify:
         assert "not the packing's blocks" in capsys.readouterr().err
         assert not (tmp_path / "h.json").exists()
 
-    def test_relabelled_v2_blocks_exit_2_before_extraction(self, tmp_path, capsys):
-        """Relabelling the blocks of basis 0 in a version-2 file relabels the
-        projections themselves, so the design check refuses the file and the
-        extraction never meets a block that its element does not span."""
-        mub, design, pack = tmp_path / "mub4.json", tmp_path / "h3.json", tmp_path / "pk.json"
-        assert run("gen", "mub", "--m", 4, "--out", mub) == 0
-        assert run("gen", "design", "--hadamard3", "--order", 4, "--out", design) == 0
-        assert run("build", "--mub", mub, "--design", design, "--mode", "orthoplex",
-                   "--out", pack) == 0
+    def test_relabelled_blocks_exit_2_before_extraction(self, tmp_path, capsys):
+        """Swapping points 0 and 1 in every listed block of the C^8 orthoplex
+        file relabels the projections themselves: the file still certifies,
+        but its blocks are not the design's, so the design check refuses it
+        and the extraction never runs."""
+        design, pack, h8 = tmp_path / "h3.json", tmp_path / "pk.json", tmp_path / "h8.json"
+        assert run("gen", "design", "--hadamard3", "--order", 8, "--out", design) == 0
+        assert run("build", "--mub", Path(__file__).parent / "data" / "mubs_c8.json",
+                   "--design", design, "--mode", "orthoplex", "--out", pack) == 0
         obj = json.loads(pack.read_text())
-        assert [e["basis"] for e in obj["elements"][:7]] == [0] * 6 + [1]
-        for e, blk in zip(obj["elements"], ([0, 1], [2, 3], [0, 1], [2, 3], [0, 2], [1, 3])):
-            e["block"] = blk
-        pack.write_text(json.dumps(obj))
-        capsys.readouterr()
-        assert run("certify", pack, "--extract-hadamard", tmp_path / "h4.json",
-                   "--design", design) == 2
-        err = capsys.readouterr().err
-        assert err == "error: the design's blocks are not the packing's blocks on basis 0\n"
-        assert not (tmp_path / "h4.json").exists()
-
-    def test_relabelled_v1_provenance_is_dropped_and_extraction_exits_2(self, tmp_path,
-                                                                        capsys):
-        """A version-1 file whose provenance relabels the first six blocks of
-        basis 0 still loads: each label is checked against its element's rank
-        and dropped. Extraction refuses the family-less packing, so no
-        false block reaches the Hadamard check, and ``complement`` writes
-        dense matrices with no labels."""
-        mub, design, pack = tmp_path / "mub4.json", tmp_path / "h3.json", tmp_path / "pk.json"
-        assert run("gen", "mub", "--m", 4, "--out", mub) == 0
-        assert run("gen", "design", "--hadamard3", "--order", 4, "--out", design) == 0
-        assert run("build", "--mub", mub, "--design", design, "--mode", "orthoplex",
-                   "--out", pack) == 0
-        rewrite_as_v1(pack)
-        obj = json.loads(pack.read_text())
-        assert [label["basis"] for label in obj["provenance"][:7]] == [0] * 6 + [1]
-        for label, blk in zip(obj["provenance"],
-                              ([0, 1], [2, 3], [0, 1], [2, 3], [0, 2], [1, 3])):
-            label["block"] = blk
-        pack.write_text(json.dumps(obj))
+        swap = {0: 1, 1: 0}
+        relabelled = [sorted(swap.get(x, x) for x in blk) for blk in obj["blocks"]]
+        assert sorted(relabelled) != sorted(obj["blocks"])
+        pack.write_text(json.dumps(dict(obj, blocks=relabelled)))
         capsys.readouterr()
         assert run("certify", pack) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "MaximalOrthoplex"
-        assert run("certify", pack, "--extract-hadamard", tmp_path / "h4.json",
-                   "--design", design) == 2
+        assert run("certify", pack, "--extract-hadamard", h8, "--design", design) == 2
         err = capsys.readouterr().err
-        assert err == ("error: Hadamard extraction needs a packing of coordinate "
-                       "projections of one MUB family\n")
-        assert not (tmp_path / "h4.json").exists()
-        comp = tmp_path / "comp.json"
-        assert run("complement", pack, "--out", comp) == 0
-        out = json.loads(comp.read_text())
-        assert out["version"] == 2 and out["family"] is None and "provenance" not in out
-        assert len(out["elements"]) == 30
-
-    def test_a_version_2_family_file_builds_the_same_packing(self, tmp_path, mub7, fano):
-        """A version-2 m = 7 file, which writes the exponent table, builds the
-        Fano packing in the same bytes as the version-3 file: the packing
-        file holds the version-3 family either way."""
-        comp, v2 = tmp_path / "fano_c.json", tmp_path / "mub7_v2.json"
-        v2.write_text(json.dumps(mub_v2_json(7)))
-        assert run("gen", "design", "--complement-of", fano, "--out", comp) == 0
-        packs = []
-        for mub in (mub7, v2):
-            pack = tmp_path / f"pk_{mub.stem}.json"
-            assert run("build", "--mub", mub, "--design", fano, "--design", comp, "--mode",
-                       "mixed", "--partition", "0,1,2,3;4,5,6,7", "--out", pack) == 0
-            packs.append(pack.read_bytes())
-        assert packs[0] == packs[1]
-        assert json.loads(packs[0])["family"] == json.loads(mub7.read_text())
+        assert err == "error: the design's blocks are not the packing's blocks on basis 0\n"
+        assert not h8.exists()
 
     def test_hypothesis_failure_exits_3_but_writes(self, tmp_path, mub7, fano):
         pack = tmp_path / "packing.json"
@@ -280,21 +244,16 @@ class TestBuildAndCertify:
 
     def test_malformed_packing_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "m": 2, "field": "C",
-            "elements": [{"rows": 2, "cols": 2, "re": [1, 0, 0, 0.5],
-                          "im": [0, 0, 0, 0]}],
-        }))
+        path.write_text(json.dumps(dense_file([
+            {"rows": 2, "cols": 2, "re": [1, 0, 0, 0.5], "im": [0, 0, 0, 0]}])))
         assert run("certify", path) == 2
         assert "element 0" in capsys.readouterr().err
 
     def test_nan_packing_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
-        path.write_text(json.dumps({
-            "m": 2, "field": "C",
-            "elements": [{"rows": 2, "cols": 2, "re": [1, float("nan"), float("nan"), 0],
-                          "im": [0, 0, 0, 0]}],
-        }))
+        path.write_text(json.dumps(dense_file([
+            {"rows": 2, "cols": 2, "re": [1, float("nan"), float("nan"), 0],
+             "im": [0, 0, 0, 0]}])))
         assert "NaN" in path.read_text()
         assert run("certify", path) == 2
         assert "non-finite" in capsys.readouterr().err
@@ -313,11 +272,7 @@ class TestBuildAndCertify:
 
     def test_non_integral_m_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "m": 2.5, "field": "C",
-            "elements": [{"rows": 2, "cols": 2, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]},
-                         {"rows": 2, "cols": 2, "re": [0, 0, 0, 1], "im": [0, 0, 0, 0]}],
-        }))
+        path.write_text(json.dumps(dense_file(PAIR, m=2.5)))
         assert run("certify", path) == 2
         assert "not an integer" in capsys.readouterr().err
 
@@ -334,18 +289,16 @@ class TestBuildAndCertify:
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("block", [[0.5, "x"], [1.0], ["1"], [0, 0], [7], [], 5])
-    def test_malformed_provenance_block_exits_2(self, tmp_path, mub7, fano, block,
-                                                capsys):
+    def test_malformed_listed_block_exits_2(self, tmp_path, mub7, fano, block, capsys):
         pk = tmp_path / "pk.json"
         assert run("build", "--mub", mub7, "--design", fano, "--mode", "mixed",
                    "--partition", "0,1,2,3,4,5,6,7", "--out", pk) == 0
-        rewrite_as_v1(pk)
         obj = json.loads(pk.read_text())
-        obj["provenance"][4]["block"] = block
+        obj["blocks"][4] = block
         pk.write_text(json.dumps(obj))
         capsys.readouterr()
         assert run("certify", pk) == 2
-        assert "element 4" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: block 4: ")
 
     def test_certify_achievers_computes_the_gram_once(self, tmp_path, mub7, fano,
                                                       monkeypatch, capsys):
@@ -365,9 +318,9 @@ class TestBuildAndCertify:
         monkeypatch.setattr(packing, "_trace_gram", counting)
         capsys.readouterr()
         assert run("certify", pk, "--achievers") == 0
-        assert calls == []  # a version-2 file keeps its family: the exact pass
+        assert calls == []  # the file keeps its family: the exact pass
         exact = json.loads(capsys.readouterr().out)
-        rewrite_as_v1(pk)
+        rewrite_dense(pk)
         assert run("certify", pk, "--achievers") == 0
         assert calls == [56]
         obj = json.loads(capsys.readouterr().out)
@@ -395,18 +348,11 @@ class TestBuildAndCertify:
             f"d = {cert['d']}, mu = {cert['mu_embedded']!r}\n")
 
 
-PAIR = [{"rows": 2, "cols": 2, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]},
-        {"rows": 2, "cols": 2, "re": [0, 0, 0, 1], "im": [0, 0, 0, 0]}]
-
-
 def real_tagged_c3_packing():
-    """The version-1 file of the singleton blocks of bases 0-2 of C^3 (n = 9,
-    mu = 0), tagged "R" with no hypotheses: over R, d = 5 and n > d + 1 would
-    certify it."""
-    obj = v1_json(c3_singletons())
-    obj["field"] = "R"
-    del obj["hypotheses"]
-    return obj
+    """The dense file of the singleton blocks of bases 0-2 of C^3 (n = 9,
+    mu = 0), tagged "R": over R, d = 5 and n > d + 1 would certify it."""
+    from grasspack import packing_to_json
+    return dict(packing_to_json(dense_copy(c3_singletons())), field="R")
 
 
 def c3_singletons():
@@ -416,13 +362,17 @@ def c3_singletons():
                                  for a in range(3) for x in range(3)))
 
 
-def v2_case(**changes):
-    """The version-2 file of ``c3_singletons`` with top-level keys replaced;
-    an ``element`` change replaces element 4."""
+def v3_case(**changes):
+    """The version-3 file of ``c3_singletons`` (blocks [0], [1], [2] on bases
+    0-2 of 4) with top-level keys replaced; an ``element`` change replaces
+    element 4, and a ``block`` change replaces block 2."""
     from grasspack import packing_to_json
     obj = packing_to_json(c3_singletons())
+    assert obj["blocks"] == [[0], [1], [2]]
     if "element" in changes:
         obj["elements"][4] = changes.pop("element")
+    if "block" in changes:
+        obj["blocks"][2] = changes.pop("block")
     return dict(obj, **changes)
 
 
@@ -435,99 +385,97 @@ def r4_orthoplex_as_complex():
                 field="C")
 
 
-def mub_v2(exponent=None, **changes):
-    """The version-2 file of the m = 7 family with top-level keys replaced;
-    an ``exponent`` replaces E[1, 2, 3]."""
-    obj = mub_v2_json(7)
-    if exponent is not None:
-        obj["phases"]["exponents"][1][2][3] = exponent
-    return dict(obj, **changes)
-
-
-def mub_v2_phases(**changes):
-    """``mub_v2()`` with keys of its ``"phases"`` object replaced."""
-    obj = mub_v2()
-    return dict(obj, phases=dict(obj["phases"], **changes))
+def mub_v2():
+    """The version-2 file of the m = 7 family, which wrote its exponent table."""
+    return {"version": 2, "m": 7, "field": "C",
+            "phases": {"p": 7, "exponents": reference_exponents(7).tolist()}}
 
 
 MUB_V3 = {"version": 3, "m": 7, "field": "C", "construction": "quadratic-phases"}
 
+def without(obj: dict, key: str) -> dict:
+    return {k: v for k, v in obj.items() if k != key}
+
+
+HYPOTHESES = dense_file(PAIR)["hypotheses"]
+
 MALFORMED = {
-    "packing-list": ("certify", [{"m": 2, "field": "C", "elements": PAIR}]),
-    "elements-5": ("certify", {"m": 2, "field": "C", "elements": 5}),
-    "element-5": ("certify", {"m": 2, "field": "C", "elements": [5, PAIR[1]]}),
-    "re-object": ("certify", {"m": 2, "field": "C",
-                              "elements": [dict(PAIR[0], re={"a": 1}), PAIR[1]]}),
-    "hypotheses-5": ("certify", {"m": 2, "field": "C", "elements": PAIR,
-                                 "hypotheses": 5}),
-    "re-strings": ("certify", {"m": 2, "field": "C",
-                               "elements": [dict(PAIR[0], re=["1", "0", "0", "0"]), PAIR[1]]}),
-    "re-bool": ("certify", {"m": 2, "field": "C",
-                            "elements": [dict(PAIR[0], re=[True, 0, 0, 0]), PAIR[1]]}),
-    "provenance-5": ("certify", {"m": 2, "field": "C", "elements": PAIR,
-                                 "provenance": [5, "imported"]}),
-    "provenance-whatever": ("certify", {"m": 2, "field": "C", "elements": PAIR,
-                                        "provenance": ["whatever", "imported"]}),
-    "provenance-0": ("certify", {"m": 2, "field": "C", "elements": PAIR, "provenance": 0}),
-    "provenance-false": ("certify", {"m": 2, "field": "C", "elements": PAIR,
-                                     "provenance": False}),
-    "provenance-string": ("certify", {"m": 2, "field": "C", "elements": PAIR,
-                                      "provenance": ""}),
-    "provenance-empty": ("certify", {"m": 2, "field": "C", "elements": PAIR,
-                                     "provenance": []}),
-    "provenance-negative-basis": ("certify", {"m": 2, "field": "C", "elements": PAIR,
-                                              "provenance": [{"basis": -3, "block": [0]},
-                                                             "imported"]}),
-    "provenance-block-size": ("certify", {"m": 2, "field": "C", "elements": PAIR,
-                                          "provenance": [{"basis": 0, "block": [0, 1]},
-                                                         "imported"]}),
-    "failures-not-strings": ("certify", {"m": 2, "field": "C", "elements": PAIR,
-                                         "hypotheses": {"failures": [1, {"a": 2}]}}),
-    "ok-string": ("certify", {"m": 2, "field": "C", "elements": PAIR,
-                              "hypotheses": {"ok": "false"}}),
-    "candidate-maximal-string": ("certify", {"m": 2, "field": "C", "elements": PAIR,
-                                             "hypotheses": {"candidate_maximal": "false"}}),
-    "mode-5": ("certify", {"m": 2, "field": "C", "elements": PAIR, "mode": 5}),
+    "packing-list": ("certify", [dense_file(PAIR)]),
+    "elements-5": ("certify", dense_file(5)),
+    "element-5": ("certify", dense_file([5, PAIR[1]])),
+    "re-object": ("certify", dense_file([dict(PAIR[0], re={"a": 1}), PAIR[1]])),
+    "re-missing": ("certify", dense_file([without(PAIR[0], "re"), PAIR[1]])),
+    "hypotheses-5": ("certify", dense_file(PAIR, hypotheses=5)),
+    "re-strings": ("certify", dense_file([dict(PAIR[0], re=["1", "0", "0", "0"]), PAIR[1]])),
+    "re-bool": ("certify", dense_file([dict(PAIR[0], re=[True, 0, 0, 0]), PAIR[1]])),
+    "failures-not-strings": ("certify", dense_file(PAIR, hypotheses=dict(
+        HYPOTHESES, failures=[1, {"a": 2}]))),
+    "ok-string": ("certify", dense_file(PAIR, hypotheses=dict(HYPOTHESES, ok="false"))),
+    "ok-missing": ("certify", dense_file(PAIR, hypotheses=without(HYPOTHESES, "ok"))),
+    "candidate-maximal-string": ("certify", dense_file(PAIR, hypotheses=dict(
+        HYPOTHESES, candidate_maximal="false"))),
+    "mode-5": ("certify", dense_file(PAIR, mode=5)),
+    "mode-missing": ("certify", without(dense_file(PAIR), "mode")),
+    "family-missing": ("certify", without(dense_file(PAIR), "family")),
+    "version-1": ("certify", without(without(dense_file(PAIR), "version"), "family")),
+    "version-2": ("certify", dense_file(PAIR, version=2)),
+    "version-string": ("certify", dense_file(PAIR, version="3")),
     "blocks-5": ("design", {"m": 7, "blocks": 5}),
     "design-list": ("design", [[0, 1, 2]]),
+    "design-no-m": ("design", {"blocks": [[0, 1, 2]]}),
     "bases-5": ("mub", {"m": 7, "field": "C", "bases": 5}),
     "mub-list": ("mub", []),
     "mub-basis-wrong-size": ("mub", {"m": 2, "field": "C",
                                      "bases": [PAIR[0], {"rows": 3, "cols": 3,
                                                          "re": [1, 0, 0, 0, 1, 0, 0, 0, 1],
                                                          "im": [0] * 9}]}),
+    "mub-no-field": ("mub", {"m": 7, "bases": []}),
     "field-R-complex-elements": ("certify", real_tagged_c3_packing()),
-    "mub-v2-exponent-p": ("mub", mub_v2(exponent=7)),
-    "mub-v2-exponent-negative": ("mub", mub_v2(exponent=-1)),
-    "mub-v2-exponent-float": ("mub", mub_v2(exponent=1.5)),
-    "mub-v2-exponent-bool": ("mub", mub_v2(exponent=True)),
-    "mub-v2-exponent-string": ("mub", mub_v2(exponent="1")),
-    "mub-v2-shape": ("mub", mub_v2_phases(exponents=mub_v2()["phases"]["exponents"][:6])),
-    "mub-v2-ragged": ("mub", mub_v2_phases(exponents=mub_v2()["phases"]["exponents"][:6] + [[[0]]])),
-    "mub-v2-exponents-5": ("mub", mub_v2_phases(exponents=5)),
-    "mub-v2-p-5": ("mub", mub_v2_phases(p=5)),
-    "mub-v2-version-3": ("mub", mub_v2(version=3)),
-    "mub-v2-m-6": ("mub", mub_v2(m=6)),
-    "mub-v2-m-8": ("mub", mub_v2(m=8)),
-    "mub-v2-m-9": ("mub", mub_v2(m=9)),
-    "mub-v2-field-R": ("mub", mub_v2(field="R")),
+    "mub-v2": ("mub", mub_v2()),
     "mub-v3-construction": ("mub", dict(MUB_V3, construction="quadratic")),
     "mub-v3-m-8": ("mub", dict(MUB_V3, m=8)),
     "mub-v3-m-103": ("mub", dict(MUB_V3, m=103)),
     "mub-v3-field-R": ("mub", dict(MUB_V3, field="R")),
-    "mub-v3-no-construction": ("mub", {k: v for k, v in MUB_V3.items() if k != "construction"}),
-    "mub-v3-no-m": ("mub", {k: v for k, v in MUB_V3.items() if k != "m"}),
-    "mub-v2-not-quadratic": ("mub", mub_v2_phases(exponents=[mub_v2()["phases"]["exponents"][1]] + mub_v2()["phases"]["exponents"][1:])),
-    "v2-version-3": ("certify", v2_case(version=3)),
-    "v2-element-5": ("certify", v2_case(element=5)),
-    "v2-basis-k": ("certify", v2_case(element={"basis": 4, "block": [0]})),
-    "v2-basis-negative": ("certify", v2_case(element={"basis": -1, "block": [0]})),
-    "v2-block-repeats": ("certify", v2_case(element={"basis": 1, "block": [0, 0]})),
-    "v2-block-outside": ("certify", v2_case(element={"basis": 1, "block": [3]})),
-    "v2-family-wrong-m": ("certify", v2_case(
+    "mub-v3-no-construction": ("mub", without(MUB_V3, "construction")),
+    "mub-v3-no-m": ("mub", without(MUB_V3, "m")),
+    "v3-version-2": ("certify", v3_case(version=2)),
+    "v3-version-1": ("certify", without(v3_case(), "version")),
+    "v3-element-5": ("certify", v3_case(element=5)),
+    "v3-element-object": ("certify", v3_case(element={"basis": 1, "block": [0]})),
+    "v3-element-bool": ("certify", v3_case(element=[True, 0])),
+    "v3-element-float": ("certify", v3_case(element=[1, 1.0])),
+    "v3-element-triple": ("certify", v3_case(element=[1, 0, 0])),
+    "v3-basis-k": ("certify", v3_case(element=[4, 0])),
+    "v3-basis-negative": ("certify", v3_case(element=[-1, 0])),
+    "v3-block-id-B": ("certify", v3_case(element=[1, 3])),
+    "v3-block-repeated": ("certify", v3_case(block=[0])),
+    "v3-block-unused": ("certify", v3_case(blocks=[[0], [1], [2], [0, 1]])),
+    "v3-block-repeats-a-point": ("certify", v3_case(block=[0, 0])),
+    "v3-block-outside": ("certify", v3_case(block=[3])),
+    "v3-no-blocks": ("certify", without(v3_case(), "blocks")),
+    "v3-no-elements": ("certify", v3_case(blocks=[], elements=[])),
+    "v3-family-wrong-m": ("certify", v3_case(
         family=grasspack.mubs_to_json(grasspack.gen_mubs_prime(5)))),
-    "v2-family-wrong-field": ("certify", r4_orthoplex_as_complex()),
-    "v2-dense-elements": ("certify", v2_case(elements=v1_json(c3_singletons())["elements"])),
+    "v3-family-wrong-field": ("certify", r4_orthoplex_as_complex()),
+    "v3-dense-elements": ("certify", v3_case(elements=PAIR)),
+}
+
+# what the error line of some cases says: the version or the key it names
+NAMED = {
+    "version-1": "packing version 1 is not read, only version 3 "
+                 "(make the file again with grasspack build)",
+    "version-2": "packing version 2 is not read",
+    "v3-version-2": "packing version 2 is not read",
+    "version-string": "packing version '3' is not an integer",
+    "mub-v2": "MUB family version 2 is not read, only version 3 "
+              "(make the file again with grasspack gen mub)",
+    "design-no-m": "design has no 'm' key",
+    "mub-no-field": "MUB family has no 'field' key",
+    "mub-v3-no-m": "MUB family has no 'm' key",
+    "mode-missing": "packing has no 'mode' key",
+    "v3-no-blocks": "packing has no 'blocks' key",
+    "ok-missing": "hypotheses has no 'ok' key",
+    "re-missing": "element 0: matrix has no 're' key",
 }
 
 
@@ -545,7 +493,7 @@ def test_malformed_json_exits_2(tmp_path, fano, case, capsys):
     capsys.readouterr()
     assert run(*argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {NAMED.get(case, '')}") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -564,10 +512,11 @@ def pg31_packing(tmp_path_factory):
 
 
 def test_pg31_packing_file_holds_its_family(pg31_packing, capsys):
-    """The m = 31 packing is written as its family and (basis, block) pairs,
-    2.1 MB where dense matrices took 56 MB, and read back onto the exact pass."""
+    """The m = 31 packing is written as its block table, 42 KB (its 62
+    distinct blocks and one [basis, block id] pair per element) where dense
+    matrices took 56 MB, and read back onto the exact pass."""
     from grasspack.packing import coherence, packing_from_json
-    assert pg31_packing.stat().st_size < 2.5e6
+    assert pg31_packing.stat().st_size < 50e3
     pk = packing_from_json(json.loads(pg31_packing.read_text()))
     assert pk.n == 992 and coherence(pk).method == "exact"
     capsys.readouterr()
@@ -707,17 +656,17 @@ def test_parallel_embed_gives_numpy_one_blas_thread(tmp_path, preset, threads):
 
 @pytest.mark.parametrize("existing", [False, True], ids=["absent", "present"])
 def test_failed_parallel_embed_leaves_out_as_it_was(tmp_path, existing):
-    """A version-1 packing of m = 19 whose element 60 is the identity: the
+    """A dense packing of m = 19 whose element 60 is the identity: the
     first 46 vectors fill a chunk that a worker formats before the parent
     reaches element 60. The command exits 2 with one error line, --out
     stays absent or keeps its bytes, no temporary file is left, and every
     worker is reaped."""
     from test_packing import paley_packing
-    from grasspack.packing import Packing, Projection
+    from grasspack.packing import Packing, Projection, packing_to_json
     pk = paley_packing(19)
     pk = Packing(19, "C", pk.elements[:60] + (Projection(np.eye(19)),))
     path, out = tmp_path / "pk.json", tmp_path / "code.json"
-    path.write_text(json.dumps(v1_json(pk)))
+    path.write_text(json.dumps(packing_to_json(pk)))
     if existing:
         out.write_bytes(b"earlier bytes\n")
     code, err, forked, reaped = embed_in_child("all", path, "--out", out)
@@ -765,7 +714,7 @@ def test_numeric_pass_beyond_physical_memory_exits_2(tmp_path, monkeypatch, caps
     from grasspack import packing
     monkeypatch.setattr(packing, "_physical_memory", lambda: 100)
     path = tmp_path / "pair.json"
-    path.write_text(json.dumps({"m": 2, "field": "C", "elements": PAIR}))
+    path.write_text(json.dumps(dense_file(PAIR)))
     assert run("certify", path) == 2
     err = capsys.readouterr().err
     assert "100 bytes of physical memory" in err
@@ -819,13 +768,13 @@ class TestComplementAndEmbed:
 
     @pytest.mark.parametrize("existing", [False, True], ids=["absent", "present"])
     def test_failed_embed_leaves_out_as_it_was(self, tmp_path, capsys, existing):
-        """A version-1 packing of m = 2 whose element 1 is the identity loads,
+        """A dense packing of m = 2 whose element 1 is the identity loads,
         and ``embed`` fails on that element after writing element 0: --out
         stays absent, or keeps its bytes, and no temporary file is left."""
         from grasspack.numerics import matrix_to_json
         pack = tmp_path / "pk.json"
-        pack.write_text(json.dumps({"m": 2, "field": "C", "elements": [
-            matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.eye(2))]}))
+        pack.write_text(json.dumps(dense_file([
+            matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.eye(2))])))
         out = tmp_path / "code.json"
         if existing:
             out.write_bytes(b"earlier bytes\n")

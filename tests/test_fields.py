@@ -48,8 +48,8 @@ def test_field_axioms_exhaustive(q):
     assert np.array_equal(ft.mul(a, ft.add(b, c)), ft.add(ft.mul(a, b), ft.mul(a, c)))
     assert np.array_equal(ft.mul(ft.mul(a, b), c), ft.mul(a, ft.mul(b, c)))
     assert np.array_equal(ft.add(ft.add(a, b), c), ft.add(a, ft.add(b, c)))
-    for x in range(1, q):
-        assert ft.mul(x, ft.inv(x)) == 1
+    for x in range(1, q):  # every nonzero x has exactly one inverse
+        assert np.count_nonzero(ft.mul(x, np.arange(q)) == 1) == 1
 
 
 def naive_field(q):
@@ -121,7 +121,7 @@ def test_lookups_refuse_elements_outside_the_field(q, outside):
     ft = build_field(q)
     bad = -1 if outside == "negative" else q
     calls = [lambda: ft.add(bad, 0), lambda: ft.add(0, bad), lambda: ft.mul(bad, 1),
-             lambda: ft.mul(1, bad), lambda: ft.trace(bad), lambda: ft.inv(bad),
+             lambda: ft.mul(1, bad), lambda: ft.trace(bad),
              lambda: ft.add(np.array([0, bad]), 1), lambda: ft.trace(np.array([bad])),
              lambda: ft.mul(np.array([[1], [bad]]), np.arange(q)),
              lambda: ft.add(np.arange(q), np.full(q, bad))]

@@ -29,7 +29,7 @@ from grasspack.packing import (CertStatus, HypothesisRecord, Packing, Projection
                                verify_orthoplex_geometry)
 
 from conftest import (dense_copy, embedded_inner, hs_inner, numeric_report,
-                      packing_code_text, random_orthonormal, random_projection, v1_json)
+                      packing_code_text, random_orthonormal, random_projection)
 
 DATA = Path(__file__).parent / "data"
 
@@ -671,13 +671,13 @@ class TestJson:
 
     def test_malformed_element_reported_with_index(self):
         pk = fano_mixed_packing()
-        obj = v1_json(pk)
+        obj = packing_to_json(dense_copy(pk))
         obj["elements"][3]["re"][0] = 0.7  # break idempotency
         with pytest.raises(ParameterError, match="element 3"):
             packing_from_json(obj)
 
     def test_nan_entry_rejected(self):
-        obj = v1_json(fano_mixed_packing())
+        obj = packing_to_json(dense_copy(fano_mixed_packing()))
         obj["elements"][3]["re"][1] = float("nan")
         with pytest.raises(ParameterError, match="element 3.*non-finite"):
             packing_from_json(json.loads(json.dumps(obj)))
@@ -687,31 +687,6 @@ class TestJson:
         obj = packing_to_json(fano_mixed_packing())
         obj["m"] = m
         with pytest.raises(ParameterError, match="m "):
-            packing_from_json(json.loads(json.dumps(obj)))
-
-    @pytest.mark.parametrize("basis", [2.5, 2.0, "2"])
-    def test_non_integral_provenance_basis_rejected(self, basis):
-        obj = v1_json(fano_mixed_packing())
-        obj["provenance"][5]["basis"] = basis
-        with pytest.raises(ParameterError, match="basis index"):
-            packing_from_json(json.loads(json.dumps(obj)))
-
-    @pytest.mark.parametrize("block, match", [
-        ([0.5, "x"], "point label"), (["1", 2], "point label"), ([True], "point label"),
-        ([1, 1], "repeats a point"), ([3, 7], "outside 0..6"), ([], "empty block"),
-    ])
-    def test_malformed_provenance_block_rejected(self, block, match):
-        obj = v1_json(fano_mixed_packing())
-        obj["provenance"][5]["block"] = block
-        with pytest.raises(ParameterError, match=f"element 5: .*{match}"):
-            packing_from_json(json.loads(json.dumps(obj)))
-
-    def test_provenance_block_of_the_wrong_size_rejected(self):
-        """The rank-2 element of the C^4 orthoplex with a one-point block."""
-        obj = v1_json(c4_orthoplex_packing()[0])
-        obj["provenance"][0] = {"basis": 0, "block": [0]}
-        with pytest.raises(ParameterError, match="element 0: provenance block of 1 points "
-                                                 "on a rank-2 element"):
             packing_from_json(json.loads(json.dumps(obj)))
 
     def test_field_must_match_the_elements(self):
@@ -724,7 +699,7 @@ class TestJson:
         obj["field"] = REAL
         with pytest.raises(ParameterError, match="element 0 is over C, the packing over R"):
             packing_from_json(json.loads(json.dumps(obj)))
-        obj = v1_json(pk)
+        obj = packing_to_json(dense_copy(pk))
         obj["field"] = REAL
         with pytest.raises(ParameterError, match="element 4 of a real-tagged packing"):
             packing_from_json(json.loads(json.dumps(obj)))
@@ -855,10 +830,9 @@ class TestCoordinatePackings:
         for p, q in zip(pk.elements, flipped.elements):
             assert q.family is family and q.basis_index == p.basis_index
             assert q.block == tuple(sorted(set(range(7)) - set(p.block)))
-        for obj in (packing_to_json(dense_copy(pk)), v1_json(pk)):
-            back = packing_from_json(json.loads(json.dumps(obj)))
-            assert all((p.family, p.basis_index, p.block) == (None, None, None)
-                       for p in back.elements)
+        back = packing_from_json(json.loads(json.dumps(packing_to_json(dense_copy(pk)))))
+        assert all((p.family, p.basis_index, p.block) == (None, None, None)
+                   for p in back.elements)
 
     def test_imported_elements_have_unknown_basis(self):
         """Every pair with a dense element falls in an ``unknown_basis`` class;
@@ -885,12 +859,17 @@ VARIANTS = {
 
 
 def assert_round_trip(pk):
-    """The version-2 JSON of a packing of one family reads back to the same
-    family, elements and certificate, and writes back the same bytes."""
+    """The version-3 JSON of a packing of one family reads back to the same
+    family, block table, elements and certificate, and writes back the same
+    bytes."""
     text = json.dumps(packing_to_json(pk), sort_keys=True)
     back = packing_from_json(json.loads(text))
     assert (back.m, back.field, back.mode, back.hypotheses) == (
         pk.m, pk.field, pk.mode, pk.hypotheses)
+    table, table_back = pk._block_table, back._block_table
+    assert table_back.blocks == table.blocks
+    assert np.array_equal(table_back.labels, table.labels)
+    assert np.array_equal(table_back.ids, table.ids)
     assert ([(p.basis_index, p.block, p.rank) for p in back.elements]
             == [(p.basis_index, p.block, p.rank) for p in pk.elements])
     family, family_back = pk.elements[0].family, back.elements[0].family
@@ -903,6 +882,9 @@ def assert_round_trip(pk):
             == json.dumps(certificate_to_json(certify(pk)), sort_keys=True))
     assert coherence(back).method == coherence(pk).method
     assert json.dumps(packing_to_json(back), sort_keys=True) == text
+
+
+PAIRS = "^elements must be one or more \\[basis, block id\\] pairs of integers$"
 
 
 class TestJsonVersions:
@@ -921,7 +903,10 @@ class TestJsonVersions:
         pk = spatial_complement(pk) if flip else pk
         assert_round_trip(pk)
         obj = packing_to_json(pk)
-        assert obj["version"] == 2 and "provenance" not in obj
+        table = pk._block_table
+        assert obj["version"] == 3 and obj["blocks"] == [list(b) for b in table.blocks]
+        assert obj["elements"] == [[a, i] for a, i in zip(table.labels.tolist(),
+                                                          table.ids.tolist())]
         assert coherence(packing_from_json(obj)).method == "exact"
         pack, out = tmp_path / "pk.json", tmp_path / "code.json"
         pack.write_text(json.dumps(obj))
@@ -935,7 +920,7 @@ class TestJsonVersions:
         pk = Packing(7, COMPLEX, tuple(p if i % 2 else Projection(p.matrix)
                                        for i, p in enumerate(pk.elements)))
         obj = packing_to_json(pk)
-        assert obj["version"] == 2 and obj["family"] is None and "provenance" not in obj
+        assert obj["version"] == 3 and obj["family"] is None and "blocks" not in obj
         assert len(obj["elements"]) == 56
         back = packing_from_json(json.loads(json.dumps(obj)))
         for a, b in zip(pk.elements, back.elements):
@@ -943,45 +928,79 @@ class TestJsonVersions:
             assert (b.family, b.basis_index, b.block) == (None, None, None)
         assert coherence(back).method == "numeric"
 
-    @pytest.mark.parametrize("name", sorted(BUILDER_FIXTURES))
-    def test_version_1_files_load_on_the_numeric_pass(self, name):
-        pk = BUILDER_FIXTURES[name]()
-        obj = json.loads(json.dumps(v1_json(pk)))
-        assert "version" not in obj and "family" not in obj
-        assert len(obj["provenance"]) == pk.n
-        back = packing_from_json(obj)
-        for a, b in zip(pk.elements, back.elements):
-            assert np.array_equal(a.matrix, b.matrix)
-            assert (b.family, b.basis_index, b.block) == (None, None, None)
-        assert (back.mode, back.hypotheses) == (pk.mode, pk.hypotheses)
-        assert (json.dumps(certificate_to_json(certify(back)), sort_keys=True)
-                == json.dumps(certificate_to_json(certify(dense_copy(pk))), sort_keys=True))
-
-    @pytest.mark.parametrize("version", [1, 3, "2", 2.0, None])
+    @pytest.mark.parametrize("version", [1, 2, "3", 3.0, None, True])
     def test_other_versions_rejected(self, version):
         obj = packing_to_json(fano_mixed_packing())
         obj["version"] = version
-        with pytest.raises(ParameterError, match="version"):
+        with pytest.raises(ParameterError, match=f"^packing version {version!r}"):
             packing_from_json(obj)
 
-    @pytest.mark.parametrize("element, match", [
-        (5, "element 3: 5 is not a {basis, block} object$"),
-        ("imported", "element 3: 'imported' is not a {basis, block} object$"),
-        ({"basis": 8, "block": [0]}, "element 3: basis index 8 outside 0..7"),
-        ({"basis": -1, "block": [0]}, "element 3: basis index -1 outside 0..7"),
-        ({"basis": 1, "block": [2, 2]}, "element 3: .*repeats a point"),
-        ({"basis": 1, "block": [7]}, "element 3: .*outside 0..6"),
-        ({"basis": 1}, "element 3: no 'block' key"),
+    def test_version_1_and_2_files_are_refused(self):
+        """The formats before version 3 are not read, and the message names
+        their version: version 1 (dense matrices, no "version" key) and
+        version 2 (one {"basis", "block"} object per element)."""
+        pk = fano_mixed_packing()
+        v1 = packing_to_json(dense_copy(pk))
+        del v1["version"], v1["family"]
+        v2 = dict(packing_to_json(pk), version=2, elements=[
+            {"basis": p.basis_index, "block": list(p.block)} for p in pk.elements])
+        del v2["blocks"]
+        for version, obj in ((1, v1), (2, v2)):
+            with pytest.raises(ParameterError, match=f"^packing version {version} is not read"):
+                packing_from_json(json.loads(json.dumps(obj)))
+
+    @pytest.mark.parametrize("change, match", [
+        ({"elements": {3: 5}}, PAIRS),
+        ({"elements": {3: {"basis": 1, "block": [0]}}}, PAIRS),
+        ({"elements": {3: [1, 0, 0]}}, PAIRS),
+        ({"elements": {3: [1]}}, PAIRS),
+        ({"elements": {3: [True, 0]}}, PAIRS),
+        ({"elements": {3: [1, 1.0]}}, PAIRS),
+        ({"elements": {3: [1, "0"]}}, PAIRS),
+        ({"elements": {3: [8, 0]}}, "^element 3: \\[8, 0\\] is not a basis in 0..7 and a block id "
+                                    "in 0..13$"),
+        ({"elements": {3: [-1, 0]}}, "^element 3: \\[-1, 0\\] is not a basis"),
+        ({"elements": {3: [1, 14]}}, "^element 3: \\[1, 14\\] is not a basis"),
+        ({"elements": {3: [1, -1]}}, "^element 3: \\[1, -1\\] is not a basis"),
+        ({"elements": {3: [1, 2**70]}}, "^element 3: \\[1, 1180591620717411303424\\] is not"),
+        ({"blocks": {1: "block 0"}}, "^block 1 repeats block 0$"),
+        ({"blocks": {1: [5, 3, 1]}}, "^block 1 repeats block 0$"),  # block 0 is [1, 3, 5]
+        ({"blocks": {14: [0]}}, "^block 14 is used by no element$"),
+        ({"blocks": {2: 5}}, "^block 2: block must be an array"),
+        ({"blocks": {2: [0.5, "x"]}}, "^block 2: point label"),
+        ({"blocks": {2: ["1", 2]}}, "^block 2: point label"),
+        ({"blocks": {2: [True]}}, "^block 2: point label True is a bool"),
+        ({"blocks": {2: [1, 1]}}, "^block 2: .*repeats a point"),
+        ({"blocks": {2: [3, 7]}}, "^block 2: .*outside 0..6"),
+        ({"blocks": {2: []}}, "^block 2: empty block"),
     ])
-    def test_malformed_element_rejected(self, element, match):
+    def test_malformed_table_rejected(self, change, match):
+        """Each listed block is checked, none repeated and each used; the
+        pairs are checked as a whole: two JSON integers, in range."""
         obj = packing_to_json(fano_mixed_packing())
-        obj["elements"][3] = element
+        assert obj["blocks"][0] == [1, 3, 5] and len(obj["blocks"]) == 14
+        for key, entries in change.items():
+            for i, value in entries.items():
+                value = obj["blocks"][0] if value == "block 0" else value
+                obj[key][i:i + 1] = [value]
         with pytest.raises(ParameterError, match=match):
             packing_from_json(json.loads(json.dumps(obj)))
 
-    def test_each_version_2_block_is_checked_once(self, monkeypatch):
-        """Reading the Fano m = 7 file checks each of its 14 distinct blocks
-        once, though its 56 elements list them 56 times."""
+    @pytest.mark.parametrize("key", ["blocks", "elements", "family", "mode", "hypotheses"])
+    def test_every_written_key_is_required(self, key):
+        obj = packing_to_json(fano_mixed_packing())
+        del obj[key]
+        with pytest.raises(ParameterError, match=f"^packing has no '{key}' key$"):
+            packing_from_json(obj)
+
+    def test_a_family_with_no_elements_is_refused(self):
+        obj = dict(packing_to_json(fano_mixed_packing()), blocks=[], elements=[])
+        with pytest.raises(ParameterError, match=PAIRS):
+            packing_from_json(obj)
+
+    def test_each_listed_block_is_checked_once(self, monkeypatch):
+        """Reading the Fano m = 7 file checks each of its 14 listed blocks
+        once, though its 56 elements use them 56 times."""
         from grasspack import packing
         obj = json.loads(json.dumps(packing_to_json(fano_mixed_packing())))
         calls = []
