@@ -24,9 +24,6 @@ EXIT_HYPOTHESIS = 3
 
 MAX_EPS = 1e-6
 
-# the variables OpenBLAS reads for its thread count, in its order of precedence
-BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
 
 def _write_json(path: str, obj) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
@@ -214,33 +211,23 @@ def cmd_complement(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    from . import _codetext
+    from . import embedding as E
+    from . import packing as P
 
-    # the workers that format the code are forked first, while this process
-    # has one thread: NumPy is imported below
-    with _codetext.Formatters.start() as formatters:
-        if formatters.workers and not any(name in os.environ for name in BLAS_THREADS):
-            # else OpenBLAS starts a thread per CPU, and they spin on the workers' CPUs
-            os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        from . import embedding as E
-        from . import packing as P
-
-        tol = _tolerance(args)
-        pk = P.packing_from_json(_read_json(args.packing), tol)
-        space = E.build_space(pk.m, pk.field)
-        vectors = (E.embed(p.matrix, space, source_index=i, tol=tol)
-                   for i, p in enumerate(pk.elements))
-        # the code is streamed, so it goes to --out only once all of it is written
-        out = Path(args.out)
-        tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "x") as fp:
-                count = _codetext.write(fp, space.d, vectors, formatters.workers)
-            os.replace(tmp, out)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-    print(f"wrote {count} embedded unit vectors in R^{space.d} to {args.out}")
+    tol = _tolerance(args)
+    pk = P.packing_from_json(_read_json(args.packing), tol)
+    # the code is streamed, so it goes to --out only once all of it is written
+    out = Path(args.out)
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x") as fp:
+            count = P._write_code(fp, pk, tol)
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    print(f"wrote {count} embedded unit vectors in R^{E.embedding_dim(pk.m, pk.field)} "
+          f"to {args.out}")
     return EXIT_OK
 
 

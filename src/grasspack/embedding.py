@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _codetext
 from .errors import DegenerateRankError, DimensionMismatchError, ParameterError
 from .numerics import (COMPLEX, DEFAULT_TOL, REAL, Field, Tolerance, check_field,
                        is_projection, lock)
@@ -80,10 +79,14 @@ def _checked_rank(p: np.ndarray, m: int, tol: Tolerance) -> int:
     check = is_projection(p, tol)
     if not check.ok:
         raise ParameterError(f"not a projection: {check.failure}")
-    if check.rank in (0, m):
-        raise DegenerateRankError(
-            f"rank-{check.rank} projection in dimension {m} has no sphere image")
-    return check.rank
+    return _sphere_rank(check.rank, m)
+
+
+def _sphere_rank(rank: int, m: int) -> int:
+    """``rank``, unless it is 0 or m, whose projections have no sphere image."""
+    if rank in (0, m):
+        raise DegenerateRankError(f"rank-{rank} projection in dimension {m} has no sphere image")
+    return rank
 
 
 def embed(p, space: EmbeddingSpace, source_index: int | None = None,
@@ -103,14 +106,22 @@ def embed(p, space: EmbeddingSpace, source_index: int | None = None,
     rank = _checked_rank(p, m, tol)
     a = p - (rank / m) * np.eye(m)
     j, k = space.pairs
-    s = 1.0 / np.sqrt(2.0)
-    parts = [(a[j, k] * s + a[k, j] * s).real]
-    if space.field == COMPLEX:
-        parts.append((a[j, k] * (1j * s) - a[k, j] * (1j * s)).real)
-    parts.append(np.einsum("i,ki->k", np.diagonal(a), space.helmert).real)
-    radius = np.sqrt(sphere_radius_sq(m, rank))
-    coords = np.concatenate(parts) / radius
+    coords = _coordinates(a[j, k], a[k, j], np.diagonal(a), space, rank)
     return EmbeddedVector(lock(coords), rank, source_index)
+
+
+def _coordinates(upper, lower, diagonal, space: EmbeddingSpace, rank: int) -> np.ndarray:
+    """The coordinates ``embed`` reads off A = P - (l/m) I, l = ``rank``: the
+    pair coordinates of the entries ``upper`` = A[j, k] and ``lower`` =
+    A[k, j] (arrays of equal shape, elementwise), then the Helmert
+    coordinates of ``diagonal``, A's diagonal, all divided by the sphere
+    radius."""
+    s = 1.0 / np.sqrt(2.0)
+    parts = [(upper * s + lower * s).real]
+    if space.field == COMPLEX:
+        parts.append((upper * (1j * s) - lower * (1j * s)).real)
+    parts.append(np.einsum("i,ki->k", diagonal, space.helmert).real)
+    return np.concatenate(parts) / np.sqrt(sphere_radius_sq(space.m, rank))
 
 
 def embedded_code_to_json(space: EmbeddingSpace, vectors) -> dict:
@@ -135,4 +146,28 @@ def write_embedded_code(fp, space: EmbeddingSpace, vectors) -> int:
     vectors), indent=2, sort_keys=True) + "\\n"``: json writes a finite float
     with ``float.__repr__`` too.
     """
-    return _codetext.write(fp, space.d, vectors)
+    return _write_texts(fp, space.d, map(_embedded_text, vectors))
+
+
+_SEPARATOR = ",\n        "  # between two coordinates of a vector in the code's text
+
+
+def _vector_text(coords: str, rank: int) -> str:
+    """One vector's text, ``coords`` its coordinates' reprs joined by ``_SEPARATOR``."""
+    return f'    {{\n      "coords": [\n        {coords}\n      ],\n      "rank": {rank}\n    }}'
+
+
+def _embedded_text(v: EmbeddedVector) -> str:
+    return _vector_text(_SEPARATOR.join(map(float.__repr__, v.coords.tolist())), v.source_rank)
+
+
+def _write_texts(fp, d: int, texts) -> int:
+    """Write the code in R^``d`` of the vectors whose ``_vector_text``s are
+    the iterable ``texts``, each as it arrives; return how many."""
+    fp.write(f'{{\n  "d": {d},\n  "vectors": [')
+    count, sep = 0, "\n"
+    for text in texts:
+        fp.write(sep + text)
+        count, sep = count + 1, ",\n"
+    fp.write("\n  ]\n}\n" if count else "]\n}\n")
+    return count

@@ -121,6 +121,14 @@ def _phase_exponents(q: int) -> np.ndarray:
     return expo
 
 
+@cache
+def _differences(q: int) -> np.ndarray:
+    """D[x, y] = x - y in GF(q), read-only intp, read off the field's sum table."""
+    ft, x = build_field(q), np.arange(q)
+    negative = np.argmax(ft.add(x[:, None], x) == 0, axis=1)  # -y: y + (-y) = 0
+    return lock(ft.add(x[:, None], negative).astype(np.intp))
+
+
 def _quadratic_phases(q: int) -> MubFamily:
     """The q+1 quadratic-phase MUBs of GF(q), q odd (Wootters and Fields):
     the standard basis, then basis a with column b the vector with entries
@@ -158,7 +166,11 @@ class _PhaseFamily(MubFamily):
 @cache
 def _phases_are_mubs(q: int) -> bool:
     """Whether the table E = ``_phase_exponents(q)`` gives q + 1 MUBs, in
-    integers, once per q. E is additive in (a, b), so two columns meet in
+    integers, once per q. It is a verdict on the generator's own table, not
+    a check of an arbitrary one: it assumes E additive in (a, b) and skips
+    the pair (0, 0), so a table changed in one entry of basis 1 can still
+    pass. ``Projection.matrix`` relies on the same additivity, which the
+    tests pin for every order the generators make. Two columns meet in
     q^-1 S_ab, S_ab = sum_x w^E[a, x, b], for (a, b) their difference.
     With n_t = #{x : E[a, x, b] = t} and c_t = sum_s n_s n_(s+t mod p) (= c_-t),
     |S_ab|^2 = sum_t c_t w^t is the integer N iff c_t is one value for all

@@ -24,10 +24,11 @@ import numpy as np
 
 from .designs import (BlockDesign, HadamardMatrix, _incidence, _supports, check_block,
                       complement_design, complementary_halves, is_cohesive)
-from .embedding import build_space, embed, embedding_dim
+from .embedding import (_SEPARATOR, _coordinates, _embedded_text, _sphere_rank, _vector_text,
+                        _write_texts, build_space, embed, embedding_dim, write_embedded_code)
 from .errors import (ConsistencyError, DegenerateRankError, DimensionMismatchError,
                      HypothesisError, ParameterError, StructuralError)
-from .mubs import MubFamily, mub_capacity, mubs_from_json, mubs_to_json
+from .mubs import MubFamily, _differences, mub_capacity, mubs_from_json, mubs_to_json
 from .numerics import (DEFAULT_TOL, REAL, Field, Tolerance, as_int, as_type, check_field,
                        is_projection, lock, matrix_from_json, matrix_rank,
                        matrix_to_json)
@@ -38,11 +39,14 @@ class Projection:
     """A Hermitian idempotent with its rank.
 
     A coordinate projection (made only by ``coordinate_projection``) is
-    stored as its MUB ``family``, ``basis_index`` and sorted ``block`` alone:
-    ``matrix`` is ``U[:, block] @ U[:, block]^*`` with ``U =
-    family.bases[basis_index]``, formed anew and read-only on each read; the
-    exact coherence pass, tightness and the achiever span read the triple
-    and never form it. Every other projection, ones read from dense
+    stored as its MUB ``family``, ``basis_index`` a and sorted ``block`` J
+    alone; ``matrix`` is formed anew and read-only on each read, and the
+    exact coherence pass, tightness and the achiever span never form it. On
+    a basis a >= 1 of a quadratic-phase family it is P[x, y] = w^t s_J[c],
+    read off one table per block (``_phase_entries``, ``_phase_classes``):
+    U_J U_J^* in exact arithmetic, with equal bits in entries of one class
+    and l/q exactly on the diagonal. Otherwise it is ``U[:, J] @ U[:, J]^*``,
+    ``U = family.bases[a]``. Every other projection, ones read from dense
     matrices included, is the dense matrix it was checked with and nothing
     else: ``family``, ``basis_index`` and ``block`` are None. Equality is
     identity.
@@ -72,10 +76,35 @@ class Projection:
     def matrix(self) -> np.ndarray:
         if self.family is None:
             return self._dense
-        cols = self.family.bases[self.basis_index][:, list(self.block)]
-        mat = cols @ cols.conj().T
+        family, a = self.family, self.basis_index
+        if family.phases is not None and a > 0:
+            mat = _phase_entries(family, self.block)[_phase_classes(family, a)]
+        else:  # a phase family's standard basis is read without forming its bases
+            u = family.bases[a] if family.phases is None else np.eye(family.m, dtype=complex)
+            cols = u[:, list(self.block)]
+            mat = cols @ cols.conj().T
         mat.setflags(write=False)
         return mat
+
+
+def _phase_entries(family: MubFamily, block: tuple[int, ...]) -> np.ndarray:
+    """The values w^t s_J[c] of a phase element on the block J at t q + c,
+    (t, c) in Z_p x GF(q): s_J[c] = q^-1 sum_{b in J} w^E[0, c, b], summed in
+    block order, its parts divided apart so that s_J[0] = l/q exactly."""
+    (p, expo), q = family.phases, family.m
+    omega = np.exp(2j * np.pi * np.arange(p) / p)
+    s = sum(omega[expo[0, :, b]] for b in block)
+    s.real /= q
+    s.imag /= q
+    return (omega[:, None] * s).ravel()
+
+
+def _phase_classes(family: MubFamily, a: int) -> np.ndarray:
+    """The class t q + c of each entry (x, y) of a phase element on basis a >= 1: t =
+    E[a-1, x, 0] - E[a-1, y, 0] mod p in intp (uint8 would wrap), c = x - y in GF(q)."""
+    (p, expo), q = family.phases, family.m
+    squares = expo[a - 1, :, 0].astype(np.intp)  # tr((a-1) x^2)
+    return (squares[:, None] - squares) % p * q + _differences(q)
 
 
 @dataclass(frozen=True)
@@ -840,6 +869,52 @@ def verify_orthoplex_geometry(packing: Packing, tol: Tolerance = DEFAULT_TOL) ->
                 f"antipodal pair ({i},{j}) is not a complementary subspace pair",
                 n, d, pairs, worst)
     return OrthoplexReport(True, None, n, d, pairs, worst)
+
+
+def _write_code(fp, packing: Packing, tol: Tolerance = DEFAULT_TOL) -> int:
+    """``write_embedded_code`` of ``embed(p.matrix, space, i, tol)`` for each element p,
+    in the same bytes; return the count. A phase family's element (a, J), a >= 1, is
+    not embedded: its text is a gather of J's coordinate texts (``_phase_code``, held
+    until J's last element) by the classes of basis a's pairs (``_phase_classes``)."""
+    space = build_space(packing.m, packing.field)
+    table = packing._block_table
+    if table is None or table.family.phases is None:
+        return write_embedded_code(fp, space, (embed(p.matrix, space, i, tol)
+                                               for i, p in enumerate(packing.elements)))
+    return _write_texts(fp, space.d, _phase_texts(table, space, tol))
+
+
+def _phase_texts(table: _BlockTable, space, tol: Tolerance):
+    """The text of each element of a phase family's block table, in order."""
+    family, ids, (p, _), q = table.family, table.ids.tolist(), table.family.phases, space.m
+    last = {b: i for i, b in enumerate(ids)}  # each block's last element
+    codes, basis, sep = {}, None, _SEPARATOR.encode()
+    for i, (a, b) in enumerate(zip(table.labels.tolist(), ids)):
+        block = table.blocks[b]
+        if a == 0:
+            yield _embedded_text(embed(_coordinate(family, 0, block).matrix, space, i, tol))
+        else:
+            if a != basis:  # where _phase_code holds each coordinate of basis a
+                basis, pairs = a, _phase_classes(family, a)[space.pairs]
+                index = np.concatenate([pairs, p * q + pairs, 2 * p * q + np.arange(q - 1)])
+            if b not in codes:
+                codes[b] = _phase_code(family, block, space)
+            yield _vector_text(sep.join(codes[b][index].tolist()).decode(), len(block))
+        if last[b] == i:
+            codes.pop(b, None)
+
+
+def _phase_code(family: MubFamily, block: tuple[int, ...], space) -> np.ndarray:
+    """The ``float.__repr__``, once each, in a fixed-width bytes array, of the phase
+    elements' coordinates on ``block``: for each class u = t q + c, the real and then
+    the imaginary pair coordinate ``embed`` reads off an entry of class u and its
+    mirror (-t, -c), then the m - 1 Helmert coordinates of the diagonal l/q."""
+    (p, _), q, l = family.phases, family.m, _sphere_rank(len(block), family.m)
+    entries = _phase_entries(family, block)
+    mirror = ((-np.arange(p)) % p * q)[:, None] + _differences(q)[0]  # -t, 0 - c
+    coords = _coordinates(entries, entries[mirror.ravel()], np.full(q, entries[0] - l / q),
+                          space, l)
+    return np.array(list(map(float.__repr__, coords.tolist())), dtype="S")
 
 
 def span_of_achievers(packing: Packing, report: CoherenceReport,

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import grasspack
-from grasspack import cli
 from grasspack.cli import main
 
 from conftest import dense_copy, packing_code_text, random_projection, reference_exponents
@@ -558,120 +557,86 @@ def test_pg31_embed_streams_in_bounded_memory(pg31_packing):
             == hashlib.sha256(packing_code_text(pk).encode()).hexdigest())
 
 
-# Runs ``grasspack embed ARGS...`` in this interpreter, on one CPU when the
-# first argument is "1" and with a second thread running when it is "thread",
-# counting the workers it forks. After the command, it prints how many were
-# forked and whether the command reaped every one of them (then waitpid finds
-# no such child).
-_EMBED_WORKERS = (
-    "import atexit, os, runpy, sys, threading\n"
-    "pids, fork = [], os.fork\n"
-    "def counted():\n"
-    "    pid = fork()\n"
-    "    pids.extend([pid] if pid else [])\n"
-    "    return pid\n"
-    "def reaped(pid):\n"
-    "    try:\n"
-    "        os.waitpid(pid, os.WNOHANG)\n"
-    "    except ChildProcessError:\n"
-    "        return True\n"
-    "    return False\n"
-    "os.fork = counted\n"
-    "if sys.argv[1] == '1':\n"
-    "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-    "if sys.argv[1] == 'thread':\n"
-    "    threading.Thread(target=threading.Event().wait, daemon=True).start()\n"
-    "atexit.register(lambda: print('workers:', len(pids), all(map(reaped, pids))))\n"
-    "sys.argv = ['grasspack', 'embed', *sys.argv[2:]]\n"
-    "runpy.run_module('grasspack.cli', run_name='__main__', alter_sys=True)\n")
-
-CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-pinnable = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                              reason="no CPU affinity on this platform")
+def embed_case(name, tmp_path, fano, pg31_packing) -> Path:
+    """The packing file of the ``embed`` byte-test case ``name``, made with the CLI."""
+    path = tmp_path / f"{name}.json"
+    if name == "pg31":
+        return pg31_packing
+    if name == "pg31-complement":
+        assert run("complement", pg31_packing, "--out", path) == 0
+        return path
+    if name in ("fano", "dense"):
+        mub = tmp_path / "mub7.json"
+        assert run("gen", "mub", "--m", 7, "--out", mub) == 0
+        assert run("build", "--mub", mub, "--design", fano, "--mode", "mixed",
+                   "--partition", "0,1,2,3,4,5,6,7", "--out", path) == 0
+        if name == "dense":
+            rewrite_dense(path)
+            assert json.loads(path.read_text())["family"] is None
+        return path
+    mub, design = tmp_path / "mub.json", tmp_path / "design.json"
+    if name == "rebased-fano":  # q = 9, a prime power
+        assert run("gen", "mub", "--m", 9, "--out", mub) == 0
+        assert run("gen", "design", "--rebase-of", fano, "--out", design) == 0
+    else:  # "c4-orthoplex", a float-form family
+        assert run("gen", "mub", "--m", 4, "--out", mub) == 0
+        assert run("gen", "design", "--hadamard3", "--order", 4, "--out", design) == 0
+        assert "bases" in json.loads(mub.read_text())
+    assert run("build", "--mub", mub, "--design", design, "--mode", "orthoplex",
+               "--out", path) == 0
+    return path
 
 
-def embed_in_child(cpus, *args):
-    """Run ``embed`` with ``_EMBED_WORKERS``; return its exit code, its
-    stderr, the number of workers it forked and whether all were reaped."""
-    proc = subprocess.run([sys.executable, "-c", _EMBED_WORKERS, cpus, *map(str, args)],
-                          env=child_env(), capture_output=True, text=True, timeout=120)
-    label, forked, reaped = proc.stdout.splitlines()[-1].split()
-    assert label == "workers:"
-    return proc.returncode, proc.stderr, int(forked), reaped == "True"
-
-
-@pinnable
-def test_pg31_embed_on_one_cpu_is_serial_and_the_same(pg31_packing):
-    """Pinned to one CPU, ``embed`` forks no worker and writes the m = 31
-    code, in the same bytes as the reference text."""
+@pytest.mark.parametrize("name", ["fano", "pg31", "pg31-complement", "rebased-fano",
+                                  "c4-orthoplex", "dense"])
+def test_embed_bytes_are_the_library_reference(tmp_path, fano, pg31_packing, name, capsys):
+    """``grasspack embed`` writes, byte for byte, the library's reference text
+    of the packing it reads: ``json.dumps`` of ``embedded_code_to_json`` of
+    ``embed(p.matrix)`` for every element, the check the benchmark's replay
+    makes. The cases cover the phase families of a prime and a prime power
+    (read off their block tables), their complements, a float-form family and
+    a ``"family": null`` file of dense matrices."""
     from grasspack.packing import packing_from_json
-    out = pg31_packing.with_name("code1.json")
-    assert embed_in_child("1", pg31_packing, "--out", out) == (0, "", 0, True)
-    pk = packing_from_json(json.loads(pg31_packing.read_text()))
+    path, out = embed_case(name, tmp_path, fano, pg31_packing), tmp_path / "code.json"
+    capsys.readouterr()
+    assert run("embed", path, "--out", out) == 0
+    pk = packing_from_json(json.loads(path.read_text()))
+    assert capsys.readouterr().out == (f"wrote {pk.n} embedded unit vectors in "
+                                       f"R^{json.loads(out.read_text())['d']} to {out}\n")
     assert out.read_text() == packing_code_text(pk)
+    assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
 
 
-@pinnable
-@pytest.mark.parametrize("cpus", ["1", "all"])
-def test_paley19_embed_bytes_do_not_depend_on_the_cpus(tmp_path, cpus):
-    """The code of the Paley p = 19 packing (380 vectors in R^360, eight
-    chunks) is the reference text whether it is formatted here alone or by
-    one forked worker per CPU; every worker is reaped."""
-    from test_packing import paley_packing
-    from grasspack.packing import packing_to_json
-    pk = paley_packing(19)
-    path, out = tmp_path / "pk.json", tmp_path / "code.json"
-    path.write_text(json.dumps(packing_to_json(pk)))
-    workers = 0 if cpus == "1" or CPUS < 2 else CPUS
-    assert embed_in_child(cpus, path, "--out", out) == (0, "", workers, True)
-    assert out.read_text() == packing_code_text(pk)
-    assert sorted(os.listdir(tmp_path)) == ["code.json", "pk.json"]
-
-
-# Runs ``grasspack embed ARGS...`` in this interpreter and then prints the
-# OpenBLAS thread count the command left in the environment.
-_EMBED_BLAS = (
-    "import atexit, os, runpy, sys\n"
-    "atexit.register(lambda: print('threads:', os.environ.get('OPENBLAS_NUM_THREADS')))\n"
-    "sys.argv = ['grasspack', 'embed', *sys.argv[1:]]\n"
-    "runpy.run_module('grasspack.cli', run_name='__main__', alter_sys=True)\n")
-
-
-@pytest.mark.skipif(CPUS < 2, reason="embed forks its workers only on two CPUs or more")
-@pytest.mark.parametrize("preset, threads", [
-    ({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3"), ({"OMP_NUM_THREADS": "2"}, "None")])
-def test_parallel_embed_gives_numpy_one_blas_thread(tmp_path, preset, threads):
-    """With its formatting workers forked, ``embed`` has OpenBLAS, loaded
-    with NumPy after the fork, start one thread, unless the environment
-    already names a thread count that OpenBLAS reads."""
-    from grasspack.packing import packing_to_json
-    path, out = tmp_path / "pk.json", tmp_path / "code.json"
-    path.write_text(json.dumps(packing_to_json(c3_singletons())))
-    env = {k: v for k, v in child_env().items() if k not in cli.BLAS_THREADS}
-    proc = subprocess.run([sys.executable, "-c", _EMBED_BLAS, path, "--out", out],
-                          env=dict(env, **preset), capture_output=True, text=True,
-                          timeout=120, check=True)
-    assert proc.stdout.splitlines()[-1] == f"threads: {threads}"
-
-
-@pytest.mark.parametrize("existing", [False, True], ids=["absent", "present"])
-def test_failed_parallel_embed_leaves_out_as_it_was(tmp_path, existing):
-    """A dense packing of m = 19 whose element 60 is the identity: the
-    first 46 vectors fill a chunk that a worker formats before the parent
-    reaches element 60. The command exits 2 with one error line, --out
-    stays absent or keeps its bytes, no temporary file is left, and every
-    worker is reaped."""
+def failing_file(kind) -> dict:
+    """A packing file whose last element has no sphere image: the identity
+    after the 60 elements of a dense m = 19 packing, or the full block on
+    basis 1 after 16 elements of the C^7 phase family's block table."""
     from test_packing import paley_packing
     from grasspack.packing import Packing, Projection, packing_to_json
-    pk = paley_packing(19)
-    pk = Packing(19, "C", pk.elements[:60] + (Projection(np.eye(19)),))
+    if kind == "dense":
+        pk = paley_packing(19)
+        return packing_to_json(Packing(19, "C", pk.elements[:60] + (Projection(np.eye(19)),)))
+    obj = packing_to_json(paley_packing(7))  # blocks 0..6 on bases 0, 2, 4 and 6 first
+    return dict(obj, blocks=obj["blocks"][:7] + [list(range(7))],
+                elements=obj["elements"][:16] + [[1, 7]])
+
+
+@pytest.mark.parametrize("kind", ["dense", "phase"])
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "present"])
+def test_failed_embed_after_many_vectors_leaves_out_as_it_was(tmp_path, capsys, existing,
+                                                              kind):
+    """``embed`` fails on the last element after writing many vectors: the
+    command exits 2 with one error line, --out stays absent or keeps its
+    bytes, and no temporary file is left."""
     path, out = tmp_path / "pk.json", tmp_path / "code.json"
-    path.write_text(json.dumps(packing_to_json(pk)))
+    path.write_text(json.dumps(failing_file(kind)))
     if existing:
         out.write_bytes(b"earlier bytes\n")
-    code, err, forked, reaped = embed_in_child("all", path, "--out", out)
-    assert (code, forked, reaped) == (2, 0 if CPUS < 2 else CPUS, True)
-    assert err.startswith("error: ") and err.count("\n") == 1 and "rank-19" in err
+    capsys.readouterr()
+    assert run("embed", path, "--out", out) == 2
+    err = capsys.readouterr().err
+    m = 19 if kind == "dense" else 7
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"rank-{m} " in err
     if existing:
         assert out.read_bytes() == b"earlier bytes\n"
     else:
@@ -679,24 +644,11 @@ def test_failed_parallel_embed_leaves_out_as_it_was(tmp_path, existing):
     assert sorted(os.listdir(tmp_path)) == ["code.json", "pk.json"][not existing:]
 
 
-def test_embed_in_a_threaded_process_forks_nothing(tmp_path):
-    """``main(["embed", ...])`` called in a process without NumPy but with a
-    second thread formats the code itself: a fork would not carry the thread
-    over. The bytes are the reference text."""
-    from test_packing import paley_packing
-    from grasspack.packing import packing_to_json
-    pk = paley_packing(19)
-    path, out = tmp_path / "pk.json", tmp_path / "code.json"
-    path.write_text(json.dumps(packing_to_json(pk)))
-    assert embed_in_child("thread", path, "--out", out) == (0, "", 0, True)
-    assert out.read_text() == packing_code_text(pk)
-
-
-def test_in_process_embed_forks_nothing(tmp_path, monkeypatch, mub7, fano):
-    """With NumPy loaded, as in any in-process caller, ``embed`` writes the
-    code serially: it succeeds with ``os.fork`` made to raise."""
+def test_embed_forks_nothing(tmp_path, monkeypatch, mub7, fano):
+    """``embed`` formats the code in its own process: it succeeds with
+    ``os.fork`` made to raise."""
     def refuse():
-        raise AssertionError("embed forked a worker")
+        raise AssertionError("embed forked")
 
     pack, out = tmp_path / "packing.json", tmp_path / "code.json"
     assert run("build", "--mub", mub7, "--design", fano, "--mode", "mixed",
@@ -862,8 +814,7 @@ def test_fresh_process_loads_no_scipy(command, loads_numpy):
 
 def test_fresh_process_verifies_a_design_without_packing():
     """Building and verifying a design, all that the benchmark's set-up does
-    in process, imports none of the packing, MUB, embedding or code-text
-    modules."""
+    in process, imports none of the packing, MUB or embedding modules."""
     command = ("import grasspack\n"
                "residues = sorted({x * x % 19 for x in range(1, 19)})\n"
                "design = grasspack.BlockDesign(19, [[(q + t) % 19 for q in residues]\n"
@@ -873,8 +824,7 @@ def test_fresh_process_verifies_a_design_without_packing():
                          capture_output=True, text=True, timeout=60, check=True).stdout
     modules = out.splitlines()[-1].split()
     assert modules[0] == "modules:" and "grasspack.designs" in modules
-    assert not {"grasspack.packing", "grasspack.mubs", "grasspack.embedding",
-                "grasspack._codetext"} & set(modules)
+    assert not {"grasspack.packing", "grasspack.mubs", "grasspack.embedding"} & set(modules)
 
 
 def test_fresh_process_exact_pipeline_loads_no_numpy_ma():

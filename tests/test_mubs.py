@@ -331,6 +331,19 @@ class TestExactVerdict:
         ref = np.concatenate([np.eye(q)[None], 1.0 / np.sqrt(q) * omega[expo]])
         assert expo.dtype == np.int64 and np.array_equal(family.bases, ref)
 
+    @pytest.mark.parametrize("q", GENERATED)
+    def test_exponents_are_additive(self, q):
+        """The two identities ``Projection.matrix`` of a phase element rests on,
+        mod p: E[a, x, b] = E[a, x, 0] + E[0, x, b], and E[0, x, b] - E[0, y, b]
+        = E[0, x - y, b], x - y read off the sum table (``_differences``)."""
+        p, expo = gen_mubs(q, COMPLEX).phases
+        e = expo.astype(np.intp)
+        assert np.all((e[:, :, :1] + e[:1] - e) % p == 0)
+        diff = mubs._differences(q)
+        ft = build_field(q)
+        assert not diff.flags.writeable and np.all(ft.add(diff, np.arange(q)) == np.arange(q)[:, None])
+        assert np.all((e[0][:, None, :] - e[0][None, :, :] - e[0][diff]) % p == 0)
+
     @pytest.mark.parametrize("q", [3, 9, 71])
     def test_bases_are_formed_on_first_read(self, q):
         """A generated family decides its verdict and writes its JSON from the

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from grasspack.cli import main
 from grasspack.designs import (BlockDesign, complement_design, complementary_halves,
                                gen_hadamard, hadamard_to_3design, design_rebase)
-from grasspack.embedding import build_space, embedding_dim
+from grasspack.embedding import build_space, embed, embedding_dim
 from grasspack.errors import (DegenerateRankError, HypothesisError, ParameterError,
                               StructuralError)
-from grasspack.fields import enumerate_projective_plane
+from grasspack.fields import build_field, enumerate_projective_plane
 from grasspack.mubs import (MubFamily, gen_mubs, gen_mubs_prime, gen_mubs_prime_power,
                             gen_mubs_small, mubs_from_json, verify_mubs)
 from grasspack.numerics import COMPLEX, DEFAULT_TOL, REAL, matrix_rank, matrix_to_json
@@ -80,10 +80,35 @@ class TestCoordinateProjection:
         with pytest.raises(ParameterError, match=f"basis index {index} outside 0..5"):
             coordinate_projection(gen_mubs_prime(5), index, (0,))
 
-    def test_matrix_is_formed_read_only_on_read(self):
+    @pytest.mark.parametrize("q, a, block", [(5, 3, (4, 0, 2)), (9, 1, (1, 2, 7, 8)),
+                                             (9, 7, (0, 5)), (31, 30, tuple(range(0, 31, 2)))])
+    def test_matrix_is_formed_read_only_on_read(self, q, a, block):
+        """A phase element's matrix is U_J U_J^* to within 1e-15, with l/q
+        exactly on its diagonal and equal bits in entries of one class (t, c),
+        t = E[a-1, x, 0] - E[a-1, y, 0] mod p and c = x - y in GF(q); its
+        Helmert coordinates are all 0.0."""
+        family = gen_mubs(q, COMPLEX)
+        p = coordinate_projection(family, a, block)
+        u = family.bases[a][:, sorted(block)]
+        mat = p.matrix
+        assert not mat.flags.writeable
+        assert np.abs(mat - u @ u.conj().T).max() <= 1e-15
+        assert np.all(np.diagonal(mat) == len(block) / q)
+        helmert = embed(mat, build_space(q, COMPLEX)).coords[-(q - 1):]
+        assert np.all(helmert == 0.0) and not np.any(np.signbit(helmert))
+        prime, expo = family.phases
+        ft = build_field(q)
+        squares = expo[a - 1, :, 0].astype(np.intp)
+        seen = {}
+        for x, y in itertools.product(range(q), repeat=2):
+            diff = next(c for c in range(q) if ft.add(c, y) == x)
+            key = ((int(squares[x]) - int(squares[y])) % prime, diff)
+            assert seen.setdefault(key, mat[x, y].tobytes()) == mat[x, y].tobytes()
+
+    def test_standard_basis_matrix_is_the_product(self):
         family = gen_mubs_prime(5)
-        p = coordinate_projection(family, 3, (4, 0, 2))
-        u = family.bases[3][:, [0, 2, 4]]
+        p = coordinate_projection(family, 0, (4, 0, 2))
+        u = family.bases[0][:, [0, 2, 4]]
         assert not p.matrix.flags.writeable
         assert np.array_equal(p.matrix, u @ u.conj().T)
 
