@@ -24,8 +24,8 @@ import numpy as np
 
 from .designs import (BlockDesign, HadamardMatrix, _incidence, _supports, check_block,
                       complement_design, complementary_halves, is_cohesive)
-from .embedding import (_SEPARATOR, _coordinates, _embedded_text, _sphere_rank, _vector_text,
-                        _write_texts, build_space, embed, embedding_dim, write_embedded_code)
+from .embedding import (_SEPARATOR, _coordinates, _sphere_rank, _vector_text, _write_texts,
+                        build_space, embed, embedding_dim, sphere_radius_sq, write_embedded_code)
 from .errors import (ConsistencyError, DegenerateRankError, DimensionMismatchError,
                      HypothesisError, ParameterError, StructuralError)
 from .mubs import MubFamily, _differences, mub_capacity, mubs_from_json, mubs_to_json
@@ -845,54 +845,78 @@ class OrthoplexReport:
 
 
 def verify_orthoplex_geometry(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> OrthoplexReport:
-    """Materialize the embedded coordinates and verify the orthoplex pattern:
-    n = 2d, a perfect antipodal pairing, zeros elsewhere, and each antipodal
-    pair realized by complementary subspaces (trace 0, ranks summing to m)."""
+    """Materialize the embedded coordinates and verify the orthoplex pattern: n = 2d, a
+    perfect antipodal pairing, zeros elsewhere, and each antipodal pair realized by
+    complementary subspaces (trace 0, ranks summing to m). A block table's coordinates are
+    one product per basis (``_table_coordinates``; its family checked its bases), a dense
+    element's ``embed`` of its matrix; the antipodal traces are read off the coordinates at
+    once: tr(P_i P_j) = <v_i, v_j> sqrt(r_i (m-r_i) r_j (m-r_j)) / m + r_i r_j / m."""
     space = build_space(packing.m, packing.field)
-    d = space.d
-    n = packing.n
+    m, d, n = packing.m, space.d, packing.n
     if n != 2 * d:
         return OrthoplexReport(False, f"n != 2d ({n} != {2 * d})", n, d, (), float("nan"))
     _check_gram_memory(packing, "the orthoplex geometry pass")
-    coords = np.stack([embed(p.matrix, space, tol=tol).coords for p in packing.elements])
-    gram = coords @ coords.T
-    ok, pairs, worst = _orthoplex_pattern(gram, tol)
+    table = packing._block_table
+    coords = (_table_coordinates(table, space) if table is not None else
+              np.stack([embed(p.matrix, space, tol=tol).coords for p in packing.elements]))
+    ok, pairs, worst = _orthoplex_pattern(coords @ coords.T, tol)
     if not ok:
         return OrthoplexReport(False, "embedded vectors do not form an orthoplex",
                                n, d, pairs, worst)
-    for i, j in pairs:
-        pi, pj = packing.elements[i], packing.elements[j]
-        tr = float(np.sum(pi.matrix * pj.matrix.conj()).real)
-        if tr > tol.eps_abs or pi.rank + pj.rank != packing.m:
-            return OrthoplexReport(
-                False,
-                f"antipodal pair ({i},{j}) is not a complementary subspace pair",
-                n, d, pairs, worst)
+    i, j = np.array(pairs).T
+    ri, rj = packing.ranks[i], packing.ranks[j]
+    radii = np.sqrt(ri * (m - ri) * rj * (m - rj)) / m  # the two sphere radii's product
+    tr = np.einsum("ij,ij->i", coords[i], coords[j]) * radii + ri * rj / m
+    bad = np.flatnonzero((tr > tol.eps_abs) | (ri + rj != m))
+    if bad.size:
+        return OrthoplexReport(False, f"antipodal pair ({i[bad[0]]},{j[bad[0]]}) is not a "
+                                      f"complementary subspace pair", n, d, pairs, worst)
     return OrthoplexReport(True, None, n, d, pairs, worst)
+
+
+def _table_coordinates(table: _BlockTable, space) -> np.ndarray:
+    """The n x d coordinates ``embed`` reads off the table's elements, one product per
+    basis a: U = ``family.bases[a]``, the d x m rows sqrt(2) Re(U[j] conj U[k]), then (over
+    C) -sqrt(2) Im(U[j] conj U[k]) for the pairs (j, k), then helmert |U|^2, times the
+    incidence columns of basis a's blocks, each divided by its sphere radius."""
+    m, (j, k), labels, ids = space.m, space.pairs, table.labels, table.ids
+    _sphere_rank(int(table.meet.max()), m)  # the largest block; none is empty
+    radius = np.sqrt(sphere_radius_sq(m, np.diagonal(table.meet)))
+    coords = np.empty((len(labels), space.d))
+    for a, u in enumerate(table.family.bases):  # a basis that no element uses fills no row
+        w = np.sqrt(2.0) * u[j] * u[k].conj()
+        y = np.concatenate([w.real] + ([] if space.field == REAL else [-w.imag])
+                           + [space.helmert @ (u * u.conj()).real])
+        mine = np.flatnonzero(labels == a)
+        coords[mine] = (y @ table.incidence[:, ids[mine]] / radius[ids[mine]]).T
+    return coords
 
 
 def _write_code(fp, packing: Packing, tol: Tolerance = DEFAULT_TOL) -> int:
     """``write_embedded_code`` of ``embed(p.matrix, space, i, tol)`` for each element p,
-    in the same bytes; return the count. A phase family's element (a, J), a >= 1, is
-    not embedded: its text is a gather of J's coordinate texts (``_phase_code``, held
-    until J's last element) by the classes of basis a's pairs (``_phase_classes``)."""
+    in the same bytes; return the count. No phase family's (a, J) is embedded: for a >= 1
+    its text is a gather of J's texts (``_phase_code``, held until J's last element) by the
+    classes of basis a's pairs (``_phase_classes``), for a = 0 it is read off diag(1_J)."""
     space = build_space(packing.m, packing.field)
     table = packing._block_table
     if table is None or table.family.phases is None:
         return write_embedded_code(fp, space, (embed(p.matrix, space, i, tol)
                                                for i, p in enumerate(packing.elements)))
-    return _write_texts(fp, space.d, _phase_texts(table, space, tol))
+    return _write_texts(fp, space.d, _phase_texts(table, space))
 
 
-def _phase_texts(table: _BlockTable, space, tol: Tolerance):
+def _phase_texts(table: _BlockTable, space):
     """The text of each element of a phase family's block table, in order."""
     family, ids, (p, _), q = table.family, table.ids.tolist(), table.family.phases, space.m
     last = {b: i for i, b in enumerate(ids)}  # each block's last element
     codes, basis, sep = {}, None, _SEPARATOR.encode()
     for i, (a, b) in enumerate(zip(table.labels.tolist(), ids)):
         block = table.blocks[b]
-        if a == 0:
-            yield _embedded_text(embed(_coordinate(family, 0, block).matrix, space, i, tol))
+        if a == 0:  # A = diag(1_J) - l/q, exact zeros off the diagonal, as embed reads it
+            l, zeros = _sphere_rank(len(block), q), np.zeros(len(space.pairs[0]), complex)
+            coords = _coordinates(zeros, zeros, (table.incidence[:, b] - l / q).astype(complex),
+                                  space, l)
+            yield _vector_text(_SEPARATOR.join(map(float.__repr__, coords.tolist())), l)
         else:
             if a != basis:  # where _phase_code holds each coordinate of basis a
                 basis, pairs = a, _phase_classes(family, a)[space.pairs]
@@ -905,16 +929,22 @@ def _phase_texts(table: _BlockTable, space, tol: Tolerance):
 
 
 def _phase_code(family: MubFamily, block: tuple[int, ...], space) -> np.ndarray:
-    """The ``float.__repr__``, once each, in a fixed-width bytes array, of the phase
-    elements' coordinates on ``block``: for each class u = t q + c, the real and then
-    the imaginary pair coordinate ``embed`` reads off an entry of class u and its
-    mirror (-t, -c), then the m - 1 Helmert coordinates of the diagonal l/q."""
+    """The texts, in a fixed-width bytes array, of the phase elements' coordinates on
+    ``block``: for each class u = t q + c, the real and then the imaginary pair coordinate
+    ``embed`` reads off an entry of class u and its mirror (-t, -c), then the m - 1 Helmert
+    coordinates of the diagonal l/q. A class and its mirror have pair coordinates of
+    bit-equal magnitude (IEEE sums commute, x - y = -(y - x)), so each text is its own
+    sign and the ``float.__repr__`` of the first one's magnitude."""
     (p, _), q, l = family.phases, family.m, _sphere_rank(len(block), family.m)
-    entries = _phase_entries(family, block)
-    mirror = ((-np.arange(p)) % p * q)[:, None] + _differences(q)[0]  # -t, 0 - c
-    coords = _coordinates(entries, entries[mirror.ravel()], np.full(q, entries[0] - l / q),
-                          space, l)
-    return np.array(list(map(float.__repr__, coords.tolist())), dtype="S")
+    entries, pq = _phase_entries(family, block), p * q
+    mirror = (((-np.arange(p)) % p * q)[:, None] + _differences(q)[0]).ravel()  # -t, 0 - c
+    coords = _coordinates(entries, entries[mirror], np.full(q, entries[0] - l / q), space, l)
+    first = np.minimum(np.arange(pq), mirror)  # the coordinate of equal magnitude that comes first
+    first = np.concatenate([first, pq + first, 2 * pq + np.arange(q - 1)])
+    own = first == np.arange(len(first))
+    texts = np.array(list(map(float.__repr__, np.abs(coords[own]).tolist())),
+                     dtype="S")[(np.cumsum(own) - 1)[first]]
+    return np.where(np.signbit(coords), np.char.add(b"-", texts), texts)
 
 
 def span_of_achievers(packing: Packing, report: CoherenceReport,

@@ -18,9 +18,10 @@ from grasspack.errors import (DegenerateRankError, HypothesisError, ParameterErr
 from grasspack.fields import build_field, enumerate_projective_plane
 from grasspack.mubs import (MubFamily, gen_mubs, gen_mubs_prime, gen_mubs_prime_power,
                             gen_mubs_small, mubs_from_json, verify_mubs)
-from grasspack.numerics import COMPLEX, DEFAULT_TOL, REAL, matrix_rank, matrix_to_json
-from grasspack.packing import (CertStatus, HypothesisRecord, Packing, Projection,
-                               _embedded_gram, _orthoplex_pattern,
+from grasspack.numerics import (COMPLEX, DEFAULT_TOL, REAL, Tolerance, matrix_rank,
+                                matrix_to_json)
+from grasspack.packing import (CertStatus, HypothesisRecord, OrthoplexReport, Packing,
+                               Projection, _embedded_gram, _orthoplex_pattern, _table_coordinates,
                                build_mixed_packing, build_orthoplex_packing,
                                certificate_to_json, certify, check_tightness,
                                coherence, coordinate_projection, extract_hadamard,
@@ -881,6 +882,120 @@ VARIANTS = {
     "imported": lambda pk: packing_from_json(packing_to_json(dense_copy(pk))),
     "complement": spatial_complement,
 }
+
+
+def reference_geometry(pk, tol=DEFAULT_TOL) -> OrthoplexReport:
+    """The per-element orthoplex geometry pass: ``embed`` of every element's
+    matrix, and each antipodal pair's trace formed from its two matrices."""
+    space = build_space(pk.m, pk.field)
+    n, d = pk.n, space.d
+    if n != 2 * d:
+        return OrthoplexReport(False, f"n != 2d ({n} != {2 * d})", n, d, (), float("nan"))
+    coords = np.stack([embed(p.matrix, space, tol=tol).coords for p in pk.elements])
+    ok, pairs, worst = _orthoplex_pattern(coords @ coords.T, tol)
+    if not ok:
+        return OrthoplexReport(False, "embedded vectors do not form an orthoplex",
+                               n, d, pairs, worst)
+    for i, j in pairs:
+        p, q = pk.elements[i], pk.elements[j]
+        if hs_inner(p.matrix, q.matrix).real > tol.eps_abs or p.rank + q.rank != pk.m:
+            return OrthoplexReport(False, f"antipodal pair ({i},{j}) is not a complementary "
+                                          f"subspace pair", n, d, pairs, worst)
+    return OrthoplexReport(True, None, n, d, pairs, worst)
+
+
+def assert_geometry_is_the_reference(pk, tol=DEFAULT_TOL) -> OrthoplexReport:
+    """The geometry report of ``pk`` is the per-element reference's, its
+    largest off-pattern deviation within rounding; return it."""
+    got, want = verify_orthoplex_geometry(pk, tol), reference_geometry(pk, tol)
+    assert (got.passes, got.reason, got.n, got.d, got.antipodal_pairs) == (
+        want.passes, want.reason, want.n, want.d, want.antipodal_pairs)
+    assert got.max_offdiag_dev == pytest.approx(want.max_offdiag_dev, abs=1e-14, nan_ok=True)
+    return got
+
+
+def assert_table_coordinates_are_embed(pk):
+    space = build_space(pk.m, pk.field)
+    got = _table_coordinates(pk._block_table, space)
+    want = np.stack([embed(p.matrix, space).coords for p in pk.elements])
+    assert got.shape == want.shape == (pk.n, space.d)
+    assert np.abs(got - want).max() <= 1e-15
+
+
+GEOMETRY_CASES = {**{case: lambda make=make: make()[0] for case, make in ORTHOPLEX_CASES.items()},
+                  "r4": r4_orthoplex_packing}
+
+
+def not_complementary():
+    """Ten elements of R^3 (n = 2d) whose embedded vectors pass the orthoplex
+    pattern at eps_abs = 0.51, but whose first antipodal pair is two
+    orthogonal lines of basis 0 (ranks 1 + 1 != 3); each other pair is a
+    line of a random basis and the plane orthogonal to it."""
+    rng = np.random.default_rng(66)
+    family = MubFamily(3, REAL, [random_orthonormal(rng, 3, 3, REAL) for _ in range(5)])
+    els = [coordinate_projection(family, 0, (0,)), coordinate_projection(family, 0, (1,))]
+    els += [coordinate_projection(family, a, b) for b in [(0,), (1, 2)] for a in range(1, 5)]
+    return Packing(3, REAL, tuple(els)), Tolerance(0.51)
+
+
+class TestGeometryOnBlockTables:
+    @pytest.mark.parametrize("flip", [False, True], ids=["built", "complement"])
+    @pytest.mark.parametrize("name", sorted(BUILDER_FIXTURES))
+    def test_table_coordinates_are_embed(self, name, flip):
+        pk = BUILDER_FIXTURES[name]()
+        assert_table_coordinates_are_embed(spatial_complement(pk) if flip else pk)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coordinate_packings())
+    def test_coordinate_packings_coordinates_are_embed(self, pk):
+        assert_table_coordinates_are_embed(pk)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("case", sorted(GEOMETRY_CASES))
+    def test_orthoplex_report_is_the_per_element_reference(self, case, variant):
+        assert assert_geometry_is_the_reference(VARIANTS[variant](GEOMETRY_CASES[case]())).passes
+
+    @pytest.mark.parametrize("variant", ["built", "complement"])
+    @pytest.mark.parametrize("case", sorted(GEOMETRY_CASES))
+    def test_a_block_table_forms_no_element(self, case, variant, monkeypatch):
+        """On a block table the pass forms no element matrix, embeds nothing
+        and checks no projection, and ``elements`` stays unformed."""
+        from grasspack import embedding, packing
+        pk = VARIANTS[variant](GEOMETRY_CASES[case]())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-element work on a block table")
+
+        monkeypatch.setattr(Projection, "matrix", property(refuse))
+        for module in (packing, embedding):
+            monkeypatch.setattr(module, "embed", refuse)
+            monkeypatch.setattr(module, "is_projection", refuse)
+        assert verify_orthoplex_geometry(pk).passes
+        assert "elements" not in pk.__dict__
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_repeated_elements_are_not_an_orthoplex(self, variant):
+        """The six elements (a, {0}), twice each on the three bases of C^2,
+        have n = 2d but no antipodes."""
+        family = gen_mubs_small(2, COMPLEX)
+        pk = VARIANTS[variant](Packing(2, COMPLEX, tuple(
+            coordinate_projection(family, a, (0,)) for a in (0, 1, 2, 0, 1, 2))))
+        report = assert_geometry_is_the_reference(pk)
+        assert (report.n, report.reason) == (6, "embedded vectors do not form an orthoplex")
+
+    @pytest.mark.parametrize("variant", ["built", "imported"])
+    def test_a_pair_that_is_not_complementary_is_refused(self, variant):
+        pk, tol = not_complementary()
+        report = assert_geometry_is_the_reference(VARIANTS[variant](pk), tol)
+        assert report.reason == "antipodal pair (0,1) is not a complementary subspace pair"
+        assert report.antipodal_pairs == ((0, 1), (2, 6), (3, 7), (4, 8), (5, 9))
+
+    def test_a_full_block_has_no_image(self):
+        family = gen_mubs_small(2, COMPLEX)
+        pk = Packing(2, COMPLEX, tuple(coordinate_projection(family, a, b)
+                                       for a in range(3) for b in [(0,), (0, 1)]))
+        with pytest.raises(DegenerateRankError, match="rank-2 projection in dimension 2"):
+            verify_orthoplex_geometry(pk)
 
 
 def assert_round_trip(pk):
