@@ -146,9 +146,9 @@ class _BlockTable:
         return bool(np.all(cover == cover[:, :1]))
 
 
-def _table(family: MubFamily, labels, ids, blocks) -> _BlockTable:
-    """The block table of checked, distinct ``blocks``, with N and N^T N formed."""
-    inc = lock(_incidence(family.m, blocks))
+def _table(family: MubFamily, labels, ids, blocks, inc) -> _BlockTable:
+    """The block table of checked, distinct ``blocks`` with incidence ``inc``, N^T N formed."""
+    inc = lock(inc)
     return _BlockTable(family, lock(labels), lock(ids), tuple(blocks), inc,
                        lock((inc.T @ inc).astype(np.int64)))
 
@@ -221,7 +221,7 @@ class Packing:
         distinct: dict = {}
         ids = [distinct.setdefault(p.block, len(distinct)) for p in self.elements]
         return _table(family, _basis_labels(self.elements), np.array(ids, dtype=np.int64),
-                      list(distinct))
+                      list(distinct), _incidence(family.m, list(distinct)))
 
 
 def _table_packing(m: int, field: Field, table: _BlockTable, hypotheses: HypothesisRecord,
@@ -253,6 +253,16 @@ def _basis_index(family: MubFamily, index) -> int:
     return k
 
 
+def _basis_indices(family: MubFamily, indices) -> tuple[int, ...]:
+    """``indices`` sorted, checked at once when all are plain ints in range, else
+    each by ``_basis_index``, so that the same error is raised."""
+    ks = list(indices)
+    if not (all(type(k) is int for k in ks) and 0 <= min(ks, default=0)
+            and max(ks, default=0) < family.k):
+        ks = [_basis_index(family, k) for k in ks]
+    return tuple(sorted(ks))
+
+
 def _coordinate(family: MubFamily, k: int, block: tuple[int, ...]) -> Projection:
     """``coordinate_projection`` of a checked basis index and sorted block."""
     proj = object.__new__(Projection)  # a frozen instance's fields, set once
@@ -261,20 +271,24 @@ def _coordinate(family: MubFamily, k: int, block: tuple[int, ...]) -> Projection
 
 
 def _from_runs(family: MubFamily, runs, record: HypothesisRecord, mode: str) -> Packing:
-    """The packing of each checked block of ``blocks`` on each basis of
-    ``bases``, basis by basis, for (bases, blocks) in ``runs`` in turn, made
-    as its block table: one label and block id per element, by np.repeat and
-    np.tile of the run's distinct block ids."""
+    """The packing of each checked block of ``blocks`` on each basis of ``bases``,
+    basis by basis, for (bases, blocks, incidence) in ``runs`` in turn, made as its
+    block table: one label and block id per element, by np.repeat and np.tile of the
+    run's distinct block ids; a block's column of N is its first use's in ``incidence``."""
     distinct: dict = {}
-    labels, ids = [], []
-    for bases, blocks in runs:
+    labels, ids, columns = [], [], []
+    for bases, blocks, inc in runs:
         if len(bases):
+            seen = len(distinct)
             run = np.array([distinct.setdefault(b, len(distinct)) for b in blocks], dtype=np.int64)
+            top = np.maximum.accumulate(np.concatenate(([seen - 1], run)))  # rises at a first use
+            columns.append(inc[:, top[1:] > top[:-1]])
             labels.append(np.repeat(np.array(bases, dtype=np.int64), len(blocks)))
             ids.append(np.tile(run, len(bases)))
     if not labels:
         return Packing(family.m, family.field, (), record, mode)
-    table = _table(family, np.concatenate(labels), np.concatenate(ids), list(distinct))
+    table = _table(family, np.concatenate(labels), np.concatenate(ids), list(distinct),
+                   np.hstack(columns))
     return _table_packing(family.m, family.field, table, record, mode)
 
 
@@ -292,7 +306,7 @@ def build_mixed_packing(mubs: MubFamily, designs: list[BlockDesign],
         raise ParameterError(f"{s} designs but {len(partition)} partition classes")
     if s > mubs.k:
         raise ParameterError(f"{s} designs exceed the {mubs.k} available bases")
-    classes = [tuple(sorted(_basis_index(mubs, k) for k in cls)) for cls in partition]
+    classes = [_basis_indices(mubs, cls) for cls in partition]
     used = [k for cls in classes for k in cls]
     if len(set(used)) != len(used):
         raise ParameterError("partition classes overlap")
@@ -312,8 +326,8 @@ def build_mixed_packing(mubs: MubFamily, designs: list[BlockDesign],
     if total <= d + 1:
         failures.append(f"only {total} elements; need more than d+1 = {d + 1}")
     record = HypothesisRecord(ok=not failures, failures=tuple(failures))
-    return _from_runs(mubs, [(cls, dsgn.blocks) for dsgn, cls in zip(designs, classes)],
-                      record, "mixed")
+    return _from_runs(mubs, [(cls, dsgn.blocks, dsgn.incidence)
+                             for dsgn, cls in zip(designs, classes)], record, "mixed")
 
 
 def build_orthoplex_packing(mubs: MubFamily, halves: BlockDesign) -> Packing:
@@ -346,8 +360,9 @@ def build_orthoplex_packing(mubs: MubFamily, halves: BlockDesign) -> Packing:
     candidate = halves.b == m - 1 and mubs.k == mub_capacity(m, mubs.field)
     record = HypothesisRecord(ok=not failures, failures=tuple(failures),
                               candidate_maximal=candidate)
-    all_blocks = halves.blocks + complement_design(halves).blocks
-    return _from_runs(mubs, [(range(mubs.k), all_blocks)], record, "orthoplex")
+    rest = complement_design(halves)
+    return _from_runs(mubs, [(range(mubs.k), halves.blocks + rest.blocks,
+                              np.hstack((halves.incidence, rest.incidence)))], record, "orthoplex")
 
 
 @dataclass(frozen=True)
@@ -405,12 +420,13 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_gram_memory(packing: Packing, task: str) -> None:
-    """Raise ParameterError before ``task`` allocates more than the machine
-    has: three n x n float arrays and n complex m x m matrices, as the numeric
-    pass holds, which also exceeds the geometry pass's n x d coordinates and Gram."""
+def _check_memory(packing: Packing, task: str, d: int | None = None, dense: bool = True) -> None:
+    """Raise ParameterError before ``task`` allocates more than the machine has: the
+    numeric pass (``d`` None) holds three n x n float arrays and n complex m x m
+    matrices, the geometry pass n x d float coordinates (twice for ``dense`` elements,
+    whose stacked vectors are copied once), an n x n float Gram and an n x n boolean mask."""
     n, m = packing.n, packing.m
-    need = 3 * 8 * n * n + 16 * n * m * m
+    need = 24 * n * n + 16 * n * m * m if d is None else 8 * (1 + dense) * n * d + 9 * n * n
     have = _physical_memory()
     if need > have:
         raise ParameterError(
@@ -421,7 +437,7 @@ def _check_gram_memory(packing: Packing, task: str) -> None:
 def _embedded_gram(packing: Packing) -> tuple[np.ndarray, np.ndarray]:
     """(e, g): the embedded Gram c_i c_j (g_ij - r_i r_j / m), built in place,
     and the trace Gram g."""
-    _check_gram_memory(packing, "the numeric coherence pass")
+    _check_memory(packing, "the numeric coherence pass")
     m = packing.m
     ranks = packing.ranks
     g = _trace_gram(packing)
@@ -499,91 +515,90 @@ def _exact_values(table: _BlockTable) -> _ExactValues:
     Over MUBs tr(P_i P_j) is |J & K| for two blocks of one basis and
     |J||K|/m across bases, so every cross-basis embedded inner product is 0
     and a same-basis pair has num / sqrt(den) with num = m|J & K| - |J||K|
-    and den = |J|(m-|J|)|K|(m-|K|). Values are ordered exactly by the
-    Fraction num|num|/den; only the reported numbers are rounded to floats.
-    The orthoplex check is decided on blocks: each element has exactly one
-    complementary block in its basis (its antipode), and every other
+    and den = |J|(m-|J|)|K|(m-|K|). Each pattern, the block ids of one basis
+    in order (one design in a partition class), takes its L x L block of
+    N^T N, each entry coded by the places of |J| and |K| among the distinct
+    block sizes and |J & K|; the few codes present (one bincount) are ordered
+    exactly by the Fraction num|num|/den, and only the reported numbers are
+    rounded to floats. Peaks are row maxima; pair classes are counted off
+    each pattern's rank histogram times the bases that carry it. The
+    orthoplex check is decided on blocks, row by row: each element has exactly
+    one complementary block in its basis (its antipode), and every other
     same-basis pair has num = 0.
-
-    Bases whose elements are the same block ids in the same order (one design
-    in a partition class) form a pattern, whose pairs are formed once.
     """
     labels, ids, meet = table.labels, table.ids, table.meet
-    m, n = table.family.m, len(labels)
-    ranks = np.diagonal(meet)[ids]
+    m, n, sizes = table.family.m, len(labels), np.diagonal(meet)
     crossed = bool(np.any(labels != labels[0]))  # some pair lies across two bases
-    # sorted by basis, stably so each keeps increasing indices; where each run starts
+    # sorted by basis, stably so each keeps increasing indices; basis a's run is
+    # order[s:e], and its pattern is numbered by the bytes of the run's ids
     order = np.argsort(labels, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(np.bincount(labels))))
-    patterns: dict[bytes, list] = {}  # the runs of each pattern
-    for s, e in zip(starts[:-1], starts[1:]):
-        patterns.setdefault(ids[order[s:e]].tobytes(), []).append(order[s:e])
-    stand_in = np.arange(n)  # the element in the same place of its pattern's first run
-    first, second = [], []  # the same-basis pairs i < j of the first runs
-    for runs in patterns.values():
-        for run in runs[1:]:
-            stand_in[run] = runs[0]
-        u, v = np.triu_indices(len(runs[0]), 1)
-        first.append(runs[0][u])
-        second.append(runs[0][v])
-    first, second = np.concatenate(first), np.concatenate(second)
-    common, ri, rj = meet[ids[first], ids[second]], ranks[first], ranks[second]
-    num = m * common - ri * rj
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels)))).tolist()
+    raw, w, patterns = ids[order].tobytes(), ids.itemsize, {}
+    runs = {a: (s, e, patterns.setdefault(raw[w * s:w * e], len(patterns)))
+            for a, (s, e) in enumerate(zip(bounds, bounds[1:])) if e > s}
+    seqs = [np.frombuffer(key, dtype=ids.dtype) for key in patterns]
 
-    # (|J|, |K|, |J & K|) fixes a value: one integer code per pair
-    codes, pair_id = np.unique((ri * (m + 1) + rj) * (m + 1) + common, return_inverse=True)
+    present = np.bincount(sizes, minlength=m + 1) > 0  # every block is used
+    size_of, place = np.flatnonzero(present), np.cumsum(present) - 1
+    kinds, cells = len(size_of), len(size_of) ** 2 * (m + 1)  # distinct sizes, codes
+    codes, hist = [], []  # per pattern: (place |J| * kinds + place |K|) * (m + 1) + |J & K|
+    for seq in seqs:
+        at = place[sizes[seq]]
+        code = (at[:, None] * kinds + at) * (m + 1) + meet[seq][:, seq]
+        np.fill_diagonal(code, cells)  # no pair: one past every code
+        codes.append(code)
+        hist.append(np.bincount(at, minlength=kinds))  # the pattern's rank histogram
+    found = np.flatnonzero(np.bincount(np.concatenate([c.ravel() for c in codes]),
+                                       minlength=cells + 1)[:cells])
+    places, common = np.divmod(found, m + 1)
+    ra, rb = size_of[places // kinds], size_of[places % kinds]
     as_float = {Fraction(0): 0.0}  # exact value num|num|/den -> num / sqrt(den)
     exact = []
-    for code in codes.tolist():
-        sizes, c = divmod(code, m + 1)
-        a, b = divmod(sizes, m + 1)
+    for a, b, c in zip(ra.tolist(), rb.tolist(), common.tolist()):
         nu, den = m * c - a * b, a * (m - a) * b * (m - b)
         exact.append(Fraction(nu * abs(nu), den))
         as_float.setdefault(exact[-1], nu / math.sqrt(den))
     ordered = sorted(as_float)
     rank_of = {v: r for r, v in enumerate(ordered)}
     floats = np.array([as_float[v] for v in ordered])
-    key = np.array([rank_of[v] for v in exact], dtype=np.int64)[pair_id.ravel()]
+    key_of = np.full(cells + 1, -1)
+    key_of[found] = [rank_of[v] for v in exact]
     zero = rank_of[Fraction(0)] if crossed else -1  # cross-basis pairs, if any
+    keys = [key_of[code] for code in codes]
 
-    best = np.full(n, zero)  # the largest value each element attains, as a rank
-    np.maximum.at(best, first, key)
-    np.maximum.at(best, second, key)
-    best = best[stand_in]
+    peaks = [np.maximum(key.max(axis=1), zero) for key in keys]  # as ranks
+    best = np.empty(n, dtype=np.int64)
+    best[order] = np.concatenate([peaks[p] for _, _, p in runs.values()])
     top = int(best.max())
     i = int(np.argmax(best == top))  # the first row of the Gram that attains mu
-    hit, j = key == top, stand_in[i]
-    partners = np.concatenate([second[hit & (first == j)], first[hit & (second == j)]])
-    run = order[starts[labels[i]]:starts[labels[i] + 1]]
-    partners = run[np.isin(stand_in[run], partners)].tolist()  # the same places in i's run
+    s, e, p = runs[labels[i]]  # i's run; its row of the pattern's keys names its partners
+    run = order[s:e]
+    partners = run[keys[p][np.searchsorted(run, i)] == top].tolist()
     if top == zero:
         partners.append(np.flatnonzero(labels != labels[i])[0])
 
-    classes = len(_PAIR_CLASSES)
-    cls = _pair_class(0, ri, 0, rj)  # every pair here lies in one basis
-    same_top = np.full(classes, -1)
-    np.maximum.at(same_top, cls, key)
-    # all pairs per class, counted over the cells of equal (label, rank)
-    cells, size = np.unique((labels + 1) * (m + 1) + ranks, return_counts=True)
-    cell_label, cell_rank = cells // (m + 1) - 1, cells % (m + 1)
-    ordered_pairs = np.outer(size, size)
-    np.fill_diagonal(ordered_pairs, size * (size - 1))
-    cls = _pair_class(cell_label[:, None], cell_rank[:, None], cell_label, cell_rank)
-    count = np.bincount(cls.ravel(), weights=ordered_pairs.ravel(),
-                        minlength=classes).astype(np.int64) // 2
-    pair_classes = {  # every cross-basis value is zero
-        name: PairClassSummary(int(count[c]), float(floats[
-            max(same_top[c], zero if name.startswith("cross_basis") else -1)]))
-        for c, name in enumerate(_PAIR_CLASSES) if count[c]}
+    # pairs per class, from each pattern's rank histogram and the bases carrying it
+    hist, carriers = np.array(hist), np.bincount([p for _, _, p in runs.values()])
+    sq, length = (hist * hist).sum(axis=1), hist.sum(axis=1)
+    within = carriers @ np.column_stack((sq - length, length * length - sq)) // 2
+    total = int(((carriers @ hist) ** 2).sum())  # sum over sizes of (elements of that size)^2
+    count = [*within, *(np.array([total - n, n * n - total]) // 2 - within), 0, 0]
+    tied = ra == rb
+    tops = [int(key_of[found[tied]].max(initial=-1)), int(key_of[found[~tied]].max(initial=-1)),
+            zero, zero]  # every cross-basis value is zero
+    pair_classes = {name: PairClassSummary(int(count[c]), float(floats[tops[c]]))
+                    for c, name in enumerate(_PAIR_CLASSES) if count[c]}
 
     mu_raw = None
-    if np.all(ranks == ranks[0]):  # tr is |J & K| within a basis and l^2/m across
+    if kinds == 1:  # tr is |J & K| within a basis and l^2/m across
         traces = [Fraction(int(common.max()))] if common.size else []
-        mu_raw = float(max(traces + ([Fraction(int(ranks[0]) ** 2, m)] if crossed else [])))
+        mu_raw = float(max(traces + ([Fraction(int(size_of[0]) ** 2, m)] if crossed else [])))
 
-    comp = (common == 0) & (ri + rj == m)
-    degree = np.bincount(first[comp], minlength=n) + np.bincount(second[comp], minlength=n)
-    antipodal = n // 2 if np.all(degree[stand_in] == 1) and not np.any(num[~comp]) else None
+    comp = (common == 0) & (ra + rb == m)  # a complementary pair of blocks
+    is_comp = np.zeros(cells + 1, dtype=bool)
+    is_comp[found[comp]] = True
+    antipodal = n // 2 if not np.any((m * common - ra * rb)[~comp]) and all(
+        np.all(is_comp[code].sum(axis=1) == 1) for code in codes) else None
     return _ExactValues(lock(floats[best]), float(floats[top]), (i, int(min(partners))),
                         pair_classes, mu_raw, antipodal)
 
@@ -855,8 +870,8 @@ def verify_orthoplex_geometry(packing: Packing, tol: Tolerance = DEFAULT_TOL) ->
     m, d, n = packing.m, space.d, packing.n
     if n != 2 * d:
         return OrthoplexReport(False, f"n != 2d ({n} != {2 * d})", n, d, (), float("nan"))
-    _check_gram_memory(packing, "the orthoplex geometry pass")
     table = packing._block_table
+    _check_memory(packing, "the orthoplex geometry pass", d, dense=table is None)
     coords = (_table_coordinates(table, space) if table is not None else
               np.stack([embed(p.matrix, space, tol=tol).coords for p in packing.elements]))
     ok, pairs, worst = _orthoplex_pattern(coords @ coords.T, tol)
@@ -1065,7 +1080,7 @@ def _read_table(family: MubFamily, raw_blocks, pairs: list) -> _BlockTable:
     unused = np.flatnonzero(np.bincount(ids, minlength=len(blocks)) == 0)
     if unused.size:
         raise ParameterError(f"block {unused[0]} is used by no element")
-    return _table(family, labels, ids, blocks)
+    return _table(family, labels, ids, blocks, _incidence(family.m, blocks))
 
 
 def packing_from_json(obj: dict, tol: Tolerance = DEFAULT_TOL) -> Packing:

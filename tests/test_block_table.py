@@ -131,6 +131,9 @@ PATTERN_CASES = {
         (a, FANO.blocks + FANO_C.blocks) for a in (0, 2, 4)]), 3),
     "orthoplex-c4": BUILDER_FIXTURES["c4-hadamard"],
     "orthoplex-c8-shuffled": lambda: shuffled(BUILDER_FIXTURES["c8-hadamard"](), 4),
+    # a block listed twice on a basis is a pair of one block id with itself: value 1
+    "repeated-block": lambda: on_bases(FANO7, [(0, FANO.blocks + FANO.blocks[2:3]),
+                                               (4, FANO.blocks)]),
 }
 
 
@@ -175,6 +178,39 @@ class TestPatterns:
         assert cert.status.value == "MaximalOrthoplex"
         assert cert.details["antipodal_pairs"] == pk.n // 2
 
+    @pytest.mark.parametrize("flip", [False, True], ids=["built", "complement"])
+    def test_paley71_matches_the_per_pair_pass(self, flip, monkeypatch):
+        pk = paley_packing(71)
+        assert_matches_per_pair(spatial_complement(pk) if flip else pk, monkeypatch)
+
+    def test_a_design_with_a_repeated_block(self, monkeypatch):
+        """A design may list a block twice: the built table keeps one block id
+        for both positions, and the pair of them has value 1 (the hypotheses
+        fail, so the report is compared and not the certificate)."""
+        design = BlockDesign(7, FANO.blocks + FANO.blocks[:1])
+        pk = packing.build_mixed_packing(FANO7, [design, FANO_C], [[0, 1, 2], [3, 4, 5]])
+        table = pk._block_table
+        assert not pk.hypotheses.ok and pk.n == 45 and len(table.blocks) == 14
+        assert table.ids[7] == table.ids[0] == 0
+        rep, pairs = packing._exact_pass(pk, 0.0, DEFAULT_TOL)
+        ref, ref_pairs = per_pair_exact_pass(pk, 0.0, DEFAULT_TOL)
+        assert repr(rep) == repr(ref) and pairs() == ref_pairs()
+        assert rep.mu_embedded == 1.0 and rep.argmax_pair == (0, 7)
+
+    def test_the_m71_pass_calls_no_unique_or_isin(self, monkeypatch):
+        """The pass reads the patterns off one byte string and the codes off
+        one bincount: no np.unique or np.isin runs on the m = 71 table."""
+        table = paley_packing(71)._block_table
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique or np.isin was called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "unique", refuse)
+            patch.setattr(np, "isin", refuse)
+            values = packing._exact_values(table)
+        assert values.antipodal_pairs is None and len(values.peaks) == 5112
+
     @settings(max_examples=80, deadline=None)
     @given(mub_packings(), st.integers(0, 2**32 - 1))
     def test_random_packings_match_the_per_pair_pass(self, pk, seed):
@@ -203,9 +239,49 @@ class TestBuilders:
             coordinate_projection(pk.elements[0].family, 0, (1, 1))
         assert len(calls) == 1
 
-    def test_a_partition_class_is_range_checked(self):
-        with pytest.raises(ParameterError, match="basis index 8 outside 0..7"):
-            packing.build_mixed_packing(FANO7, [FANO, FANO_C], [[0, 1, 2, 3], [4, 5, 6, 8]])
+    @pytest.mark.parametrize("index, message", [
+        (8, "basis index 8 outside 0..7"),
+        (-1, "basis index -1 outside 0..7"),
+        (True, "basis index True is a bool, not an integer"),
+        (1.5, "basis index 1.5 is not an integer"),
+    ], ids=["above", "negative", "bool", "float"])
+    def test_a_partition_class_is_range_checked(self, index, message):
+        """A class of plain ints in range is checked at once; any other falls
+        back to one check per index, with its message."""
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            packing.build_mixed_packing(FANO7, [FANO, FANO_C], [[0, 1, 2, 3], [4, 5, index]])
+
+    def test_numpy_basis_indices_are_accepted(self):
+        ref = packing.build_mixed_packing(FANO7, [FANO, FANO_C], [[3, 0, 1], range(4, 7)])
+        pk = packing.build_mixed_packing(FANO7, [FANO, FANO_C],
+                                         [np.array([3, 0, 1]), [np.int64(4), 5, np.int8(6)]])
+        assert text(packing_to_json(pk)) == text(packing_to_json(ref))
+        labels = [a for a in (0, 1, 3, 4, 5, 6) for _ in FANO.blocks]
+        assert ref._block_table.labels.tolist() == labels
+
+    def test_a_built_table_takes_the_designs_incidence(self, monkeypatch):
+        """Every builder fixture's table is built with no ``_incidence`` call,
+        its incidence and N^T N bit-equal to those of its blocks formed anew;
+        so are those of a design listing a block twice and of one design in
+        two classes, whose second run brings no new block."""
+        def refuse(*args):
+            raise AssertionError("_incidence was called")
+
+        repeated = BlockDesign(7, FANO.blocks[:3] + FANO.blocks[1:2] + FANO.blocks[3:])
+        makers = {**BUILDER_FIXTURES,
+                  "repeated": lambda: packing.build_mixed_packing(
+                      FANO7, [FANO_C, repeated], [[1], [0, 2]]),
+                  "twice": lambda: packing.build_mixed_packing(
+                      FANO7, [FANO, FANO_C, FANO], [[0, 1], [2], [3, 6]])}
+        for name, make in makers.items():
+            with monkeypatch.context() as patch:
+                patch.setattr(packing, "_incidence", refuse)
+                table = make()._block_table
+            inc = _incidence(table.family.m, table.blocks)
+            meet = (inc.T @ inc).astype(np.int64)
+            for got, ref in ((table.incidence, inc), (table.meet, meet)):
+                assert got.dtype == ref.dtype and got.shape == ref.shape, name
+                assert got.tobytes() == ref.tobytes(), name
 
 
 @st.composite
@@ -312,9 +388,10 @@ class TestComplement:
 def element_runs(family, runs, record, mode):
     """The builders' packing made as it was before the block table: one
     checked ``coordinate_projection`` per element, every block of each run on
-    each of its bases in turn, and the table read off the elements."""
+    each of its bases in turn, and the table (its incidence by ``_incidence``)
+    read off the elements; the run's own incidence is not read."""
     return Packing(family.m, family.field, tuple(
-        coordinate_projection(family, k, blk) for bases, blocks in runs
+        coordinate_projection(family, k, blk) for bases, blocks, _ in runs
         for k in bases for blk in blocks), record, mode)
 
 

@@ -487,6 +487,37 @@ class TestOrthoplexGeometry:
         assert cert.status is CertStatus.MAXIMAL_ORTHOPLEX and cert.coherence.method == "exact"
         assert extract_hadamard(pk, design3).order == 4
 
+    @pytest.mark.parametrize("args, need", [
+        ((), 2_146_566_240),  # the numeric pass: 3 * 8 n^2 + 16 n m^2
+        ((4095, False), 871_989_300),  # a block table: 8 n d + 8 n^2 + n^2
+        ((4095, True), 1_140_293_700),  # dense elements: 16 n d + 9 n^2
+    ], ids=["numeric", "geometry-table", "geometry-dense"])
+    def test_pass_bytes_at_q64(self, args, need, monkeypatch):
+        """At q = 64 (m = 64, d = 4095, n = 2d = 8190) the geometry pass asks
+        what its arrays take, not the numeric pass's 2.15 GB."""
+        from grasspack import packing
+        monkeypatch.setattr(packing, "_physical_memory", lambda: need - 1)
+        stand_in = dataclasses.make_dataclass("Sizes", ["n", "m"])(8190, 64)
+        with pytest.raises(ParameterError, match=f"n=8190, m=64 needs at least {need} bytes, "
+                                                 f"more than the {need - 1} bytes"):
+            packing._check_memory(stand_in, "a pass", *args)
+        monkeypatch.setattr(packing, "_physical_memory", lambda: need)
+        packing._check_memory(stand_in, "a pass", *args)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["table", "dense"])
+    def test_geometry_pass_is_sized_by_what_it_holds(self, dense, monkeypatch):
+        """The C^4 orthoplex (n = 30, d = 15) needs 8 n d + 9 n^2 = 11700 bytes
+        as a block table and 16 n d + 9 n^2 = 15300 as dense elements: one byte
+        less is refused, exactly that much passes."""
+        from grasspack import packing
+        pk = c4_orthoplex_packing()[0]
+        pk, need = (dense_copy(pk), 15300) if dense else (pk, 11700)
+        monkeypatch.setattr(packing, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ParameterError, match=f"needs at least {need} bytes"):
+            verify_orthoplex_geometry(pk)
+        monkeypatch.setattr(packing, "_physical_memory", lambda: need)
+        assert verify_orthoplex_geometry(pk).passes
+
     def test_maximal_orthoplex_is_tight(self):
         # every verified orthoplex is a tight fusion frame
         for pk in (c4_orthoplex_packing()[0],
