@@ -221,7 +221,7 @@ def cmd_embed(args) -> int:
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "x") as fp:
-            count = P._write_code(fp, pk, tol)
+            count = P._write_code(fp, pk)
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -9,8 +9,9 @@ embedded vectors is recoverable from traces alone:
 
     <v_P, v_Q> = sqrt(m^2 / (lp lq (m-lp)(m-lq))) (tr(PQ) - lp lq / m)
 
-The coherence passes of ``packing`` use that trace identity; this module
-forms the coordinates.
+The exact coherence pass of ``packing`` reads that identity off block
+intersections; its numeric pass and its orthoplex geometry pass take the
+Gram of the coordinates this module forms.
 """
 
 from __future__ import annotations
@@ -104,10 +105,17 @@ def embed(p, space: EmbeddingSpace, source_index: int | None = None,
     if space.field == REAL and np.any(p.imag != 0.0):
         raise ParameterError("cannot embed a non-real projection in a real space")
     rank = _checked_rank(p, m, tol)
-    a = p - (rank / m) * np.eye(m)
+    return EmbeddedVector(lock(_projection_coordinates(p, space, rank)), rank, source_index)
+
+
+def _projection_coordinates(p: np.ndarray, space: EmbeddingSpace, rank: int) -> np.ndarray:
+    """The coordinates ``embed`` reads off the complex m x m projection ``p`` of
+    rank ``rank``, which the caller has already checked: no ``is_projection``
+    runs here, but rank 0 and m are refused. They are those of A = P - (l/m) I."""
+    m = space.m
+    a = p - (_sphere_rank(rank, m) / m) * np.eye(m)
     j, k = space.pairs
-    coords = _coordinates(a[j, k], a[k, j], np.diagonal(a), space, rank)
-    return EmbeddedVector(lock(coords), rank, source_index)
+    return _coordinates(a[j, k], a[k, j], np.diagonal(a), space, rank)
 
 
 def _coordinates(upper, lower, diagonal, space: EmbeddingSpace, rank: int) -> np.ndarray:

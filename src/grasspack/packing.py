@@ -24,8 +24,9 @@ import numpy as np
 
 from .designs import (BlockDesign, HadamardMatrix, _incidence, _supports, check_block,
                       complement_design, complementary_halves, is_cohesive)
-from .embedding import (_SEPARATOR, _coordinates, _sphere_rank, _vector_text, _write_texts,
-                        build_space, embed, embedding_dim, sphere_radius_sq, write_embedded_code)
+from .embedding import (_SEPARATOR, EmbeddedVector, _coordinates, _projection_coordinates,
+                        _sphere_rank, _vector_text, _write_texts, build_space, embedding_dim,
+                        sphere_radius_sq, write_embedded_code)
 from .errors import (ConsistencyError, DegenerateRankError, DimensionMismatchError,
                      HypothesisError, ParameterError, StructuralError)
 from .mubs import MubFamily, _differences, mub_capacity, mubs_from_json, mubs_to_json
@@ -215,8 +216,8 @@ class Packing:
     @cached_property
     def _block_table(self) -> _BlockTable | None:
         """The block table of coordinate projections of one family, else None."""
-        family = _family(self.elements)
-        if family is None:
+        family = self.elements[0].family if self.elements else None
+        if family is None or any(p.family is not family for p in self.elements):
             return None
         distinct: dict = {}
         ids = [distinct.setdefault(p.block, len(distinct)) for p in self.elements]
@@ -383,11 +384,11 @@ class CoherenceReport:
 
     ``method`` is ``"exact"`` when the values were read off block
     intersections over a family of MUBs and ``"numeric"`` when they come from
-    a float trace Gram; ``mub_dev`` bounds the deviation of the packing's
-    bases from a MUB family: 0.0 when the family's exponent table proves it a
-    set of MUBs (``MubFamily.exact_verdict``), otherwise as read off the
-    family's ``deviations`` (None unless every element is a coordinate
-    projection of one family).
+    the float Gram of ``embed``'s vectors; ``mub_dev`` bounds the deviation of
+    the packing's bases from a MUB family: 0.0 when the family's exponent
+    table proves it a set of MUBs (``MubFamily.exact_verdict``), otherwise as
+    read off the family's ``deviations`` (None unless every element is a
+    coordinate projection of one family).
     """
 
     mu_embedded: float
@@ -400,33 +401,17 @@ class CoherenceReport:
     mub_dev: float | None = None
 
 
-def _trace_gram(packing: Packing) -> np.ndarray:
-    """G[i, j] = tr(P_i P_j): the real Gram matrix of the vectorized
-    Hermitian matrices, formed from the stacked n x m x m element matrices.
-    The numeric pass reads it, and the tests use it as the reference."""
-    mats = np.stack([p.matrix for p in packing.elements])
-    v = mats.reshape(packing.n, -1)
-    return v.real @ v.real.T + v.imag @ v.imag.T
-
-
-def _family(elements) -> MubFamily | None:
-    """The one MUB family that all elements are coordinate projections of, or None."""
-    family = elements[0].family if elements else None
-    return family if family is not None and all(p.family is family for p in elements) else None
-
-
 def _physical_memory() -> int:
     """Bytes of physical memory of the machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_memory(packing: Packing, task: str, d: int | None = None, dense: bool = True) -> None:
-    """Raise ParameterError before ``task`` allocates more than the machine has: the
-    numeric pass (``d`` None) holds three n x n float arrays and n complex m x m
-    matrices, the geometry pass n x d float coordinates (twice for ``dense`` elements,
-    whose stacked vectors are copied once), an n x n float Gram and an n x n boolean mask."""
+def _check_memory(packing: Packing, task: str, d: int) -> None:
+    """Raise ParameterError before ``task`` allocates more than the machine has: the numeric
+    and the geometry pass each hold at most 8 n d + 9 n^2 bytes, n x d float coordinates in
+    R^``d``, their n x n float Gram and one n x n boolean mask, and arrays of length n."""
     n, m = packing.n, packing.m
-    need = 24 * n * n + 16 * n * m * m if d is None else 8 * (1 + dense) * n * d + 9 * n * n
+    need = 8 * n * d + 9 * n * n
     have = _physical_memory()
     if need > have:
         raise ParameterError(
@@ -434,47 +419,52 @@ def _check_memory(packing: Packing, task: str, d: int | None = None, dense: bool
             f"more than the {have} bytes of physical memory")
 
 
-def _embedded_gram(packing: Packing) -> tuple[np.ndarray, np.ndarray]:
-    """(e, g): the embedded Gram c_i c_j (g_ij - r_i r_j / m), built in place,
-    and the trace Gram g."""
-    _check_memory(packing, "the numeric coherence pass")
-    m = packing.m
-    ranks = packing.ranks
-    g = _trace_gram(packing)
-    c = np.sqrt(m / (ranks * (m - ranks)))
-    e = np.outer(ranks.astype(np.float64), ranks)
-    e /= m
-    np.subtract(g, e, out=e)
-    e *= np.outer(c, c)
-    return e, g
+def _embedded_coordinates(packing: Packing, space) -> np.ndarray:
+    """The n x d array of each element's ``_projection_coordinates`` at the rank it was
+    checked with, bit-equal to ``embed(p.matrix)``."""
+    coords = np.empty((packing.n, space.d))
+    for i, (p, rank) in enumerate(zip(packing.elements, packing.ranks.tolist())):
+        coords[i] = _projection_coordinates(p.matrix, space, rank)
+    return coords
 
 
-def _report_from_grams(packing: Packing, e: np.ndarray, g: np.ndarray,
-                       tol: Tolerance, mub_dev: float | None) -> CoherenceReport:
-    """The report of the Grams from ``_embedded_gram``, whose diagonals it
-    sets to -inf in place instead of masking copies."""
-    n = packing.n
+def _embedded_gram(packing: Packing) -> np.ndarray:
+    """The n x n Gram of the embedded coordinates, sized against memory first; the
+    coordinates are freed once it is formed."""
+    space = build_space(packing.m, packing.field)
+    _check_memory(packing, "the numeric coherence pass", space.d)
+    coords = _embedded_coordinates(packing, space)
+    return coords @ coords.T
+
+
+def _report_from_gram(packing: Packing, e: np.ndarray, tol: Tolerance,
+                      mub_dev: float | None) -> CoherenceReport:
+    """The report of the Gram from ``_embedded_gram``, whose diagonal it sets to -inf in
+    place; it holds arrays of length n only, and reads each pair from both its rows."""
+    n, m, ranks = packing.n, packing.m, packing.ranks
     np.fill_diagonal(e, -np.inf)
-    np.fill_diagonal(g, -np.inf)
-    mu = float(e.max())
-    hit = e >= mu - tol.eps_abs
-    i, j = divmod(int(np.argmax(hit)), n)  # the first pair within eps_abs of mu
-    argmax_pair = (min(i, j), max(i, j))
-    achievers = tuple(int(x) for x in np.flatnonzero(hit.any(axis=1)))
+    peaks = e.max(axis=1)
+    mu = float(peaks.max())
+    achievers = np.flatnonzero(peaks >= mu - tol.eps_abs)
+    i = int(achievers[0])  # the first row, and its first column, within eps_abs of mu
+    j = int(np.argmax(e[i] >= mu - tol.eps_abs))
 
-    labels, ranks = _basis_labels(packing.elements), packing.ranks
-    cls = _pair_class(labels[:, None], ranks[:, None], labels, ranks)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    pair_classes: dict[str, PairClassSummary] = {}
-    for c, name in enumerate(_PAIR_CLASSES):
-        mask = upper & (cls == c)
-        count = int(mask.sum())
-        if count:
-            pair_classes[name] = PairClassSummary(count, float(e[mask].max()))
+    labels = _basis_labels(packing.elements)
+    top, count = np.full(len(_PAIR_CLASSES), -np.inf), np.zeros(len(_PAIR_CLASSES), np.int64)
+    cell = (labels + 1) * m + ranks  # one value >= 1 per (basis, rank): rank 0 is refused
+    starts = np.flatnonzero(np.diff(cell, prepend=0)).tolist()  # of runs of equal cells
+    for s, t in zip(starts, starts[1:] + [n]):  # a run sees one class per column
+        cls = _pair_class(labels[s], ranks[s], labels, ranks)
+        count += (t - s) * np.bincount(cls, minlength=len(_PAIR_CLASSES))
+        count[cls[s]] -= t - s  # no element pairs with itself
+        np.maximum.at(top, cls, e[s:t].max(axis=0))
+    pair_classes = {name: PairClassSummary(int(count[c]) // 2, float(top[c]))
+                    for c, name in enumerate(_PAIR_CLASSES) if count[c]}
 
-    mu_raw = float(g.max()) if packing.mixture == 1 else None
-    return CoherenceReport(mu, argmax_pair, achievers, pair_classes, n, mu_raw,
-                           "numeric", mub_dev)
+    l = int(ranks[0])  # with one rank, tr(P_i P_j) = l(m-l)/m <v_i, v_j> + l^2/m
+    mu_raw = sphere_radius_sq(m, l) * mu + l * l / m if packing.mixture == 1 else None
+    return CoherenceReport(mu, (min(i, j), max(i, j)), tuple(achievers.tolist()),
+                           pair_classes, n, mu_raw, "numeric", mub_dev)
 
 
 def _basis_labels(elements) -> np.ndarray:
@@ -633,8 +623,9 @@ def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, 
     and each embedded inner product c_i c_j (tr - r_i r_j / m) within
     m sqrt(r_i r_j / ((m - r_i)(m - r_j))) mub_dev <= mub_dev max_l m l / (m - l),
     l over the ranks present; the exact pass runs when that bound is at most
-    ``eps_abs``. Every other packing takes the numeric pass over the dense
-    float trace Gram.
+    ``eps_abs``. Every other packing takes the numeric pass: the float Gram of
+    the elements' embedded coordinates, the vectors ``embed`` defines, read at
+    the ranks the elements were checked with (no projection check runs again).
     """
     if packing.n < 2:
         raise ParameterError("coherence and certification need at least 2 elements")
@@ -654,30 +645,29 @@ def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, 
         top = int(ranks.max())
         if mub_dev * m * top / (m - top) <= tol.eps_abs:
             return _exact_pass(packing, mub_dev, tol)
-    e, g = _embedded_gram(packing)
+    e = _embedded_gram(packing)
 
     def antipodal_pairs() -> int | None:  # after the report is built, so e is scratch
         ok, pairs, _ = _orthoplex_pattern(e, tol)
         return len(pairs) if ok else None
 
-    return _report_from_grams(packing, e, g, tol, mub_dev), antipodal_pairs
+    return _report_from_gram(packing, e, tol, mub_dev), antipodal_pairs
 
 
 def coherence(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> CoherenceReport:
-    """All n(n-1)/2 pairwise embedded inner products via the trace identity;
-    reports the maximum, the elements attaining it (within eps_abs), and a
-    per-pair-class summary.
+    """All n(n-1)/2 pairwise embedded inner products; reports the maximum,
+    the elements attaining it (within eps_abs), and a per-pair-class summary.
 
     A packing of coordinate projections of one MUB family (the builders'
     output and its spatial complement) is read exactly off its block
     intersections (``report.method == "exact"``), with no n x n array, also
     when read back from its JSON, which is its block table. Any other packing,
     such as one of dense matrices or one built on bases that are not MUBs,
-    takes the dense Gram of its matrices (``"numeric"``).
+    takes the Gram of its embedded coordinates (``"numeric"``).
     ``certify`` keeps the same report as ``Certificate.coherence``.
     The exact values are formed once per packing and shared with ``certify``,
     ``check_tightness`` and ``span_of_achievers``; a call picks the achievers
-    at its ``eps_abs``. The numeric path keeps nothing, its Grams included.
+    at its ``eps_abs``. The numeric path keeps nothing, its Gram included.
     """
     return _coherence_pass(packing, tol)[0]
 
@@ -790,18 +780,14 @@ def check_tightness(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> tuple[boo
 def _summed_projections(packing: Packing, picked=slice(None)) -> np.ndarray:
     """The sum of the projections ``picked`` (an index array or a slice) selects.
 
-    When each is a coordinate projection of one family the sum is
-    U_a diag(cov_a) U_a^* summed over the bases a in use, where cov_a[x]
-    counts the picked blocks of basis a that contain point x (``_coverage``);
-    no element matrix is formed and no MUB property is assumed. Otherwise it
-    is the plain sum of the matrices.
+    On a block table the sum is U_a diag(cov_a) U_a^* summed over the bases a
+    in use, where cov_a[x] counts the picked blocks of basis a that contain
+    point x (``_coverage``); no element matrix is formed and no MUB property
+    is assumed. Otherwise it is the plain sum of the matrices.
     """
     table = packing._block_table
-    if table is None:  # the picked elements may still be of one family
-        els = tuple(packing.elements[i] for i in np.arange(packing.n)[picked].tolist())
-        if _family(els) is None:
-            return sum(p.matrix for p in els)
-        table, picked = Packing(packing.m, packing.field, els)._block_table, slice(None)
+    if table is None:
+        return sum(packing.elements[i].matrix for i in np.arange(packing.n)[picked].tolist())
     cover = _coverage(table, picked)
     f = np.zeros((packing.m, packing.m), dtype=np.complex128)
     for a in np.flatnonzero(cover.any(axis=1)):
@@ -863,25 +849,28 @@ def verify_orthoplex_geometry(packing: Packing, tol: Tolerance = DEFAULT_TOL) ->
     """Materialize the embedded coordinates and verify the orthoplex pattern: n = 2d, a
     perfect antipodal pairing, zeros elsewhere, and each antipodal pair realized by
     complementary subspaces (trace 0, ranks summing to m). A block table's coordinates are
-    one product per basis (``_table_coordinates``; its family checked its bases), a dense
-    element's ``embed`` of its matrix; the antipodal traces are read off the coordinates at
-    once: tr(P_i P_j) = <v_i, v_j> sqrt(r_i (m-r_i) r_j (m-r_j)) / m + r_i r_j / m."""
+    one product per basis (``_table_coordinates``; its family checked its bases), others the
+    numeric pass's; the antipodal traces are read off their Gram's row minima at once:
+    tr(P_i P_j) = <v_i, v_j> sqrt(r_i (m-r_i) r_j (m-r_j)) / m + r_i r_j / m."""
     space = build_space(packing.m, packing.field)
     m, d, n = packing.m, space.d, packing.n
     if n != 2 * d:
         return OrthoplexReport(False, f"n != 2d ({n} != {2 * d})", n, d, (), float("nan"))
+    _check_memory(packing, "the orthoplex geometry pass", d)
     table = packing._block_table
-    _check_memory(packing, "the orthoplex geometry pass", d, dense=table is None)
     coords = (_table_coordinates(table, space) if table is not None else
-              np.stack([embed(p.matrix, space, tol=tol).coords for p in packing.elements]))
-    ok, pairs, worst = _orthoplex_pattern(coords @ coords.T, tol)
+              _embedded_coordinates(packing, space))
+    e = coords @ coords.T
+    del coords
+    low = e.min(axis=1)  # where the pattern holds, <v_i, v_j> of i's antipode j
+    ok, pairs, worst = _orthoplex_pattern(e, tol)
     if not ok:
         return OrthoplexReport(False, "embedded vectors do not form an orthoplex",
                                n, d, pairs, worst)
     i, j = np.array(pairs).T
     ri, rj = packing.ranks[i], packing.ranks[j]
     radii = np.sqrt(ri * (m - ri) * rj * (m - rj)) / m  # the two sphere radii's product
-    tr = np.einsum("ij,ij->i", coords[i], coords[j]) * radii + ri * rj / m
+    tr = low[i] * radii + ri * rj / m
     bad = np.flatnonzero((tr > tol.eps_abs) | (ri + rj != m))
     if bad.size:
         return OrthoplexReport(False, f"antipodal pair ({i[bad[0]]},{j[bad[0]]}) is not a "
@@ -907,16 +896,18 @@ def _table_coordinates(table: _BlockTable, space) -> np.ndarray:
     return coords
 
 
-def _write_code(fp, packing: Packing, tol: Tolerance = DEFAULT_TOL) -> int:
-    """``write_embedded_code`` of ``embed(p.matrix, space, i, tol)`` for each element p,
-    in the same bytes; return the count. No phase family's (a, J) is embedded: for a >= 1
-    its text is a gather of J's texts (``_phase_code``, held until J's last element) by the
-    classes of basis a's pairs (``_phase_classes``), for a = 0 it is read off diag(1_J)."""
+def _write_code(fp, packing: Packing) -> int:
+    """``write_embedded_code`` of ``embed(p.matrix, space, i)`` for each element p, in the
+    same bytes, read at the rank p was checked with; return the count. No phase family's
+    (a, J) is embedded: for a >= 1 its text is a gather of J's texts (``_phase_code``, held
+    until J's last element) by the classes of basis a's pairs (``_phase_classes``), for
+    a = 0 it is that of the matrix diag(1_J)."""
     space = build_space(packing.m, packing.field)
     table = packing._block_table
     if table is None or table.family.phases is None:
-        return write_embedded_code(fp, space, (embed(p.matrix, space, i, tol)
-                                               for i, p in enumerate(packing.elements)))
+        return write_embedded_code(fp, space, (
+            EmbeddedVector(_projection_coordinates(p.matrix, space, rank), rank, i)
+            for i, (p, rank) in enumerate(zip(packing.elements, packing.ranks.tolist()))))
     return _write_texts(fp, space.d, _phase_texts(table, space))
 
 
@@ -927,11 +918,10 @@ def _phase_texts(table: _BlockTable, space):
     codes, basis, sep = {}, None, _SEPARATOR.encode()
     for i, (a, b) in enumerate(zip(table.labels.tolist(), ids)):
         block = table.blocks[b]
-        if a == 0:  # A = diag(1_J) - l/q, exact zeros off the diagonal, as embed reads it
-            l, zeros = _sphere_rank(len(block), q), np.zeros(len(space.pairs[0]), complex)
-            coords = _coordinates(zeros, zeros, (table.incidence[:, b] - l / q).astype(complex),
-                                  space, l)
-            yield _vector_text(_SEPARATOR.join(map(float.__repr__, coords.tolist())), l)
+        if a == 0:  # the element is diag(1_J)
+            coords = _projection_coordinates(np.diag(table.incidence[:, b].astype(complex)),
+                                             space, len(block))
+            yield _vector_text(_SEPARATOR.join(map(float.__repr__, coords.tolist())), len(block))
         else:
             if a != basis:  # where _phase_code holds each coordinate of basis a
                 basis, pairs = a, _phase_classes(family, a)[space.pairs]

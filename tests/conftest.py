@@ -8,7 +8,7 @@ from grasspack.embedding import _checked_rank, build_space, embed, embedded_code
 from grasspack.errors import DimensionMismatchError, ParameterError
 from grasspack.fields import build_field
 from grasspack.numerics import DEFAULT_TOL, as_matrix
-from grasspack.packing import Packing, Projection, _embedded_gram, _report_from_grams
+from grasspack.packing import Packing, Projection, _embedded_gram, _report_from_gram
 
 
 def random_orthonormal(rng, m, k, field="C"):
@@ -82,7 +82,7 @@ def dense_copy(pk):
 def numeric_report(pk):
     """The numeric pass on ``pk`` itself, whose coordinate projections keep
     their basis labels: the reference pair classes of the exact pass."""
-    return _report_from_grams(pk, *_embedded_gram(pk), DEFAULT_TOL, None)
+    return _report_from_gram(pk, _embedded_gram(pk), DEFAULT_TOL, None)
 
 
 def reference_exponents(q) -> np.ndarray:

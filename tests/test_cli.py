@@ -308,13 +308,13 @@ class TestBuildAndCertify:
         assert run("build", "--mub", mub7, "--design", fano, "--design", comp,
                    "--mode", "mixed", "--partition", "0,1,2,3;4,5,6,7", "--out", pk) == 0
         calls = []
-        trace_gram = packing._trace_gram
+        embedded_gram = packing._embedded_gram
 
         def counting(pk):
             calls.append(pk.n)
-            return trace_gram(pk)
+            return embedded_gram(pk)
 
-        monkeypatch.setattr(packing, "_trace_gram", counting)
+        monkeypatch.setattr(packing, "_embedded_gram", counting)
         capsys.readouterr()
         assert run("certify", pk, "--achievers") == 0
         assert calls == []  # the file keeps its family: the exact pass
@@ -660,16 +660,16 @@ def test_embed_forks_nothing(tmp_path, monkeypatch, mub7, fano):
 
 
 def test_numeric_pass_beyond_physical_memory_exits_2(tmp_path, monkeypatch, capsys):
-    """An imported packing takes the numeric pass, whose n x n arrays are
-    sized against physical memory (here pretended to be 100 bytes) before any is
-    allocated."""
+    """An imported packing takes the numeric pass, whose arrays are sized
+    against physical memory before any is allocated: n = 2 and d = 3 need
+    8 n d + 9 n^2 = 84 bytes, so 83 bytes are too few."""
     from grasspack import packing
-    monkeypatch.setattr(packing, "_physical_memory", lambda: 100)
+    monkeypatch.setattr(packing, "_physical_memory", lambda: 83)
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(dense_file(PAIR)))
     assert run("certify", path) == 2
     err = capsys.readouterr().err
-    assert "100 bytes of physical memory" in err
+    assert "needs at least 84 bytes, more than the 83 bytes of physical memory" in err
 
 
 def test_eps_above_ceiling_exits_2(tmp_path, capsys):

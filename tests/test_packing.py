@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -332,7 +333,7 @@ class TestCoherence:
         els = tuple(Projection(random_projection(rng, m, int(r)))
                     for r in rng.integers(1, m, size=12))
         pk = Packing(m, COMPLEX, els)
-        e, _ = _embedded_gram(pk)
+        e = _embedded_gram(pk)
         for i in range(pk.n):
             for j in range(i + 1, pk.n):
                 want = embedded_inner(els[i].matrix, els[j].matrix, space)
@@ -415,8 +416,8 @@ class TestSpatialComplement:
         # coincides pairwise (order is preserved)
         from grasspack.packing import _embedded_gram
         pk = fano_mixed_packing()
-        e0, _ = _embedded_gram(pk)
-        e1, _ = _embedded_gram(spatial_complement(pk))
+        e0 = _embedded_gram(pk)
+        e1 = _embedded_gram(spatial_complement(pk))
         assert np.abs(e0 - e1).max() <= 1e-12
 
     def test_involution(self):
@@ -487,36 +488,78 @@ class TestOrthoplexGeometry:
         assert cert.status is CertStatus.MAXIMAL_ORTHOPLEX and cert.coherence.method == "exact"
         assert extract_hadamard(pk, design3).order == 4
 
-    @pytest.mark.parametrize("args, need", [
-        ((), 2_146_566_240),  # the numeric pass: 3 * 8 n^2 + 16 n m^2
-        ((4095, False), 871_989_300),  # a block table: 8 n d + 8 n^2 + n^2
-        ((4095, True), 1_140_293_700),  # dense elements: 16 n d + 9 n^2
-    ], ids=["numeric", "geometry-table", "geometry-dense"])
-    def test_pass_bytes_at_q64(self, args, need, monkeypatch):
-        """At q = 64 (m = 64, d = 4095, n = 2d = 8190) the geometry pass asks
-        what its arrays take, not the numeric pass's 2.15 GB."""
+    def test_pass_bytes_at_q64(self, monkeypatch):
+        """At q = 64 (m = 64, d = 4095, n = 2d = 8190) the numeric and the geometry
+        pass each ask what their arrays take, 8 n d + 8 n^2 + n^2 bytes, whether the
+        elements are a block table or dense."""
         from grasspack import packing
+        need = 871_989_300
         monkeypatch.setattr(packing, "_physical_memory", lambda: need - 1)
         stand_in = dataclasses.make_dataclass("Sizes", ["n", "m"])(8190, 64)
         with pytest.raises(ParameterError, match=f"n=8190, m=64 needs at least {need} bytes, "
                                                  f"more than the {need - 1} bytes"):
-            packing._check_memory(stand_in, "a pass", *args)
+            packing._check_memory(stand_in, "a pass", 4095)
         monkeypatch.setattr(packing, "_physical_memory", lambda: need)
-        packing._check_memory(stand_in, "a pass", *args)
+        packing._check_memory(stand_in, "a pass", 4095)
 
     @pytest.mark.parametrize("dense", [False, True], ids=["table", "dense"])
     def test_geometry_pass_is_sized_by_what_it_holds(self, dense, monkeypatch):
         """The C^4 orthoplex (n = 30, d = 15) needs 8 n d + 9 n^2 = 11700 bytes
-        as a block table and 16 n d + 9 n^2 = 15300 as dense elements: one byte
-        less is refused, exactly that much passes."""
+        as a block table and as dense elements, whose coordinates are written
+        into one array: one byte less is refused, exactly that much passes."""
         from grasspack import packing
         pk = c4_orthoplex_packing()[0]
-        pk, need = (dense_copy(pk), 15300) if dense else (pk, 11700)
-        monkeypatch.setattr(packing, "_physical_memory", lambda: need - 1)
-        with pytest.raises(ParameterError, match=f"needs at least {need} bytes"):
+        pk = dense_copy(pk) if dense else pk
+        monkeypatch.setattr(packing, "_physical_memory", lambda: 11699)
+        with pytest.raises(ParameterError, match="needs at least 11700 bytes"):
             verify_orthoplex_geometry(pk)
-        monkeypatch.setattr(packing, "_physical_memory", lambda: need)
+        monkeypatch.setattr(packing, "_physical_memory", lambda: 11700)
         assert verify_orthoplex_geometry(pk).passes
+
+    @pytest.mark.parametrize("m, n", [(4, 1500), (12, 286)], ids=["n-above-d", "n-is-2d"])
+    def test_each_pass_holds_at_most_what_its_guard_asks(self, m, n, monkeypatch):
+        """Dense random projections: under tracemalloc the numeric pass, in ``coherence``
+        and in ``certify``, and at n = 2d the geometry pass allocate at most the
+        8 n d + 9 n^2 bytes their guard asks for; exactly that much memory is enough and
+        one byte less is refused. The guard does not count numpy's fixed 64 KB reduction
+        buffer or a few hundred bytes of Python objects: at m = 12 (d = 143) the
+        coordinates, freed before the n x n mask is made, leave room for them, at C^8
+        (n = 126) they do not."""
+        from grasspack import packing
+        rng = np.random.default_rng(m)
+        pk = Packing(m, COMPLEX, tuple(Projection(random_projection(rng, m, int(r)))
+                                       for r in rng.integers(1, m, size=n)))
+        d = embedding_dim(m, COMPLEX)
+        need = 8 * n * d + 9 * n * n
+        for run in [coherence, certify] + [verify_orthoplex_geometry] * (n == 2 * d):
+            monkeypatch.setattr(packing, "_physical_memory", lambda: need - 1)
+            with pytest.raises(ParameterError, match=f"needs at least {need} bytes"):
+                run(pk)
+            monkeypatch.setattr(packing, "_physical_memory", lambda: need)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run(pk)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= need, run.__name__
+
+    def test_near_projections_are_measured_as_certify_measures_them(self):
+        """The C^2 octahedron with each element shifted by 3e-7 I, projections to
+        within 1e-6 only: both passes read the coordinates ``embed`` defines, which
+        drop the component along I, and no projection check runs again, so at the
+        default tolerance both find the maximal orthoplex."""
+        loose = Tolerance(1e-6)
+        pk = Packing(2, COMPLEX, tuple(Projection(p.matrix + 3e-7 * np.eye(2), tol=loose)
+                                       for p in BUILDER_FIXTURES["c2-octahedron"]().elements))
+        cert = certify(pk)
+        assert (cert.status, cert.coherence.method) == (CertStatus.MAXIMAL_ORTHOPLEX, "numeric")
+        assert abs(cert.mu_embedded) <= 1e-15
+        report = verify_orthoplex_geometry(pk)
+        assert report.passes and report.antipodal_pairs == ((0, 1), (2, 3), (4, 5))
+        assert certify(pk, loose).status is CertStatus.MAXIMAL_ORTHOPLEX
+        assert verify_orthoplex_geometry(pk, loose).passes
 
     def test_maximal_orthoplex_is_tight(self):
         # every verified orthoplex is a tight fusion frame
@@ -998,8 +1041,9 @@ class TestGeometryOnBlockTables:
             raise AssertionError("per-element work on a block table")
 
         monkeypatch.setattr(Projection, "matrix", property(refuse))
+        monkeypatch.setattr(embedding, "embed", refuse)
         for module in (packing, embedding):
-            monkeypatch.setattr(module, "embed", refuse)
+            monkeypatch.setattr(module, "_projection_coordinates", refuse)
             monkeypatch.setattr(module, "is_projection", refuse)
         assert verify_orthoplex_geometry(pk).passes
         assert "elements" not in pk.__dict__
@@ -1274,7 +1318,7 @@ def assert_exact_matches_numeric(pk):
         assert rep.mu_raw == pytest.approx(rep_ref.mu_raw, abs=1e-12)
     i, j = rep.argmax_pair
     assert i < j
-    e, _ = _embedded_gram(ref)
+    e = _embedded_gram(ref)
     assert e[i, j] == pytest.approx(rep.mu_embedded, abs=1e-12)
     if pk.n >= pk.m:
         assert span_of_achievers(pk, rep) == span_of_achievers(ref, rep_ref)
@@ -1408,10 +1452,13 @@ class TestExactPass:
         assert span_of_achievers(pk, cert.coherence, cert) == (7, True)
 
     def test_numeric_pass_checks_memory_first(self, monkeypatch):
+        """The dense Fano packing (n = 56, d = 48) needs 8 n d + 9 n^2 = 49728
+        bytes; the exact pass on the built packing needs none of them."""
         from grasspack import packing
-        monkeypatch.setattr(packing, "_physical_memory", lambda: 10**5)
+        monkeypatch.setattr(packing, "_physical_memory", lambda: 49727)
         pk = fano_mixed_packing()
-        with pytest.raises(ParameterError, match=r"\d+ bytes of physical memory"):
+        with pytest.raises(ParameterError, match="needs at least 49728 bytes, more than "
+                                                 "the 49727 bytes of physical memory"):
             certify(dense_copy(pk))
         assert certify(pk).coherence.method == "exact"  # allocates no n x n array
 
