@@ -17,8 +17,7 @@ _EXPORTS = {
                 "hadamard_to_3design", "hadamard_to_json", "is_cohesive", "resolvability",
                 "verify_design"),
     "embedding": ("EmbeddedVector", "EmbeddingSpace", "build_space", "embed",
-                  "embedded_code_to_json", "embedding_dim", "sphere_radius_sq",
-                  "write_embedded_code"),
+                  "embedded_code_to_json", "embedding_dim", "sphere_radius_sq"),
     "errors": ("ConsistencyError", "DegenerateRankError", "DimensionMismatchError",
                "GrasspackError", "HypothesisError", "ParameterError", "StructuralError",
                "UnsupportedError"),

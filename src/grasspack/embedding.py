@@ -133,9 +133,10 @@ def _coordinates(upper, lower, diagonal, space: EmbeddingSpace, rank: int) -> np
 
 
 def embedded_code_to_json(space: EmbeddingSpace, vectors) -> dict:
-    """The embedded code as a JSON object. ``write_embedded_code`` streams the
-    same code; its bytes must equal this object's ``json.dumps(obj, indent=2,
-    sort_keys=True) + "\\n"``, which is its reference."""
+    """The embedded code as a JSON object. ``grasspack embed`` streams the same
+    code, one vector at a time; its bytes must equal this object's
+    ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, which is its reference
+    (json writes a finite float with ``float.__repr__`` too)."""
     return {
         "d": space.d,
         "vectors": [
@@ -145,19 +146,13 @@ def embedded_code_to_json(space: EmbeddingSpace, vectors) -> dict:
     }
 
 
-def write_embedded_code(fp, space: EmbeddingSpace, vectors) -> int:
-    """Write the code of the iterable ``vectors`` to the text stream ``fp``,
-    each vector as soon as it arrives, so that no more than one is ever held;
-    return how many were written.
-
-    The text is byte for byte that of ``json.dumps(embedded_code_to_json(space,
-    vectors), indent=2, sort_keys=True) + "\\n"``: json writes a finite float
-    with ``float.__repr__`` too.
-    """
-    return _write_texts(fp, space.d, map(_embedded_text, vectors))
-
-
 _SEPARATOR = ",\n        "  # between two coordinates of a vector in the code's text
+
+
+def _coords_text(coords: np.ndarray) -> str:
+    """The ``float.__repr__`` of each entry of the float array ``coords``, joined by
+    ``_SEPARATOR``."""
+    return _SEPARATOR.join(map(float.__repr__, coords.tolist()))
 
 
 def _vector_text(coords: str, rank: int) -> str:
@@ -165,13 +160,10 @@ def _vector_text(coords: str, rank: int) -> str:
     return f'    {{\n      "coords": [\n        {coords}\n      ],\n      "rank": {rank}\n    }}'
 
 
-def _embedded_text(v: EmbeddedVector) -> str:
-    return _vector_text(_SEPARATOR.join(map(float.__repr__, v.coords.tolist())), v.source_rank)
-
-
 def _write_texts(fp, d: int, texts) -> int:
     """Write the code in R^``d`` of the vectors whose ``_vector_text``s are
-    the iterable ``texts``, each as it arrives; return how many."""
+    the iterable ``texts`` to the text stream ``fp``, each as it arrives, so
+    that no more than one is ever held; return how many."""
     fp.write(f'{{\n  "d": {d},\n  "vectors": [')
     count, sep = 0, "\n"
     for text in texts:

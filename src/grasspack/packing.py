@@ -24,9 +24,9 @@ import numpy as np
 
 from .designs import (BlockDesign, HadamardMatrix, _incidence, _supports, check_block,
                       complement_design, complementary_halves, is_cohesive)
-from .embedding import (_SEPARATOR, EmbeddedVector, _coordinates, _projection_coordinates,
+from .embedding import (_SEPARATOR, _coordinates, _coords_text, _projection_coordinates,
                         _sphere_rank, _vector_text, _write_texts, build_space, embedding_dim,
-                        sphere_radius_sq, write_embedded_code)
+                        sphere_radius_sq)
 from .errors import (ConsistencyError, DegenerateRankError, DimensionMismatchError,
                      HypothesisError, ParameterError, StructuralError)
 from .mubs import MubFamily, _differences, mub_capacity, mubs_from_json, mubs_to_json
@@ -221,8 +221,9 @@ class Packing:
             return None
         distinct: dict = {}
         ids = [distinct.setdefault(p.block, len(distinct)) for p in self.elements]
-        return _table(family, _basis_labels(self.elements), np.array(ids, dtype=np.int64),
-                      list(distinct), _incidence(family.m, list(distinct)))
+        labels = np.array([p.basis_index for p in self.elements], dtype=np.int64)
+        return _table(family, labels, np.array(ids, dtype=np.int64), list(distinct),
+                      _incidence(family.m, list(distinct)))
 
 
 def _table_packing(m: int, field: Field, table: _BlockTable, hypotheses: HypothesisRecord,
@@ -449,7 +450,8 @@ def _report_from_gram(packing: Packing, e: np.ndarray, tol: Tolerance,
     i = int(achievers[0])  # the first row, and its first column, within eps_abs of mu
     j = int(np.argmax(e[i] >= mu - tol.eps_abs))
 
-    labels = _basis_labels(packing.elements)
+    table = packing._block_table  # only a block table's elements have basis classes
+    labels = table.labels if table is not None else np.full(n, -1)
     top, count = np.full(len(_PAIR_CLASSES), -np.inf), np.zeros(len(_PAIR_CLASSES), np.int64)
     cell = (labels + 1) * m + ranks  # one value >= 1 per (basis, rank): rank 0 is refused
     starts = np.flatnonzero(np.diff(cell, prepend=0)).tolist()  # of runs of equal cells
@@ -467,20 +469,14 @@ def _report_from_gram(packing: Packing, e: np.ndarray, tol: Tolerance,
                            pair_classes, n, mu_raw, "numeric", mub_dev)
 
 
-def _basis_labels(elements) -> np.ndarray:
-    """Each element's basis index, -1 where it has none."""
-    return np.array([-1 if p.basis_index is None else p.basis_index for p in elements],
-                    dtype=np.int64)
-
-
 _PAIR_CLASSES = tuple(f"{b}/{r}" for b in ("same_basis", "cross_basis", "unknown_basis")
                          for r in ("same_rank", "cross_rank"))
 
 
 def _pair_class(label_i, rank_i, label_j, rank_j) -> np.ndarray:
-    """Index into _PAIR_CLASSES of each pair (broadcast), by basis index (a
-    dense element's -1 makes the pair "unknown_basis") and rank, as int8 so
-    that an n x n class array stays small."""
+    """Index into _PAIR_CLASSES of each pair (broadcast), by basis label (the
+    -1 of an element outside a block table makes the pair "unknown_basis") and
+    rank, as int8 so that an n x n class array stays small."""
     basis_class = np.where((label_i >= 0) & (label_j >= 0), label_i != label_j, np.int8(2))
     return 2 * basis_class + (rank_i != rank_j)
 
@@ -694,19 +690,21 @@ class Certificate:
 def _orthoplex_pattern(e: np.ndarray, tol: Tolerance) -> tuple[bool, tuple[tuple[int, int], ...], float]:
     """Check that the embedded Gram matrix is an orthoplex Gram: a perfect
     matching of antipodal pairs with all other inner products zero. ``e`` is
-    scratch: its diagonal and partner entries are overwritten with 0."""
+    scratch: its diagonal and partner entries are overwritten with 0. Besides
+    ``e`` it holds one n x n boolean mask and arrays of length n: exactly one
+    antipode per row is n antipodes in all and one at each row's argmax, and
+    the worst deviation is never a negative zero."""
     n = e.shape[0]
     antipodal = e <= (-1.0 + tol.eps_abs)
     np.fill_diagonal(antipodal, False)
-    if not np.all(antipodal.sum(axis=1) == 1):
-        return False, (), float("nan")
     partner = np.argmax(antipodal, axis=1)
-    if not np.array_equal(partner[partner], np.arange(n)):
+    if (np.count_nonzero(antipodal) != n or not antipodal[np.arange(n), partner].all()
+            or not np.array_equal(partner[partner], np.arange(n))):
         return False, (), float("nan")
     pairs = tuple((int(i), int(partner[i])) for i in range(n) if i < partner[i])
     np.fill_diagonal(e, 0.0)
     e[np.arange(n), partner] = 0.0
-    worst = float(np.maximum(e.max(), -e.min()))
+    worst = max(0.0, float(e.max()), -float(e.min()))  # max(0.0, -0.0) is 0.0
     return worst <= tol.eps_abs, pairs, worst
 
 
@@ -808,11 +806,10 @@ def spatial_complement(packing: Packing) -> Packing:
     """The packing of complementary projections I - P, order preserved.
 
     Every embedded vector flips sign, so all pairwise embedded inner products
-    (and the packing constant) are preserved. A coordinate projection
-    (family, k, J) maps to (family, k, J^c), so complements keep the exact pass;
-    a dense element maps to the dense matrix I - P. A block table maps to
-    the table of the complementary blocks, same labels and ids, with
-    incidence 1 - N and intersections m - |J| - |K| + |J & K|.
+    (and the packing constant) are preserved. A block table maps to the table
+    of the complementary blocks, same labels and ids, with incidence 1 - N and
+    intersections m - |J| - |K| + |J & K|, so complements keep the exact pass.
+    Any other packing's elements map to the dense matrices I - P.
     """
     m, table = packing.m, packing._block_table
     if table is not None:
@@ -827,11 +824,7 @@ def spatial_complement(packing: Packing) -> Packing:
     for p in packing.elements:
         if p.rank >= m:
             raise DegenerateRankError("full-rank element has an empty complement")
-        if p.family is not None:
-            out.append(_coordinate(p.family, p.basis_index,
-                                   tuple(sorted(set(range(m)) - set(p.block)))))
-        else:
-            out.append(Projection(np.eye(m) - p.matrix, rank=m - p.rank))
+        out.append(Projection(np.eye(m) - p.matrix, rank=m - p.rank))
     return Packing(m, packing.field, tuple(out), packing.hypotheses, mode="complement")
 
 
@@ -897,40 +890,36 @@ def _table_coordinates(table: _BlockTable, space) -> np.ndarray:
 
 
 def _write_code(fp, packing: Packing) -> int:
-    """``write_embedded_code`` of ``embed(p.matrix, space, i)`` for each element p, in the
-    same bytes, read at the rank p was checked with; return the count. No phase family's
-    (a, J) is embedded: for a >= 1 its text is a gather of J's texts (``_phase_code``, held
-    until J's last element) by the classes of basis a's pairs (``_phase_classes``), for
-    a = 0 it is that of the matrix diag(1_J)."""
-    space = build_space(packing.m, packing.field)
-    table = packing._block_table
-    if table is None or table.family.phases is None:
-        return write_embedded_code(fp, space, (
-            EmbeddedVector(_projection_coordinates(p.matrix, space, rank), rank, i)
-            for i, (p, rank) in enumerate(zip(packing.elements, packing.ranks.tolist()))))
-    return _write_texts(fp, space.d, _phase_texts(table, space))
+    """Write the embedded code of the packing's elements to the text stream ``fp``, one at a
+    time; return the count. The bytes are those of ``json.dumps(embedded_code_to_json(space,
+    [embed(p.matrix, space) for p in elements]), indent=2, sort_keys=True) + "\\n"``, each
+    element read at the rank it was checked with. An element (a, J) of a phase family with
+    a >= 1 is not embedded: its text is a gather of J's texts (``_phase_code``, held until
+    J's last element) by the classes of basis a's pairs (``_phase_classes``). Every other
+    element is formatted from ``_projection_coordinates``."""
+    space, table = build_space(packing.m, packing.field), packing._block_table
+    phased = table is not None and table.family.phases is not None
 
+    def texts():
+        last = {p.block: i for i, p in enumerate(packing.elements)}  # each block's last element
+        codes, basis, sep = {}, None, _SEPARATOR.encode()
+        for i, (p, rank) in enumerate(zip(packing.elements, packing.ranks.tolist())):
+            a, block = p.basis_index, p.block
+            if not phased or a == 0:  # a phase family's a = 0 is the matrix diag(1_J)
+                coords = _projection_coordinates(p.matrix, space, rank)
+                yield _vector_text(_coords_text(coords), rank)
+            else:
+                if a != basis:  # where _phase_code holds each coordinate of basis a
+                    basis, pq = a, p.family.phases[0] * space.m
+                    pairs = _phase_classes(p.family, a)[space.pairs]
+                    index = np.concatenate([pairs, pq + pairs, 2 * pq + np.arange(space.m - 1)])
+                if block not in codes:
+                    codes[block] = _phase_code(p.family, block, space)
+                yield _vector_text(sep.join(codes[block][index].tolist()).decode(), rank)
+            if last[block] == i:
+                codes.pop(block, None)
 
-def _phase_texts(table: _BlockTable, space):
-    """The text of each element of a phase family's block table, in order."""
-    family, ids, (p, _), q = table.family, table.ids.tolist(), table.family.phases, space.m
-    last = {b: i for i, b in enumerate(ids)}  # each block's last element
-    codes, basis, sep = {}, None, _SEPARATOR.encode()
-    for i, (a, b) in enumerate(zip(table.labels.tolist(), ids)):
-        block = table.blocks[b]
-        if a == 0:  # the element is diag(1_J)
-            coords = _projection_coordinates(np.diag(table.incidence[:, b].astype(complex)),
-                                             space, len(block))
-            yield _vector_text(_SEPARATOR.join(map(float.__repr__, coords.tolist())), len(block))
-        else:
-            if a != basis:  # where _phase_code holds each coordinate of basis a
-                basis, pairs = a, _phase_classes(family, a)[space.pairs]
-                index = np.concatenate([pairs, p * q + pairs, 2 * p * q + np.arange(q - 1)])
-            if b not in codes:
-                codes[b] = _phase_code(family, block, space)
-            yield _vector_text(sep.join(codes[b][index].tolist()).decode(), len(block))
-        if last[b] == i:
-            codes.pop(b, None)
+    return _write_texts(fp, space.d, texts())
 
 
 def _phase_code(family: MubFamily, block: tuple[int, ...], space) -> np.ndarray:

@@ -24,7 +24,6 @@ PUBLIC = [
     "mubs_from_json", "mubs_to_json", "numerics", "packing", "packing_from_json",
     "packing_to_json", "resolvability", "span_of_achievers", "spatial_complement",
     "sphere_radius_sq", "verify_design", "verify_mubs", "verify_orthoplex_geometry",
-    "write_embedded_code",
 ]
 
 

@@ -19,7 +19,7 @@ from grasspack.errors import ParameterError
 from grasspack.mubs import MubFamily, gen_mubs, gen_mubs_prime, mubs_from_json
 from grasspack.numerics import COMPLEX, DEFAULT_TOL, Tolerance, matrix_rank
 from grasspack.packing import (_PAIR_CLASSES, CoherenceReport, Packing, PairClassSummary,
-                               _basis_labels, _pair_class,
+                               _pair_class,
                                certificate_to_json, certify, check_tightness, coherence,
                                coordinate_projection, extract_hadamard, packing_from_json,
                                packing_to_json, span_of_achievers, spatial_complement)
@@ -35,7 +35,7 @@ def per_pair_exact_pass(pk, mub_dev, tol):
     reference: it forms every same-basis pair of elements, with its
     intersection read off an incidence of all n blocks."""
     m, n = pk.m, pk.n
-    ranks, labels = pk.ranks, _basis_labels(pk.elements)
+    ranks, labels = pk.ranks, pk._block_table.labels
     crossed = bool(np.any(labels != labels[0]))
     order = np.argsort(labels, kind="stable")
     starts = np.concatenate(([0], np.cumsum(np.bincount(labels))))

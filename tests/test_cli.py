@@ -495,6 +495,39 @@ def test_malformed_json_exits_2(tmp_path, fano, case, capsys):
     assert err.startswith(f"error: {NAMED.get(case, '')}") and err.count("\n") == 1
 
 
+# each case: the arguments, {name} standing for a file of the test's, and its error line
+USAGE_ERRORS = {
+    "mixed-without-partition": (["build", "--mub", "{mub}", "--design", "{fano}",
+                                 "--mode", "mixed", "--out", "{out}"],
+                                "--mode mixed requires --partition"),
+    "orthoplex-two-designs": (["build", "--mub", "{mub}", "--design", "{fano}", "--design",
+                               "{fano}", "--mode", "orthoplex", "--out", "{out}"],
+                              "--mode orthoplex takes exactly one design (the halves)"),
+    "extract-without-design": (["certify", "{pk}", "--extract-hadamard", "{out}"],
+                               "--extract-hadamard needs --design (the block family used)"),
+    "design-without-source": (["gen", "design", "--out", "{out}"],
+                              "choose one of --hadamard3/--projective/--affine/"
+                              "--complement-of/--rebase-of"),
+    "hadamard3-without-order": (["gen", "design", "--hadamard3", "--out", "{out}"],
+                                "--hadamard3 needs --order"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_missing_or_extra_option_exits_2(tmp_path, mub7, fano, case, capsys):
+    """A command missing an option its mode needs, or given one design too
+    many, exits 2 with one error line and writes nothing."""
+    pk, out = tmp_path / "pk.json", tmp_path / "out.json"
+    assert run("build", "--mub", mub7, "--design", fano, "--mode", "mixed",
+               "--partition", "0,1,2,3,4,5,6,7", "--out", pk) == 0
+    argv, message = USAGE_ERRORS[case]
+    files = {"mub": mub7, "fano": fano, "pk": pk, "out": out}
+    capsys.readouterr()
+    assert run(*(a.format(**files) for a in argv)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def pg31_packing(tmp_path_factory):
     """The file of the m = 31 mixed packing of PG(2, 5) and its complement

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grasspack.embedding import (EmbeddedVector, build_space, embed,
-                                 embedded_code_to_json, embedding_dim,
-                                 sphere_radius_sq, write_embedded_code)
+from grasspack.embedding import (EmbeddedVector, _coords_text, _vector_text, _write_texts,
+                                 build_space, embed, embedded_code_to_json, embedding_dim,
+                                 sphere_radius_sq)
 from grasspack.errors import DegenerateRankError, ParameterError
 from grasspack.numerics import COMPLEX, REAL
 
@@ -279,10 +279,11 @@ def test_embedded_code_json(rng):
 
 
 def streamed_text(space, vectors) -> str:
-    """The text ``write_embedded_code`` writes of ``vectors``, handed over
-    one at a time."""
+    """The text the code writer of ``grasspack embed`` writes of ``vectors``,
+    handed over one at a time."""
     fp = io.StringIO()
-    assert write_embedded_code(fp, space, iter(vectors)) == len(vectors)
+    texts = (_vector_text(_coords_text(v.coords), v.source_rank) for v in vectors)
+    assert _write_texts(fp, space.d, texts) == len(vectors)
     return fp.getvalue()
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -281,6 +282,37 @@ class TestBuildOrthoplex:
         assert pk.hypotheses.candidate_maximal
 
 
+# each case: a call with bad input, the error it raises and its message
+INPUT_ERRORS = {
+    "mixed-more-designs-than-classes": (
+        lambda: build_mixed_packing(gen_mubs_prime(7), [FANO, FANO_C], [[0, 1, 2, 3]]),
+        ParameterError, "^2 designs but 1 partition classes$"),
+    "mixed-more-designs-than-bases": (
+        lambda: build_mixed_packing(gen_mubs_small(2, COMPLEX), [BlockDesign(2, [(0,)])] * 4,
+                                    [[0], [1], [2], []]),
+        ParameterError, "^4 designs exceed the 3 available bases$"),
+    "orthoplex-design-over-another-m": (
+        lambda: build_orthoplex_packing(gen_mubs_small(4, COMPLEX), FANO),
+        ParameterError, "^design over 7 points does not match m=4$"),
+    "orthoplex-blocks-cover-every-point": (
+        lambda: build_orthoplex_packing(gen_mubs_small(2, COMPLEX), BlockDesign(2, [(0, 1)])),
+        ParameterError, "^blocks cover every point; complements are empty$"),
+    "hadamard-design-over-another-m": (
+        lambda: extract_hadamard(c4_orthoplex_packing()[0], FANO),
+        StructuralError, "^design over 7 points does not match m=4$"),
+    "hadamard-wrong-block-count": (
+        lambda: extract_hadamard(c4_orthoplex_packing()[0], BlockDesign(4, [(0, 1), (2, 3)])),
+        StructuralError, "^need 2\\(m-1\\) = 6 blocks, got 2$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_errors_are_named(case):
+    call, error, message = INPUT_ERRORS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestCoherence:
     def test_antipodal_pair(self, rng):
         p = random_projection(rng, 3, 1)
@@ -516,20 +548,22 @@ class TestOrthoplexGeometry:
         monkeypatch.setattr(packing, "_physical_memory", lambda: 11700)
         assert verify_orthoplex_geometry(pk).passes
 
-    @pytest.mark.parametrize("m, n", [(4, 1500), (12, 286)], ids=["n-above-d", "n-is-2d"])
-    def test_each_pass_holds_at_most_what_its_guard_asks(self, m, n, monkeypatch):
-        """Dense random projections: under tracemalloc the numeric pass, in ``coherence``
-        and in ``certify``, and at n = 2d the geometry pass allocate at most the
-        8 n d + 9 n^2 bytes their guard asks for; exactly that much memory is enough and
-        one byte less is refused. The guard does not count numpy's fixed 64 KB reduction
-        buffer or a few hundred bytes of Python objects: at m = 12 (d = 143) the
-        coordinates, freed before the n x n mask is made, leave room for them, at C^8
-        (n = 126) they do not."""
+    @pytest.mark.parametrize("case", ["n-above-d", "n-is-2d", "c8-orthoplex"])
+    def test_each_pass_holds_at_most_what_its_guard_asks(self, case, monkeypatch):
+        """Dense random projections, and the dense C^8 orthoplex (n = 2d = 126), whose
+        pattern check runs to the end: under tracemalloc the numeric pass, in
+        ``coherence`` and in ``certify``, and at n = 2d the geometry pass allocate at most
+        the 8 n d + 9 n^2 bytes their guard asks for; exactly that much memory is enough
+        and one byte less is refused."""
         from grasspack import packing
-        rng = np.random.default_rng(m)
-        pk = Packing(m, COMPLEX, tuple(Projection(random_projection(rng, m, int(r)))
-                                       for r in rng.integers(1, m, size=n)))
-        d = embedding_dim(m, COMPLEX)
+        if case == "c8-orthoplex":
+            pk = dense_copy(c8_orthoplex_packing())
+        else:
+            m, n = {"n-above-d": (4, 1500), "n-is-2d": (12, 286)}[case]
+            rng = np.random.default_rng(m)
+            pk = Packing(m, COMPLEX, tuple(Projection(random_projection(rng, m, int(r)))
+                                           for r in rng.integers(1, m, size=n)))
+        m, n, d = pk.m, pk.n, embedding_dim(pk.m, COMPLEX)
         need = 8 * n * d + 9 * n * n
         for run in [coherence, certify] + [verify_orthoplex_geometry] * (n == 2 * d):
             monkeypatch.setattr(packing, "_physical_memory", lambda: need - 1)
@@ -558,6 +592,7 @@ class TestOrthoplexGeometry:
         assert abs(cert.mu_embedded) <= 1e-15
         report = verify_orthoplex_geometry(pk)
         assert report.passes and report.antipodal_pairs == ((0, 1), (2, 3), (4, 5))
+        assert math.copysign(1.0, report.max_offdiag_dev) == 1.0  # never a negative zero
         assert certify(pk, loose).status is CertStatus.MAXIMAL_ORTHOPLEX
         assert verify_orthoplex_geometry(pk, loose).passes
 
@@ -935,20 +970,36 @@ class TestCoordinatePackings:
                    for p in back.elements)
 
     def test_imported_elements_have_unknown_basis(self):
-        """Every pair with a dense element falls in an ``unknown_basis`` class;
-        a pair of coordinate projections keeps its basis class."""
+        """Only a block table's pairs have basis classes: with one dense element
+        the packing has no table, so every pair, one of two coordinate
+        projections of one basis included, falls in an ``unknown_basis`` class."""
         pk = fano_mixed_packing()
         els = [p if i % 2 else Projection(p.matrix) for i, p in enumerate(pk.elements)]
         rep = coherence(Packing(7, COMPLEX, tuple(els)))
         assert rep.method == "numeric"
-        want = Counter()
-        for a, b in itertools.combinations(els, 2):
-            basis = ("unknown_basis" if a.family is None or b.family is None
-                     else "same_basis" if a.basis_index == b.basis_index else "cross_basis")
-            want[f"{basis}/{'same_rank' if a.rank == b.rank else 'cross_rank'}"] += 1
+        want = Counter(f"unknown_basis/{'same_rank' if a.rank == b.rank else 'cross_rank'}"
+                       for a, b in itertools.combinations(els, 2))
         assert {k: v.count for k, v in rep.pair_classes.items()} == dict(want)
-        assert want["same_basis/same_rank"] and want["cross_basis/cross_rank"]
+        assert any(a.family is not None and a.basis_index == b.basis_index
+                   for a, b in itertools.combinations(els, 2))
         assert sum(want.values()) == 56 * 55 // 2
+
+    def test_pairs_across_two_families_have_unknown_basis(self):
+        """Basis 0 of a family and basis 0 of its copy rotated by the Fourier
+        matrix are two bases with one index. A packing of coordinate projections
+        of both has no block table, so no pair has a basis class: its report is
+        its dense copy's, and its complement is dense."""
+        fam = gen_mubs_prime(3)
+        fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+        rotated = MubFamily(3, COMPLEX, fourier @ fam.bases)
+        pk = Packing(3, COMPLEX, tuple(coordinate_projection(f, 0, (x,))
+                                       for f in (fam, rotated) for x in (0, 1)))
+        rep = coherence(pk)
+        assert rep == coherence(dense_copy(pk))
+        assert list(rep.pair_classes) == ["unknown_basis/same_rank"]
+        assert rep.pair_classes["unknown_basis/same_rank"].count == 6
+        assert all((q.family, q.basis_index, q.block) == (None, None, None)
+                   for q in spatial_complement(pk).elements)
 
 
 VARIANTS = {
