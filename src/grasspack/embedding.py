@@ -17,6 +17,7 @@ Gram of the coordinates this module forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,7 +55,12 @@ class EmbeddingSpace:
     pairs: tuple[np.ndarray, np.ndarray]
 
 
+@lru_cache(maxsize=8, typed=True)
 def build_space(m: int, field: Field) -> EmbeddingSpace:
+    """The space of ``m`` and ``field``, made once per process and returned as the
+    same read-only object on every call; a bad argument raises on every call. The
+    cache keeps the last 8 spaces asked for, each about 16 m^2 bytes (about two
+    embedded vectors)."""
     d = embedding_dim(m, field)
     helmert = np.zeros((m - 1, m))
     for h in range(1, m):

@@ -19,6 +19,7 @@ from .errors import ParameterError
 
 _MAX_Q = 256
 _MAX_GEOMETRY = 1 << 16
+_LINES_AT_ONCE = 1 << 18  # points times lines per lookup chain: 2 MB per int64 table
 
 
 def is_prime(p: int) -> bool:
@@ -242,7 +243,9 @@ def enumerate_projective_plane(q: PrimePower | int) -> list[tuple[int, ...]]:
 
     Points are the canonical representatives of 1-dimensional subspaces of
     GF(q)^3 (first nonzero coordinate 1), indexed in lexicographic order;
-    lines are zero sets of the same canonical functionals.
+    lines are zero sets of the same canonical functionals. Every line meets
+    q + 1 points, so each chain of lookups (all lines for q <= 19) reads its
+    lines' points row by row.
     """
     pp = factor_prime_power(q) if isinstance(q, int) else q
     qq = pp.q
@@ -252,8 +255,10 @@ def enumerate_projective_plane(q: PrimePower | int) -> list[tuple[int, ...]]:
     reps = np.array([(0, 0, 1)] + [(0, 1, z) for z in range(qq)]
                     + [(1, y, z) for y in range(qq) for z in range(qq)], dtype=np.int64)
     x, y, z = reps.T
+    step = max(1, _LINES_AT_ONCE // len(reps))  # lines read in one chain of lookups
     lines = []
-    for a, b, c in reps.tolist():  # the line a x + b y + c z = 0, read at every point
+    for start in range(0, len(reps), step):  # line a x + b y + c z = 0, one row per line
+        a, b, c = reps[start:start + step, :, None].transpose(1, 0, 2)
         value = ft.add(ft.add(ft.mul(a, x), ft.mul(b, y)), ft.mul(c, z))
-        lines.append(tuple(np.flatnonzero(value == 0).tolist()))
+        lines += map(tuple, (value == 0).nonzero()[1].reshape(-1, qq + 1).tolist())
     return lines

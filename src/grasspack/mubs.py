@@ -3,7 +3,7 @@
 Complex families for odd prime (power) dimensions come from quadratic phase
 functions over the finite field: one exponent table per order, checked
 exactly, in integers, once per process; the small dimensions 2 and 4 are
-hardcoded.
+hardcoded, and each of their families is made and verified once per process.
 Real maximal families beyond R^4 and even-characteristic extension fields are
 supported through JSON import only.
 """
@@ -11,7 +11,7 @@ supported through JSON import only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -249,13 +249,22 @@ _SMALL_FAMILIES = {
 def gen_mubs_small(m: int, field: Field) -> MubFamily:
     """Hardcoded maximal families: 3 MUBs in C^2, 5 in C^4, 3 in R^4.
 
-    Every family is re-verified on the way out; other (m, field) pairs raise
-    UnsupportedError with an import hint.
+    Each family is made and verified once per process and then returned as
+    the same read-only object on every call; other (m, field) pairs raise
+    UnsupportedError with an import hint, on every call.
     """
     check_field(field)
     if (m, field) not in _SMALL_FAMILIES:
         raise UnsupportedError(
             f"no built-in family for (m={m}, field={field}); import one via JSON")
+    return _small_family(m, field)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _small_family(m: int, field: Field) -> MubFamily:
+    """``gen_mubs_small``'s family, verified; a failure is raised, never kept. The
+    cache holds the three families (under 3 KB of bases and deviations), once per
+    type of ``m`` it is called with."""
     fam = MubFamily(m, field, _SMALL_FAMILIES[m, field])
     report = verify_mubs(fam)
     if not report.ok:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -128,7 +128,10 @@ class _BlockTable:
     use by the builders and in file order by ``packing_from_json``; the B
     distinct blocks have the m x B 0/1 ``incidence`` N and the int64 ``meet`` =
     N^T N, read-only (sizes on its diagonal). What the exact path reads is
-    kept once formed: ``exact`` (``_exact_values``) and the tightness verdict."""
+    kept once formed: ``exact`` (``_exact_values``), the tightness verdict, the
+    MUB deviation bound ``mub_dev`` and, in ``kept``, the exact report of the
+    last tolerance asked for and a float family's tightness deviation. Each is
+    a few numbers or arrays of length n; the numeric path's Gram is never kept."""
 
     family: MubFamily
     labels: np.ndarray
@@ -145,6 +148,17 @@ class _BlockTable:
     def evenly_covered(self) -> bool:  # every basis covers each point equally often
         cover = _coverage(self)
         return bool(np.all(cover == cover[:, :1]))
+
+    @cached_property
+    def mub_dev(self) -> float:  # bounds max |W - E| over the bases in use (_coherence_pass)
+        used = np.flatnonzero(np.bincount(self.labels))
+        dev = self.family.deviations[np.ix_(used, used)]
+        delta = float(np.diagonal(dev).max())
+        return max(float(dev.max()), 2 * delta + delta * delta)  # delta <= 2 delta + delta^2
+
+    @cached_property
+    def kept(self) -> dict:  # "report": ((eps_abs, mub_dev), report); "tight_dev": max|F - cI|
+        return {}
 
 
 def _table(family: MubFamily, labels, ids, blocks, inc) -> _BlockTable:
@@ -501,102 +515,129 @@ def _exact_values(table: _BlockTable) -> _ExactValues:
     Over MUBs tr(P_i P_j) is |J & K| for two blocks of one basis and
     |J||K|/m across bases, so every cross-basis embedded inner product is 0
     and a same-basis pair has num / sqrt(den) with num = m|J & K| - |J||K|
-    and den = |J|(m-|J|)|K|(m-|K|). Each pattern, the block ids of one basis
-    in order (one design in a partition class), takes its L x L block of
-    N^T N, each entry coded by the places of |J| and |K| among the distinct
-    block sizes and |J & K|; the few codes present (one bincount) are ordered
-    exactly by the Fraction num|num|/den, and only the reported numbers are
-    rounded to floats. Peaks are row maxima; pair classes are counted off
-    each pattern's rank histogram times the bases that carry it. The
-    orthoplex check is decided on blocks, row by row: each element has exactly
-    one complementary block in its basis (its antipode), and every other
-    same-basis pair has num = 0.
+    and den = |J|(m-|J|)|K|(m-|K|). Bases that hold each block equally often
+    share a pattern: the rows of block counts are sorted as bytes and split
+    where they change, with no pass over the bases in Python. N^T N is coded
+    once, each entry by the places of |J| and |K| among the distinct block
+    sizes and |J & K|; a pattern's pairs are the square of that code on its
+    blocks, whose diagonal is a pair only for a block held twice. The few
+    codes present (one bincount) are ordered exactly by num|num|/den in
+    Python ints, and only the reported numbers are rounded to floats. A
+    block's peak in a pattern is its row maximum, which each element of the
+    pattern's bases reads; pair classes are counted, in Python ints, off each
+    pattern's rank histogram times the bases that carry it. The orthoplex
+    check is decided on blocks: each element has exactly one complementary
+    block in its basis (its antipode), and every other same-basis pair has
+    num = 0.
     """
     labels, ids, meet = table.labels, table.ids, table.meet
-    m, n, sizes = table.family.m, len(labels), np.diagonal(meet)
-    crossed = bool(np.any(labels != labels[0]))  # some pair lies across two bases
-    # sorted by basis, stably so each keeps increasing indices; basis a's run is
-    # order[s:e], and its pattern is numbered by the bytes of the run's ids
-    order = np.argsort(labels, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels)))).tolist()
-    raw, w, patterns = ids[order].tobytes(), ids.itemsize, {}
-    runs = {a: (s, e, patterns.setdefault(raw[w * s:w * e], len(patterns)))
-            for a, (s, e) in enumerate(zip(bounds, bounds[1:])) if e > s}
-    seqs = [np.frombuffer(key, dtype=ids.dtype) for key in patterns]
+    m, n, nb = table.family.m, len(labels), len(meet)
+    cell = labels * nb + ids  # (basis, block)
+    counts = np.bincount(cell, minlength=table.family.k * nb).reshape(-1, nb)
+    # bases with equal rows of counts share a pattern: sort the rows, split where they change
+    order = counts.view(np.dtype((np.void, counts.itemsize * nb))).ravel().argsort()
+    ranked = counts[order]
+    new = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
+    pattern = np.empty_like(order)
+    pattern[order] = new.cumsum() - 1
+    rows = ranked[new]  # an unused basis holds the zero row
+    sizes = meet.diagonal()
+    size_of = sorted(set(sizes.tolist()))
+    kinds, span = len(size_of), m + 1
+    cells = kinds * kinds * span  # codes (place |J| * kinds + place |K|) * span + |J & K|
+    place = np.array(size_of).searchsorted(sizes)
+    code = meet if kinds == 1 else (place * (kinds * span))[:, None] + place * span + meet
+    subs, hists, twice = [], [], counts.max() > 1  # a block held twice on a basis pairs with itself
+    for row in rows:
+        s = row.nonzero()[0]
+        held, sub = row.take(s), code.take(s, 0).take(s, 1)
+        sub.ravel()[::len(s) + 1][held < 2 if twice else ...] = cells  # no pair: past every code
+        subs.append((s, sub))
+        hists.append(np.bincount(place.take(s).repeat(held), minlength=kinds).tolist())  # ranks
+    tally = np.bincount(np.concatenate([sub.ravel() for _, sub in subs]),
+                        minlength=cells + 1)[:cells]  # entries of each code
+    found = tally.nonzero()[0]
+    carriers = np.bincount(pattern).tolist()
+    crossed = sum(w for w, h in zip(carriers, hists) if any(h)) > 1  # bases in use
 
-    present = np.bincount(sizes, minlength=m + 1) > 0  # every block is used
-    size_of, place = np.flatnonzero(present), np.cumsum(present) - 1
-    kinds, cells = len(size_of), len(size_of) ** 2 * (m + 1)  # distinct sizes, codes
-    codes, hist = [], []  # per pattern: (place |J| * kinds + place |K|) * (m + 1) + |J & K|
-    for seq in seqs:
-        at = place[sizes[seq]]
-        code = (at[:, None] * kinds + at) * (m + 1) + meet[seq][:, seq]
-        np.fill_diagonal(code, cells)  # no pair: one past every code
-        codes.append(code)
-        hist.append(np.bincount(at, minlength=kinds))  # the pattern's rank histogram
-    found = np.flatnonzero(np.bincount(np.concatenate([c.ravel() for c in codes]),
-                                       minlength=cells + 1)[:cells])
-    places, common = np.divmod(found, m + 1)
-    ra, rb = size_of[places // kinds], size_of[places % kinds]
-    as_float = {Fraction(0): 0.0}  # exact value num|num|/den -> num / sqrt(den)
-    exact = []
-    for a, b, c in zip(ra.tolist(), rb.tolist(), common.tolist()):
-        nu, den = m * c - a * b, a * (m - a) * b * (m - b)
-        exact.append(Fraction(nu * abs(nu), den))
+    as_float = {(0, 1): 0.0}  # exact value num|num|/den, reduced -> num / sqrt(den)
+    exact, commons, tied, flat = [], [], [], True
+    for c in found.tolist():
+        pair, common = divmod(c, span)
+        a, b = size_of[pair // kinds], size_of[pair % kinds]
+        nu, den = m * common - a * b, a * (m - a) * b * (m - b)
+        x = nu * abs(nu)
+        g = math.gcd(x, den)
+        exact.append((x // g, den // g))
         as_float.setdefault(exact[-1], nu / math.sqrt(den))
-    ordered = sorted(as_float)
+        commons.append(common)
+        tied.append(a == b)
+        flat = flat and (nu == 0 or (common == 0 and a + b == m))  # zero, or complementary
+    scale = math.lcm(*(den for _, den in as_float))  # over which each value is an integer
+    ordered = sorted(as_float, key=lambda v: v[0] * (scale // v[1]))
     rank_of = {v: r for r, v in enumerate(ordered)}
-    floats = np.array([as_float[v] for v in ordered])
+    floats = [as_float[v] for v in ordered]
+    keys = [rank_of[v] for v in exact]
+    zero = rank_of[0, 1] if crossed else -1  # cross-basis pairs, if any
     key_of = np.full(cells + 1, -1)
-    key_of[found] = [rank_of[v] for v in exact]
-    zero = rank_of[Fraction(0)] if crossed else -1  # cross-basis pairs, if any
-    keys = [key_of[code] for code in codes]
+    key_of[found] = keys
 
-    peaks = [np.maximum(key.max(axis=1), zero) for key in keys]  # as ranks
-    best = np.empty(n, dtype=np.int64)
-    best[order] = np.concatenate([peaks[p] for _, _, p in runs.values()])
-    top = int(best.max())
-    i = int(np.argmax(best == top))  # the first row of the Gram that attains mu
-    s, e, p = runs[labels[i]]  # i's run; its row of the pattern's keys names its partners
-    run = order[s:e]
-    partners = run[keys[p][np.searchsorted(run, i)] == top].tolist()
-    if top == zero:
-        partners.append(np.flatnonzero(labels != labels[i])[0])
+    peak, floor = np.empty((len(rows), nb), dtype=np.int64), np.maximum(key_of, zero)
+    for p, (s, sub) in enumerate(subs):
+        peak[p, s] = floor[sub].max(axis=1, initial=-1)
+    best = peak[pattern].ravel()[cell]  # as ranks
+    i = int(best.argmax())  # the first row of the Gram that attains mu
+    top = int(best[i])
+    hit = key_of[code[ids[i]][ids]] == top  # i's same-basis partners
+    hit[i] = False
+    same = labels == labels[i]
+    j = int((hit & same if top != zero else hit | ~same).argmax())
 
     # pairs per class, from each pattern's rank histogram and the bases carrying it
-    hist, carriers = np.array(hist), np.bincount([p for _, _, p in runs.values()])
-    sq, length = (hist * hist).sum(axis=1), hist.sum(axis=1)
-    within = carriers @ np.column_stack((sq - length, length * length - sq)) // 2
-    total = int(((carriers @ hist) ** 2).sum())  # sum over sizes of (elements of that size)^2
-    count = [*within, *(np.array([total - n, n * n - total]) // 2 - within), 0, 0]
-    tied = ra == rb
-    tops = [int(key_of[found[tied]].max(initial=-1)), int(key_of[found[~tied]].max(initial=-1)),
-            zero, zero]  # every cross-basis value is zero
-    pair_classes = {name: PairClassSummary(int(count[c]), float(floats[tops[c]]))
+    within, totals = [0, 0], [0] * kinds
+    for w, h in zip(carriers, hists):
+        sq, length = sum(x * x for x in h), sum(h)
+        within[0] += w * (sq - length) // 2
+        within[1] += w * (length * length - sq) // 2
+        totals = [t + w * x for t, x in zip(totals, h)]
+    total = sum(t * t for t in totals)  # sum over sizes of (elements of that size)^2
+    count = [*within, (total - n) // 2 - within[0], (n * n - total) // 2 - within[1], 0, 0]
+    tops = [-1, -1, zero, zero]  # every cross-basis value is zero
+    for k, t in zip(keys, tied):
+        tops[not t] = max(tops[not t], k)
+    pair_classes = {name: PairClassSummary(count[c], floats[tops[c]])
                     for c, name in enumerate(_PAIR_CLASSES) if count[c]}
 
     mu_raw = None
     if kinds == 1:  # tr is |J & K| within a basis and l^2/m across
-        traces = [Fraction(int(common.max()))] if common.size else []
-        mu_raw = float(max(traces + ([Fraction(int(size_of[0]) ** 2, m)] if crossed else [])))
-
-    comp = (common == 0) & (ra + rb == m)  # a complementary pair of blocks
-    is_comp = np.zeros(cells + 1, dtype=bool)
-    is_comp[found[comp]] = True
-    antipodal = n // 2 if not np.any((m * common - ra * rb)[~comp]) and all(
-        np.all(is_comp[code].sum(axis=1) == 1) for code in codes) else None
-    return _ExactValues(lock(floats[best]), float(floats[top]), (i, int(min(partners))),
-                        pair_classes, mu_raw, antipodal)
+        l2, c = size_of[0] ** 2, max(commons, default=0)
+        mu_raw = l2 / m if crossed and l2 > c * m else float(c)
+    # every code zero or complementary, and each element one complement in its basis: no
+    # block is held twice, and a block has at most one complement, so a pattern's L blocks
+    # need L complementary entries
+    antipodal = n // 2 if flat and not twice and sum(
+        t for t, x in zip(tally[found].tolist(), commons) if x == 0) == sum(
+        len(s) for s, _ in subs) else None
+    peaks = np.array(floats)[best]
+    peaks.setflags(write=False)
+    return _ExactValues(peaks, floats[top], (i, j), pair_classes, mu_raw, antipodal)
 
 
 def _exact_pass(packing: Packing, mub_dev: float,
                 tol: Tolerance) -> tuple[CoherenceReport, Callable]:
     """The report read off the table's shared ``exact``, achievers (within
-    ``eps_abs`` of mu) picked, and the orthoplex check ``certify`` runs when n = 2d."""
-    v = packing._block_table.exact
-    achievers = tuple(np.flatnonzero(v.peaks >= v.mu - tol.eps_abs).tolist())
-    return (CoherenceReport(v.mu, v.argmax_pair, achievers, dict(v.pair_classes), packing.n,
-                            v.mu_raw, "exact", mub_dev), lambda: v.antipodal_pairs)
+    ``eps_abs`` of mu) picked, and the orthoplex check ``certify`` runs when n = 2d.
+    The table keeps the report of the last ``eps_abs`` and ``mub_dev`` asked for;
+    each call gets a copy with its own ``pair_classes``."""
+    table = packing._block_table
+    v = table.exact
+    key, rep = table.kept.get("report", (None, None))
+    if key != (tol.eps_abs, mub_dev):
+        achievers = tuple(np.flatnonzero(v.peaks >= v.mu - tol.eps_abs).tolist())
+        rep = CoherenceReport(v.mu, v.argmax_pair, achievers, v.pair_classes, packing.n,
+                              v.mu_raw, "exact", mub_dev)
+        table.kept["report"] = (tol.eps_abs, mub_dev), rep
+    return replace(rep, pair_classes=dict(rep.pair_classes)), lambda: v.antipodal_pairs
 
 
 def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, Callable]:
@@ -625,20 +666,13 @@ def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, 
     """
     if packing.n < 2:
         raise ParameterError("coherence and certification need at least 2 elements")
-    m, ranks = packing.m, packing.ranks
-    if np.any(ranks == 0) or np.any(ranks == m):
+    m, ranks, table, mub_dev = packing.m, packing.ranks, packing._block_table, None
+    if ranks.min() == 0 or ranks.max() == m:  # two reductions: no array of length n
         raise DegenerateRankError("rank-0 or full-rank element cannot be embedded")
-    mub_dev = None
-    table = packing._block_table
-    family = None if table is None else table.family
-    if family is not None and family.exact_verdict:
+    if table is not None and table.family.exact_verdict:
         return _exact_pass(packing, 0.0, tol)
-    if family is not None:
-        used = np.flatnonzero(np.bincount(table.labels))
-        dev = family.deviations[np.ix_(used, used)]
-        delta = float(np.diagonal(dev).max())
-        mub_dev = max(float(dev.max()), 2 * delta + delta * delta)  # delta <= 2 delta + delta^2
-        top = int(ranks.max())
+    if table is not None:
+        mub_dev, top = table.mub_dev, int(ranks.max())
         if mub_dev * m * top / (m - top) <= tol.eps_abs:
             return _exact_pass(packing, mub_dev, tol)
     e = _embedded_gram(packing)
@@ -663,7 +697,9 @@ def coherence(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> CoherenceReport
     ``certify`` keeps the same report as ``Certificate.coherence``.
     The exact values are formed once per packing and shared with ``certify``,
     ``check_tightness`` and ``span_of_achievers``; a call picks the achievers
-    at its ``eps_abs``. The numeric path keeps nothing, its Gram included.
+    at its ``eps_abs``, and the packing keeps the report of the last
+    ``eps_abs`` asked for, so a second call at it forms no array. The numeric
+    path keeps nothing, its Gram included.
     """
     return _coherence_pass(packing, tol)[0]
 
@@ -763,16 +799,18 @@ def check_tightness(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> tuple[boo
     F = sum_a U_a diag(c_a) U_a^* is cI plus sum_a T_a, T_a = U_a diag(v_a) U_a^*.
     Over MUBs tr(T_a T_b) = (sum v_a)(sum v_b) / m = 0 for a != b, so the
     Hilbert-Schmidt norm of sum_a T_a squared is sum_a |v_a|^2, 0 iff every
-    v_a is. Otherwise F, summed in floats, must be within ``eps_abs`` of cI.
+    v_a is. Otherwise F, summed in floats, must be within ``eps_abs`` of cI; a
+    block table keeps max |F - cI|, so F is summed once per packing.
     """
     m = packing.m
     constant = int(packing.ranks.sum()) / m
     table = packing._block_table
     if table is not None and table.family.exact_verdict:
         return table.evenly_covered, constant
-    f = _summed_projections(packing)
-    dev = float(np.abs(f - constant * np.eye(m)).max())
-    return dev <= tol.eps_abs, constant
+    kept = {} if table is None else table.kept
+    if "tight_dev" not in kept:
+        kept["tight_dev"] = float(np.abs(_summed_projections(packing) - constant * np.eye(m)).max())
+    return kept["tight_dev"] <= tol.eps_abs, constant
 
 
 def _summed_projections(packing: Packing, picked=slice(None)) -> np.ndarray:

@@ -5,6 +5,7 @@ packings made as their table against packings made element by element."""
 
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from grasspack import packing
 from grasspack.designs import BlockDesign, _incidence, complement_design
 from grasspack.errors import ParameterError
-from grasspack.mubs import MubFamily, gen_mubs, gen_mubs_prime, mubs_from_json
+from grasspack.mubs import MubFamily, gen_mubs, gen_mubs_prime, gen_mubs_small, mubs_from_json
 from grasspack.numerics import COMPLEX, DEFAULT_TOL, Tolerance, matrix_rank
 from grasspack.packing import (_PAIR_CLASSES, CoherenceReport, Packing, PairClassSummary,
                                _pair_class,
@@ -566,7 +567,7 @@ class TestSharedAnalysis:
         """certify, coherence, check_tightness, the achiever span and
         extract_hadamard's own certify read one table analysis; the span
         forms no sum, as one basis is covered, and a family with a verdict
-        decides tightness once, where the float C^4 family sums on each call."""
+        decides tightness once, where the float C^4 family sums once per table."""
         calls = Counter()
 
         def spy(name):
@@ -592,8 +593,8 @@ class TestSharedAnalysis:
             assert calls["_exact_values"] == 1 and calls["matrix_rank"] == 0
         if design is None:  # the verdict once, then one coverage of the achievers per span
             assert calls == {"_exact_values": 1, "_coverage": 3}
-        else:  # three float sums per round, one coverage each, and one per span
-            assert calls["_summed_projections"] == 6 and calls["_coverage"] == 8
+        else:  # one float sum per table, its coverage, and one coverage per span
+            assert calls["_summed_projections"] == 1 and calls["_coverage"] == 3
 
     @pytest.mark.parametrize("name", SHARED_CASES)
     def test_reports_equal_those_of_a_fresh_copy(self, name):
@@ -614,6 +615,57 @@ class TestSharedAnalysis:
         rep = coherence(pk)
         ref = matrix_rank(sum(pk.elements[i].matrix for i in rep.achievers), DEFAULT_TOL)
         assert span_of_achievers(pk, rep) == (ref, ref == pk.m)
+
+    def test_a_second_call_forms_no_array_of_length_n(self):
+        """certify and coherence at a tolerance asked for before read the kept
+        report: at m = 71 (n = 5112) they allocate less than one bool array of
+        length n, which picking the achievers again would form."""
+        pk = paley_packing(71)
+        cert, rep = certify(pk), coherence(pk)
+        tracemalloc.start()
+        try:
+            again, rep_again = certify(pk), coherence(pk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pk.n == 5112
+        assert again == cert and repr(rep_again) == repr(rep) == repr(again.coherence)
+
+    @pytest.mark.parametrize("name", sorted(UNEVEN_CASES))
+    def test_each_tolerance_picks_its_own_achievers(self, name):
+        """The kept report is the last tolerance's: the loose one, the default
+        and the loose one again each give a fresh copy's achievers."""
+        pk = shared_case(name)
+        for tol in (LOOSE, DEFAULT_TOL, LOOSE):
+            fresh = shared_case(name)
+            assert coherence(pk, tol).achievers == coherence(fresh, tol).achievers
+            assert repr(certify(pk, tol).coherence) == repr(certify(fresh, tol).coherence)
+        assert len(coherence(pk, LOOSE).achievers) > len(coherence(pk).achievers)
+
+    @pytest.mark.parametrize("name", ["c4-hadamard", "paley-p19"])
+    def test_a_changed_result_does_not_reach_the_next(self, name):
+        """Each call returns its own report and details: emptying one
+        certificate's details and pair classes leaves the next call's whole."""
+        pk = BUILDER_FIXTURES[name]()
+        cert = certify(pk)
+        details, classes = dict(cert.details), dict(cert.coherence.pair_classes)
+        cert.details.clear()
+        cert.coherence.pair_classes.clear()
+        coherence(pk).pair_classes.clear()
+        again = certify(pk)
+        assert again.details == details and again.coherence.pair_classes == classes
+        assert coherence(pk).pair_classes == classes
+
+    def test_two_calls_share_one_small_family(self):
+        """gen_mubs_small makes each family once per process, so projections
+        made from two of its calls are of one family: they form a block table
+        and take the exact pass, where two families made them dense before."""
+        elements = tuple(coordinate_projection(gen_mubs_small(2, COMPLEX), a, [x])
+                         for a in range(3) for x in range(2))
+        pk = Packing(2, COMPLEX, elements)
+        assert pk._block_table is not None
+        cert = certify(pk)
+        assert cert.coherence.method == "exact" and cert.status.value == "MaximalOrthoplex"
 
     def test_the_numeric_pass_keeps_nothing(self):
         """A dense packing keeps no array larger than O(n) after coherence

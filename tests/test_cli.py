@@ -63,6 +63,14 @@ def fano(tmp_path):
 
 
 class TestGen:
+    def test_projective_design_bytes_are_unchanged(self, tmp_path):
+        """The lines of PG(2, 5), read in one chain of field lookups, are written
+        as the per-line reading wrote them."""
+        path = tmp_path / "pg5.json"
+        assert run("gen", "design", "--projective", 5, "--out", path) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "d350c99938664e57647ba36ccd6f7ca81b700ce0978a2d577f334817c911fe8b")
+
     def test_mub_file_has_eight_bases(self, mub7):
         obj = json.loads(mub7.read_text())
         assert obj == {"version": 3, "m": 7, "field": "C", "construction": "quadratic-phases"}

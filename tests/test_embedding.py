@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -48,6 +49,18 @@ class TestSpace:
         assert embedding_dim(7, COMPLEX) == 48
         with pytest.raises(ParameterError):
             embedding_dim(1, COMPLEX)
+
+    def test_made_once_per_process(self):
+        """Every call returns the one read-only space; a bad m raises each time."""
+        space = build_space(8, COMPLEX)
+        assert build_space(8, COMPLEX) is space and build_space(8, REAL) is not space
+        assert not space.helmert.flags.writeable
+        assert not any(a.flags.writeable for a in space.pairs)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            space.m = 3
+        for _ in range(2):
+            with pytest.raises(ParameterError):
+                build_space(1, COMPLEX)
 
     def test_space_stores_only_helmert_rows(self):
         space = build_space(5, COMPLEX)

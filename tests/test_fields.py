@@ -198,7 +198,37 @@ class TestAffineHyperplanes:
         assert report.lambda_observed == (p ** (t1 - 1) - 1) // (p - 1)
 
 
+def reference_plane(q):
+    """The lines of PG(2, q) one at a time: each line's functional is read at
+    every point with three products and two sums of the field's tables."""
+    ft = build_field(q)
+    reps = np.array([(0, 0, 1)] + [(0, 1, z) for z in range(q)]
+                    + [(1, y, z) for y in range(q) for z in range(q)], dtype=np.int64)
+    x, y, z = reps.T
+    return [tuple(np.flatnonzero(ft.add(ft.add(ft.mul(a, x), ft.mul(b, y)), ft.mul(c, z)) == 0)
+                  .tolist()) for a, b, c in reps.tolist()]
+
+
+def is_prime_power(q):
+    try:
+        factor_prime_power(q)
+    except ParameterError:
+        return False
+    return True
+
+
+PLANE_ORDERS = [q for q in range(2, 33) if is_prime_power(q)]
+
+
 class TestProjectivePlane:
+    @pytest.mark.parametrize("q", PLANE_ORDERS)
+    def test_equals_the_per_line_reference(self, q):
+        """Every prime power up to 32: the planes read in one chain of lookups
+        (q <= 19) and those read in blocks of lines (2 at q = 23, 5 at q = 32).
+        The larger orders the size cap admits, up to q = 251, are left out: at
+        q = 64 one case takes 0.7 s, and q = 251 holds 16 million points."""
+        assert enumerate_projective_plane(q) == reference_plane(q)
+
     def test_fano(self):
         lines = enumerate_projective_plane(2)
         assert len(lines) == 7

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -149,6 +150,23 @@ class TestSmall:
             gen_mubs_small(8, REAL)
         with pytest.raises(UnsupportedError):
             gen_mubs_small(3, COMPLEX)
+
+    @pytest.mark.parametrize("m, field", [(2, COMPLEX), (4, COMPLEX), (4, REAL)])
+    def test_made_once_per_process(self, m, field):
+        """Every call returns the one verified family, read-only."""
+        fam = gen_mubs_small(m, field)
+        assert gen_mubs_small(m, field) is fam and gen_mubs(m, field) is fam
+        assert not fam.bases.flags.writeable and not fam.deviations.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fam.m = 3
+
+    def test_errors_are_never_kept(self):
+        for _ in range(2):
+            with pytest.raises(UnsupportedError):
+                gen_mubs_small(3, COMPLEX)
+            with pytest.raises(ParameterError):  # a float m is refused, not read as 2
+                gen_mubs_small(2.0, COMPLEX)
+        assert gen_mubs_small(2, COMPLEX).m == 2
 
 
 def same_family(a, b):
