@@ -143,6 +143,7 @@ def verify_design(design: BlockDesign, t: int) -> DesignReport:
     per-point replication, symmetry (b == m for 2-designs), cohesion, and
     resolvability/affineness are reported alongside.
     """
+    t = as_int(t, "t")
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
     if t > design.m:
@@ -191,10 +192,16 @@ def complement_design(design: BlockDesign) -> BlockDesign:
     if design.block_size == design.m:
         raise ParameterError("blocks already cover every point; complement is empty")
     rest = lock(1.0 - design.incidence)
-    comp = object.__new__(BlockDesign)  # a frozen instance's fields, set once, unchecked
-    comp.__dict__.update(m=design.m, blocks=_supports(rest), declared_t=None,
-                         declared_lambda=None, incidence=rest)
-    return comp
+    return _derived(design.m, _supports(rest), incidence=rest)
+
+
+def _derived(m: int, blocks, declared_t=None, declared_lambda=None, **cached) -> BlockDesign:
+    """A design derived from checked input: its blocks, valid by construction, are not
+    checked again, and ``cached`` holds values already formed."""
+    design = object.__new__(BlockDesign)  # a frozen instance's fields, set once
+    design.__dict__.update(m=m, blocks=tuple(blocks), declared_t=declared_t,
+                           declared_lambda=declared_lambda, **cached)
+    return design
 
 
 def resolvability(design: BlockDesign) -> ResolvabilityReport:
@@ -310,6 +317,7 @@ def gen_hadamard(order: int) -> HadamardMatrix:
     Unreachable orders raise UnsupportedError; such matrices can still be
     imported from JSON.
     """
+    order = as_int(order, "order")
     if order < 1:
         raise ParameterError(f"order must be positive, got {order}")
 
@@ -358,18 +366,20 @@ def hadamard_to_3design(h: HadamardMatrix) -> BlockDesign:
     if n < 4 or n % 4 != 0:
         raise ParameterError(f"need order 4t >= 4, got {n}")
     mat = h.entries * h.entries[-1]  # negate columns whose last entry is -1
-    blocks = [np.flatnonzero(row == sign).tolist() for sign in (1, -1) for row in mat[:-1]]
-    return BlockDesign(n, blocks, declared_t=3, declared_lambda=n // 4 - 1)
+    blocks = [tuple(np.flatnonzero(row == sign).tolist()) for sign in (1, -1) for row in mat[:-1]]
+    return _derived(n, blocks, declared_t=3, declared_lambda=n // 4 - 1)
 
 
 def design_rebase(design: BlockDesign) -> tuple[int, BlockDesign]:
     """Re-declare a symmetric (m, l, lam) design over m' = m + (m-l)/(l-1)
     points, under which every pairwise block intersection equals l^2/m'.
 
-    Requires (m-l)/(l-1) to be an integer; the identity lam * m' = l^2 is
-    verified exactly before returning.
+    Requires blocks of two or more points and (m-l)/(l-1) to be an integer;
+    the identity lam * m' = l^2 is verified exactly before returning.
     """
     m, l = design.m, design.block_size
+    if l == 1:
+        raise ParameterError("blocks of one point cannot be rebased: (m-l)/(l-1) divides by 0")
     report = verify_design(design, 2)
     if not report.is_t_design[2] or not report.is_symmetric:
         raise ParameterError("input must be a symmetric 2-design")
@@ -380,7 +390,7 @@ def design_rebase(design: BlockDesign) -> tuple[int, BlockDesign]:
     if lam is None or lam * m_prime != l * l:
         raise ConsistencyError(
             f"lambda * m' = {lam} * {m_prime} != l^2 = {l * l}")
-    return m_prime, BlockDesign(m_prime, design.blocks)
+    return m_prime, _derived(m_prime, design.blocks)
 
 
 def complementary_halves(design: BlockDesign) -> BlockDesign:
@@ -398,7 +408,7 @@ def complementary_halves(design: BlockDesign) -> BlockDesign:
             raise StructuralError(f"block {design.blocks[i]} has no complement in the family")
         remaining.remove(j)
         chosen.append(i if design.incidence[0, i] else j)
-    return BlockDesign(design.m, [design.blocks[i] for i in sorted(chosen)])
+    return _derived(design.m, [design.blocks[i] for i in sorted(chosen)])
 
 
 def design_to_json(design: BlockDesign) -> dict:

@@ -22,12 +22,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateRankError, DimensionMismatchError, ParameterError
-from .numerics import (COMPLEX, DEFAULT_TOL, REAL, Field, Tolerance, check_field,
+from .numerics import (COMPLEX, DEFAULT_TOL, REAL, Field, Tolerance, as_int, check_field,
                        is_projection, lock)
 
 
 def embedding_dim(m: int, field: Field) -> int:
     """Dimension of the traceless Hermitian/symmetric matrix space over F^m."""
+    m = as_int(m, "m")
     check_field(field)
     if m < 2:
         raise ParameterError(f"ambient dimension must be >= 2, got {m}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .numerics import as_int
 
 _MAX_Q = 256
 _MAX_GEOMETRY = 1 << 16
@@ -56,6 +57,7 @@ class PrimePower:
 
 def factor_prime_power(q: int) -> PrimePower:
     """Factor q = p^n or raise if q is not a prime power."""
+    q = as_int(q, "q")
     if q < 2:
         raise ParameterError(f"{q} is not a prime power")
     for p in range(2, q + 1):
@@ -204,9 +206,7 @@ class FieldTable:
 def build_field(pp: PrimePower | int) -> FieldTable:
     """Construct GF(p^n) arithmetic tables for ``pp`` (a PrimePower or an
     integer prime power)."""
-    if isinstance(pp, int):
-        pp = factor_prime_power(pp)
-    return FieldTable(pp)
+    return FieldTable(pp if isinstance(pp, PrimePower) else factor_prime_power(pp))
 
 
 def enumerate_affine_hyperplanes(p: int, t1: int) -> list[tuple[int, ...]]:
@@ -217,6 +217,7 @@ def enumerate_affine_hyperplanes(p: int, t1: int) -> list[tuple[int, ...]]:
     output has p (p^t1 - 1)/(p - 1) blocks of p^(t1-1) points each: the
     classical resolvable affine design.
     """
+    p, t1 = as_int(p, "p"), as_int(t1, "dimension")
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
     if t1 < 2:
@@ -247,7 +248,7 @@ def enumerate_projective_plane(q: PrimePower | int) -> list[tuple[int, ...]]:
     q + 1 points, so each chain of lookups (all lines for q <= 19) reads its
     lines' points row by row.
     """
-    pp = factor_prime_power(q) if isinstance(q, int) else q
+    pp = q if isinstance(q, PrimePower) else factor_prime_power(q)
     qq = pp.q
     if qq * qq + qq + 1 > _MAX_GEOMETRY:
         raise ParameterError(f"plane of order {qq} exceeds the supported size")

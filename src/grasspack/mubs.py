@@ -198,6 +198,7 @@ def gen_mubs_prime(p: int) -> MubFamily:
     basis a has columns p^(-1/2) w^(a j^2 + b j) with the exponent reduced
     mod p; the standard basis comes first.
     """
+    p = as_int(p, "p")
     if not is_prime(p) or p == 2:
         raise ParameterError(f"{p} is not an odd prime")
     if p > _MAX_PRIME:
@@ -210,7 +211,7 @@ def gen_mubs_prime_power(q: PrimePower | int) -> MubFamily:
     the quadratic phases over GF(q), with entries q^(-1/2) w^(tr(a x^2 + b x)),
     tr the field trace down to GF(p) and w = exp(2 pi i / p).
     """
-    pp = factor_prime_power(q) if isinstance(q, int) else q
+    pp = q if isinstance(q, PrimePower) else factor_prime_power(q)
     if pp.p == 2:
         raise UnsupportedError(
             "even-characteristic extension fields need Galois-ring phases; "
@@ -253,6 +254,7 @@ def gen_mubs_small(m: int, field: Field) -> MubFamily:
     the same read-only object on every call; other (m, field) pairs raise
     UnsupportedError with an import hint, on every call.
     """
+    m = as_int(m, "m")
     check_field(field)
     if (m, field) not in _SMALL_FAMILIES:
         raise UnsupportedError(
@@ -260,11 +262,10 @@ def gen_mubs_small(m: int, field: Field) -> MubFamily:
     return _small_family(m, field)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def _small_family(m: int, field: Field) -> MubFamily:
     """``gen_mubs_small``'s family, verified; a failure is raised, never kept. The
-    cache holds the three families (under 3 KB of bases and deviations), once per
-    type of ``m`` it is called with."""
+    cache holds the three families (under 3 KB of bases and deviations)."""
     fam = MubFamily(m, field, _SMALL_FAMILIES[m, field])
     report = verify_mubs(fam)
     if not report.ok:
@@ -276,6 +277,7 @@ def gen_mubs(m: int, field: Field) -> MubFamily:
     """The built-in maximal family: hardcoded for C^2, C^4 and R^4, quadratic
     phases for odd prime (power) m over C. Other real m and even extension
     dimensions raise UnsupportedError, non-prime-powers ParameterError."""
+    m = as_int(m, "m")
     check_field(field)
     if (m, field) in _SMALL_FAMILIES:
         return gen_mubs_small(m, field)

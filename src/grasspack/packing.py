@@ -127,11 +127,10 @@ class _BlockTable:
     ``blocks[ids[i]]`` of basis ``labels[i]``, blocks numbered in order of first
     use by the builders and in file order by ``packing_from_json``; the B
     distinct blocks have the m x B 0/1 ``incidence`` N and the int64 ``meet`` =
-    N^T N, read-only (sizes on its diagonal). What the exact path reads is
-    kept once formed: ``exact`` (``_exact_values``), the tightness verdict, the
-    MUB deviation bound ``mub_dev`` and, in ``kept``, the exact report of the
-    last tolerance asked for and a float family's tightness deviation. Each is
-    a few numbers or arrays of length n; the numeric path's Gram is never kept."""
+    N^T N, read-only (sizes on its diagonal). What the exact path reads is kept
+    once formed, none of it depending on a tolerance: ``exact`` (``_exact_values``),
+    the tightness verdict, the MUB deviation bound ``mub_dev`` and a float family's
+    ``tight_dev``. The numeric path's Gram is never kept."""
 
     family: MubFamily
     labels: np.ndarray
@@ -151,14 +150,18 @@ class _BlockTable:
 
     @cached_property
     def mub_dev(self) -> float:  # bounds max |W - E| over the bases in use (_coherence_pass)
+        if self.family.exact_verdict:  # the ideal family is the one certified
+            return 0.0
         used = np.flatnonzero(np.bincount(self.labels))
         dev = self.family.deviations[np.ix_(used, used)]
         delta = float(np.diagonal(dev).max())
         return max(float(dev.max()), 2 * delta + delta * delta)  # delta <= 2 delta + delta^2
 
     @cached_property
-    def kept(self) -> dict:  # "report": ((eps_abs, mub_dev), report); "tight_dev": max|F - cI|
-        return {}
+    def tight_dev(self) -> float:  # max |F - cI|, c = (sum of ranks) / m (check_tightness)
+        m = self.family.m
+        constant = int(np.diagonal(self.meet)[self.ids].sum()) / m
+        return float(np.abs(_summed_projections(self) - constant * np.eye(m)).max())
 
 
 def _table(family: MubFamily, labels, ids, blocks, inc) -> _BlockTable:
@@ -392,10 +395,10 @@ class CoherenceReport:
     """Largest pairwise embedded inner product and where it is attained.
 
     ``argmax_pair`` is the first pair (i, j), i < j, in row-major order of the
-    Gram whose value is within ``eps_abs`` of ``mu_embedded`` (exactly equal
-    to it on the exact path), so rounding noise does not pick among exact
-    ties and a packing and its copy read from dense matrices report the same pair.
-    ``achievers`` are the elements of such pairs.
+    Gram whose value is ``mu_embedded``: exactly on the exact path, whose report
+    is the block table's alone, the same at every ``eps_abs``, and within
+    ``eps_abs`` on the numeric path, so rounding noise does not pick among exact
+    ties. ``achievers`` are the elements of such pairs.
 
     ``method`` is ``"exact"`` when the values were read off block
     intersections over a family of MUBs and ``"numeric"`` when they come from
@@ -497,20 +500,16 @@ def _pair_class(label_i, rank_i, label_j, rank_j) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ExactValues:
-    """Each element's largest embedded inner product ``peaks``, their maximum,
-    the report's other values, and n/2 antipodal pairs for an orthoplex Gram, else None."""
+    """The exact pass's report, its mu as ``top`` = num|num|/den, a Fraction (a reduced
+    pair of Python ints), and n/2 antipodal pairs for an orthoplex Gram, else None."""
 
-    peaks: np.ndarray
-    mu: float
-    argmax_pair: tuple[int, int]
-    pair_classes: dict[str, PairClassSummary]
-    mu_raw: float | None
+    report: CoherenceReport
+    top: Fraction
     antipodal_pairs: int | None
 
 
 def _exact_values(table: _BlockTable) -> _ExactValues:
-    """The values of ``_exact_pass`` that no tolerance enters, formed once per
-    table as ``table.exact``.
+    """The one exact report of ``table`` and its top value, formed once as ``table.exact``.
 
     Over MUBs tr(P_i P_j) is |J & K| for two blocks of one basis and
     |J||K|/m across bases, so every cross-basis embedded inner product is 0
@@ -521,10 +520,11 @@ def _exact_values(table: _BlockTable) -> _ExactValues:
     once, each entry by the places of |J| and |K| among the distinct block
     sizes and |J & K|; a pattern's pairs are the square of that code on its
     blocks, whose diagonal is a pair only for a block held twice. The few
-    codes present (one bincount) are ordered exactly by num|num|/den in
-    Python ints, and only the reported numbers are rounded to floats. A
+    codes present (one bincount) are ordered exactly by num|num|/den as
+    Fractions, and only the reported numbers are rounded to floats. A
     block's peak in a pattern is its row maximum, which each element of the
-    pattern's bases reads; pair classes are counted, in Python ints, off each
+    pattern's bases reads, and whose rank is mu's is an achiever; pair classes are
+    counted, in Python ints, off each
     pattern's rank histogram times the bases that carry it. The orthoplex
     check is decided on blocks: each element has exactly one complementary
     block in its basis (its antipode), and every other same-basis pair has
@@ -560,25 +560,22 @@ def _exact_values(table: _BlockTable) -> _ExactValues:
     carriers = np.bincount(pattern).tolist()
     crossed = sum(w for w, h in zip(carriers, hists) if any(h)) > 1  # bases in use
 
-    as_float = {(0, 1): 0.0}  # exact value num|num|/den, reduced -> num / sqrt(den)
+    as_float = {Fraction(0): 0.0}  # exact value num|num|/den -> num / sqrt(den)
     exact, commons, tied, flat = [], [], [], True
     for c in found.tolist():
         pair, common = divmod(c, span)
         a, b = size_of[pair // kinds], size_of[pair % kinds]
         nu, den = m * common - a * b, a * (m - a) * b * (m - b)
-        x = nu * abs(nu)
-        g = math.gcd(x, den)
-        exact.append((x // g, den // g))
+        exact.append(Fraction(nu * abs(nu), den))
         as_float.setdefault(exact[-1], nu / math.sqrt(den))
         commons.append(common)
         tied.append(a == b)
         flat = flat and (nu == 0 or (common == 0 and a + b == m))  # zero, or complementary
-    scale = math.lcm(*(den for _, den in as_float))  # over which each value is an integer
-    ordered = sorted(as_float, key=lambda v: v[0] * (scale // v[1]))
+    ordered = sorted(as_float)
     rank_of = {v: r for r, v in enumerate(ordered)}
     floats = [as_float[v] for v in ordered]
     keys = [rank_of[v] for v in exact]
-    zero = rank_of[0, 1] if crossed else -1  # cross-basis pairs, if any
+    zero = rank_of[0] if crossed else -1  # cross-basis pairs, if any
     key_of = np.full(cells + 1, -1)
     key_of[found] = keys
 
@@ -618,36 +615,31 @@ def _exact_values(table: _BlockTable) -> _ExactValues:
     antipodal = n // 2 if flat and not twice and sum(
         t for t, x in zip(tally[found].tolist(), commons) if x == 0) == sum(
         len(s) for s, _ in subs) else None
-    peaks = np.array(floats)[best]
-    peaks.setflags(write=False)
-    return _ExactValues(peaks, floats[top], (i, j), pair_classes, mu_raw, antipodal)
+    report = CoherenceReport(floats[top], (i, j), tuple(np.flatnonzero(best == top).tolist()),
+                             pair_classes, n, mu_raw, "exact", table.mub_dev)
+    return _ExactValues(report, ordered[top], antipodal)
 
 
-def _exact_pass(packing: Packing, mub_dev: float,
-                tol: Tolerance) -> tuple[CoherenceReport, Callable]:
-    """The report read off the table's shared ``exact``, achievers (within
-    ``eps_abs`` of mu) picked, and the orthoplex check ``certify`` runs when n = 2d.
-    The table keeps the report of the last ``eps_abs`` and ``mub_dev`` asked for;
-    each call gets a copy with its own ``pair_classes``."""
-    table = packing._block_table
-    v = table.exact
-    key, rep = table.kept.get("report", (None, None))
-    if key != (tol.eps_abs, mub_dev):
-        achievers = tuple(np.flatnonzero(v.peaks >= v.mu - tol.eps_abs).tolist())
-        rep = CoherenceReport(v.mu, v.argmax_pair, achievers, v.pair_classes, packing.n,
-                              v.mu_raw, "exact", mub_dev)
-        table.kept["report"] = (tol.eps_abs, mub_dev), rep
-    return replace(rep, pair_classes=dict(rep.pair_classes)), lambda: v.antipodal_pairs
+def _exact_pass(packing: Packing) -> tuple[CoherenceReport, bool, bool, Callable]:
+    """The table's ``exact`` report, each call with its own ``pair_classes``, and its
+    verdicts, decided exactly on mu = num / sqrt(den) as ``top`` = num|num|/den: the
+    orthoplex regime num <= 0, the simplex bound num|num| (n-1)^2 = -den, and the
+    orthoplex check ``certify`` runs when n = 2d."""
+    v = packing._block_table.exact
+    return (replace(v.report, pair_classes=dict(v.report.pair_classes)), v.top <= 0,
+            v.top * (v.report.n - 1) ** 2 == -1, lambda: v.antipodal_pairs)
 
 
-def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, Callable]:
-    """The only builder of a CoherenceReport, returned with the orthoplex
-    check ``certify`` runs when n = 2d: a callable giving the number of
-    antipodal pairs when the inner products form an orthoplex Gram (a
-    perfect antipodal matching, zeros elsewhere), and None otherwise.
+def _coherence_pass(packing: Packing,
+                    tol: Tolerance) -> tuple[CoherenceReport, bool, bool, Callable]:
+    """The only builder of a CoherenceReport, returned with the pass's own
+    verdicts for ``certify``, in integers on the exact pass and within ``eps_abs``
+    on the numeric one: mu <= 0, mu = -1/(n-1), and the orthoplex check run when
+    n = 2d, a callable giving the number of antipodal pairs when the inner products
+    form an orthoplex Gram (a perfect antipodal matching, zeros elsewhere), else None.
 
     A packing of coordinate projections of one ``MubFamily`` takes the exact
-    pass with ``mub_dev`` 0.0 when the family's ``exact_verdict`` is true: its
+    pass, its ``mub_dev`` 0.0, when the family's ``exact_verdict`` is true: its
     elements are (E, basis, block), so the ideal family is the one certified.
     Otherwise it takes it when the bases it uses are MUBs to within what
     cannot move any embedded inner product by more than ``eps_abs``. The
@@ -666,27 +658,27 @@ def _coherence_pass(packing: Packing, tol: Tolerance) -> tuple[CoherenceReport, 
     """
     if packing.n < 2:
         raise ParameterError("coherence and certification need at least 2 elements")
-    m, ranks, table, mub_dev = packing.m, packing.ranks, packing._block_table, None
-    if ranks.min() == 0 or ranks.max() == m:  # two reductions: no array of length n
+    m, ranks, table = packing.m, packing.ranks, packing._block_table
+    top = int(ranks.max())
+    if ranks.min() == 0 or top == m:  # two reductions: no array of length n
         raise DegenerateRankError("rank-0 or full-rank element cannot be embedded")
-    if table is not None and table.family.exact_verdict:
-        return _exact_pass(packing, 0.0, tol)
-    if table is not None:
-        mub_dev, top = table.mub_dev, int(ranks.max())
-        if mub_dev * m * top / (m - top) <= tol.eps_abs:
-            return _exact_pass(packing, mub_dev, tol)
+    mub_dev = None if table is None else table.mub_dev
+    if mub_dev is not None and mub_dev * m * top / (m - top) <= tol.eps_abs:
+        return _exact_pass(packing)
     e = _embedded_gram(packing)
 
     def antipodal_pairs() -> int | None:  # after the report is built, so e is scratch
         ok, pairs, _ = _orthoplex_pattern(e, tol)
         return len(pairs) if ok else None
 
-    return _report_from_gram(packing, e, tol, mub_dev), antipodal_pairs
+    rep = _report_from_gram(packing, e, tol, mub_dev)
+    mu, eps = rep.mu_embedded, tol.eps_abs
+    return rep, mu <= eps, abs(mu + 1.0 / (packing.n - 1)) <= eps, antipodal_pairs
 
 
 def coherence(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> CoherenceReport:
     """All n(n-1)/2 pairwise embedded inner products; reports the maximum,
-    the elements attaining it (within eps_abs), and a per-pair-class summary.
+    the elements attaining it, and a per-pair-class summary.
 
     A packing of coordinate projections of one MUB family (the builders'
     output and its spatial complement) is read exactly off its block
@@ -695,11 +687,9 @@ def coherence(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> CoherenceReport
     such as one of dense matrices or one built on bases that are not MUBs,
     takes the Gram of its embedded coordinates (``"numeric"``).
     ``certify`` keeps the same report as ``Certificate.coherence``.
-    The exact values are formed once per packing and shared with ``certify``,
-    ``check_tightness`` and ``span_of_achievers``; a call picks the achievers
-    at its ``eps_abs``, and the packing keeps the report of the last
-    ``eps_abs`` asked for, so a second call at it forms no array. The numeric
-    path keeps nothing, its Gram included.
+    The exact report (achievers the exact ties of mu) depends on no tolerance,
+    is formed once per packing and is shared with ``certify``, ``check_tightness``
+    and ``span_of_achievers``. The numeric path keeps nothing, its Gram included.
     """
     return _coherence_pass(packing, tol)[0]
 
@@ -747,24 +737,23 @@ def _orthoplex_pattern(e: np.ndarray, tol: Tolerance) -> tuple[bool, tuple[tuple
 def certify(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> Certificate:
     """Apply the certification ladder.
 
-    With n > d+1 and maximum embedded inner product <= 0 (within eps_abs) the
-    orthoplex-regime bound is met, so the packing is optimally spread; if
-    moreover n = 2d and the inner products split into d antipodal pairs with
-    zeros elsewhere, the packing is a maximal orthoplectic fusion frame. With
-    the maximum equal to -1/(n-1) the simplex bound is met. Anything else is
-    reported NotCertified: the ladder only ever proves optimality, never
-    disproves it. The coherence report it reads is kept as ``.coherence``;
-    on its exact path the antipodal pairs are complementary blocks of one
-    basis, found without any embedded inner product.
+    With n > d+1 and maximum embedded inner product <= 0 the orthoplex-regime
+    bound is met, so the packing is optimally spread; if moreover n = 2d and
+    the inner products split into d antipodal pairs with zeros elsewhere,
+    the packing is a maximal orthoplectic fusion frame. With the maximum
+    equal to -1/(n-1) the simplex bound is met. Anything else is reported
+    NotCertified: the ladder only ever proves optimality, never disproves
+    it. Each comparison is the coherence pass's (``_coherence_pass``): in
+    integers on the exact path, whose antipodes are complementary blocks of one
+    basis, within ``eps_abs`` on the numeric one. Its report is ``.coherence``.
     """
     if not packing.hypotheses.ok:
         raise HypothesisError(
             "packing is tagged with hypothesis failures: "
             + "; ".join(packing.hypotheses.failures))
-    rep, antipodal_pairs = _coherence_pass(packing, tol)
+    rep, orthoplex_regime, simplex, antipodal_pairs = _coherence_pass(packing, tol)
     n = packing.n
     d = embedding_dim(packing.m, packing.field)
-    mu = rep.mu_embedded
     tight, constant = check_tightness(packing, tol)
 
     details: dict = {"embedded_simplex_bound": -1.0 / (n - 1)}
@@ -776,7 +765,7 @@ def certify(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> Certificate:
         details["raw_orthoplex_bound"] = l * l / m
 
     status = CertStatus.NOT_CERTIFIED
-    if n > d + 1 and mu <= tol.eps_abs:
+    if n > d + 1 and orthoplex_regime:
         status = CertStatus.OPTIMAL_ORTHOPLEX
         details["embedded_orthoplex_bound"] = 0.0
         if n == 2 * d:
@@ -784,10 +773,10 @@ def certify(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> Certificate:
             if pairs is not None:
                 status = CertStatus.MAXIMAL_ORTHOPLEX
                 details["antipodal_pairs"] = pairs
-    elif abs(mu + 1.0 / (n - 1)) <= tol.eps_abs:
+    elif simplex:
         status = CertStatus.OPTIMAL_SIMPLEX
 
-    return Certificate(status, n, d, mu, tight, constant, details, rep)
+    return Certificate(status, n, d, rep.mu_embedded, tight, constant, details, rep)
 
 
 def check_tightness(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
@@ -800,32 +789,27 @@ def check_tightness(packing: Packing, tol: Tolerance = DEFAULT_TOL) -> tuple[boo
     Over MUBs tr(T_a T_b) = (sum v_a)(sum v_b) / m = 0 for a != b, so the
     Hilbert-Schmidt norm of sum_a T_a squared is sum_a |v_a|^2, 0 iff every
     v_a is. Otherwise F, summed in floats, must be within ``eps_abs`` of cI; a
-    block table keeps max |F - cI|, so F is summed once per packing.
+    block table keeps max |F - cI| as ``tight_dev``, so F is summed once per packing.
     """
     m = packing.m
     constant = int(packing.ranks.sum()) / m
     table = packing._block_table
     if table is not None and table.family.exact_verdict:
         return table.evenly_covered, constant
-    kept = {} if table is None else table.kept
-    if "tight_dev" not in kept:
-        kept["tight_dev"] = float(np.abs(_summed_projections(packing) - constant * np.eye(m)).max())
-    return kept["tight_dev"] <= tol.eps_abs, constant
+    dev = table.tight_dev if table is not None else float(
+        np.abs(sum(p.matrix for p in packing.elements) - constant * np.eye(m)).max())
+    return dev <= tol.eps_abs, constant
 
 
-def _summed_projections(packing: Packing, picked=slice(None)) -> np.ndarray:
-    """The sum of the projections ``picked`` (an index array or a slice) selects.
-
-    On a block table the sum is U_a diag(cov_a) U_a^* summed over the bases a
-    in use, where cov_a[x] counts the picked blocks of basis a that contain
-    point x (``_coverage``); no element matrix is formed and no MUB property
-    is assumed. Otherwise it is the plain sum of the matrices.
+def _summed_projections(table: _BlockTable, picked=slice(None)) -> np.ndarray:
+    """The sum of the table's projections ``picked`` (an index array or a slice)
+    selects: U_a diag(cov_a) U_a^* summed over the bases a in use, where cov_a[x]
+    counts the picked blocks of basis a that contain point x (``_coverage``); no
+    element matrix is formed and no MUB property is assumed.
     """
-    table = packing._block_table
-    if table is None:
-        return sum(packing.elements[i].matrix for i in np.arange(packing.n)[picked].tolist())
     cover = _coverage(table, picked)
-    f = np.zeros((packing.m, packing.m), dtype=np.complex128)
+    m = table.family.m
+    f = np.zeros((m, m), dtype=np.complex128)
     for a in np.flatnonzero(cover.any(axis=1)):
         u = table.family.bases[a]
         f += (u * cover[a]) @ u.conj().T
@@ -1003,7 +987,8 @@ def span_of_achievers(packing: Packing, report: CoherenceReport,
     table, picked = packing._block_table, np.asarray(report.achievers, dtype=np.intp)
     if table is not None and np.any(np.all(_coverage(table, picked) > 0, axis=1)):
         return packing.m, True
-    rank = matrix_rank(_summed_projections(packing, picked), tol)
+    rank = matrix_rank(_summed_projections(table, picked) if table is not None else
+                       sum(packing.elements[i].matrix for i in picked.tolist()), tol)
     return rank, rank == packing.m
 
 

@@ -80,3 +80,36 @@ def test_a_missing_key_is_an_input_error_naming_it(name, key):
     del obj[key]
     with pytest.raises(grasspack.ParameterError, match=f"^{what} has no '{key}' key$"):
         reader(obj)
+
+
+# each scalar argument of the library, as a call of one value and an integer it accepts
+SCALAR_ARGUMENTS = {
+    "verify_design-t": (lambda x: grasspack.verify_design(FANO, x), 2),
+    "embedding_dim-m": (lambda x: grasspack.embedding_dim(x, "C"), 3),
+    "gen_hadamard-order": (grasspack.gen_hadamard, 4),
+    "gen_mubs-m": (lambda x: grasspack.gen_mubs(x, "C"), 7),
+    "gen_mubs_small-m": (lambda x: grasspack.gen_mubs_small(x, "C"), 4),
+    "gen_mubs_prime-p": (grasspack.gen_mubs_prime, 7),
+    "gen_mubs_prime_power-q": (grasspack.gen_mubs_prime_power, 9),
+    "factor_prime_power-q": (grasspack.factor_prime_power, 9),
+    "build_field-q": (grasspack.build_field, 9),
+    "enumerate_affine_hyperplanes-p": (lambda x: grasspack.enumerate_affine_hyperplanes(x, 2),
+                                       3),
+    "enumerate_affine_hyperplanes-t1": (lambda x: grasspack.enumerate_affine_hyperplanes(3, x),
+                                        2),
+    "enumerate_projective_plane-q": (grasspack.enumerate_projective_plane, 2),
+}
+FANO = grasspack.BlockDesign(7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
+                                 (2, 3, 6), (2, 4, 5)])
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_ARGUMENTS))
+def test_a_scalar_argument_must_be_an_integer(name):
+    """A bool or a float raises ParameterError, as it does in a JSON field,
+    where the integer it stands for is accepted."""
+    call, value = SCALAR_ARGUMENTS[name]
+    call(value)
+    with pytest.raises(grasspack.ParameterError, match="is a bool, not an integer"):
+        call(True)
+    with pytest.raises(grasspack.ParameterError, match="is not an integer"):
+        call(float(value))

@@ -31,11 +31,13 @@ from test_packing import (BUILDER_FIXTURES, FANO, FANO_C, ORTHOPLEX_CASES,
                           paley_packing)
 
 
-def per_pair_exact_pass(pk, mub_dev, tol):
+def per_pair_exact_pass(pk):
     """The exact pass as it was before the block table, kept as the
     reference: it forms every same-basis pair of elements, with its
-    intersection read off an incidence of all n blocks."""
+    intersection read off an incidence of all n blocks, takes the exact ties
+    of mu as achievers and decides the verdicts on mu as a Fraction."""
     m, n = pk.m, pk.n
+    mub_dev = pk._block_table.mub_dev
     ranks, labels = pk.ranks, pk._block_table.labels
     crossed = bool(np.any(labels != labels[0]))
     order = np.argsort(labels, kind="stable")
@@ -74,7 +76,7 @@ def per_pair_exact_pass(pk, mub_dev, tol):
     partners = [*second[hit & (first == i)], *first[hit & (second == i)]]
     if top == zero:
         partners.append(np.flatnonzero(labels != labels[i])[0])
-    achievers = tuple(int(x) for x in np.flatnonzero(floats[best] >= mu - tol.eps_abs))
+    achievers = tuple(int(x) for x in np.flatnonzero(best == top))
     classes = len(_PAIR_CLASSES)
     cls = _pair_class(labels[first], ri, labels[second], rj)
     same = np.bincount(cls, minlength=classes)
@@ -104,7 +106,7 @@ def per_pair_exact_pass(pk, mub_dev, tol):
     report = CoherenceReport(mu, argmax_pair=(i, int(min(partners))), achievers=achievers,
                              pair_classes=pair_classes, n=n, mu_raw=mu_raw, method="exact",
                              mub_dev=mub_dev)
-    return report, antipodal_pairs
+    return report, ordered[top] <= 0, ordered[top] * (n - 1) ** 2 == -1, antipodal_pairs
 
 
 def shuffled(pk, seed):
@@ -142,9 +144,9 @@ def assert_matches_per_pair(pk, monkeypatch):
     """The exact pass gives the per-pair report and orthoplex check, and
     ``certify`` the same certificate bytes and report as with the per-pair
     pass in its place."""
-    rep, pairs = packing._exact_pass(pk, 0.0, DEFAULT_TOL)
-    ref, ref_pairs = per_pair_exact_pass(pk, 0.0, DEFAULT_TOL)
-    assert repr(rep) == repr(ref) and pairs() == ref_pairs()
+    rep, *verdicts, pairs = packing._exact_pass(pk)
+    ref, *ref_verdicts, ref_pairs = per_pair_exact_pass(pk)
+    assert repr(rep) == repr(ref) and verdicts == ref_verdicts and pairs() == ref_pairs()
     cert = certify(pk)
     with monkeypatch.context() as patch:
         patch.setattr(packing, "_exact_pass", per_pair_exact_pass)
@@ -193,9 +195,9 @@ class TestPatterns:
         table = pk._block_table
         assert not pk.hypotheses.ok and pk.n == 45 and len(table.blocks) == 14
         assert table.ids[7] == table.ids[0] == 0
-        rep, pairs = packing._exact_pass(pk, 0.0, DEFAULT_TOL)
-        ref, ref_pairs = per_pair_exact_pass(pk, 0.0, DEFAULT_TOL)
-        assert repr(rep) == repr(ref) and pairs() == ref_pairs()
+        rep, *verdicts, pairs = packing._exact_pass(pk)
+        ref, *ref_verdicts, ref_pairs = per_pair_exact_pass(pk)
+        assert repr(rep) == repr(ref) and verdicts == ref_verdicts and pairs() == ref_pairs()
         assert rep.mu_embedded == 1.0 and rep.argmax_pair == (0, 7)
 
     def test_the_m71_pass_calls_no_unique_or_isin(self, monkeypatch):
@@ -210,15 +212,17 @@ class TestPatterns:
             patch.setattr(np, "unique", refuse)
             patch.setattr(np, "isin", refuse)
             values = packing._exact_values(table)
-        assert values.antipodal_pairs is None and len(values.peaks) == 5112
+        assert values.antipodal_pairs is None and values.report.n == 5112
+        assert values.report.achievers == tuple(range(5112))
 
     @settings(max_examples=80, deadline=None)
     @given(mub_packings(), st.integers(0, 2**32 - 1))
     def test_random_packings_match_the_per_pair_pass(self, pk, seed):
         for case in (pk, shuffled(pk, seed)):
-            rep, pairs = packing._exact_pass(case, 0.0, DEFAULT_TOL)
-            ref, ref_pairs = per_pair_exact_pass(case, 0.0, DEFAULT_TOL)
-            assert repr(rep) == repr(ref) and pairs() == ref_pairs()
+            rep, *verdicts, pairs = packing._exact_pass(case)
+            ref, *ref_verdicts, ref_pairs = per_pair_exact_pass(case)
+            assert repr(rep) == repr(ref) and verdicts == ref_verdicts
+            assert pairs() == ref_pairs()
 
 
 class TestBuilders:
@@ -525,7 +529,7 @@ UNEVEN_CASES = {
                                                  (3, FANO.blocks)]),
 }
 SHARED_CASES = sorted([*BUILDER_FIXTURES, *UNEVEN_CASES, "paley-p7", "paley-p31", "paley-p71"])
-LOOSE = Tolerance(0.5)  # takes the uneven cases' first block among the achievers
+LOOSE = Tolerance(0.5)  # within it of mu lies the uneven cases' first block, not an achiever
 
 
 def shared_case(name):
@@ -559,6 +563,43 @@ def kept_arrays(obj, seen=None):
             yield from kept_arrays(item, seen)
     elif type(obj).__module__.startswith("grasspack") and hasattr(obj, "__dict__"):
         yield from kept_arrays(vars(obj), seen)
+
+
+C3 = gen_mubs_prime(3)
+EPSILONS = (Tolerance(1e-9), Tolerance(1e-6), LOOSE)
+
+
+class TestNoToleranceOnTheExactPath:
+    def test_a_positive_mu_is_never_certified(self):
+        """The 12 singletons on the 4 bases of C^3 and {0, 1} on basis 0: n = 13 >
+        d + 1 = 9, but mu = 1/2 exactly, so no tolerance reaches the orthoplex regime."""
+        pk = on_bases(C3, [(a, [(x,) for x in range(3)]) for a in range(4)] + [(0, [(0, 1)])])
+        for tol in EPSILONS:
+            cert = certify(pk, tol)
+            assert cert.status.value == "NotCertified" and cert.mu_embedded == 0.5
+            assert cert.coherence.method == "exact" and cert.coherence.achievers == (0, 1, 12)
+
+    def test_the_simplex_bound_is_met_exactly(self):
+        """The 3 singletons of the standard basis of C^3 have mu = -1/2 = -1/(n-1)."""
+        pk = on_bases(C3, [(0, [(0,), (1,), (2,)])])
+        for tol in EPSILONS:
+            cert = certify(pk, tol)
+            assert cert.status.value == "OptimalSimplexRegime" and cert.mu_embedded == -0.5
+
+    @pytest.mark.parametrize("variant", ["built", "complement", "json"])
+    @pytest.mark.parametrize("name", SHARED_CASES)
+    def test_every_output_is_the_same_at_every_tolerance(self, name, variant):
+        """A fresh packing at each tolerance: its coherence report, certify's
+        report and the certificate bytes are the same at all three."""
+        make = {"built": shared_case, "json": lambda n: json_round_trip(shared_case(n)),
+                "complement": lambda n: spatial_complement(shared_case(n))}[variant]
+        outs = []
+        for tol in EPSILONS:
+            pk = make(name)
+            rep, cert = coherence(pk, tol), certify(pk, tol)
+            assert rep.method == "exact"
+            outs.append((repr(rep), repr(cert.coherence), text(certificate_to_json(cert))))
+        assert outs[0] == outs[1] == outs[2]
 
 
 class TestSharedAnalysis:
@@ -600,14 +641,14 @@ class TestSharedAnalysis:
     def test_reports_equal_those_of_a_fresh_copy(self, name):
         """The original is read at the loose tolerance first, its copy from
         JSON at the default one: whatever the table kept from the first
-        call, every report equals the copy's."""
+        call, every report equals the copy's, and the achievers are the
+        exact ties of mu at both tolerances."""
         pk = shared_case(name)
         got = reports(pk, (LOOSE, DEFAULT_TOL))
         assert got == reports(json_round_trip(pk), (DEFAULT_TOL, LOOSE))
         assert "exact" in vars(pk._block_table)
         loose, default = (coherence(pk, tol).achievers for tol in (LOOSE, DEFAULT_TOL))
-        assert (loose != default) == (name in UNEVEN_CASES)
-        assert set(default) <= set(loose) and (0 in set(loose) - set(default)) == (loose != default)
+        assert loose == default and (0 not in default) == (name in UNEVEN_CASES)
 
     @pytest.mark.parametrize("name", sorted(BUILDER_FIXTURES))
     def test_the_span_is_the_rank_of_the_summed_matrices(self, name):
@@ -632,15 +673,16 @@ class TestSharedAnalysis:
         assert again == cert and repr(rep_again) == repr(rep) == repr(again.coherence)
 
     @pytest.mark.parametrize("name", sorted(UNEVEN_CASES))
-    def test_each_tolerance_picks_its_own_achievers(self, name):
-        """The kept report is the last tolerance's: the loose one, the default
-        and the loose one again each give a fresh copy's achievers."""
+    def test_no_tolerance_picks_the_achievers(self, name):
+        """The first block's largest value lies within the loose tolerance of
+        mu, yet no call takes it among the achievers: the loose one, the
+        default and the loose one again each give a fresh copy's report."""
         pk = shared_case(name)
         for tol in (LOOSE, DEFAULT_TOL, LOOSE):
             fresh = shared_case(name)
-            assert coherence(pk, tol).achievers == coherence(fresh, tol).achievers
-            assert repr(certify(pk, tol).coherence) == repr(certify(fresh, tol).coherence)
-        assert len(coherence(pk, LOOSE).achievers) > len(coherence(pk).achievers)
+            assert coherence(pk, tol).achievers == coherence(fresh, DEFAULT_TOL).achievers
+            assert repr(certify(pk, tol).coherence) == repr(certify(fresh).coherence)
+        assert 0 not in coherence(pk, LOOSE).achievers
 
     @pytest.mark.parametrize("name", ["c4-hadamard", "paley-p19"])
     def test_a_changed_result_does_not_reach_the_next(self, name):

@@ -536,6 +536,18 @@ def test_missing_or_extra_option_exits_2(tmp_path, mub7, fano, case, capsys):
     assert not out.exists()
 
 
+def test_rebasing_blocks_of_one_point_exits_2(tmp_path, capsys):
+    """The 5 singletons of 0..4 pass the symmetric 2-design check, but have
+    no rebase: one error line, exit 2, and nothing written."""
+    source, out = tmp_path / "singletons.json", tmp_path / "out.json"
+    source.write_text(json.dumps({"m": 5, "blocks": [[x] for x in range(5)]}))
+    capsys.readouterr()
+    assert run("gen", "design", "--rebase-of", source, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err == "error: blocks of one point cannot be rebased: (m-l)/(l-1) divides by 0\n"
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def pg31_packing(tmp_path_factory):
     """The file of the m = 31 mixed packing of PG(2, 5) and its complement

@@ -411,6 +411,39 @@ class TestDesignRebase:
         with pytest.raises(ParameterError):
             design_rebase(AG22)
 
+    def test_blocks_of_one_point_rejected(self):
+        """The 5 singletons of 0..4 are a symmetric 2-design (no block holds a
+        pair), but (m-l)/(l-1) has no value at l = 1."""
+        with pytest.raises(ParameterError, match="blocks of one point"):
+            design_rebase(BlockDesign(5, [(x,) for x in range(5)]))
+
+
+class TestDerivedDesigns:
+    def test_derivers_check_no_block(self, monkeypatch):
+        """Each deriver makes its design from checked input without checking
+        it again: with check_block raising, every one returns the design that
+        BlockDesign makes, checked, from the same blocks, and BlockDesign still
+        checks outside input."""
+        h8 = gen_hadamard(8)
+        closed = hadamard_to_3design(h8)
+        derivers = {"complement_design": lambda: complement_design(FANO),
+                    "complementary_halves": lambda: complementary_halves(closed),
+                    "hadamard_to_3design": lambda: hadamard_to_3design(h8),
+                    "design_rebase": lambda: design_rebase(FANO)[1]}
+        checked = {name: BlockDesign(d.m, d.blocks, d.declared_t, d.declared_lambda)
+                   for name, d in ((name, make()) for name, make in derivers.items())}
+
+        def refuse(*args):
+            raise AssertionError("check_block was called")
+
+        monkeypatch.setattr(designs, "check_block", refuse)
+        for name, make in derivers.items():
+            got = make()
+            assert got == checked[name], name
+            assert json.dumps(design_to_json(got)) == json.dumps(design_to_json(checked[name]))
+        with pytest.raises(AssertionError, match="check_block"):
+            BlockDesign(7, FANO.blocks)
+
 
 class TestComplementaryHalves:
     def test_hadamard_design_halves_contain_zero(self):
