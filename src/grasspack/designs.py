@@ -46,9 +46,13 @@ class BlockDesign:
 
     Duplicate blocks are permitted and counted with multiplicity; order is
     significant (complement-closed families are stored as concatenations with
-    positional identity). How blocks meet is read off one matrix:
-    ``incidence``, the m x b 0/1 float matrix N, and ``intersections``, the
-    int64 N^T N with entries |B_i & B_j|, are read-only and made on first use.
+    positional identity). How blocks and points meet is read off one matrix,
+    the m x b 0/1 float ``incidence`` N: ``intersections``, the int64 N^T N
+    with entries |B_i & B_j|, and ``concurrences``, the int64 N N^T with each
+    point's replication on its diagonal and each pair's count off it. The three
+    are read-only and made on first use, as are the design's complement and
+    complementary halves, which ``complement_design`` and
+    ``complementary_halves`` return as the same object on every call.
     """
 
     m: int
@@ -88,6 +92,19 @@ class BlockDesign:
     def intersections(self) -> np.ndarray:
         return lock((self.incidence.T @ self.incidence).astype(np.int64))
 
+    @cached_property
+    def concurrences(self) -> np.ndarray:
+        return lock((self.incidence @ self.incidence.T).astype(np.int64))
+
+    @cached_property
+    def _complement(self) -> BlockDesign:
+        rest = lock(1.0 - self.incidence)
+        return _derived(self.m, _supports(rest), incidence=rest)
+
+    @cached_property
+    def _halves(self) -> BlockDesign:  # a failure is raised on every call, never kept
+        return _split_halves(self)
+
 
 @dataclass(frozen=True)
 class ResolvabilityReport:
@@ -110,20 +127,27 @@ class DesignReport:
     parallel_classes: tuple[tuple[int, ...], ...] | None = field(repr=False, default=None)
 
 
+def _off_diagonal(x: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of the b x b array ``x`` as a (b-1) x b view, no copy:
+    past entry (0, 0), each run of b + 1 entries ends at the next diagonal entry."""
+    b = len(x)
+    return x.ravel()[1:].reshape(b - 1, b + 1)[:, :b]
+
+
 def _subset_counts(design: BlockDesign, t: int) -> tuple[bool, int | None]:
     """(is constant, common count) of t-subset containment over all C(m,t)
-    subsets. Points (t = 1) are counted by the row sums of N, pairs (t = 2)
-    by the off-diagonal of N N^T, both exact in floats. Otherwise the blocks
+    subsets. Points (t = 1) are counted by the diagonal of ``concurrences``,
+    pairs (t = 2) by its off-diagonal. Otherwise the blocks
     are sorted and of one size l, so one list of C(l, t) places picks every
     t-subset; each is one code in base m where m^t fits."""
     m, l = design.m, design.block_size
     if t > l:
         return True, 0  # no block holds any t-subset: constant zero
     if t <= 2:
-        inc = design.incidence
-        counts = inc.sum(axis=1) if t == 1 else (inc @ inc.T)[~np.eye(m, dtype=bool)]
-        counts = counts.astype(np.int64)
-        return (True, int(counts[0])) if np.all(counts == counts[0]) else (False, None)
+        pairs = design.concurrences
+        counts = np.diagonal(pairs) if t == 1 else _off_diagonal(pairs)
+        first = int(counts.flat[0])
+        return (True, first) if np.all(counts == first) else (False, None)
     subsets = np.array(design.blocks)[:, list(itertools.combinations(range(l), t))].reshape(-1, t)
     if m ** t < 2 ** 63:
         _, counts = np.unique(np.ravel_multi_index(subsets.T, (m,) * t), return_counts=True)
@@ -165,10 +189,10 @@ def verify_design(design: BlockDesign, t: int) -> DesignReport:
 
 
 def cohesion(design: BlockDesign) -> int:
-    """Largest intersection of two block positions: max of the strict upper triangle of N^T N."""
+    """Largest intersection of two block positions: max of the off-diagonal of N^T N."""
     if design.b < 2:
         raise ParameterError("cohesion needs at least 2 blocks")
-    return int(np.triu(design.intersections, 1).max())
+    return int(_off_diagonal(design.intersections).max())
 
 
 def is_cohesive(design: BlockDesign, bound: Fraction | int) -> bool:
@@ -185,14 +209,14 @@ def _supports(inc: np.ndarray) -> tuple[tuple[int, ...], ...]:
 
 
 def complement_design(design: BlockDesign) -> BlockDesign:
-    """Blocks replaced by their complements in 0..m-1, order preserved.
+    """Blocks replaced by their complements in 0..m-1, order preserved, read off
+    1 - N; made once per design and returned as the same object on every call.
 
     A symmetric (m, l, lam) input yields a symmetric (m, m-l, m-2l+lam) output.
     """
     if design.block_size == design.m:
         raise ParameterError("blocks already cover every point; complement is empty")
-    rest = lock(1.0 - design.incidence)
-    return _derived(design.m, _supports(rest), incidence=rest)
+    return design._complement
 
 
 def _derived(m: int, blocks, declared_t=None, declared_lambda=None, **cached) -> BlockDesign:
@@ -397,7 +421,13 @@ def complementary_halves(design: BlockDesign) -> BlockDesign:
     """From a complement-closed block family, keep one block per complementary
     pair: the one containing point 0. Two blocks of size l are complements
     when they are disjoint and 2l = m; each block in turn is paired with the
-    first later unpaired complement, or StructuralError names it."""
+    first later unpaired complement, or StructuralError names it. The halves
+    are made once per design and returned as the same object on every call."""
+    return design._halves
+
+
+def _split_halves(design: BlockDesign) -> BlockDesign:
+    """``complementary_halves``, made anew."""
     disjoint = ((design.intersections == 0) & (2 * design.block_size == design.m)).tolist()
     remaining = list(range(design.b))
     chosen = []

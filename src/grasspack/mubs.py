@@ -23,6 +23,7 @@ from .numerics import (COMPLEX, DEFAULT_TOL, REAL, Field, Tolerance, as_int, as_
 _MAX_PRIME = 101
 _MAX_PRIME_POWER = 81
 _CONSTRUCTION = "quadratic-phases"
+_BLOCK_BYTES = 1 << 22  # the largest row block of U^* U that ``deviations`` forms: 4 MiB
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,17 +81,24 @@ class MubFamily:
     def deviations(self) -> np.ndarray:
         """The k x k read-only array whose entry (i, i) is the largest entry
         of |U_i^* U_i - I| and entry (i, j), i != j, the largest of
-        ||U_i^* U_j|^2 - 1/m|. Basis i is read through one m x (k-i)m product
-        U_i^* [U_i ... U_{k-1}]."""
+        ||U_i^* U_j|^2 - 1/m|. U^* U is formed in row blocks of whole bases:
+        bases i..h-1 against bases i..k-1 in one product, with as many bases
+        as fit ``_BLOCK_BYTES`` (one at least), so a small family is one product."""
         m, k = self.m, self.k
-        dev = np.zeros((k, k))
+        upper, diagonal = np.zeros((k, k)), np.zeros(k)
         u = np.concatenate(self.bases, axis=1)
         uh = u.conj().T
-        for i in range(k):
-            z = uh[i * m:(i + 1) * m] @ u[:, i * m:]
-            dev[i, i] = np.abs(z[:, :m] - np.eye(m)).max()
-            dev[i, i + 1:] = dev[i + 1:, i] = np.abs(np.abs(z[:, m:]) ** 2 - 1.0 / m).reshape(
-                m, k - i - 1, m).max(axis=(0, 2))
+        i = 0
+        while i < k:
+            h = min(k, i + max(1, _BLOCK_BYTES // (16 * m * m * (k - i))))
+            z = (uh[i * m:h * m] @ u[:, i * m:]).reshape(h - i, m, k - i, m)
+            own = np.arange(h - i)
+            diagonal[i:h] = np.abs(z[own, :, own] - np.eye(m)).max(axis=(1, 2))
+            upper[i:h, i:] = np.abs(np.abs(z) ** 2 - 1.0 / m).max(axis=(1, 3))
+            i = h
+        dev = np.triu(upper, 1)
+        dev += dev.T  # adds exact zeros
+        dev[np.diag_indices(k)] = diagonal
         return lock(dev)
 
     @cached_property

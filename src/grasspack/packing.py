@@ -128,9 +128,9 @@ class _BlockTable:
     use by the builders and in file order by ``packing_from_json``; the B
     distinct blocks have the m x B 0/1 ``incidence`` N and the int64 ``meet`` =
     N^T N, read-only (sizes on its diagonal). What the exact path reads is kept
-    once formed, none of it depending on a tolerance: ``exact`` (``_exact_values``),
-    the tightness verdict, the MUB deviation bound ``mub_dev`` and a float family's
-    ``tight_dev``. The numeric path's Gram is never kept."""
+    once formed, none of it depending on a tolerance: the ``patterns``, ``exact``
+    (``_exact_values``), the tightness verdict, the MUB deviation bound ``mub_dev``
+    and a float family's ``tight_dev``. The numeric path's Gram is never kept."""
 
     family: MubFamily
     labels: np.ndarray
@@ -140,12 +140,29 @@ class _BlockTable:
     meet: np.ndarray
 
     @cached_property
+    def patterns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(each basis's pattern id, the block-count row of each pattern), read-only:
+        bases that hold each block equally often share a pattern, an unused basis the
+        zero row. The builders set it from their runs (``_from_runs``) and the spatial
+        complement from its source; otherwise the rows of block counts are sorted as
+        bytes and split where they change, with no pass over the bases in Python."""
+        nb = len(self.meet)
+        counts = np.bincount(self.labels * nb + self.ids,
+                             minlength=self.family.k * nb).reshape(-1, nb)
+        order = counts.view(np.dtype((np.void, counts.itemsize * nb))).ravel().argsort()
+        ranked = counts[order]
+        new = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
+        pattern = np.empty_like(order)
+        pattern[order] = new.cumsum() - 1
+        return lock(pattern), lock(ranked[new])
+
+    @cached_property
     def exact(self) -> _ExactValues:
         return _exact_values(self)
 
     @cached_property
     def evenly_covered(self) -> bool:  # every basis covers each point equally often
-        cover = _coverage(self)
+        cover = self.patterns[1] @ self.incidence.T
         return bool(np.all(cover == cover[:, :1]))
 
     @cached_property
@@ -164,11 +181,14 @@ class _BlockTable:
         return float(np.abs(_summed_projections(self) - constant * np.eye(m)).max())
 
 
-def _table(family: MubFamily, labels, ids, blocks, inc) -> _BlockTable:
-    """The block table of checked, distinct ``blocks`` with incidence ``inc``, N^T N formed."""
+def _table(family: MubFamily, labels, ids, blocks, inc, **cached) -> _BlockTable:
+    """The block table of checked, distinct ``blocks`` with incidence ``inc``, N^T N
+    formed; ``cached`` holds values already formed."""
     inc = lock(inc)
-    return _BlockTable(family, lock(labels), lock(ids), tuple(blocks), inc,
-                       lock((inc.T @ inc).astype(np.int64)))
+    table = _BlockTable(family, lock(labels), lock(ids), tuple(blocks), inc,
+                        lock((inc.T @ inc).astype(np.int64)))
+    table.__dict__.update(cached)
+    return table
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -293,9 +313,11 @@ def _from_runs(family: MubFamily, runs, record: HypothesisRecord, mode: str) -> 
     """The packing of each checked block of ``blocks`` on each basis of ``bases``,
     basis by basis, for (bases, blocks, incidence) in ``runs`` in turn, made as its
     block table: one label and block id per element, by np.repeat and np.tile of the
-    run's distinct block ids; a block's column of N is its first use's in ``incidence``."""
+    run's distinct block ids; a block's column of N is its first use's in ``incidence``.
+    The runs' bases are distinct, so each run is one pattern of the table, its row the
+    run's count of each block, and the unused bases, if any, one more with the zero row."""
     distinct: dict = {}
-    labels, ids, columns = [], [], []
+    labels, ids, columns, kept = [], [], [], []
     for bases, blocks, inc in runs:
         if len(bases):
             seen = len(distinct)
@@ -304,10 +326,17 @@ def _from_runs(family: MubFamily, runs, record: HypothesisRecord, mode: str) -> 
             columns.append(inc[:, top[1:] > top[:-1]])
             labels.append(np.repeat(np.array(bases, dtype=np.int64), len(blocks)))
             ids.append(np.tile(run, len(bases)))
+            kept.append((bases, run))
     if not labels:
         return Packing(family.m, family.field, (), record, mode)
+    pattern = np.full(family.k, len(kept))  # the zero row's id, until a run claims the basis
+    rows = [np.bincount(run, minlength=len(distinct)) for _, run in kept]
+    for p, (bases, _) in enumerate(kept):
+        pattern[list(bases)] = p
+    if pattern.max() == len(kept):
+        rows.append(np.zeros(len(distinct), dtype=np.int64))
     table = _table(family, np.concatenate(labels), np.concatenate(ids), list(distinct),
-                   np.hstack(columns))
+                   np.hstack(columns), patterns=(lock(pattern), lock(np.array(rows))))
     return _table_packing(family.m, family.field, table, record, mode)
 
 
@@ -515,17 +544,15 @@ def _exact_values(table: _BlockTable) -> _ExactValues:
     |J||K|/m across bases, so every cross-basis embedded inner product is 0
     and a same-basis pair has num / sqrt(den) with num = m|J & K| - |J||K|
     and den = |J|(m-|J|)|K|(m-|K|). Bases that hold each block equally often
-    share a pattern: the rows of block counts are sorted as bytes and split
-    where they change, with no pass over the bases in Python. N^T N is coded
-    once, each entry by the places of |J| and |K| among the distinct block
-    sizes and |J & K|; a pattern's pairs are the square of that code on its
-    blocks, whose diagonal is a pair only for a block held twice. The few
-    codes present (one bincount) are ordered exactly by num|num|/den as
-    Fractions, and only the reported numbers are rounded to floats. A
-    block's peak in a pattern is its row maximum, which each element of the
-    pattern's bases reads, and whose rank is mu's is an achiever; pair classes are
-    counted, in Python ints, off each
-    pattern's rank histogram times the bases that carry it. The orthoplex
+    share a pattern (``table.patterns``). N^T N is coded once, each entry by
+    the places of |J| and |K| among the distinct block sizes and |J & K|; a
+    pattern's pairs are the square of that code on its blocks, whose diagonal
+    is a pair only for a block held twice. The few codes present (one
+    bincount) are ordered exactly by num|num|/den as Fractions, and only the
+    reported numbers are rounded to floats. A block's peak in a pattern is its
+    row maximum, which each element of the pattern's bases reads, and whose
+    rank is mu's is an achiever; pair classes are counted, in Python ints, off
+    each pattern's rank histogram times the bases that carry it. The orthoplex
     check is decided on blocks: each element has exactly one complementary
     block in its basis (its antipode), and every other same-basis pair has
     num = 0.
@@ -533,21 +560,14 @@ def _exact_values(table: _BlockTable) -> _ExactValues:
     labels, ids, meet = table.labels, table.ids, table.meet
     m, n, nb = table.family.m, len(labels), len(meet)
     cell = labels * nb + ids  # (basis, block)
-    counts = np.bincount(cell, minlength=table.family.k * nb).reshape(-1, nb)
-    # bases with equal rows of counts share a pattern: sort the rows, split where they change
-    order = counts.view(np.dtype((np.void, counts.itemsize * nb))).ravel().argsort()
-    ranked = counts[order]
-    new = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
-    pattern = np.empty_like(order)
-    pattern[order] = new.cumsum() - 1
-    rows = ranked[new]  # an unused basis holds the zero row
+    pattern, rows = table.patterns
     sizes = meet.diagonal()
     size_of = sorted(set(sizes.tolist()))
     kinds, span = len(size_of), m + 1
     cells = kinds * kinds * span  # codes (place |J| * kinds + place |K|) * span + |J & K|
     place = np.array(size_of).searchsorted(sizes)
     code = meet if kinds == 1 else (place * (kinds * span))[:, None] + place * span + meet
-    subs, hists, twice = [], [], counts.max() > 1  # a block held twice on a basis pairs with itself
+    subs, hists, twice = [], [], rows.max() > 1  # a block held twice on a basis pairs with itself
     for row in rows:
         s = row.nonzero()[0]
         held, sub = row.take(s), code.take(s, 0).take(s, 1)
@@ -841,6 +861,7 @@ def spatial_complement(packing: Packing) -> Packing:
         inc = lock(1.0 - table.incidence)
         rests = _BlockTable(table.family, table.labels, table.ids, _supports(inc), inc,
                             lock(m - sizes[:, None] - sizes + table.meet))
+        rests.__dict__.update(patterns=table.patterns)  # same labels and ids
         return _table_packing(m, packing.field, rests, packing.hypotheses, "complement")
     out = []
     for p in packing.elements:

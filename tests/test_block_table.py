@@ -608,7 +608,8 @@ class TestSharedAnalysis:
         """certify, coherence, check_tightness, the achiever span and
         extract_hadamard's own certify read one table analysis; the span
         forms no sum, as one basis is covered, and a family with a verdict
-        decides tightness once, where the float C^4 family sums once per table."""
+        decides tightness once off the table's patterns, with no coverage of
+        the elements, where the float C^4 family sums once per table."""
         calls = Counter()
 
         def spy(name):
@@ -632,8 +633,8 @@ class TestSharedAnalysis:
             if design is not None:
                 assert extract_hadamard(pk, design).order == 4
             assert calls["_exact_values"] == 1 and calls["matrix_rank"] == 0
-        if design is None:  # the verdict once, then one coverage of the achievers per span
-            assert calls == {"_exact_values": 1, "_coverage": 3}
+        if design is None:  # one coverage of the achievers per span
+            assert calls == {"_exact_values": 1, "_coverage": 2}
         else:  # one float sum per table, its coverage, and one coverage per span
             assert calls["_summed_projections"] == 1 and calls["_coverage"] == 3
 
@@ -724,3 +725,57 @@ class TestSharedAnalysis:
         assert rep.method == "numeric" and pk.n == 36
         assert "exact" not in vars(pk._block_table)
         assert max(a.size for a in kept_arrays((pk, rep, cert))) <= max(pk.n, family.bases.size)
+
+
+def discovered(table):
+    """The same table with nothing kept, so that its patterns are found by the sort."""
+    return packing._BlockTable(table.family, table.labels, table.ids, table.blocks,
+                               table.incidence, table.meet)
+
+
+KEPT_PATTERN_CASES = {
+    # bases 3, 4, 6 and 7 hold no block: the zero row is the builder's last pattern
+    "unused-bases": lambda: packing.build_mixed_packing(FANO7, [FANO, FANO_C], [[0, 2], [5, 1]]),
+    # two runs of one design: two patterns with one row
+    "one-design-twice": lambda: packing.build_mixed_packing(FANO7, [FANO, FANO],
+                                                            [[0, 1], [2, 3, 4]]),
+    "repeated-block": lambda: packing.build_mixed_packing(
+        FANO7, [BlockDesign(7, FANO.blocks + FANO.blocks[:1]), FANO_C], [[0, 1, 2], [3, 4, 5]]),
+}
+KEPT_PATTERN_SOURCES = sorted([*SHARED_CASES, *KEPT_PATTERN_CASES])
+PATTERN_VARIANTS = {"built": lambda pk: pk, "complement": spatial_complement,
+                    "json": json_round_trip}
+
+
+class TestKeptPatterns:
+    @pytest.mark.parametrize("variant", sorted(PATTERN_VARIANTS))
+    @pytest.mark.parametrize("name", KEPT_PATTERN_SOURCES)
+    def test_set_patterns_match_discovery(self, name, variant):
+        """The patterns a builder sets, and the spatial complement passes on,
+        give each basis its row of block counts, the same exact values and
+        the same tightness verdict as the patterns the sort finds; a table
+        read from JSON or made from elements finds them by the sort."""
+        made = KEPT_PATTERN_CASES.get(name, lambda: shared_case(name))()
+        pk = PATTERN_VARIANTS[variant](made)
+        table = pk._block_table
+        by_builder = name not in UNEVEN_CASES  # the uneven cases are made from elements
+        assert ("patterns" in vars(table)) == (variant == "complement" or
+                                                (variant == "built" and by_builder))
+        pattern, rows = table.patterns
+        fresh = discovered(table)
+        fresh_pattern, fresh_rows = fresh.patterns
+        assert np.array_equal(rows[pattern], fresh_rows[fresh_pattern])
+        assert pattern.shape == (table.family.k,) and rows.shape[1] == len(table.blocks)
+        assert not pattern.flags.writeable and not rows.flags.writeable
+        assert repr(packing._exact_values(table)) == repr(packing._exact_values(fresh))
+        cover = packing._coverage(table)
+        assert table.evenly_covered == fresh.evenly_covered == bool(
+            np.all(cover == cover[:, :1]))
+
+    def test_the_builders_patterns(self):
+        """One pattern per run, in run order, and the zero row last for unused bases."""
+        pattern, rows = KEPT_PATTERN_CASES["unused-bases"]()._block_table.patterns
+        assert pattern.tolist() == [0, 1, 0, 2, 2, 1, 2, 2]
+        assert rows.sum(axis=1).tolist() == [7, 7, 0]
+        pattern, rows = paley_packing(7)._block_table.patterns
+        assert pattern.tolist() == [0, 1] * 4 and rows.shape == (2, 14)

@@ -84,11 +84,24 @@ class TestGen:
         family = grasspack.mubs_from_json(json.loads(path.read_text()))
         assert family.k == 72 and family.exact_verdict
 
+    @staticmethod
+    def assert_one_error_line(tmp_path, capsys, argv, message):
+        """One error line, the import hint given once, exit 2, and nothing written."""
+        out = tmp_path / "x.json"
+        capsys.readouterr()
+        assert run("gen", "mub", *argv, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not out.exists()
+
     def test_unsupported_real_mub_exits_2(self, tmp_path, capsys):
-        code = run("gen", "mub", "--m", 16, "--field", "R",
-                   "--out", tmp_path / "x.json")
-        assert code == 2
-        assert "import required" in capsys.readouterr().err
+        self.assert_one_error_line(tmp_path, capsys, ("--m", 16, "--field", "R"),
+                                   "no built-in real family for m=16; import required")
+
+    def test_unsupported_complex_mub_exits_2(self, tmp_path, capsys):
+        self.assert_one_error_line(tmp_path, capsys, ("--m", 8),
+                                   "even-characteristic extension fields need Galois-ring "
+                                   "phases; import such a family via JSON instead")
 
     def test_hadamard3_design(self, tmp_path):
         path = tmp_path / "h3.json"

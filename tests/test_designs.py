@@ -742,3 +742,107 @@ class TestComplementBlocks:
         assert comp.blocks == tuple(tuple(sorted(set(range(design.m)) - set(b)))
                                     for b in design.blocks)
         assert all(type(x) is int for b in comp.blocks for x in b)
+
+
+# Levels 1 and 2 and cohesion as they were read before the design kept
+# N N^T: a new product masked by eye, and the strict upper triangle of N^T N.
+PACKAGE_SUBSET_COUNTS = designs._subset_counts
+
+
+def product_subset_counts(design, t):
+    if t > 2 or t > design.block_size:
+        return PACKAGE_SUBSET_COUNTS(design, t)
+    inc = design.incidence
+    counts = inc.sum(axis=1) if t == 1 else (inc @ inc.T)[~np.eye(design.m, dtype=bool)]
+    counts = counts.astype(np.int64)
+    return (True, int(counts[0])) if np.all(counts == counts[0]) else (False, None)
+
+
+def triangle_cohesion(design):
+    if design.b < 2:
+        raise ParameterError("cohesion needs at least 2 blocks")
+    return int(np.triu(design.intersections, 1).max())
+
+
+def product_report(design, t):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(designs, "_subset_counts", product_subset_counts)
+        patch.setattr(designs, "cohesion", triangle_cohesion)
+        return verify_design(design, t)
+
+
+def kept_designs():
+    """(name, design) of each complement and complementary split that a
+    design of COUNTED_DESIGNS keeps."""
+    for name, design in sorted(COUNTED_DESIGNS.items()):
+        if design.block_size < design.m:
+            yield f"{name}/complement", complement_design(design)
+        if isinstance(outcome(complementary_halves, design), BlockDesign):
+            yield f"{name}/halves", complementary_halves(design)
+
+
+KEPT_DESIGNS = dict(kept_designs())
+
+
+def kept_arrays_of(design, seen=()):
+    """Every array a design keeps, with those of the designs it keeps."""
+    for value in vars(design).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, BlockDesign) and all(value is not d for d in seen):
+            yield from kept_arrays_of(value, (*seen, design))
+
+
+class TestKeptCounts:
+    """A design keeps N N^T, its complement and its complementary halves,
+    each made once, on first use."""
+
+    @pytest.mark.parametrize("name", sorted(COUNTED_DESIGNS))
+    def test_concurrences_are_n_n_transpose(self, name):
+        design = COUNTED_DESIGNS[name]
+        inc = design.incidence
+        assert design.concurrences.dtype == np.int64
+        assert np.array_equal(design.concurrences, (inc @ inc.T).astype(np.int64))
+        assert design.concurrences is design.concurrences
+
+    @pytest.mark.parametrize("name", sorted(COUNTED_DESIGNS))
+    def test_reports_equal_those_of_a_new_product(self, name):
+        design = COUNTED_DESIGNS[name]
+        for t in range(1, min(design.m, 3) + 1):
+            assert verify_design(design, t) == product_report(design, t), t
+
+    @pytest.mark.parametrize("name", sorted(name for name, d in COUNTED_DESIGNS.items()
+                                            if d.block_size < d.m))
+    def test_the_complement_is_kept(self, name):
+        design = COUNTED_DESIGNS[name]
+        assert complement_design(design) is complement_design(design)
+
+    def test_the_halves_are_kept_and_a_failure_is_not(self, monkeypatch):
+        calls = []
+        split = designs._split_halves
+        monkeypatch.setattr(designs, "_split_halves", lambda d: calls.append(d) or split(d))
+        closed, open_ = hadamard_to_3design(gen_hadamard(8)), BlockDesign(4, [(0, 1), (0, 2)])
+        assert complementary_halves(closed) is complementary_halves(closed)
+        for _ in range(2):
+            with pytest.raises(StructuralError):
+                complementary_halves(open_)
+        assert calls == [closed, open_, open_]
+
+    @pytest.mark.parametrize("name", sorted(KEPT_DESIGNS))
+    def test_kept_designs_equal_checked_ones(self, name):
+        kept = KEPT_DESIGNS[name]
+        checked = BlockDesign(kept.m, kept.blocks, kept.declared_t, kept.declared_lambda)
+        assert kept == checked and kept.blocks == checked.blocks
+        for part in ("incidence", "intersections", "concurrences"):
+            got, ref = getattr(kept, part), getattr(checked, part)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), part
+
+    @pytest.mark.parametrize("name", sorted(COUNTED_DESIGNS))
+    def test_every_kept_array_is_read_only(self, name):
+        design = COUNTED_DESIGNS[name]
+        kept = [d for n, d in KEPT_DESIGNS.items() if n.split("/")[0] == name]
+        for d in (design, *kept):
+            d.intersections, d.concurrences  # made on first use
+        arrays = list(kept_arrays_of(design))
+        assert len(arrays) >= 3 * (1 + len(kept))
+        assert not any(a.flags.writeable for a in arrays)

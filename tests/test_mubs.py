@@ -14,7 +14,7 @@ from grasspack.fields import build_field, is_prime
 from grasspack.mubs import (MubFamily, gen_mubs, gen_mubs_prime,
                             gen_mubs_prime_power, gen_mubs_small, mub_capacity,
                             mubs_from_json, mubs_to_json, verify_mubs)
-from grasspack.numerics import COMPLEX, REAL, matrix_to_json
+from grasspack.numerics import COMPLEX, REAL, Tolerance, matrix_to_json
 
 from conftest import random_orthonormal, reference_exponents
 
@@ -198,7 +198,64 @@ class TestGenMubs:
             gen_mubs(m, COMPLEX)
 
 
+def loop_deviations(family):
+    """``deviations`` as one product per basis formed them, kept as the
+    reference: basis i read through U_i^* [U_i ... U_{k-1}]."""
+    m, k = family.m, family.k
+    dev = np.zeros((k, k))
+    u = np.concatenate(family.bases, axis=1)
+    uh = u.conj().T
+    for i in range(k):
+        z = uh[i * m:(i + 1) * m] @ u[:, i * m:]
+        dev[i, i] = np.abs(z[:, :m] - np.eye(m)).max()
+        dev[i, i + 1:] = dev[i + 1:, i] = np.abs(np.abs(z[:, m:]) ** 2 - 1.0 / m).reshape(
+            m, k - i - 1, m).max(axis=(0, 2))
+    return dev
+
+
+def verdict(report):
+    """A report's verdicts: ok, and each failure without its measured deviation."""
+    return report.ok, report.cardinality_ok, [f.split(" (dev")[0] for f in report.failures]
+
+
+FLOAT_FAMILIES = {
+    "C2": lambda: MubFamily(2, COMPLEX, gen_mubs_small(2, COMPLEX).bases),
+    "C4": lambda: MubFamily(4, COMPLEX, gen_mubs_small(4, COMPLEX).bases),
+    "R4": lambda: MubFamily(4, REAL, gen_mubs_small(4, REAL).bases),
+    "c8": lambda: mubs_from_json(json.loads((DATA / "mubs_c8.json").read_text())),
+}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("name", sorted(FLOAT_FAMILIES))
+    def test_deviations_equal_the_per_basis_loop_bit_for_bit(self, name):
+        family = FLOAT_FAMILIES[name]()
+        assert np.array_equal(family.deviations, loop_deviations(family))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([3, 5, 7]), st.integers(1, 8), st.sampled_from([COMPLEX, REAL]),
+           st.integers(0, 2**32 - 1), st.sampled_from([1, 3000, None]),
+           st.sampled_from([1e-9, 0.05, 0.2]))
+    def test_random_families_agree_with_the_loop(self, m, k, field, seed, budget, eps):
+        """Random imported families, some bases those of the C^m phase family,
+        formed in row blocks of one basis, of a few, or of all: the deviations
+        agree with the loop's within 1e-15 and verify_mubs gives the same verdicts."""
+        rng = np.random.default_rng(seed)
+        true = gen_mubs_prime(m).bases if field == COMPLEX else None
+        bases = [true[rng.integers(m + 1)] if true is not None and rng.random() < 0.5
+                 else random_orthonormal(rng, m, m, field) for _ in range(k)]
+        family = MubFamily(m, field, bases)
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(mubs, "_BLOCK_BYTES", budget)
+            dev = family.deviations
+        ref = loop_deviations(family)
+        assert np.abs(dev - ref).max() <= 1e-15 and np.array_equal(dev, dev.T)
+        twin = MubFamily(m, field, family.bases)
+        twin.__dict__["deviations"] = ref
+        tol = Tolerance(eps)
+        assert verdict(verify_mubs(family, tol)) == verdict(verify_mubs(twin, tol))
+
     def test_gen5_worst_deviation(self):
         report = verify_mubs(gen_mubs_prime(5))
         assert report.ok

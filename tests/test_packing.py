@@ -746,6 +746,22 @@ class TestExtractHadamard:
         back = hadamard_to_3design(h)
         assert sorted(back.blocks) == sorted(design3.blocks)
 
+    def test_a_build_and_an_extract_split_once(self, monkeypatch):
+        """The halves are kept on the 3-design: building from them and then
+        extracting H with the same design split it once, at c4 and at c8."""
+        from grasspack import designs
+        calls = []
+        split = designs._split_halves
+        monkeypatch.setattr(designs, "_split_halves", lambda d: calls.append(d) or split(d))
+        made = []
+        for mubs, order in ((gen_mubs_small(4, COMPLEX), 4),
+                            (mubs_from_json(json.loads((DATA / "mubs_c8.json").read_text())), 8)):
+            design3 = hadamard_to_3design(gen_hadamard(order))
+            pk = build_orthoplex_packing(mubs, complementary_halves(design3))
+            assert extract_hadamard(pk, design3).order == order
+            made.append(design3)
+        assert len(calls) == 2 and all(c is d for c, d in zip(calls, made))
+
     def test_c8_with_imported_mubs(self):
         mubs = mubs_from_json(json.loads((DATA / "mubs_c8.json").read_text()))
         design3 = hadamard_to_3design(gen_hadamard(8))
