@@ -142,10 +142,9 @@ class _BlockTable:
     @cached_property
     def patterns(self) -> tuple[np.ndarray, np.ndarray]:
         """(each basis's pattern id, the block-count row of each pattern), read-only:
-        bases that hold each block equally often share a pattern, an unused basis the
-        zero row. The builders set it from their runs (``_from_runs``) and the spatial
-        complement from its source; otherwise the rows of block counts are sorted as
-        bytes and split where they change, with no pass over the bases in Python."""
+        bases that hold each block equally often share a pattern, so no two rows are
+        equal, and an unused basis holds the zero row. The rows of block counts are
+        sorted as bytes and split where they change, with no pass over the bases in Python."""
         nb = len(self.meet)
         counts = np.bincount(self.labels * nb + self.ids,
                              minlength=self.family.k * nb).reshape(-1, nb)
@@ -181,14 +180,11 @@ class _BlockTable:
         return float(np.abs(_summed_projections(self) - constant * np.eye(m)).max())
 
 
-def _table(family: MubFamily, labels, ids, blocks, inc, **cached) -> _BlockTable:
-    """The block table of checked, distinct ``blocks`` with incidence ``inc``, N^T N
-    formed; ``cached`` holds values already formed."""
+def _table(family: MubFamily, labels, ids, blocks, inc) -> _BlockTable:
+    """The block table of checked, distinct ``blocks`` with incidence ``inc``, N^T N formed."""
     inc = lock(inc)
-    table = _BlockTable(family, lock(labels), lock(ids), tuple(blocks), inc,
-                        lock((inc.T @ inc).astype(np.int64)))
-    table.__dict__.update(cached)
-    return table
+    return _BlockTable(family, lock(labels), lock(ids), tuple(blocks), inc,
+                       lock((inc.T @ inc).astype(np.int64)))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -313,11 +309,9 @@ def _from_runs(family: MubFamily, runs, record: HypothesisRecord, mode: str) -> 
     """The packing of each checked block of ``blocks`` on each basis of ``bases``,
     basis by basis, for (bases, blocks, incidence) in ``runs`` in turn, made as its
     block table: one label and block id per element, by np.repeat and np.tile of the
-    run's distinct block ids; a block's column of N is its first use's in ``incidence``.
-    The runs' bases are distinct, so each run is one pattern of the table, its row the
-    run's count of each block, and the unused bases, if any, one more with the zero row."""
+    run's distinct block ids; a block's column of N is its first use's in ``incidence``."""
     distinct: dict = {}
-    labels, ids, columns, kept = [], [], [], []
+    labels, ids, columns = [], [], []
     for bases, blocks, inc in runs:
         if len(bases):
             seen = len(distinct)
@@ -326,17 +320,10 @@ def _from_runs(family: MubFamily, runs, record: HypothesisRecord, mode: str) -> 
             columns.append(inc[:, top[1:] > top[:-1]])
             labels.append(np.repeat(np.array(bases, dtype=np.int64), len(blocks)))
             ids.append(np.tile(run, len(bases)))
-            kept.append((bases, run))
     if not labels:
         return Packing(family.m, family.field, (), record, mode)
-    pattern = np.full(family.k, len(kept))  # the zero row's id, until a run claims the basis
-    rows = [np.bincount(run, minlength=len(distinct)) for _, run in kept]
-    for p, (bases, _) in enumerate(kept):
-        pattern[list(bases)] = p
-    if pattern.max() == len(kept):
-        rows.append(np.zeros(len(distinct), dtype=np.int64))
     table = _table(family, np.concatenate(labels), np.concatenate(ids), list(distinct),
-                   np.hstack(columns), patterns=(lock(pattern), lock(np.array(rows))))
+                   np.hstack(columns))
     return _table_packing(family.m, family.field, table, record, mode)
 
 
@@ -861,7 +848,6 @@ def spatial_complement(packing: Packing) -> Packing:
         inc = lock(1.0 - table.incidence)
         rests = _BlockTable(table.family, table.labels, table.ids, _supports(inc), inc,
                             lock(m - sizes[:, None] - sizes + table.meet))
-        rests.__dict__.update(patterns=table.patterns)  # same labels and ids
         return _table_packing(m, packing.field, rests, packing.hypotheses, "complement")
     out = []
     for p in packing.elements:

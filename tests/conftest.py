@@ -1,9 +1,7 @@
 import json
-import os
 
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from grasspack import mubs
 from grasspack.embedding import _checked_rank, build_space, embed, embedded_code_to_json
@@ -11,10 +9,6 @@ from grasspack.errors import DimensionMismatchError, ParameterError
 from grasspack.fields import build_field
 from grasspack.numerics import DEFAULT_TOL, as_matrix
 from grasspack.packing import Packing, Projection, _embedded_gram, _report_from_gram
-
-# HYPOTHESIS_PROFILE=ci makes a failing randomized test print the blob that reproduces it
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_orthonormal(rng, m, k, field="C"):

@@ -727,16 +727,10 @@ class TestSharedAnalysis:
         assert max(a.size for a in kept_arrays((pk, rep, cert))) <= max(pk.n, family.bases.size)
 
 
-def discovered(table):
-    """The same table with nothing kept, so that its patterns are found by the sort."""
-    return packing._BlockTable(table.family, table.labels, table.ids, table.blocks,
-                               table.incidence, table.meet)
-
-
 KEPT_PATTERN_CASES = {
-    # bases 3, 4, 6 and 7 hold no block: the zero row is the builder's last pattern
+    # bases 3, 4, 6 and 7 hold no block and share the zero row
     "unused-bases": lambda: packing.build_mixed_packing(FANO7, [FANO, FANO_C], [[0, 2], [5, 1]]),
-    # two runs of one design: two patterns with one row
+    # two runs of one design hold equal rows: their bases share one pattern
     "one-design-twice": lambda: packing.build_mixed_packing(FANO7, [FANO, FANO],
                                                             [[0, 1], [2, 3, 4]]),
     "repeated-block": lambda: packing.build_mixed_packing(
@@ -747,35 +741,35 @@ PATTERN_VARIANTS = {"built": lambda pk: pk, "complement": spatial_complement,
                     "json": json_round_trip}
 
 
+def pattern_groups(table):
+    """The bases of each pattern, as a sorted list of sorted tuples."""
+    pattern, _ = table.patterns
+    return sorted(tuple(np.flatnonzero(pattern == p).tolist()) for p in set(pattern.tolist()))
+
+
 class TestKeptPatterns:
     @pytest.mark.parametrize("variant", sorted(PATTERN_VARIANTS))
     @pytest.mark.parametrize("name", KEPT_PATTERN_SOURCES)
-    def test_set_patterns_match_discovery(self, name, variant):
-        """The patterns a builder sets, and the spatial complement passes on,
-        give each basis its row of block counts, the same exact values and
-        the same tightness verdict as the patterns the sort finds; a table
-        read from JSON or made from elements finds them by the sort."""
-        made = KEPT_PATTERN_CASES.get(name, lambda: shared_case(name))()
-        pk = PATTERN_VARIANTS[variant](made)
+    def test_patterns_are_the_rows_of_block_counts(self, name, variant):
+        """Each basis's pattern row is its count of each block, no two rows are
+        equal, both arrays are read-only, and the exact pass and the tightness
+        verdict read the patterns found once."""
+        pk = PATTERN_VARIANTS[variant](KEPT_PATTERN_CASES.get(name, lambda: shared_case(name))())
         table = pk._block_table
-        by_builder = name not in UNEVEN_CASES  # the uneven cases are made from elements
-        assert ("patterns" in vars(table)) == (variant == "complement" or
-                                                (variant == "built" and by_builder))
-        pattern, rows = table.patterns
-        fresh = discovered(table)
-        fresh_pattern, fresh_rows = fresh.patterns
-        assert np.array_equal(rows[pattern], fresh_rows[fresh_pattern])
-        assert pattern.shape == (table.family.k,) and rows.shape[1] == len(table.blocks)
+        nb, k = len(table.blocks), table.family.k
+        table.exact
+        pattern, rows = vars(table)["patterns"]
+        counts = np.bincount(table.labels * nb + table.ids, minlength=k * nb).reshape(k, nb)
+        assert np.array_equal(rows[pattern], counts)
+        assert len(np.unique(rows, axis=0)) == len(rows)
         assert not pattern.flags.writeable and not rows.flags.writeable
-        assert repr(packing._exact_values(table)) == repr(packing._exact_values(fresh))
+        assert table.patterns is vars(table)["patterns"]
         cover = packing._coverage(table)
-        assert table.evenly_covered == fresh.evenly_covered == bool(
-            np.all(cover == cover[:, :1]))
+        assert table.evenly_covered == bool(np.all(cover == cover[:, :1]))
 
-    def test_the_builders_patterns(self):
-        """One pattern per run, in run order, and the zero row last for unused bases."""
-        pattern, rows = KEPT_PATTERN_CASES["unused-bases"]()._block_table.patterns
-        assert pattern.tolist() == [0, 1, 0, 2, 2, 1, 2, 2]
-        assert rows.sum(axis=1).tolist() == [7, 7, 0]
-        pattern, rows = paley_packing(7)._block_table.patterns
-        assert pattern.tolist() == [0, 1] * 4 and rows.shape == (2, 14)
+    def test_bases_with_equal_counts_share_a_pattern(self):
+        table = KEPT_PATTERN_CASES["unused-bases"]()._block_table
+        assert pattern_groups(table) == [(0, 2), (1, 5), (3, 4, 6, 7)]
+        table = KEPT_PATTERN_CASES["one-design-twice"]()._block_table
+        assert pattern_groups(table) == [(0, 1, 2, 3, 4), (5, 6, 7)]
+        assert pattern_groups(paley_packing(7)._block_table) == [(0, 2, 4, 6), (1, 3, 5, 7)]
