@@ -176,7 +176,7 @@ def cmd_certify(args) -> int:
     if args.achievers:
         dim, full = P.span_of_achievers(pk, cert.coherence, tol=tol)
         obj["achievers"] = {
-            "indices": list(cert.coherence.achievers),
+            "indices": cert.coherence.achievers.tolist(),
             "span_dim": dim,
             "span_is_full": full,
         }

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -204,9 +205,16 @@ class FieldTable:
 
 
 def build_field(pp: PrimePower | int) -> FieldTable:
-    """Construct GF(p^n) arithmetic tables for ``pp`` (a PrimePower or an
-    integer prime power)."""
-    return FieldTable(pp if isinstance(pp, PrimePower) else factor_prime_power(pp))
+    """The GF(p^n) arithmetic tables for ``pp`` (a PrimePower or an integer prime
+    power), made once per prime power per process and returned as the same object,
+    whose tables are read-only, on every call. The cache keeps the last 8 fields
+    asked for, each at most 1 MB (two 256 x 256 int64 tables)."""
+    return _field(pp if isinstance(pp, PrimePower) else factor_prime_power(pp))
+
+
+@lru_cache(maxsize=8)
+def _field(pp: PrimePower) -> FieldTable:
+    return FieldTable(pp)
 
 
 def enumerate_affine_hyperplanes(p: int, t1: int) -> list[tuple[int, ...]]:

@@ -126,18 +126,23 @@ class _BlockTable:
     """Coordinate projections of one ``family``: element i is the distinct block
     ``blocks[ids[i]]`` of basis ``labels[i]``, blocks numbered in order of first
     use by the builders and in file order by ``packing_from_json``; the B
-    distinct blocks have the m x B 0/1 ``incidence`` N and the int64 ``meet`` =
-    N^T N, read-only (sizes on its diagonal). What the exact path reads is kept
-    once formed, none of it depending on a tolerance: the ``patterns``, ``exact``
-    (``_exact_values``), the tightness verdict, the MUB deviation bound ``mub_dev``
-    and a float family's ``tight_dev``. The numeric path's Gram is never kept."""
+    distinct blocks have the m x B 0/1 ``incidence`` N and the int64 ``sizes``,
+    and ``known`` pairs a basis with the intersections |J & K| of the blocks it
+    holds, in id order, as a builder read them off its designs' N^T N. What the
+    exact path reads is kept once formed, none of it depending on a tolerance:
+    the ``patterns``, one ``squares`` entry per pattern (so a B x B array is
+    kept only when one pattern holds every block), ``exact``
+    (``_exact_values``), the tightness verdict, the MUB deviation bound
+    ``mub_dev`` and a float family's ``tight_dev``. All arrays are read-only.
+    The numeric path's Gram is never kept."""
 
     family: MubFamily
     labels: np.ndarray
     ids: np.ndarray
     blocks: tuple[tuple[int, ...], ...]
     incidence: np.ndarray
-    meet: np.ndarray
+    sizes: np.ndarray
+    known: tuple[tuple[int, np.ndarray], ...] = ()
 
     @cached_property
     def patterns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +150,7 @@ class _BlockTable:
         bases that hold each block equally often share a pattern, so no two rows are
         equal, and an unused basis holds the zero row. The rows of block counts are
         sorted as bytes and split where they change, with no pass over the bases in Python."""
-        nb = len(self.meet)
+        nb = len(self.sizes)
         counts = np.bincount(self.labels * nb + self.ids,
                              minlength=self.family.k * nb).reshape(-1, nb)
         order = counts.view(np.dtype((np.void, counts.itemsize * nb))).ravel().argsort()
@@ -154,6 +159,19 @@ class _BlockTable:
         pattern = np.empty_like(order)
         pattern[order] = new.cumsum() - 1
         return lock(pattern), lock(ranked[new])
+
+    @cached_property
+    def squares(self) -> tuple[np.ndarray, ...]:
+        """Each pattern's int64 intersections |J & K| of the blocks its row holds, in id
+        order, read-only: a ``known`` square where one of its bases has one, else formed
+        from the pattern's incidence columns."""
+        pattern, rows = self.patterns
+        squares = {int(pattern[a]): square for a, square in self.known}
+        for p, row in enumerate(rows):
+            if p not in squares:
+                cols = self.incidence[:, row.nonzero()[0]]
+                squares[p] = lock((cols.T @ cols).astype(np.int64))
+        return tuple(squares[p] for p in range(len(rows)))
 
     @cached_property
     def exact(self) -> _ExactValues:
@@ -176,15 +194,16 @@ class _BlockTable:
     @cached_property
     def tight_dev(self) -> float:  # max |F - cI|, c = (sum of ranks) / m (check_tightness)
         m = self.family.m
-        constant = int(np.diagonal(self.meet)[self.ids].sum()) / m
+        constant = int(self.sizes[self.ids].sum()) / m
         return float(np.abs(_summed_projections(self) - constant * np.eye(m)).max())
 
 
-def _table(family: MubFamily, labels, ids, blocks, inc) -> _BlockTable:
-    """The block table of checked, distinct ``blocks`` with incidence ``inc``, N^T N formed."""
+def _table(family: MubFamily, labels, ids, blocks, inc, known=()) -> _BlockTable:
+    """The block table of checked, distinct ``blocks`` with incidence ``inc`` and a
+    builder's read-only ``known`` squares."""
     inc = lock(inc)
     return _BlockTable(family, lock(labels), lock(ids), tuple(blocks), inc,
-                       lock((inc.T @ inc).astype(np.int64)))
+                       lock(inc.sum(axis=0).astype(np.int64)), tuple(known))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -231,9 +250,9 @@ class Packing:
 
     @cached_property
     def ranks(self) -> np.ndarray:
-        """Each element's rank, read-only: diag(N^T N)[ids] for a block table."""
+        """Each element's rank, read-only: sizes[ids] for a block table."""
         t = self._block_table
-        return lock(np.diagonal(t.meet)[t.ids] if t is not None else
+        return lock(t.sizes[t.ids] if t is not None else
                     np.array([p.rank for p in self.elements], dtype=np.int64))
 
     @property
@@ -307,23 +326,30 @@ def _coordinate(family: MubFamily, k: int, block: tuple[int, ...]) -> Projection
 
 def _from_runs(family: MubFamily, runs, record: HypothesisRecord, mode: str) -> Packing:
     """The packing of each checked block of ``blocks`` on each basis of ``bases``,
-    basis by basis, for (bases, blocks, incidence) in ``runs`` in turn, made as its
-    block table: one label and block id per element, by np.repeat and np.tile of the
-    run's distinct block ids; a block's column of N is its first use's in ``incidence``."""
+    basis by basis, for (bases, blocks, incidence, meet) in ``runs`` in turn, made as
+    its block table: one label and block id per element, by np.repeat and np.tile of
+    the run's distinct block ids; a block's column of N is its first use's in
+    ``incidence``, and the square of the run's bases is ``meet`` (the blocks'
+    intersections) at each distinct block's first place in the run."""
     distinct: dict = {}
-    labels, ids, columns = [], [], []
-    for bases, blocks, inc in runs:
+    labels, ids, columns, known = [], [], [], []
+    for bases, blocks, inc, meet in runs:
         if len(bases):
             seen = len(distinct)
             run = np.array([distinct.setdefault(b, len(distinct)) for b in blocks], dtype=np.int64)
             top = np.maximum.accumulate(np.concatenate(([seen - 1], run)))  # rises at a first use
-            columns.append(inc[:, top[1:] > top[:-1]])
+            new = top[1:] > top[:-1]
+            columns.append(inc[:, new])
             labels.append(np.repeat(np.array(bases, dtype=np.int64), len(blocks)))
             ids.append(np.tile(run, len(bases)))
+            if not new.all():  # a block used before: the run's blocks in id order
+                first = np.unique(run, return_index=True)[1]
+                meet = lock(meet.take(first, 0).take(first, 1))
+            known.append((bases[0], meet))
     if not labels:
         return Packing(family.m, family.field, (), record, mode)
     table = _table(family, np.concatenate(labels), np.concatenate(ids), list(distinct),
-                   np.hstack(columns))
+                   np.hstack(columns), known)
     return _table_packing(family.m, family.field, table, record, mode)
 
 
@@ -361,7 +387,7 @@ def build_mixed_packing(mubs: MubFamily, designs: list[BlockDesign],
     if total <= d + 1:
         failures.append(f"only {total} elements; need more than d+1 = {d + 1}")
     record = HypothesisRecord(ok=not failures, failures=tuple(failures))
-    return _from_runs(mubs, [(cls, dsgn.blocks, dsgn.incidence)
+    return _from_runs(mubs, [(cls, dsgn.blocks, dsgn.incidence, dsgn.intersections)
                              for dsgn, cls in zip(designs, classes)], record, "mixed")
 
 
@@ -371,7 +397,8 @@ def build_orthoplex_packing(mubs: MubFamily, halves: BlockDesign) -> Packing:
     l^2/m points.
 
     The intersection condition m |J & J'| = l^2 is checked exactly on
-    ``halves.intersections``; its first violation raises HypothesisError. When
+    ``halves.intersections`` M; its first violation raises HypothesisError. The
+    blocks then meet as |J & K^c| = l - M and |J^c & K^c| = m - 2l + M. When
     |S| = m-1 and the family of bases is maximal, the result is tagged as a
     candidate maximal orthoplectic fusion frame with 2(m-1) k = 2d elements.
     """
@@ -396,8 +423,13 @@ def build_orthoplex_packing(mubs: MubFamily, halves: BlockDesign) -> Packing:
     record = HypothesisRecord(ok=not failures, failures=tuple(failures),
                               candidate_maximal=candidate)
     rest = complement_design(halves)
+    b = halves.b
+    square = np.empty((2 * b, 2 * b), dtype=np.int64)
+    square[:b, :b], square[b:, b:] = meet, m - 2 * l + meet
+    square[:b, b:] = square[b:, :b] = l - meet
     return _from_runs(mubs, [(range(mubs.k), halves.blocks + rest.blocks,
-                              np.hstack((halves.incidence, rest.incidence)))], record, "orthoplex")
+                              np.hstack((halves.incidence, rest.incidence)), lock(square))],
+                      record, "orthoplex")
 
 
 @dataclass(frozen=True)
@@ -414,7 +446,9 @@ class CoherenceReport:
     Gram whose value is ``mu_embedded``: exactly on the exact path, whose report
     is the block table's alone, the same at every ``eps_abs``, and within
     ``eps_abs`` on the numeric path, so rounding noise does not pick among exact
-    ties. ``achievers`` are the elements of such pairs.
+    ties. ``achievers`` are the elements of such pairs, in order, as a read-only
+    int64 index array (``_indices``) that iterates as Python ints. Reports are
+    equal when their fields are, the achievers compared by value.
 
     ``method`` is ``"exact"`` when the values were read off block
     intersections over a family of MUBs and ``"numeric"`` when they come from
@@ -427,12 +461,36 @@ class CoherenceReport:
 
     mu_embedded: float
     argmax_pair: tuple[int, int]
-    achievers: tuple[int, ...]
+    achievers: np.ndarray
     pair_classes: dict[str, PairClassSummary]
     n: int
     mu_raw: float | None = None  # max tr(P_i P_j), constant-rank packings only
     method: str = "numeric"
     mub_dev: float | None = None
+
+    def __eq__(self, other):
+        if type(other) is not CoherenceReport:
+            return NotImplemented
+        mine, theirs = dict(vars(self)), dict(vars(other))
+        return np.array_equal(mine.pop("achievers"), theirs.pop("achievers")) and mine == theirs
+
+
+class _Indices(np.ndarray):
+    """An index array that iterates as Python ints, so that ``list(report.achievers)``
+    is JSON as it stands, and reads as a plain array."""
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def __repr__(self) -> str:
+        return repr(self.view(np.ndarray))
+
+
+def _indices(picked: np.ndarray) -> np.ndarray:
+    """The read-only int64 achievers array of the indices ``picked``, with no copy."""
+    out = picked.astype(np.int64, copy=False).view(_Indices)
+    out.setflags(write=False)
+    return out
 
 
 def _physical_memory() -> int:
@@ -498,7 +556,7 @@ def _report_from_gram(packing: Packing, e: np.ndarray, tol: Tolerance,
 
     l = int(ranks[0])  # with one rank, tr(P_i P_j) = l(m-l)/m <v_i, v_j> + l^2/m
     mu_raw = sphere_radius_sq(m, l) * mu + l * l / m if packing.mixture == 1 else None
-    return CoherenceReport(mu, (min(i, j), max(i, j)), tuple(achievers.tolist()),
+    return CoherenceReport(mu, (min(i, j), max(i, j)), _indices(achievers),
                            pair_classes, n, mu_raw, "numeric", mub_dev)
 
 
@@ -517,11 +575,12 @@ def _pair_class(label_i, rank_i, label_j, rank_j) -> np.ndarray:
 @dataclass(frozen=True)
 class _ExactValues:
     """The exact pass's report, its mu as ``top`` = num|num|/den, a Fraction (a reduced
-    pair of Python ints), and n/2 antipodal pairs for an orthoplex Gram, else None."""
+    pair of Python ints), and whether every same-basis value is zero or -1
+    (complementary blocks), as in an orthoplex Gram."""
 
     report: CoherenceReport
     top: Fraction
-    antipodal_pairs: int | None
+    flat: bool
 
 
 def _exact_values(table: _BlockTable) -> _ExactValues:
@@ -531,39 +590,34 @@ def _exact_values(table: _BlockTable) -> _ExactValues:
     |J||K|/m across bases, so every cross-basis embedded inner product is 0
     and a same-basis pair has num / sqrt(den) with num = m|J & K| - |J||K|
     and den = |J|(m-|J|)|K|(m-|K|). Bases that hold each block equally often
-    share a pattern (``table.patterns``). N^T N is coded once, each entry by
-    the places of |J| and |K| among the distinct block sizes and |J & K|; a
-    pattern's pairs are the square of that code on its blocks, whose diagonal
-    is a pair only for a block held twice. The few codes present (one
-    bincount) are ordered exactly by num|num|/den as Fractions, and only the
-    reported numbers are rounded to floats. A block's peak in a pattern is its
-    row maximum, which each element of the pattern's bases reads, and whose
-    rank is mu's is an achiever; pair classes are counted, in Python ints, off
-    each pattern's rank histogram times the bases that carry it. The orthoplex
-    check is decided on blocks: each element has exactly one complementary
-    block in its basis (its antipode), and every other same-basis pair has
-    num = 0.
+    share a pattern (``table.patterns``), whose pairs are its square of
+    intersections (``table.squares``). Each square is coded, each entry by the
+    places of |J| and |K| among the distinct block sizes and |J & K|; its
+    diagonal is a pair only for a block held twice. The few codes present are
+    ordered exactly by num|num|/den as Fractions, and only the reported numbers
+    are rounded to floats. A block's peak in a pattern is its row maximum,
+    which each element of the pattern's bases reads, and whose rank is mu's
+    is an achiever; pair classes are counted, in Python ints, off each
+    pattern's rank histogram times the bases that carry it.
     """
-    labels, ids, meet = table.labels, table.ids, table.meet
-    m, n, nb = table.family.m, len(labels), len(meet)
-    cell = labels * nb + ids  # (basis, block)
+    labels, ids, sizes = table.labels, table.ids, table.sizes
+    m, n, nb = table.family.m, len(labels), len(sizes)
     pattern, rows = table.patterns
-    sizes = meet.diagonal()
     size_of = sorted(set(sizes.tolist()))
     kinds, span = len(size_of), m + 1
     cells = kinds * kinds * span  # codes (place |J| * kinds + place |K|) * span + |J & K|
     place = np.array(size_of).searchsorted(sizes)
-    code = meet if kinds == 1 else (place * (kinds * span))[:, None] + place * span + meet
+    present = np.zeros(cells + 1, dtype=bool)
     subs, hists, twice = [], [], rows.max() > 1  # a block held twice on a basis pairs with itself
-    for row in rows:
+    for row, square in zip(rows, table.squares):
         s = row.nonzero()[0]
-        held, sub = row.take(s), code.take(s, 0).take(s, 1)
+        held, at = row.take(s), place.take(s)
+        sub = square + ((at * (kinds * span))[:, None] + at * span)
         sub.ravel()[::len(s) + 1][held < 2 if twice else ...] = cells  # no pair: past every code
+        present[sub] = True
         subs.append((s, sub))
-        hists.append(np.bincount(place.take(s).repeat(held), minlength=kinds).tolist())  # ranks
-    tally = np.bincount(np.concatenate([sub.ravel() for _, sub in subs]),
-                        minlength=cells + 1)[:cells]  # entries of each code
-    found = tally.nonzero()[0]
+        hists.append(np.bincount(at.repeat(held), minlength=kinds).tolist())  # ranks
+    found = present[:cells].nonzero()[0]
     carriers = np.bincount(pattern).tolist()
     crossed = sum(w for w, h in zip(carriers, hists) if any(h)) > 1  # bases in use
 
@@ -586,13 +640,16 @@ def _exact_values(table: _BlockTable) -> _ExactValues:
     key_of = np.full(cells + 1, -1)
     key_of[found] = keys
 
-    peak, floor = np.empty((len(rows), nb), dtype=np.int64), np.maximum(key_of, zero)
+    peak, floor = np.full((len(rows), nb), -1), np.maximum(key_of, zero)
     for p, (s, sub) in enumerate(subs):
-        peak[p, s] = floor[sub].max(axis=1, initial=-1)
-    best = peak[pattern].ravel()[cell]  # as ranks
-    i = int(best.argmax())  # the first row of the Gram that attains mu
-    top = int(best[i])
-    hit = key_of[code[ids[i]][ids]] == top  # i's same-basis partners
+        peak[p, s] = floor.take(sub).max(axis=1, initial=-1)  # as ranks
+    top = int(peak.max())
+    achievers = np.flatnonzero((peak == top).ravel()[pattern[labels] * nb + ids])
+    i = int(achievers[0])  # the first row of the Gram that attains mu
+    s, sub = subs[pattern[labels[i]]]
+    hit = np.zeros(nb, dtype=bool)  # the blocks i meets at mu on its basis
+    hit[s] = key_of[sub[s.searchsorted(ids[i])]] == top
+    hit = hit[ids]
     hit[i] = False
     same = labels == labels[i]
     j = int((hit & same if top != zero else hit | ~same).argmax())
@@ -616,25 +673,29 @@ def _exact_values(table: _BlockTable) -> _ExactValues:
     if kinds == 1:  # tr is |J & K| within a basis and l^2/m across
         l2, c = size_of[0] ** 2, max(commons, default=0)
         mu_raw = l2 / m if crossed and l2 > c * m else float(c)
-    # every code zero or complementary, and each element one complement in its basis: no
-    # block is held twice, and a block has at most one complement, so a pattern's L blocks
-    # need L complementary entries
-    antipodal = n // 2 if flat and not twice and sum(
-        t for t, x in zip(tally[found].tolist(), commons) if x == 0) == sum(
-        len(s) for s, _ in subs) else None
-    report = CoherenceReport(floats[top], (i, j), tuple(np.flatnonzero(best == top).tolist()),
-                             pair_classes, n, mu_raw, "exact", table.mub_dev)
-    return _ExactValues(report, ordered[top], antipodal)
+    report = CoherenceReport(floats[top], (i, j), _indices(achievers), pair_classes, n, mu_raw,
+                             "exact", table.mub_dev)
+    return _ExactValues(report, ordered[top], flat)
 
 
 def _exact_pass(packing: Packing) -> tuple[CoherenceReport, bool, bool, Callable]:
     """The table's ``exact`` report, each call with its own ``pair_classes``, and its
     verdicts, decided exactly on mu = num / sqrt(den) as ``top`` = num|num|/den: the
     orthoplex regime num <= 0, the simplex bound num|num| (n-1)^2 = -den, and the
-    orthoplex check ``certify`` runs when n = 2d."""
-    v = packing._block_table.exact
+    orthoplex check ``certify`` runs when n = 2d. That check is decided on blocks:
+    every same-basis value zero or complementary leaves no block held twice, and
+    a block has at most one complement, so each element has exactly one antipode
+    (the complementary block in its basis) when each row of each square has a zero."""
+    table = packing._block_table
+    v = table.exact
+
+    def antipodal_pairs() -> int | None:
+        if v.flat and all(np.count_nonzero(sq == 0) == len(sq) for sq in table.squares):
+            return v.report.n // 2
+        return None
+
     return (replace(v.report, pair_classes=dict(v.report.pair_classes)), v.top <= 0,
-            v.top * (v.report.n - 1) ** 2 == -1, lambda: v.antipodal_pairs)
+            v.top * (v.report.n - 1) ** 2 == -1, antipodal_pairs)
 
 
 def _coherence_pass(packing: Packing,
@@ -826,7 +887,7 @@ def _summed_projections(table: _BlockTable, picked=slice(None)) -> np.ndarray:
 def _coverage(table: _BlockTable, picked: slice | np.ndarray = slice(None)) -> np.ndarray:
     """The k x m float array whose row a counts, for each point, the blocks
     of basis a among the elements ``picked`` that contain it."""
-    k, b = table.family.k, len(table.meet)
+    k, b = table.family.k, len(table.sizes)
     counts = np.bincount(table.labels[picked] * b + table.ids[picked], minlength=k * b)
     return counts.reshape(k, b) @ table.incidence.T
 
@@ -842,12 +903,13 @@ def spatial_complement(packing: Packing) -> Packing:
     """
     m, table = packing.m, packing._block_table
     if table is not None:
-        sizes = np.diagonal(table.meet)
-        if np.any(sizes >= m):
+        if np.any(table.sizes >= m):
             raise DegenerateRankError("full-rank element has an empty complement")
         inc = lock(1.0 - table.incidence)
+        known = tuple((a, lock(m - sq.diagonal()[:, None] - sq.diagonal() + sq))
+                      for a, sq in table.known)  # the diagonal holds the sizes
         rests = _BlockTable(table.family, table.labels, table.ids, _supports(inc), inc,
-                            lock(m - sizes[:, None] - sizes + table.meet))
+                            lock(m - table.sizes), known)
         return _table_packing(m, packing.field, rests, packing.hypotheses, "complement")
     out = []
     for p in packing.elements:
@@ -906,8 +968,8 @@ def _table_coordinates(table: _BlockTable, space) -> np.ndarray:
     C) -sqrt(2) Im(U[j] conj U[k]) for the pairs (j, k), then helmert |U|^2, times the
     incidence columns of basis a's blocks, each divided by its sphere radius."""
     m, (j, k), labels, ids = space.m, space.pairs, table.labels, table.ids
-    _sphere_rank(int(table.meet.max()), m)  # the largest block; none is empty
-    radius = np.sqrt(sphere_radius_sq(m, np.diagonal(table.meet)))
+    _sphere_rank(int(table.sizes.max()), m)  # the largest block; none is empty
+    radius = np.sqrt(sphere_radius_sq(m, table.sizes))
     coords = np.empty((len(labels), space.d))
     for a, u in enumerate(table.family.bases):  # a basis that no element uses fills no row
         w = np.sqrt(2.0) * u[j] * u[k].conj()
@@ -989,7 +1051,7 @@ def span_of_achievers(packing: Packing, report: CoherenceReport,
         raise ParameterError(f"need n >= m, got n={packing.n} < m={packing.m}")
     if certificate is not None and certificate.status is CertStatus.NOT_CERTIFIED:
         raise ParameterError("packing is not certified as optimally spread")
-    if not report.achievers:
+    if not len(report.achievers):
         return 0, False
     table, picked = packing._block_table, np.asarray(report.achievers, dtype=np.intp)
     if table is not None and np.any(np.all(_coverage(table, picked) > 0, axis=1)):

@@ -3,6 +3,7 @@ pattern against the per-pair pass it replaced, tightness decided in integers
 against the float sum, builders that check no block per element, and
 packings made as their table against packings made element by element."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grasspack import packing
@@ -76,7 +77,7 @@ def per_pair_exact_pass(pk):
     partners = [*second[hit & (first == i)], *first[hit & (second == i)]]
     if top == zero:
         partners.append(np.flatnonzero(labels != labels[i])[0])
-    achievers = tuple(int(x) for x in np.flatnonzero(best == top))
+    achievers = np.flatnonzero(best == top)
     classes = len(_PAIR_CLASSES)
     cls = _pair_class(labels[first], ri, labels[second], rj)
     same = np.bincount(cls, minlength=classes)
@@ -109,6 +110,11 @@ def per_pair_exact_pass(pk):
     return report, ordered[top] <= 0, ordered[top] * (n - 1) ** 2 == -1, antipodal_pairs
 
 
+def same_report(rep, ref) -> bool:
+    """Equal by value, achievers included, and in repr, which tells -0.0 from 0.0."""
+    return rep == ref and repr(rep) == repr(ref)
+
+
 def shuffled(pk, seed):
     """The same elements in a random order."""
     order = np.random.default_rng(seed).permutation(pk.n)
@@ -125,7 +131,7 @@ FANO7 = gen_mubs(7, COMPLEX)
 PATTERN_CASES = {
     "paley19-shuffled": lambda: shuffled(paley_packing(19), 1),
     "fano-shuffled": lambda: shuffled(BUILDER_FIXTURES["fano-m7"](), 2),
-    # bases 1 and 3 share one pattern, basis 2 has the same blocks reversed: two patterns
+    # bases 1 and 3 list the Fano blocks in order, basis 2 reversed: one pattern of 7 blocks
     "two-orders": lambda: on_bases(FANO7, [(1, FANO.blocks), (2, FANO.blocks[::-1]),
                                            (3, FANO.blocks)]),
     "one-element-basis": lambda: on_bases(FANO7, [(0, FANO.blocks), (5, FANO_C.blocks[:1]),
@@ -146,34 +152,37 @@ def assert_matches_per_pair(pk, monkeypatch):
     pass in its place."""
     rep, *verdicts, pairs = packing._exact_pass(pk)
     ref, *ref_verdicts, ref_pairs = per_pair_exact_pass(pk)
-    assert repr(rep) == repr(ref) and verdicts == ref_verdicts and pairs() == ref_pairs()
+    assert same_report(rep, ref) and verdicts == ref_verdicts and pairs() == ref_pairs()
     cert = certify(pk)
     with monkeypatch.context() as patch:
         patch.setattr(packing, "_exact_pass", per_pair_exact_pass)
         cert_ref = certify(pk)
     assert (json.dumps(certificate_to_json(cert), sort_keys=True)
             == json.dumps(certificate_to_json(cert_ref), sort_keys=True))
-    assert repr(cert.coherence) == repr(cert_ref.coherence)
+    assert same_report(cert.coherence, cert_ref.coherence)
 
 
 class TestPatterns:
     @pytest.mark.parametrize("flip", [False, True], ids=["built", "complement"])
-    @pytest.mark.parametrize("name", sorted(PATTERN_CASES))
+    @pytest.mark.parametrize("name", sorted({*PATTERN_CASES, *BUILDER_FIXTURES}))
     def test_matches_the_numeric_and_the_per_pair_pass(self, name, flip, monkeypatch):
-        pk = PATTERN_CASES[name]()
+        pk = {**BUILDER_FIXTURES, **PATTERN_CASES}[name]()
         pk = spatial_complement(pk) if flip else pk
         assert_exact_matches_numeric(pk)
         assert_matches_per_pair(pk, monkeypatch)
 
-    def test_two_orders_are_two_patterns(self):
+    def test_two_orders_are_one_pattern(self):
         """Bases 1 and 3 list the same blocks in the same order, basis 2 in
-        reverse: the table has 7 distinct blocks, and the pass pairs 14
-        positions where there are 21 elements."""
+        reverse: the table has 7 distinct blocks, which all three bases hold
+        once, so their one pattern's square is the Fano N^T N, and the five
+        unused bases share the zero row."""
         pk = PATTERN_CASES["two-orders"]()
         table = pk._block_table
-        assert len(table.meet) == 7 and pk.n == 21
+        assert len(table.blocks) == 7 and pk.n == 21
         assert np.array_equal(table.ids[7:14], table.ids[6::-1])
-        assert np.array_equal(table.meet, FANO.intersections)
+        assert table.patterns[0].tolist() == [0, 1, 1, 1, 0, 0, 0, 0]
+        assert [sq.shape for sq in table.squares] == [(0, 0), (7, 7)]
+        assert np.array_equal(table.squares[1], FANO.intersections)
 
     def test_orthoplex_pairs_are_found_by_pattern(self):
         pk = BUILDER_FIXTURES["c4-hadamard"]()
@@ -197,7 +206,7 @@ class TestPatterns:
         assert table.ids[7] == table.ids[0] == 0
         rep, *verdicts, pairs = packing._exact_pass(pk)
         ref, *ref_verdicts, ref_pairs = per_pair_exact_pass(pk)
-        assert repr(rep) == repr(ref) and verdicts == ref_verdicts and pairs() == ref_pairs()
+        assert same_report(rep, ref) and verdicts == ref_verdicts and pairs() == ref_pairs()
         assert rep.mu_embedded == 1.0 and rep.argmax_pair == (0, 7)
 
     def test_the_m71_pass_calls_no_unique_or_isin(self, monkeypatch):
@@ -212,8 +221,8 @@ class TestPatterns:
             patch.setattr(np, "unique", refuse)
             patch.setattr(np, "isin", refuse)
             values = packing._exact_values(table)
-        assert values.antipodal_pairs is None and values.report.n == 5112
-        assert values.report.achievers == tuple(range(5112))
+        assert not values.flat and values.report.n == 5112
+        assert values.report.achievers.tolist() == list(range(5112))
 
     @settings(max_examples=80, deadline=None)
     @given(mub_packings(), st.integers(0, 2**32 - 1))
@@ -221,8 +230,51 @@ class TestPatterns:
         for case in (pk, shuffled(pk, seed)):
             rep, *verdicts, pairs = packing._exact_pass(case)
             ref, *ref_verdicts, ref_pairs = per_pair_exact_pass(case)
-            assert repr(rep) == repr(ref) and verdicts == ref_verdicts
+            assert same_report(rep, ref) and verdicts == ref_verdicts
             assert pairs() == ref_pairs()
+
+
+@st.composite
+def mixed_builds(draw):
+    """``build_mixed_packing`` of one to three random designs over gen_mubs(q),
+    q <= 9, on disjoint random classes of a random part of its bases (a class
+    may be empty): each design has its own block size, never empty or full,
+    and one to six random blocks, a block listed twice allowed."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 9]))
+    family = gen_mubs(q, COMPLEX)
+    count, used = draw(st.integers(1, 3)), draw(st.integers(1, family.k))
+    bases = draw(st.permutations(range(family.k)))[:used]
+    cuts = sorted(draw(st.lists(st.integers(0, used), min_size=count - 1, max_size=count - 1)))
+    classes = [bases[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, used])]
+    designs = []
+    for _ in range(count):
+        size = draw(st.integers(1, q - 1))
+        blocks = draw(st.lists(st.permutations(range(q)), min_size=1, max_size=6))
+        designs.append(BlockDesign(q, [b[:size] for b in blocks]))
+    return packing.build_mixed_packing(family, designs, classes)
+
+
+class TestSquareSources:
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_builds())
+    def test_every_source_gives_one_report(self, pk):
+        """The squares read off the designs' N^T N give the per-pair pass's
+        report and verdicts; so do those formed from the incidence of the JSON
+        round trip and of the same elements given one by one, and the
+        complemented squares (but for the raw traces). On the elements, with
+        no hypothesis failure recorded, certify decides as the numeric pass of
+        their dense copy does."""
+        assume(pk.n >= 2)
+        rep, *verdicts, pairs = packing._exact_pass(pk)
+        ref, *ref_verdicts, ref_pairs = per_pair_exact_pass(pk)
+        assert same_report(rep, ref) and verdicts == ref_verdicts and pairs() == ref_pairs()
+        back, loose = json_round_trip(pk), Packing(pk.m, pk.field, pk.elements)
+        for other in (back, loose):
+            assert "exact" not in vars(other._block_table)
+            assert same_report(coherence(other), rep)
+        flipped = coherence(spatial_complement(pk))
+        assert same_report(dataclasses.replace(flipped, mu_raw=rep.mu_raw), rep)
+        assert_exact_matches_numeric(loose)
 
 
 class TestBuilders:
@@ -266,9 +318,10 @@ class TestBuilders:
 
     def test_a_built_table_takes_the_designs_incidence(self, monkeypatch):
         """Every builder fixture's table is built with no ``_incidence`` call,
-        its incidence and N^T N bit-equal to those of its blocks formed anew;
-        so are those of a design listing a block twice and of one design in
-        two classes, whose second run brings no new block."""
+        its incidence, block sizes and each pattern's square of intersections
+        (read off the designs' N^T N) bit-equal to those of its blocks formed
+        anew; so are those of a design listing a block twice and of one
+        design in two classes, whose second run brings no new block."""
         def refuse(*args):
             raise AssertionError("_incidence was called")
 
@@ -284,9 +337,23 @@ class TestBuilders:
                 table = make()._block_table
             inc = _incidence(table.family.m, table.blocks)
             meet = (inc.T @ inc).astype(np.int64)
-            for got, ref in ((table.incidence, inc), (table.meet, meet)):
+            pairs = [(table.incidence, inc), (table.sizes, meet.diagonal())]
+            pairs += [(sq, meet[np.ix_(s, s)]) for sq, s in zip(
+                table.squares, (row.nonzero()[0] for row in table.patterns[1]))]
+            assert len(table.squares) == len(table.patterns[1]), name
+            pattern, rows = table.patterns  # only the zero row is formed from N
+            assert {int(pattern[a]) for a, _ in table.known} == set(rows.any(axis=1).nonzero()[0])
+            for got, ref in pairs:
                 assert got.dtype == ref.dtype and got.shape == ref.shape, name
                 assert got.tobytes() == ref.tobytes(), name
+                assert not got.flags.writeable, name
+
+    def test_a_mixed_table_keeps_the_designs_intersections(self):
+        """Each class's square is its design's own N^T N, the same object."""
+        table = packing.build_mixed_packing(FANO7, [FANO, FANO_C], [[0, 1, 2], [5, 6]])._block_table
+        pattern = table.patterns[0]
+        assert table.squares[pattern[0]] is table.squares[pattern[2]] is FANO.intersections
+        assert table.squares[pattern[5]] is FANO_C.intersections
 
 
 @st.composite
@@ -394,9 +461,9 @@ def element_runs(family, runs, record, mode):
     """The builders' packing made as it was before the block table: one
     checked ``coordinate_projection`` per element, every block of each run on
     each of its bases in turn, and the table (its incidence by ``_incidence``)
-    read off the elements; the run's own incidence is not read."""
+    read off the elements; the run's own incidence and intersections are not read."""
     return Packing(family.m, family.field, tuple(
-        coordinate_projection(family, k, blk) for bases, blocks, _ in runs
+        coordinate_projection(family, k, blk) for bases, blocks, *_ in runs
         for k in bases for blk in blocks), record, mode)
 
 
@@ -467,8 +534,11 @@ class TestTableBorn:
         pk, ref = by_table(pk), by_elements(ref)
         assert "elements" not in vars(pk) and "elements" in vars(ref)
         table, ref_table = pk._block_table, ref._block_table
-        for part in ("labels", "ids", "incidence", "meet"):
-            assert np.array_equal(getattr(table, part), getattr(ref_table, part)), part
+        for part in ("labels", "ids", "incidence", "sizes", "patterns", "squares"):
+            got, want = getattr(table, part), getattr(ref_table, part)
+            assert len(got) == len(want), part
+            assert all(np.array_equal(x, y) for x, y in zip(got, want)) if part in (
+                "patterns", "squares") else np.array_equal(got, want), part
         assert table.blocks == ref_table.blocks
         assert (pk.m, pk.field, pk.n, pk.hypotheses, pk.mode, pk.rank_profile, pk.mixture) == (
             ref.m, ref.field, ref.n, ref.hypotheses, ref.mode, ref.rank_profile, ref.mixture)
@@ -544,7 +614,8 @@ def reports(pk, tolerances) -> dict:
     out = {}
     for tol in tolerances:
         cert, rep = certify(pk, tol), coherence(pk, tol)
-        out[tol.eps_abs] = (text(certificate_to_json(cert)), repr(cert.coherence), repr(rep),
+        out[tol.eps_abs] = (text(certificate_to_json(cert)), cert.coherence, rep,
+                            repr(cert.coherence), repr(rep),
                             check_tightness(pk, tol), span_of_achievers(pk, rep, tol=tol))
     return out
 
@@ -577,7 +648,8 @@ class TestNoToleranceOnTheExactPath:
         for tol in EPSILONS:
             cert = certify(pk, tol)
             assert cert.status.value == "NotCertified" and cert.mu_embedded == 0.5
-            assert cert.coherence.method == "exact" and cert.coherence.achievers == (0, 1, 12)
+            assert cert.coherence.method == "exact"
+            assert cert.coherence.achievers.tolist() == [0, 1, 12]
 
     def test_the_simplex_bound_is_met_exactly(self):
         """The 3 singletons of the standard basis of C^3 have mu = -1/2 = -1/(n-1)."""
@@ -598,7 +670,8 @@ class TestNoToleranceOnTheExactPath:
             pk = make(name)
             rep, cert = coherence(pk, tol), certify(pk, tol)
             assert rep.method == "exact"
-            outs.append((repr(rep), repr(cert.coherence), text(certificate_to_json(cert))))
+            outs.append((rep, cert.coherence, repr(rep), repr(cert.coherence),
+                         text(certificate_to_json(cert))))
         assert outs[0] == outs[1] == outs[2]
 
 
@@ -649,7 +722,7 @@ class TestSharedAnalysis:
         assert got == reports(json_round_trip(pk), (DEFAULT_TOL, LOOSE))
         assert "exact" in vars(pk._block_table)
         loose, default = (coherence(pk, tol).achievers for tol in (LOOSE, DEFAULT_TOL))
-        assert loose == default and (0 not in default) == (name in UNEVEN_CASES)
+        assert np.array_equal(loose, default) and (0 not in default) == (name in UNEVEN_CASES)
 
     @pytest.mark.parametrize("name", sorted(BUILDER_FIXTURES))
     def test_the_span_is_the_rank_of_the_summed_matrices(self, name):
@@ -671,7 +744,32 @@ class TestSharedAnalysis:
         finally:
             tracemalloc.stop()
         assert peak < pk.n == 5112
-        assert again == cert and repr(rep_again) == repr(rep) == repr(again.coherence)
+        assert again == cert and same_report(rep_again, rep)
+        assert same_report(rep, again.coherence)
+
+    def test_the_first_certify_forms_no_square_of_all_blocks(self):
+        """The first certify of a freshly built m = 71 packing (n = 5112, B = 142),
+        its patterns found within it, holds at its peak the ranks, two index
+        arrays of length n and the two coded 71 x 71 squares of its patterns.
+        The bound allows one more array of length n: less than a B x B int64
+        array (8 B^2 bytes) or n Python ints (28 n bytes) would add."""
+        pk = paley_packing(71)
+        table = pk._block_table
+        assert table.family.exact_verdict  # made once per family, outside the trace
+        assert "patterns" not in vars(table)
+        tracemalloc.start()
+        try:
+            cert = certify(pk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        codes = 8 * sum(np.count_nonzero(row) ** 2 for row in table.patterns[1])
+        held = 3 * 8 * pk.n + codes
+        bound = held + 8 * pk.n
+        assert codes == 2 * 8 * 71 ** 2 and pk.n == 5112
+        assert bound < held + min(8 * len(table.blocks) ** 2, 28 * pk.n)
+        assert peak < bound
+        assert cert.coherence.method == "exact" and len(cert.coherence.achievers) == pk.n
 
     @pytest.mark.parametrize("name", sorted(UNEVEN_CASES))
     def test_no_tolerance_picks_the_achievers(self, name):
@@ -681,8 +779,9 @@ class TestSharedAnalysis:
         pk = shared_case(name)
         for tol in (LOOSE, DEFAULT_TOL, LOOSE):
             fresh = shared_case(name)
-            assert coherence(pk, tol).achievers == coherence(fresh, DEFAULT_TOL).achievers
-            assert repr(certify(pk, tol).coherence) == repr(certify(fresh).coherence)
+            assert np.array_equal(coherence(pk, tol).achievers,
+                                  coherence(fresh, DEFAULT_TOL).achievers)
+            assert same_report(certify(pk, tol).coherence, certify(fresh).coherence)
         assert 0 not in coherence(pk, LOOSE).achievers
 
     @pytest.mark.parametrize("name", ["c4-hadamard", "paley-p19"])

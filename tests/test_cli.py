@@ -811,6 +811,29 @@ class TestComplementAndEmbed:
         assert run("certify", tmp_path / "nope.json") == 2
 
 
+FANO_PIPELINE_SHA256 = {
+    "pk.json": "42ef76aa4e964e8b69e50595605c03f7835932b88140229c52fa94ea9713f2c2",
+    "cert.json": "5dfe4346fe3dcad02e58e111276f72b4948d17b2d702268a1c3a35d8b3962eda",
+    "comp.json": "376041f785759789768fd30d7c4ed112a8130034afc0a3e2103c8235b8e5e5f9",
+    "code.json": "a4dae6f392a8c14d914c3a3da460eb91dcb171070e9fd457dc5e942803ae991f",
+}
+
+
+def test_fano_pipeline_bytes_are_pinned(tmp_path, mub7, fano):
+    """gen, build, certify --achievers, complement and embed on the Fano m = 7
+    mixed packing write files of fixed bytes: a change to any of them is a
+    change of format, to be versioned on purpose."""
+    comp, out = tmp_path / "fano_c.json", {name: tmp_path / name for name in FANO_PIPELINE_SHA256}
+    assert run("gen", "design", "--complement-of", fano, "--out", comp) == 0
+    assert run("build", "--mub", mub7, "--design", fano, "--design", comp, "--mode", "mixed",
+               "--partition", "0,1,2,3;4,5,6,7", "--out", out["pk.json"]) == 0
+    assert run("certify", out["pk.json"], "--achievers", "--out", out["cert.json"]) == 0
+    assert run("complement", out["pk.json"], "--out", out["comp.json"]) == 0
+    assert run("embed", out["pk.json"], "--out", out["code.json"]) == 0
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in out.items()} == FANO_PIPELINE_SHA256
+
+
 def readme_block(heading, language):
     """The first ``language`` code block under the README's ``heading``."""
     text = (Path(__file__).parents[1] / "README.md").read_text()

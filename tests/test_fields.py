@@ -172,6 +172,19 @@ def test_build_field_rejects_nonprime():
         build_field(PrimePower(4, 1))
 
 
+def test_a_field_is_made_once_per_prime_power():
+    """build_field keeps one table per prime power, named by an integer or a
+    PrimePower alike, with read-only tables; the Fano lines read off the kept
+    GF(2) are the ones a fresh table gives."""
+    ft = build_field(9)
+    assert ft is build_field(PrimePower(3, 2)) is build_field(9)
+    assert build_field(7) is not ft and build_field(7).q == 7
+    assert not any(t.flags.writeable for t in (ft._sum, ft._product, ft._trace))
+    fano = [(1, 3, 5), (0, 3, 4), (2, 3, 6), (0, 1, 2), (1, 4, 6), (0, 5, 6), (2, 4, 5)]
+    assert enumerate_projective_plane(2) == fano == enumerate_projective_plane(2)
+    assert enumerate_projective_plane(PrimePower(2, 1)) == fano
+
+
 class TestAffineHyperplanes:
     def test_ag22_line_count_and_size(self):
         blocks = enumerate_affine_hyperplanes(2, 2)

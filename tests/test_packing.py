@@ -330,7 +330,8 @@ class TestCoherence:
         assert rep.pair_classes["same_basis/same_rank"].max_inner == pytest.approx(-1 / 6, abs=1e-9)
         assert "same_basis/cross_rank" not in rep.pair_classes
         # every element pairs with a different basis, so all are achievers
-        assert rep.achievers == tuple(range(56))
+        assert rep.achievers.tolist() == list(range(56))
+        assert json.loads(json.dumps(list(rep.achievers))) == list(range(56))  # Python ints
 
     def test_orthonormal_basis_packing(self):
         m = 5
@@ -634,7 +635,7 @@ class TestSpanOfAchievers:
             els.append(Projection(np.outer(u, u)))
         pk = Packing(3, COMPLEX, tuple(els))
         rep = coherence(pk)
-        assert rep.achievers == (0, 1, 2)
+        assert rep.achievers.tolist() == [0, 1, 2]
         assert span_of_achievers(pk, rep) == (2, False)
 
     def test_not_certified_rejected_when_certificate_given(self, rng):
@@ -949,7 +950,7 @@ class TestCoordinatePackings:
         assert rep.method == rep_ref.method == "numeric"
         assert rep.mu_embedded == rep_ref.mu_embedded
         assert rep.argmax_pair == rep_ref.argmax_pair
-        assert rep.achievers == rep_ref.achievers
+        assert np.array_equal(rep.achievers, rep_ref.achievers)
         assert_unknown_basis_merges(rep, rep_ref)
         assert rep.mu_raw == rep_ref.mu_raw
 
@@ -965,7 +966,7 @@ class TestCoordinatePackings:
         assert cert.tight_constant == cert_back.tight_constant
         assert cert.mu_embedded == pytest.approx(cert_back.mu_embedded, abs=1e-12)
         rep, rep_back, rep_ref = coherence(pk), coherence(back), numeric_report(pk)
-        assert rep.achievers == rep_back.achievers
+        assert np.array_equal(rep.achievers, rep_back.achievers)
         # rounding noise on the numeric pass does not pick among exact ties
         assert (rep.argmax_pair == rep_back.argmax_pair
                 == coherence(spatial_complement(back)).argmax_pair)
@@ -1306,7 +1307,7 @@ class TestCertificateCoherence:
         kept = cert.coherence
         assert kept.mu_embedded == rep.mu_embedded == cert.mu_embedded
         assert kept.argmax_pair == rep.argmax_pair
-        assert kept.achievers == rep.achievers
+        assert np.array_equal(kept.achievers, rep.achievers)
         assert kept.pair_classes == rep.pair_classes
         assert kept.mu_raw == rep.mu_raw
         assert kept.n == rep.n == pk.n
@@ -1371,7 +1372,7 @@ def assert_exact_matches_numeric(pk):
     assert cert.tight_constant == cert_ref.tight_constant
     assert cert.details.keys() == cert_ref.details.keys()
     assert cert.details.get("antipodal_pairs") == cert_ref.details.get("antipodal_pairs")
-    assert rep.achievers == rep_ref.achievers
+    assert np.array_equal(rep.achievers, rep_ref.achievers)
     assert rep.mu_embedded == pytest.approx(rep_ref.mu_embedded, abs=1e-12)
     assert rep.pair_classes.keys() == classes.pair_classes.keys()
     for name, summary in rep.pair_classes.items():
@@ -1425,7 +1426,7 @@ class TestExactPass:
         assert cert.status is CertStatus.OPTIMAL_ORTHOPLEX
         assert cert.mu_embedded == 0.0
         assert cert.tight_constant == 992 * 31 / 2 / 31 == 496.0 and cert.is_tight
-        assert cert.coherence.achievers == tuple(range(992))
+        assert cert.coherence.achievers.tolist() == list(range(992))
 
     def test_certify_allocates_less_than_one_gram(self):
         import tracemalloc
